@@ -8,35 +8,30 @@ consumes a downsampled, re-projected copy of the previous stage's final
 feature. A feature cache holds exactly the earlier outputs the schedule says
 are still needed, evicting eagerly.
 
-Also here: exact parameter counting, analytic MAC counting, the cache-driven
-memory model, and a small synthetic training loop demonstrating end-to-end
-differentiability.
+Also here: analytic MAC counting, the cache-driven memory model, and a small
+synthetic training loop demonstrating end-to-end differentiability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nd
 from .nd import (Tape, Tensor, add, avgpool_stride, backward, conv2d, cross_entropy_logits,
                  gelu, mean_axis, pointwise_linear, reshape, scale)
-from .blocks import (VssBlockParams, DpeParams, delta_rank, dpe_forward, init_dpe,
-                     init_vss_block, ln2d, vss_block_forward)
+from .blocks import (VssBlockParams, DpeParams, dpe_forward, init_dpe, init_vss_block, ln2d,
+                     mixer_macs, vss_block_forward)
 from .config import ConfigError, ModelConfig
 from .dmca import DmcaParams, dmca_forward, init_dmca
-from .params import Initializer, bind, count_arrays, iter_arrays, pair_leaves
+from .params import Initializer, bind, pair_leaves
 from .topology import (CROSS_STAGE_SLOT, CacheSchedule, ConnectionPlan, Role,
                        cache_schedule, plan_model)
 
 # Spatial-reducer strides per stage, chosen so reduced token counts match the
 # final stage's token count (stage 4 tokens = stage_i tokens / 4^(3-i)).
 STAGE_REDUCE_STRIDE = (8, 4, 2, 1)
-
-
-def reduce_stride_for_stage(stage_idx: int) -> int:
-    return STAGE_REDUCE_STRIDE[stage_idx]
 
 
 @dataclass
@@ -132,7 +127,7 @@ def build(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
             dmca = None
             fuse_w = fuse_b = None
             if layer_plan.role is Role.GANGLION:
-                dmca = init_dmca(init, C, layer_plan.y_count, reduce_stride_for_stage(i),
+                dmca = init_dmca(init, C, layer_plan.y_count, STAGE_REDUCE_STRIDE[i],
                                  groups=cfg.groups, mode=cfg.dmca_mode)
                 fuse_w = init.trunc_normal((C, 2 * C))
                 fuse_b = init.zeros((C,))
@@ -268,29 +263,6 @@ def _model_dtype(model: ModelParams):
 # accounting
 # ---------------------------------------------------------------------------
 
-def count_params(model: ModelParams) -> int:
-    return count_arrays(model)
-
-
-def named_param_sizes(model: ModelParams):
-    return [(name, int(a.size)) for name, a in iter_arrays(model)]
-
-
-def _mixer_macs(kind: str, C: int, N: int, state: int, window: int, heads: int) -> int:
-    rank = delta_rank(C)
-    scan_dir = 2 * N * C * rank + 2 * N * C * state + 9 * C * state * N + N * C
-    if kind == "ss2d":
-        return 4 * scan_dir
-    if kind == "ssm":
-        return scan_dir
-    if kind == "bissm":
-        return 2 * scan_dir
-    if kind == "window_attn":
-        T = window * window
-        return 3 * N * C * C + 2 * N * T * C + N * C * C
-    raise ConfigError(f"unknown mixer kind {kind!r}")
-
-
 def count_flops(cfg: ModelConfig, input_size: int | None = None) -> dict:
     """Multiply-accumulate counts (1 MAC = 1 FLOP) with a component breakdown.
 
@@ -310,16 +282,15 @@ def count_flops(cfg: ModelConfig, input_size: int | None = None) -> dict:
         C = cfg.channels[i]
         side = size // (4 * 2 ** i)
         N = side * side
-        heads = max(1, C // cfg.head_dim)
         if i > 0:
             fl["downsample"] += N * C * cfg.channels[i - 1] * 9
         if any(l.takes_cross_stage for l in plan.layers):
             fl["bridge"] += N * C * cfg.channels[i - 1]
-        s = reduce_stride_for_stage(i)
+        s = STAGE_REDUCE_STRIDE[i]
         r = s * s
         for layer in plan.layers:
             fl["dpe"] += N * C * 9
-            fl["mixer"] += _mixer_macs(cfg.mixer, C, N, cfg.state_dim, cfg.window_size, heads)
+            fl["mixer"] += mixer_macs(cfg.mixer, C, N, cfg.state_dim, cfg.window_size)
             fl["ffn"] += N * C * (cfg.ffn_ratio * C) * 2 + N * (cfg.ffn_ratio * C) * 9
             if layer.role is Role.GANGLION:
                 L = layer.y_count
@@ -351,10 +322,8 @@ def memory_report(cfg: ModelConfig, input_size: int | None = None, mode: str | N
     are reported for both.
     """
     size = int(input_size or cfg.input_size)
-    if mode is not None and mode != cfg.topology_mode:
-        raw = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}  # type: ignore[attr-defined]
-        raw["topology_mode"] = mode
-        cfg = ModelConfig(**raw)
+    if mode is not None:
+        cfg = replace(cfg, topology_mode=mode)
     plans = plan_model(cfg)
     stages = []
     total_train = 0
@@ -433,6 +402,8 @@ def train_toy(cfg: ModelConfig, dataset=None, steps: int = 500, lr: float = 0.02
     non-finite. With ``target_acc`` set, training stops early once the full
     training set reaches that accuracy.
     """
+    if steps < 1 or batch_size < 1:
+        raise ConfigError(f"steps ({steps}) and batch size ({batch_size}) must be positive")
     model = build(cfg, seed, dtype=np.float64)
     if dataset is None:
         dataset = make_toy_dataset(size=cfg.input_size, seed=seed)

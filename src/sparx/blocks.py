@@ -1,8 +1,9 @@
 """Layer-level building blocks: position encoding, token mixers, feed-forward.
 
 Every block maps (C,H,W) -> (C,H,W). Four interchangeable token mixers are
-provided: a four-direction 2-d selective scan, a causal 1-d scan, a
-bidirectional 1-d scan, and shifted window attention.
+provided: shifted window attention and one selective scan run over the first
+1, 2 or 4 of four fixed directions (a causal 1-d scan, a bidirectional 1-d
+scan, and a four-direction 2-d scan).
 """
 
 from __future__ import annotations
@@ -13,19 +14,36 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import nd
-from .nd import (Tensor, add, bmm, crop_spatial, dwconv3x3_pad1, exp, flip_last,
+from .nd import (Tensor, add, bmm, crop_spatial, dwconv, exp, flip_last,
                  gather_rows, gelu, matmul, neg, pad_spatial, permute, pointwise_linear,
                  reshape, roll2d, scale, selective_scan, slice_axis, softmax_lastdim,
                  softplus, layernorm_channels, ShapeError)
 from .params import Initializer
 
-MIXER_KINDS = ("ss2d", "ssm", "bissm", "window_attn")
+# Scan mixers by the number of directions they run, taken in the fixed order
+# row-major forward, row-major reversed, column-major forward, column-major
+# reversed.
+SCAN_DIRECTIONS = {"ssm": 1, "bissm": 2, "ss2d": 4}
+MIXERS = (*SCAN_DIRECTIONS, "window_attn")
 
 
 def delta_rank(channels: int) -> int:
     """Rank of the low-rank step-size projection inside the scan mixers."""
     return max(1, math.ceil(channels / 8))
+
+
+def mixer_macs(kind: str, C: int, N: int, state: int, window: int) -> int:
+    """Multiply-accumulates of one token mixer over N tokens of width C.
+
+    A scan direction counts its step-size, B and C projections, 9 MACs per
+    channel-state-step and the skip term.
+    """
+    if kind == "window_attn":
+        T = window * window
+        return 3 * N * C * C + 2 * N * T * C + N * C * C
+    rank = delta_rank(C)
+    per_direction = 2 * N * C * rank + 2 * N * C * state + 9 * C * state * N + N * C
+    return SCAN_DIRECTIONS[kind] * per_direction
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +161,9 @@ def init_convffn(init: Initializer, channels: int, ratio: int) -> ConvFfnParams:
 
 def init_mixer(init: Initializer, kind: str, channels: int, state_dim: int,
                window: int, heads: int, layer_index: int):
-    if kind == "ss2d":
-        return [init_ssm(init, channels, state_dim) for _ in range(4)]
-    if kind == "ssm":
-        return [init_ssm(init, channels, state_dim)]
-    if kind == "bissm":
-        return [init_ssm(init, channels, state_dim) for _ in range(2)]
     if kind == "window_attn":
         return init_window_attn(init, channels, window, heads, shifted=layer_index % 2 == 1)
-    raise ShapeError(f"unknown mixer kind {kind!r}")
+    return [init_ssm(init, channels, state_dim) for _ in range(SCAN_DIRECTIONS[kind])]
 
 
 def init_vss_block(init: Initializer, kind: str, channels: int, state_dim: int,
@@ -175,14 +187,14 @@ def ln2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
-    return add(x, dwconv3x3_pad1(x, p.w, p.b))
+    return add(x, dwconv(x, p.w, p.b, pad=1))
 
 
 def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     C, H, W = x.shape
     hidden = p.w1.shape[0]
     h = pointwise_linear(reshape(x, (C, H * W)), p.w1, p.b1)
-    h = dwconv3x3_pad1(reshape(h, (hidden, H, W)), p.dw, p.db)
+    h = dwconv(reshape(h, (hidden, H, W)), p.dw, p.db, pad=1)
     h = gelu(reshape(h, (hidden, H * W)))
     return reshape(pointwise_linear(h, p.w2, p.b2), (C, H, W))
 
@@ -197,36 +209,28 @@ def ssm_apply(seq: Tensor, p: SsmParams) -> Tensor:
     return selective_scan(seq, delta, a, b, c, p.d)
 
 
-def ssm_forward(x: Tensor, params: list) -> Tensor:
-    """Causal 1-d scan over row-major flattened tokens."""
-    C, H, W = x.shape
-    return reshape(ssm_apply(reshape(x, (C, H * W)), params[0]), (C, H, W))
+def scan_forward(x: Tensor, params: list) -> Tensor:
+    """Selective scan over the first k = len(params) directions, summed.
 
-
-def bissm_forward(x: Tensor, params: list) -> Tensor:
-    """Forward plus reversed row-major scans, summed."""
-    C, H, W = x.shape
-    seq = reshape(x, (C, H * W))
-    fwd = ssm_apply(seq, params[0])
-    bwd = flip_last(ssm_apply(flip_last(seq), params[1]))
-    return reshape(add(fwd, bwd), (C, H, W))
-
-
-def ss2d_forward(x: Tensor, params: list) -> Tensor:
-    """Four-direction 2-d selective scan.
-
-    Directions: row-major forward, row-major reversed, column-major forward,
-    column-major reversed. Each runs its own parameter set; results are
-    un-permuted back to the map and summed in the fixed order (d0+d1)+(d2+d3).
+    k is 1 (causal scan), 2 (bidirectional scan) or 4 (2-d scan); the
+    directions are those of ``SCAN_DIRECTIONS``. Each runs its own parameter
+    set; results are un-permuted back to the map and summed in the fixed
+    order (d0+d1)+(d2+d3). The row and column sequences are each flattened
+    once and shared by their two directions.
     """
+    k = len(params)
+    if k not in SCAN_DIRECTIONS.values():
+        raise ShapeError(f"scan mixer: expected 1, 2 or 4 direction parameter sets, got {k}")
     C, H, W = x.shape
     seq_r = reshape(x, (C, H * W))
-    seq_c = reshape(permute(x, (0, 2, 1)), (C, W * H))
-    y0 = reshape(ssm_apply(seq_r, params[0]), (C, H, W))
-    y1 = reshape(flip_last(ssm_apply(flip_last(seq_r), params[1])), (C, H, W))
-    y2 = permute(reshape(ssm_apply(seq_c, params[2]), (C, W, H)), (0, 2, 1))
-    y3 = permute(reshape(flip_last(ssm_apply(flip_last(seq_c), params[3])), (C, W, H)), (0, 2, 1))
-    return add(add(y0, y1), add(y2, y3))
+    seq_c = reshape(permute(x, (0, 2, 1)), (C, W * H)) if k == 4 else None
+    ys = []
+    for i, p in enumerate(params):
+        seq = seq_r if i < 2 else seq_c
+        y = ssm_apply(seq, p) if i % 2 == 0 else flip_last(ssm_apply(flip_last(seq), p))
+        ys.append(reshape(y, (C, H, W)) if i < 2 else permute(reshape(y, (C, W, H)), (0, 2, 1)))
+    y = ys[0] if k == 1 else add(ys[0], ys[1])
+    return add(y, add(ys[2], ys[3])) if k == 4 else y
 
 
 @lru_cache(maxsize=32)
@@ -306,15 +310,9 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams, shifted: bool | Non
 
 
 def mixer_forward(x: Tensor, kind: str, params) -> Tensor:
-    if kind == "ss2d":
-        return ss2d_forward(x, params)
-    if kind == "ssm":
-        return ssm_forward(x, params)
-    if kind == "bissm":
-        return bissm_forward(x, params)
     if kind == "window_attn":
         return window_attention_forward(x, params)
-    raise ShapeError(f"unknown mixer kind {kind!r}")
+    return scan_forward(x, params)
 
 
 def vss_block_forward(x: Tensor, p: VssBlockParams) -> Tensor:

@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,8 +27,11 @@ import numpy as np
 
 from . import __version__, nd
 from .analysis import AnalysisError, cka_matrix, cka_matrix_csv, erf
-from .backbone import (build, count_flops, count_params, forward, memory_report, train_toy)
+from .backbone import build, count_flops, forward, memory_report, train_toy
+from .blocks import MIXERS
 from .config import ConfigError, ModelConfig, VARIANT_NAMES, get_variant
+from .dmca import DMCA_MODES
+from .params import count_arrays
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .topology import (Mode, PlanError, StageTopologyConfig, plan_model, plan_stage,
                        plan_to_json, to_dot)
@@ -69,32 +73,23 @@ def _write_manifest(out: Path, command: str, args, files: list[Path]):
 
 
 def _resolve_config(args) -> ModelConfig:
-    overrides = {}
-    if getattr(args, "input", None):
-        overrides["input_size"] = args.input
-    if getattr(args, "mixer", None):
-        overrides["mixer"] = args.mixer
-    if getattr(args, "topology_mode", None):
-        overrides["topology_mode"] = args.topology_mode
-    if getattr(args, "dmca_mode", None):
-        overrides["dmca_mode"] = args.dmca_mode
+    flags = {"input_size": "input", "mixer": "mixer", "topology_mode": "topology_mode",
+             "dmca_mode": "dmca_mode"}
+    overrides = {f: getattr(args, a) for f, a in flags.items() if getattr(args, a, None) is not None}
     if getattr(args, "config", None):
         try:
             text = Path(args.config).read_text()
         except OSError as e:
             raise ConfigError(f"cannot read config file {args.config}: {e}") from e
-        cfg = ModelConfig.from_json(text)
-        if overrides:
-            raw = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}  # type: ignore[attr-defined]
-            raw.update(overrides)
-            cfg = ModelConfig(**raw)
-        return cfg
+        return replace(ModelConfig.from_json(text), **overrides)
     if getattr(args, "variant", None):
         return get_variant(args.variant, **overrides)
     raise ConfigError("either --variant or --config is required")
 
 
 def _seeded_images(seed: int, count: int, size: int, dtype=np.float32):
+    if count < 1:
+        raise ConfigError(f"--images must be a positive integer, got {count}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(7000,))))
     return rng.standard_normal((count, 3, size, size)).astype(dtype)
 
@@ -138,8 +133,8 @@ def cmd_stats(args) -> int:
     for name in variants:
         for mode in modes:
             cfg = get_variant(name, topology_mode=mode,
-                              **({"input_size": args.input} if args.input else {}))
-            params = count_params(build(cfg, args.seed))
+                              **({"input_size": args.input} if args.input is not None else {}))
+            params = count_arrays(build(cfg, args.seed))
             flops = count_flops(cfg)["total"]
             mem = memory_report(cfg)
             rows.append({
@@ -311,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int)
     p.add_argument("--stride", type=int, default=2)
     p.add_argument("--window", type=int, default=2)
-    p.add_argument("--mode", choices=["sparx", "dgc", "dsn", "plain"])
+    p.add_argument("--mode", choices=[m.value for m in Mode])
     p.add_argument("--cross-stage", action="store_true", dest="cross_stage")
     common(p)
     p.set_defaults(func=cmd_plan)
@@ -333,11 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", choices=VARIANT_NAMES)
         p.add_argument("--config", help="model config JSON file")
         p.add_argument("--input", type=int)
-        p.add_argument("--mixer", choices=["ss2d", "ssm", "bissm", "window_attn"])
-        p.add_argument("--topology-mode", dest="topology_mode",
-                       choices=["sparx", "dgc", "dsn", "plain"])
-        p.add_argument("--dmca-mode", dest="dmca_mode",
-                       choices=["full", "concat", "no_cgca", "no_sr", "no_skip"])
+        p.add_argument("--mixer", choices=MIXERS)
+        p.add_argument("--topology-mode", dest="topology_mode", choices=[m.value for m in Mode])
+        p.add_argument("--dmca-mode", dest="dmca_mode", choices=DMCA_MODES)
         if name == "capture":
             p.add_argument("--images", type=int, default=1)
         common(p)
@@ -372,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except CONFIG_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 
-MIXERS = ("ss2d", "ssm", "bissm", "window_attn")
+from .blocks import MIXERS
+from .dmca import DMCA_MODES
+from .topology import Mode
+
 STAGE4_POLICIES = ("all_ganglion", "last_only")
-TOPOLOGY_MODES = ("sparx", "dgc", "dsn", "plain")
-DMCA_MODES = ("full", "concat", "no_cgca", "no_sr", "no_skip")
 
 
 class ConfigError(ValueError):
@@ -43,11 +44,13 @@ class ModelConfig:
             raise ConfigError("channels and blocks must be positive")
         if self.stride < 1 or self.window < 1:
             raise ConfigError("stride and window must be >= 1")
+        if self.input_size < 32 or self.input_size % 32:
+            raise ConfigError(f"input_size {self.input_size} must be a positive multiple of 32")
         if self.mixer not in MIXERS:
             raise ConfigError(f"unknown mixer {self.mixer!r}; expected one of {MIXERS}")
         if self.stage4_policy not in STAGE4_POLICIES:
             raise ConfigError(f"unknown stage4_policy {self.stage4_policy!r}")
-        if self.topology_mode not in TOPOLOGY_MODES:
+        if self.topology_mode not in [m.value for m in Mode]:
             raise ConfigError(f"unknown topology_mode {self.topology_mode!r}")
         if self.dmca_mode not in DMCA_MODES:
             raise ConfigError(f"unknown dmca_mode {self.dmca_mode!r}")
@@ -97,12 +100,7 @@ def get_variant(name: str, **overrides) -> ModelConfig:
     table = _variants()
     if name not in table:
         raise ConfigError(f"unknown variant {name!r}; expected one of {VARIANT_NAMES}")
-    cfg = table[name]
-    if overrides:
-        raw = asdict(cfg)
-        unknown = set(overrides) - set(raw)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        raw.update(overrides)
-        cfg = ModelConfig(**raw)
-    return cfg
+    unknown = set(overrides) - set(ModelConfig.__dataclass_fields__)  # type: ignore[attr-defined]
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    return replace(table[name], **overrides)

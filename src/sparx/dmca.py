@@ -130,10 +130,6 @@ def _reduce_tokens(t2d: Tensor, red: np.ndarray | Tensor | None, stride: int, hw
     return reshape(red_map, (C, (H // stride) * (W // stride)))
 
 
-def _project(w, b, t):
-    return pointwise_linear(t, w, b)
-
-
 def dmca_forward(x: Tensor, ys: list, p: DmcaParams, hw) -> Tensor:
     """Aggregate earlier features into the current one; (C,N) -> (2C,N).
 
@@ -156,24 +152,24 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams, hw) -> Tensor:
         raise ShapeError(f"token count {N} not divisible by reduction ratio {r}")
 
     if p.mode == "concat":
-        return _project(p.out_w, p.out_b, concat([x] + list(ys), axis=0))
+        return pointwise_linear(concat([x] + list(ys), axis=0), p.out_w, p.out_b)
 
     cat_ys = concat(list(ys), axis=0)
     if p.mode == "no_cgca":
-        yv = _project(p.mix_w, p.mix_b, cat_ys)
-        return _project(p.out_w, p.out_b, concat([x, yv], axis=0))
+        yv = pointwise_linear(cat_ys, p.mix_w, p.mix_b)
+        return pointwise_linear(concat([x, yv], axis=0), p.out_w, p.out_b)
 
-    mixed = _project(p.mix_w, p.mix_b, cat_ys)
+    mixed = pointwise_linear(cat_ys, p.mix_w, p.mix_b)
     yk, yv = split(mixed, 2, axis=0)
     q_in = _reduce_tokens(x, p.q_red, p.reduce_stride, hw)
     k_in = _reduce_tokens(yk, p.k_red, p.reduce_stride, hw)
-    q = group_channels(_project(p.q_w, p.q_b, q_in), p.groups)
-    k = group_channels(_project(p.k_w, p.k_b, k_in), p.groups)
-    v = group_channels(_project(p.v_w, p.v_b, yv), p.groups)
+    q = group_channels(pointwise_linear(q_in, p.q_w, p.q_b), p.groups)
+    k = group_channels(pointwise_linear(k_in, p.k_w, p.k_b), p.groups)
+    v = group_channels(pointwise_linear(yv, p.v_w, p.v_b), p.groups)
     z = cgca(q, k, v, scale_n=N // r)
     if p.mode == "no_skip":
-        return _project(p.out_w, p.out_b, z)
-    return _project(p.out_w, p.out_b, concat([x, yv, z], axis=0))
+        return pointwise_linear(z, p.out_w, p.out_b)
+    return pointwise_linear(concat([x, yv, z], axis=0), p.out_w, p.out_b)
 
 
 def dmca_param_count(channels: int, l_count: int, reduce_stride: int,

@@ -173,10 +173,6 @@ def add(a, b):
     return _apply("add", out, (a, b), vjp)
 
 
-def sub(a, b):
-    return add(a, neg(b))
-
-
 def neg(a):
     a = _as_tensor(a)
     return _apply("neg", -a.data, (a,), lambda g: (-g,))
@@ -422,17 +418,6 @@ def softplus(a):
     return _apply("softplus", out, (a,), lambda g: (g * sig,))
 
 
-def silu(a):
-    a = _as_tensor(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    ad = a.data
-
-    def vjp(g):
-        return (g * (sig * (1.0 + ad * (1.0 - sig))),)
-
-    return _apply("silu", ad * sig, (a,), vjp)
-
-
 def gelu(a):
     """Exact (erf-based) Gaussian error linear unit."""
     a = _as_tensor(a)
@@ -573,11 +558,6 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
         bias = _as_tensor(bias, like=x)
         out = add(out, reshape(bias, (C, 1, 1)))
     return out
-
-
-def dwconv3x3_pad1(x, weight, bias=None):
-    """3x3 depthwise convolution with padding 1; preserves H and W."""
-    return dwconv(x, weight, bias, stride=1, pad=1)
 
 
 def conv2d(x, weight, bias=None, stride=1, pad=0):

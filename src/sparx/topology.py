@@ -32,8 +32,10 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .config import ModelConfig
+if TYPE_CHECKING:
+    from .config import ModelConfig
 
 
 class PlanError(ValueError):
@@ -41,10 +43,15 @@ class PlanError(ValueError):
 
 
 class Mode(str, enum.Enum):
+    """Connectivity modes, declared from sparsest to densest.
+
+    The verify checks of the cache-peak and memory orderings walk the modes
+    in this order.
+    """
+    PLAIN = "plain"
     SPARX = "sparx"
     DGC = "dgc"
     DSN = "dsn"
-    PLAIN = "plain"
 
 
 class Role(str, enum.Enum):

@@ -9,14 +9,14 @@ import time
 
 import numpy as np
 
-from sparx import nd, verify
-from sparx.analysis import cka_linear, erf, erf_map
-from sparx.backbone import build, count_flops, count_params, forward, memory_report, train_toy
+from sparx import verify
+from sparx.analysis import erf
+from sparx.backbone import build, memory_report, train_toy
 from sparx.cli import main as cli_main
 from sparx.config import get_variant
 from sparx.dmca import cgca_attention, group_channels
 from sparx.nd import Tensor
-from sparx.params import bind, iter_arrays
+from sparx.params import bind, count_arrays, iter_arrays
 from sparx.topology import Mode, StageTopologyConfig, plan_stage
 from sparx.verify import dense_attention_oracle, oracle_stage_plan, plan_as_tuples
 
@@ -64,7 +64,7 @@ def test_c03_gradient_fidelity():
         assert res.passed, f"{res.name}: {res.measured}"
         worst_block = max(worst_block, float(res.measured))
     cfg = get_variant("tiny-reduced")
-    n_params = count_params(build(cfg, 0))
+    n_params = count_arrays(build(cfg, 0))
     sample = max(1, n_params // 100)  # a 1% sample of all parameters
     worst_model, total = verify.model_grad_check(cfg, sample=sample)
     elapsed = time.time() - t0
@@ -75,17 +75,8 @@ def test_c03_gradient_fidelity():
 
 
 def test_c04_parameter_and_mac_accounting():
-    targets = {"tiny": (27.1e6, 5.2e9), "small": (47e6, 9.3e9), "base": (84e6, 15.9e9)}
-    details = []
-    ok = True
-    for name, (p_t, f_t) in targets.items():
-        cfg = get_variant(name)
-        p = count_params(build(cfg, 0))
-        f = count_flops(cfg)["total"]
-        dp, df = (p - p_t) / p_t, (f - f_t) / f_t
-        ok = ok and abs(dp) <= 0.10 and abs(df) <= 0.15
-        details.append(f"{name} {p/1e6:.1f}M({dp:+.1%}) {f/1e9:.2f}G({df:+.1%})")
-    report(4, "params within 10%, MACs within 15%", ok, "; ".join(details))
+    res = verify.check_accounting_bands(frozenset())
+    report(4, "params within 10%, MACs within 15%", res.passed, res.measured)
 
 
 def test_c05_memory_ordering():
@@ -118,15 +109,14 @@ def test_c06_aggregation_resolution_independence():
 
 
 def test_c07_mac_resolution_scaling():
-    cfg = get_variant("tiny")
-    ratio = count_flops(cfg, 384)["total"] / count_flops(cfg, 224)["total"]
+    res = verify.check_flops_resolution(frozenset())
     a = build(get_variant("tiny", input_size=224), 0)
     b = build(get_variant("tiny", input_size=384), 0)
     params_same = all(np.array_equal(xa, xb)
                       for (_, xa), (_, xb) in zip(iter_arrays(a), iter_arrays(b)))
-    ok = 2.9 <= ratio <= 3.1 and params_same
+    ok = res.passed and params_same
     report(7, "MACs(384)/MACs(224) in [2.9, 3.1], params resolution-independent", ok,
-           f"ratio={ratio:.4f}, params bit-identical={params_same}")
+           f"ratio={res.measured}, params bit-identical={params_same}")
 
 
 def test_c08_mixer_versatility():
@@ -157,33 +147,22 @@ def test_c08_mixer_versatility():
 
 
 def test_c09_cka_identities():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((48, 16))
-    b = rng.standard_normal((48, 16))
-    q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-    self_err = abs(cka_linear(a, a) - 1.0)
-    orth_err = abs(cka_linear(a, 1.7 * (a @ q)) - 1.0)
-    sym_err = abs(cka_linear(a, b) - cka_linear(b, a))
-    ok = self_err <= 1e-6 and orth_err <= 1e-6 and sym_err <= 1e-6
-    report(9, "CKA identities", ok,
-           f"self {self_err:.2e}, orthogonal {orth_err:.2e}, symmetry {sym_err:.2e}")
+    res = verify.check_cka_identities(frozenset())
+    report(9, "CKA identities", res.passed,
+           f"worst of self, orthogonal and symmetry errors {res.measured}")
 
 
 def test_c10_erf_sanity():
+    footprints = verify.check_erf_footprints(frozenset())
     rng = np.random.default_rng(3)
-    w1 = Tensor(rng.standard_normal((1, 3, 3)))
-    w2 = Tensor(rng.standard_normal((1, 3, 3)))
-    images = [rng.standard_normal((1, 9, 9)) for _ in range(3)]
-    one = erf_map(lambda img: nd.dwconv3x3_pad1(img, w1), images).support()
-    two = erf_map(lambda img: nd.dwconv3x3_pad1(nd.dwconv3x3_pad1(img, w1), w2), images).support()
     model = build(get_variant("tiny-reduced"), 0, dtype=np.float64)
     probes = [rng.standard_normal((3, 32, 32)) for _ in range(2)]
     s1 = erf(model, 1, probes).support()
     s4 = erf(model, 4, probes).support()
     nested = bool(np.all(s4[s1]))
-    ok = one.sum() == 9 and two.sum() == 25 and nested
+    ok = footprints.passed and nested
     report(10, "ERF footprints", ok,
-           f"one conv {int(one.sum())} cells, two convs {int(two.sum())}, "
+           f"conv footprints {footprints.measured}, "
            f"stage4 support contains stage1={nested} "
            f"({int(s1.sum())} vs {int(s4.sum())} cells)")
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from sparx.backbone import (FeatureCache, build, count_flops, count_params, forward,
-                            make_toy_dataset, memory_report, train_toy)
+from sparx.backbone import (FeatureCache, build, count_flops, forward, make_toy_dataset,
+                            memory_report, train_toy)
 from sparx.config import ConfigError, ModelConfig, get_variant
 from sparx.nd import Tensor
-from sparx.params import iter_arrays
+from sparx.params import count_arrays, iter_arrays
 from sparx.topology import StageTopologyConfig, cache_schedule, plan_stage
 
 
@@ -139,7 +139,7 @@ class TestAccounting:
     ])
     def test_params_and_macs_within_bands(self, name, p_target, f_target):
         cfg = get_variant(name)
-        p = count_params(build(cfg, 0))
+        p = count_arrays(build(cfg, 0))
         f = count_flops(cfg)["total"]
         assert abs(p - p_target) / p_target <= 0.10, f"{name} params {p}"
         assert abs(f - f_target) / f_target <= 0.15, f"{name} macs {f}"

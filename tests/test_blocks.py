@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from sparx import nd
-from sparx.blocks import (DpeParams, SsmParams, bissm_forward, convffn_forward,
-                          dpe_forward, init_convffn, init_ssm, init_vss_block,
-                          init_window_attn, shift_mask, ss2d_forward, ssm_apply,
-                          vss_block_forward, window_attention_forward)
+from sparx.blocks import (DpeParams, SsmParams, convffn_forward, dpe_forward, init_convffn,
+                          init_ssm, init_vss_block, init_window_attn, scan_forward, shift_mask,
+                          ssm_apply, vss_block_forward, window_attention_forward)
 from sparx.nd import ShapeError, Tensor
 from sparx.params import Initializer, bind, iter_arrays
 from sparx.verify import dense_attention_oracle, dwconv_oracle
@@ -31,7 +30,7 @@ def scan_reference(x, p):
 
 
 def ss2d_reference(x, ps):
-    """Explicit permute-scan-unpermute oracle for the four directions."""
+    """Explicit permute-scan-unpermute oracle for the first len(ps) directions."""
     C, H, W = x.shape
     flat = x.reshape(C, H * W)
     idx_row = np.arange(H * W)
@@ -124,7 +123,7 @@ class TestSs2d:
         ps = [init_ssm(init, 3, 2) for _ in range(4)]
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 1, 1))
-        out = ss2d_forward(Tensor(x), bind(ps)).data
+        out = scan_forward(Tensor(x), bind(ps)).data
         expect = sum(scan_reference(x.reshape(3, 1), p) for p in ps).reshape(3, 1, 1)
         assert np.allclose(out, expect, atol=1e-12)
 
@@ -134,7 +133,7 @@ class TestSs2d:
         ps = [zeroed(base)] * 4
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, 3))
-        out = ss2d_forward(Tensor(x), bind(ps)).data
+        out = scan_forward(Tensor(x), bind(ps)).data
         assert np.allclose(out, 4 * base.d[:, None, None] * x, atol=1e-12)
 
     def test_corner_influence_matches_permutation_oracle(self):
@@ -142,16 +141,22 @@ class TestSs2d:
         ps = [init_ssm(init, 1, 2) for _ in range(4)]
         x = np.zeros((1, 2, 2))
         x[0, 0, 0] = 1.0
-        got = ss2d_forward(Tensor(x), bind(ps)).data
+        got = scan_forward(Tensor(x), bind(ps)).data
         assert np.allclose(got, ss2d_reference(x, ps), atol=1e-12)
 
-    def test_random_maps_match_permutation_oracle(self):
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_random_maps_match_permutation_oracle(self, k):
         init = Initializer(9, dtype=np.float64)
-        ps = [init_ssm(init, 2, 2) for _ in range(4)]
+        ps = [init_ssm(init, 2, 2) for _ in range(4)][:k]
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 4, 3))
-        got = ss2d_forward(Tensor(x), bind(ps)).data
+        got = scan_forward(Tensor(x), bind(ps)).data
         assert np.allclose(got, ss2d_reference(x, ps), atol=1e-12)
+
+    def test_direction_count_must_be_1_2_or_4(self):
+        ps = bind([init_ssm(Initializer(9, dtype=np.float64), 2, 2) for _ in range(3)])
+        with pytest.raises(ShapeError, match="1, 2 or 4"):
+            scan_forward(Tensor(np.zeros((2, 2, 2))), ps)
 
     def test_symmetry_equivariance_exact(self):
         # 180-degree rotation swaps the forward/reversed orders; transpose
@@ -160,10 +165,10 @@ class TestSs2d:
         ps = [bind(init_ssm(init, 2, 2)) for _ in range(4)]
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 4, 4))
-        y = ss2d_forward(Tensor(x), ps).data
-        rot = ss2d_forward(Tensor(x[:, ::-1, ::-1].copy()), [ps[1], ps[0], ps[3], ps[2]]).data
+        y = scan_forward(Tensor(x), ps).data
+        rot = scan_forward(Tensor(x[:, ::-1, ::-1].copy()), [ps[1], ps[0], ps[3], ps[2]]).data
         assert np.abs(rot[:, ::-1, ::-1] - y).max() <= 1e-12
-        tr = ss2d_forward(Tensor(x.transpose(0, 2, 1).copy()), [ps[2], ps[3], ps[0], ps[1]]).data
+        tr = scan_forward(Tensor(x.transpose(0, 2, 1).copy()), [ps[2], ps[3], ps[0], ps[1]]).data
         assert np.abs(tr.transpose(0, 2, 1) - y).max() <= 1e-12
 
 
@@ -173,7 +178,7 @@ class TestBissm:
         p = init_ssm(init, 3, 2)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((3, 1, 1))
-        out = bissm_forward(Tensor(x), bind([p, p])).data
+        out = scan_forward(Tensor(x), bind([p, p])).data
         assert np.allclose(out, 2 * scan_reference(x.reshape(3, 1), p).reshape(3, 1, 1),
                            atol=1e-12)
 
@@ -182,7 +187,7 @@ class TestBissm:
         base = init_ssm(init, 2, 2)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 2, 2))
-        out = bissm_forward(Tensor(x), bind([zeroed(base), zeroed(base)])).data
+        out = scan_forward(Tensor(x), bind([zeroed(base), zeroed(base)])).data
         assert np.allclose(out, 2 * base.d[:, None, None] * x, atol=1e-12)
 
     def test_backward_branch_carries_anticausal_influence(self):
@@ -194,17 +199,17 @@ class TestBissm:
         dead_fwd.w_c = np.zeros_like(dead_fwd.w_c)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((1, 1, 4))
-        base = bissm_forward(Tensor(x), bind([dead_fwd, bwd])).data
+        base = scan_forward(Tensor(x), bind([dead_fwd, bwd])).data
         x2 = x.copy()
         x2[0, 0, -1] += 1.0
-        bumped = bissm_forward(Tensor(x2), bind([dead_fwd, bwd])).data
+        bumped = scan_forward(Tensor(x2), bind([dead_fwd, bwd])).data
         assert abs(bumped[0, 0, 0] - base[0, 0, 0]) > 1e-8
         # with the backward branch dead instead, the first token cannot move
         dead_bwd = zeroed(bwd)
         dead_bwd.d = np.zeros_like(dead_bwd.d)
         dead_bwd.w_c = np.zeros_like(dead_bwd.w_c)
-        base = bissm_forward(Tensor(x), bind([fwd, dead_bwd])).data
-        bumped = bissm_forward(Tensor(x2), bind([fwd, dead_bwd])).data
+        base = scan_forward(Tensor(x), bind([fwd, dead_bwd])).data
+        bumped = scan_forward(Tensor(x2), bind([fwd, dead_bwd])).data
         assert bumped[0, 0, 0] == base[0, 0, 0]
 
 

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sparx.cli import main
 from sparx.tensor_io import read_tensor, write_tensor
@@ -187,3 +188,21 @@ class TestManifests:
         monkeypatch.setenv("SPARX_OUT", str(target))
         assert run(["plan", "--layers", "4"]) == 0
         assert (target / "plan.json").exists()
+
+
+class TestNumericInputs:
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--variant", "tiny-reduced", "--input", "0"],
+        ["forward", "--variant", "tiny-reduced", "--input", "48"],
+        ["stats", "--variant", "tiny-reduced", "--input", "0"],
+        ["capture", "--variant", "tiny-reduced", "--images", "0"],
+        ["erf", "--variant", "tiny-reduced", "--images", "-1"],
+        ["train-toy", "--steps", "0"],
+        ["train-toy", "--batch", "0"],
+        ["forward", "--variant", "tiny-reduced", "--seed", "-1"],
+    ], ids=" ".join)
+    def test_non_positive_values_exit_2_with_one_line(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1

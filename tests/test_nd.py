@@ -6,8 +6,8 @@ import pytest
 from sparx import nd
 from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add, avgpool_stride,
                       backward, bmm, concat, conv2d, cross_entropy_logits, dwconv,
-                      dwconv3x3_pad1, gather_rows, gelu, grad_check, layernorm_channels,
-                      matmul, mean_axis, mul, permute, reshape, scale, selective_scan, silu,
+                      gather_rows, gelu, grad_check, layernorm_channels,
+                      matmul, mean_axis, mul, permute, reshape, scale, selective_scan,
                       slice_axis, softmax_lastdim, softplus, split, sum_all, sum_axis)
 from sparx.tensor_io import TensorFormatError, read_tensor, tensor_bytes, tensor_from_bytes, write_tensor
 
@@ -64,7 +64,7 @@ class TestConvOps:
         x = rng.standard_normal((3, 5, 5))
         w = np.zeros((3, 3, 3))
         w[:, 1, 1] = 1.0
-        out = dwconv3x3_pad1(Tensor(x), Tensor(w))
+        out = dwconv(Tensor(x), Tensor(w), pad=1)
         assert np.allclose(out.data, x, atol=0)
 
     def test_avgpool_constant_invariance(self):
@@ -86,14 +86,14 @@ class TestConvOps:
 
     def test_dwconv_channel_count_mismatch(self):
         with pytest.raises(ShapeError):
-            dwconv3x3_pad1(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 3, 3))))
+            dwconv(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 3, 3))), pad=1)
 
     def test_depthwise_never_mixes_channels(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 6, 6))
         x[1] = 0.0
         w = rng.standard_normal((4, 3, 3))
-        out = dwconv3x3_pad1(Tensor(x), Tensor(w))
+        out = dwconv(Tensor(x), Tensor(w), pad=1)
         assert np.all(out.data[1] == 0.0)
 
     def test_conv2d_matches_naive(self):
@@ -102,7 +102,7 @@ class TestConvOps:
         x = rng.standard_normal((2, 3, 3))
         w = rng.standard_normal((2, 3, 3))
         b = rng.standard_normal(2)
-        got = dwconv3x3_pad1(Tensor(x), Tensor(w), Tensor(b)).data
+        got = dwconv(Tensor(x), Tensor(w), Tensor(b), pad=1).data
         assert np.allclose(got, dwconv_oracle(x, w, b), atol=1e-12)
 
 
@@ -138,9 +138,8 @@ class TestNonlinearOps:
         with pytest.raises(ShapeError):
             softmax_lastdim(Tensor(np.zeros((2, 0))))
 
-    def test_silu_gelu_softplus_values(self):
+    def test_gelu_softplus_values(self):
         x = np.array([0.0])
-        assert abs(silu(Tensor(x)).data[0]) < 1e-12
         assert abs(gelu(Tensor(x)).data[0]) < 1e-12
         assert abs(softplus(Tensor(x)).data[0] - np.log(2)) < 1e-12
 
@@ -247,7 +246,7 @@ class TestGradCheck:
         w = rng.standard_normal((2, 3, 3))
 
         def f(tx, tw):
-            return sum_all(avgpool_stride(dwconv3x3_pad1(tx, tw), 2))
+            return sum_all(avgpool_stride(dwconv(tx, tw, pad=1), 2))
 
         assert grad_check(f, [x, w]) <= 1e-4
 
@@ -289,7 +288,6 @@ def _op_cases():
         ("mean_axis", lambda a: sum_all(mul(mean_axis(a, 1), mean_axis(a, 1))), [(3, 4)]),
         ("exp", lambda a: sum_all(nd.exp(a)), [(2, 3)]),
         ("softplus", lambda a: sum_all(softplus(a)), [(2, 3)]),
-        ("silu", lambda a: sum_all(silu(a)), [(2, 3)]),
         ("gelu", lambda a: sum_all(gelu(a)), [(2, 3)]),
         ("softmax", lambda a: sum_all(mul(softmax_lastdim(a), a)), [(3, 4)]),
         ("layernorm", lambda a, g, b: sum_all(mul(layernorm_channels(a, g, b),
@@ -298,7 +296,7 @@ def _op_cases():
         ("cross_entropy", lambda a: cross_entropy_logits(a, 1), [(4,)]),
         ("extract_patches", lambda a: sum_all(mul(nd.extract_patches(a, 2, 1, 1),
                                                   nd.extract_patches(a, 2, 1, 1))), [(2, 3, 3)]),
-        ("dwconv", lambda a, w, b: sum_all(mul(dwconv3x3_pad1(a, w, b), a)),
+        ("dwconv", lambda a, w, b: sum_all(mul(dwconv(a, w, b, pad=1), a)),
          [(2, 3, 3), (2, 3, 3), (2,)]),
         ("conv2d", lambda a, w, b: sum_all(mul(conv2d(a, w, b, stride=2, pad=1),
                                                conv2d(a, w, b, stride=2, pad=1))),
