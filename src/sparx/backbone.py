@@ -263,6 +263,14 @@ def _model_dtype(model: ModelParams):
 # accounting
 # ---------------------------------------------------------------------------
 
+def _input_size(cfg: ModelConfig, input_size: int | None) -> int:
+    """The explicit ``input_size``, or the config's when it is None; a positive multiple of 32."""
+    size = cfg.input_size if input_size is None else input_size
+    if size < 32 or size % 32:
+        raise ConfigError(f"input size {size} must be a positive multiple of 32")
+    return int(size)
+
+
 def count_flops(cfg: ModelConfig, input_size: int | None = None) -> dict:
     """Multiply-accumulate counts (1 MAC = 1 FLOP) with a component breakdown.
 
@@ -270,9 +278,7 @@ def count_flops(cfg: ModelConfig, input_size: int | None = None) -> dict:
     scans (9 MACs per channel-state-step); normalizations and pointwise
     nonlinearities are not counted.
     """
-    size = int(input_size or cfg.input_size)
-    if size % 32:
-        raise ConfigError(f"input size {size} must be divisible by 32")
+    size = _input_size(cfg, input_size)
     plans = plan_model(cfg)
     fl = {"stem": 0, "downsample": 0, "bridge": 0, "dpe": 0, "mixer": 0, "ffn": 0,
           "aggregation": 0, "head": 0}
@@ -321,7 +327,7 @@ def memory_report(cfg: ModelConfig, input_size: int | None = None, mode: str | N
     layer's concatenation input and working buffers). Totals across stages
     are reported for both.
     """
-    size = int(input_size or cfg.input_size)
+    size = _input_size(cfg, input_size)
     if mode is not None:
         cfg = replace(cfg, topology_mode=mode)
     plans = plan_model(cfg)

@@ -14,10 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nd import (Tensor, add, bmm, crop_spatial, dwconv, exp, flip_last,
+from .nd import (Tensor, add, bmm, concat, crop_spatial, dwconv, exp, flip_last,
                  gather_rows, gelu, matmul, neg, pad_spatial, permute, pointwise_linear,
                  reshape, roll2d, scale, selective_scan, slice_axis, softmax_lastdim,
-                 softplus, layernorm_channels, ShapeError)
+                 softplus, split, layernorm_channels, ShapeError)
 from .params import Initializer
 
 # Scan mixers by the number of directions they run, taken in the fixed order
@@ -199,36 +199,51 @@ def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     return reshape(pointwise_linear(h, p.w2, p.b2), (C, H, W))
 
 
-def ssm_apply(seq: Tensor, p: SsmParams) -> Tensor:
-    """Run one selective scan direction over a (C,T) sequence."""
+def ssm_inputs(seq: Tensor, p: SsmParams) -> tuple:
+    """Step size (C,T), state matrix (C,S), B and C (S,T) of one scan direction."""
     delta = softplus(pointwise_linear(pointwise_linear(seq, p.w_dt_in, p.b_dt_in),
                                       p.w_dt_out, p.b_dt_out))
     a = neg(exp(p.a_log))
-    b = pointwise_linear(seq, p.w_b, p.b_b)
-    c = pointwise_linear(seq, p.w_c, p.b_c)
-    return selective_scan(seq, delta, a, b, c, p.d)
+    return delta, a, pointwise_linear(seq, p.w_b, p.b_b), pointwise_linear(seq, p.w_c, p.b_c)
+
+
+def ssm_apply(seq: Tensor, p: SsmParams) -> Tensor:
+    """Run one selective scan direction over a (C,T) sequence."""
+    return selective_scan(seq, *ssm_inputs(seq, p), p.d)
 
 
 def scan_forward(x: Tensor, params: list) -> Tensor:
     """Selective scan over the first k = len(params) directions, summed.
 
     k is 1 (causal scan), 2 (bidirectional scan) or 4 (2-d scan); the
-    directions are those of ``SCAN_DIRECTIONS``. Each runs its own parameter
-    set; results are un-permuted back to the map and summed in the fixed
-    order (d0+d1)+(d2+d3). The row and column sequences are each flattened
-    once and shared by their two directions.
+    directions are those of ``SCAN_DIRECTIONS``, each with its own parameter
+    set. The row and column sequences are each flattened once and shared by
+    their two directions. All k directions run as one grouped selective scan:
+    direction i is channel block i of a (kC,T) sequence and reads B and C
+    group i. Results are un-permuted back to the map and summed in the fixed
+    order (d0+d1)+(d2+d3).
     """
     k = len(params)
     if k not in SCAN_DIRECTIONS.values():
         raise ShapeError(f"scan mixer: expected 1, 2 or 4 direction parameter sets, got {k}")
     C, H, W = x.shape
-    seq_r = reshape(x, (C, H * W))
-    seq_c = reshape(permute(x, (0, 2, 1)), (C, W * H)) if k == 4 else None
+    rows = reshape(x, (C, H * W))
+    seqs = [rows] if k == 1 else [rows, flip_last(rows)]
+    if k == 4:
+        cols = reshape(permute(x, (0, 2, 1)), (C, W * H))
+        seqs += [cols, flip_last(cols)]
+    deltas, a_s, bs, cs = zip(*(ssm_inputs(seq, p) for seq, p in zip(seqs, params)))
+    S = a_s[0].shape[1]
+
+    def groups(ts):
+        return concat([reshape(t, (1, S, H * W)) for t in ts], axis=0)
+
+    y = selective_scan(concat(seqs), concat(deltas), concat(a_s), groups(bs), groups(cs),
+                       concat([p.d for p in params]))
     ys = []
-    for i, p in enumerate(params):
-        seq = seq_r if i < 2 else seq_c
-        y = ssm_apply(seq, p) if i % 2 == 0 else flip_last(ssm_apply(flip_last(seq), p))
-        ys.append(reshape(y, (C, H, W)) if i < 2 else permute(reshape(y, (C, W, H)), (0, 2, 1)))
+    for i, yi in enumerate(split(y, k) if k > 1 else (y,)):
+        yi = flip_last(yi) if i % 2 else yi
+        ys.append(reshape(yi, (C, H, W)) if i < 2 else permute(reshape(yi, (C, W, H)), (0, 2, 1)))
     y = ys[0] if k == 1 else add(ys[0], ys[1])
     return add(y, add(ys[2], ys[3])) if k == 4 else y
 

@@ -367,7 +367,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        # Overflow shows as the op's NumericError, not as numpy RuntimeWarnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CONFIG_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
+from numbers import Integral
 
 from .blocks import MIXERS
 from .dmca import DMCA_MODES
@@ -14,6 +15,10 @@ STAGE4_POLICIES = ("all_ganglion", "last_only")
 
 class ConfigError(ValueError):
     """Invalid model or run configuration."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -36,14 +41,24 @@ class ModelConfig:
     window_size: int = 7
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
+            if f.type == "int" and not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type.startswith("tuple") and (not isinstance(value, (list, tuple))
+                                               or not all(_is_int(v) for v in value)):
+                raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
         self.channels = tuple(int(c) for c in self.channels)
         self.blocks = tuple(int(b) for b in self.blocks)
         if len(self.channels) != 4 or len(self.blocks) != 4:
             raise ConfigError("channels and blocks must each have 4 entries")
         if any(c <= 0 for c in self.channels) or any(b <= 0 for b in self.blocks):
             raise ConfigError("channels and blocks must be positive")
-        if self.stride < 1 or self.window < 1:
-            raise ConfigError("stride and window must be >= 1")
+        small = [f.name for f in fields(self) if f.type == "int" and getattr(self, f.name) < 1]
+        if small:
+            raise ConfigError(f"{', '.join(small)} must be >= 1")
         if self.input_size < 32 or self.input_size % 32:
             raise ConfigError(f"input_size {self.input_size} must be a positive multiple of 32")
         if self.mixer not in MIXERS:
@@ -68,6 +83,8 @@ class ModelConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid config JSON: {e}") from e
+        if not isinstance(raw, dict):
+            raise ConfigError("config JSON must be an object of fields")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(raw) - known
         if unknown:

@@ -411,11 +411,17 @@ def exp(a):
 
 
 def softplus(a):
-    """log(1 + e^x), computed stably."""
+    """log(1 + e^x), computed stably as max(x, 0) + log1p(e^-|x|)."""
     a = _as_tensor(a)
-    out = np.logaddexp(a.dtype.type(0), a.data)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    return _apply("softplus", out, (a,), lambda g: (g * sig,))
+    ad = a.data
+    out = np.maximum(ad, 0)
+    out += np.log1p(np.exp(-np.abs(ad)))
+
+    def vjp(g):
+        e = np.exp(-np.abs(ad))
+        return (g * np.where(ad >= 0, 1, e) / (1 + e),)  # sigmoid(x), no overflow
+
+    return _apply("softplus", out, (a,), vjp)
 
 
 def gelu(a):
@@ -540,24 +546,65 @@ def _conv_out_hw(shape, kernel, stride, pad):
     return (H + 2 * pad - kernel) // stride + 1, (W + 2 * pad - kernel) // stride + 1
 
 
+# Output elements per channel block of the depthwise convolution's forward pass.
+_DWCONV_BLOCK = 1 << 15
+
+
 def dwconv(x, weight, bias=None, stride=1, pad=0):
-    """Depthwise 2-d convolution; channel i of the output sees only channel i."""
+    """Depthwise 2-d convolution; channel i of the output sees only channel i.
+
+    Computed as k*k shifted multiply-adds over strided views of the padded
+    input, so no patch matrix is built.
+    """
     x = _as_tensor(x)
     weight = _as_tensor(weight, like=x)
-    C = x.shape[0]
+    bias = None if bias is None else _as_tensor(bias, like=x)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    _check_same_dtype("dwconv", *inputs)
+    if x.data.ndim != 3:
+        raise ShapeError(f"dwconv: expects (C,H,W), got {x.shape}")
+    C, H, W = x.shape
     if weight.data.ndim != 3 or weight.shape[0] != C or weight.shape[1] != weight.shape[2]:
         raise ShapeError(f"dwconv: kernel {weight.shape} does not match input channels {x.shape}")
-    k = weight.shape[1]
-    if stride > 1 and ((x.shape[1] + 2 * pad - k) % stride or (x.shape[2] + 2 * pad - k) % stride):
-        raise ShapeError(f"dwconv: stride {stride} does not evenly reduce {x.shape} with kernel {k}")
-    Ho, Wo = _conv_out_hw(x.shape, k, stride, pad)
-    patches = extract_patches(x, k, stride, pad)
-    out = bmm(reshape(weight, (C, 1, k * k)), patches)
-    out = reshape(out, (C, Ho, Wo))
+    if bias is not None and bias.shape != (C,):
+        raise ShapeError(f"dwconv: bias {bias.shape} does not match input channels {x.shape}")
+    k, s, p = weight.shape[1], int(stride), int(pad)
+    if H + 2 * p < k or W + 2 * p < k:
+        raise ShapeError(f"dwconv: spatial dims {x.shape} smaller than kernel {k}")
+    if s > 1 and ((H + 2 * p - k) % s or (W + 2 * p - k) % s):
+        raise ShapeError(f"dwconv: stride {s} does not evenly reduce {x.shape} with kernel {k}")
+    Ho, Wo = _conv_out_hw(x.shape, k, s, p)
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
+    wd = weight.data
+    taps = [(i, j, (slice(None), slice(i, i + (Ho - 1) * s + 1, s), slice(j, j + (Wo - 1) * s + 1, s)))
+            for i in range(k) for j in range(k)]
+
+    out = np.empty((C, Ho, Wo), dtype=x.dtype)
+    cb = max(1, _DWCONV_BLOCK // (Ho * Wo))
+    tmp = np.empty((min(C, cb), Ho, Wo), dtype=x.dtype)
+    for c0 in range(0, C, cb):  # channel blocks small enough to stay in cache
+        blk = slice(c0, c0 + cb)
+        o, xb = out[blk], xp[blk]
+        t = tmp[:o.shape[0]]
+        for n, (i, j, win) in enumerate(taps):
+            np.multiply(xb[win], wd[blk, i, j, None, None], out=o if n == 0 else t)
+            if n:
+                o += t
     if bias is not None:
-        bias = _as_tensor(bias, like=x)
-        out = add(out, reshape(bias, (C, 1, 1)))
-    return out
+        out += bias.data[:, None, None]
+
+    def vjp(g):
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
+        gw = np.empty_like(wd)
+        buf = np.empty_like(g)
+        for i, j, win in taps:
+            np.multiply(g, wd[:, i, j, None, None], out=buf)
+            gxp[win] += buf
+            gw[:, i, j] = np.einsum("chw,chw->c", g, xp[win])
+        gx = gxp[:, p:p + H, p:p + W].copy() if p else gxp
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(1, 2)))
+
+    return _apply("dwconv", out, inputs, vjp)
 
 
 def conv2d(x, weight, bias=None, stride=1, pad=0):
@@ -611,14 +658,53 @@ def gather_rows(table, index):
 # selective scan
 # ---------------------------------------------------------------------------
 
+# Time steps per chunk of state and decay buffers: the scan's working memory
+# is O(_SCAN_CHUNK * C * S) whatever the sequence length.
+_SCAN_CHUNK = 128
+
+
+def _scan_states(h0, dl, dx, ad, b):
+    """States h_t and decays exp(delta_t * a) of one chunk of L steps, time-major.
+
+    ``dl`` (delta) and ``dx`` (delta * x) are (L,C), ``ad`` is (C,S) and ``b``
+    is (L,G,S); ``h0`` is the (C,S) state before the chunk. Returns two
+    contiguous (L,C,S) arrays: states and decays.
+    """
+    (L, C), G, S = dl.shape, b.shape[1], ad.shape[1]
+    decay = np.empty((L, C, S), dtype=dl.dtype)
+    hs = np.empty_like(decay)
+    hs4, dx3 = hs.reshape(L, G, C // G, S), dx.reshape(L, G, C // G)
+    for s in range(S):  # one state at a time: long inner loops, not length-S ones
+        np.multiply(dl, ad[:, s], out=decay[:, :, s])
+        np.multiply(dx3, b[:, :, None, s], out=hs4[..., s])
+    np.exp(decay, out=decay)
+    prev, tmp = h0, np.empty((C, S), dtype=hs.dtype)
+    for t in range(L):
+        np.multiply(decay[t], prev, out=tmp)
+        prev = hs[t]
+        np.add(prev, tmp, out=prev)
+    return hs, decay
+
+
+def _time_major(arr):
+    """(C,L) -> contiguous (L,C); (G,S,L) -> contiguous (L,G,S)."""
+    return np.ascontiguousarray(np.moveaxis(arr, -1, 0))
+
+
 def selective_scan(x, delta, a, b, c, d):
     """Input-dependent linear state recurrence along the last axis.
 
-    Shapes: x, delta (C,T); a (C,S); b, c (S,T); d (C,). Per channel and state,
+    Shapes: x, delta (C,T); a (C,S); b, c (S,T) or (G,S,T) with G dividing C;
+    d (C,). Channel block g of C/G channels reads b[g] and c[g] (grouped B/C;
+    (S,T) is G=1). Per channel and state,
         h_t = exp(delta_t * a) * h_{t-1} + delta_t * b_t * x_t,   h_0 = 0
         y_t = sum_s c_t[s] * h_t[s] + d * x_t
     The recurrence is causal: y_t depends only on x_{1..t}. delta must be
     strictly positive (produce it through softplus).
+
+    The loop runs time-major over chunks of ``_SCAN_CHUNK`` steps; no (T,C,S)
+    array is kept, only the state entering each chunk. The backward pass
+    recomputes each chunk's states and decays from that state and the inputs.
     """
     x, delta = _as_tensor(x), _as_tensor(delta)
     a, b, c, d = _as_tensor(a, like=x), _as_tensor(b, like=x), _as_tensor(c, like=x), _as_tensor(d, like=x)
@@ -627,42 +713,64 @@ def selective_scan(x, delta, a, b, c, d):
         raise ShapeError(f"selective_scan: x must be (C,T), got {x.shape}")
     C, T = x.shape
     S = a.shape[1] if a.data.ndim == 2 else -1
-    if a.shape != (C, S) or delta.shape != (C, T) or b.shape != (S, T) or c.shape != (S, T) or d.shape != (C,):
+    G = b.shape[0] if b.data.ndim == 3 else 1
+    bc_shape = (G, S, T) if b.data.ndim == 3 else (S, T)
+    if (a.shape != (C, S) or delta.shape != (C, T) or b.shape != bc_shape or c.shape != bc_shape
+            or d.shape != (C,) or G < 1 or C % G):
         raise ShapeError(
             f"selective_scan: inconsistent shapes x{x.shape} delta{delta.shape} a{a.shape} b{b.shape} c{c.shape} d{d.shape}")
     if np.any(delta.data <= 0):
         raise NumericError("selective_scan: delta must be strictly positive")
 
-    xd, dl, ad, bd, cd, dd = x.data, delta.data, a.data, b.data, c.data, d.data
-    decay = np.exp(dl[:, None, :] * ad[:, :, None])          # (C,S,T)
-    drive = (dl * xd)[:, None, :] * bd[None, :, :]           # (C,S,T)
-    hs = np.empty((C, S, T), dtype=xd.dtype)
-    h = np.zeros((C, S), dtype=xd.dtype)
-    for t in range(T):
-        h = decay[:, :, t] * h + drive[:, :, t]
-        hs[:, :, t] = h
-    y = np.einsum("cst,st->ct", hs, cd) + dd[:, None] * xd
+    xd, dl, ad, dd = x.data, delta.data, a.data, d.data
+    bg, cg = b.data.reshape(G, S, T), c.data.reshape(G, S, T)
+    Cg = C // G
+    chunks = [slice(t0, min(T, t0 + _SCAN_CHUNK)) for t0 in range(0, T, _SCAN_CHUNK)]
+
+    def chunk_inputs(ch):
+        dlc, xc = _time_major(dl[:, ch]), _time_major(xd[:, ch])
+        return dlc, xc, dlc * xc, _time_major(bg[..., ch]), _time_major(cg[..., ch])
+
+    y = dd[:, None] * xd
+    starts, h = [], np.zeros((C, S), dtype=xd.dtype)  # state entering each chunk, kept for backward
+    for ch in chunks:
+        starts.append(h)
+        dlc, _, dxc, bc, cc = chunk_inputs(ch)
+        hs, _ = _scan_states(h, dlc, dxc, ad, bc)
+        L = len(dlc)
+        y[:, ch] += np.matmul(hs.reshape(L, G, Cg, S), cc[..., None]).reshape(L, C).T
+        h = hs[-1].copy()
 
     def vjp(g):
-        gx = g * dd[:, None]
-        gd_skip = (g * xd).sum(axis=1)
-        gc = np.einsum("ct,cst->st", g, hs)
-        gdelta = np.zeros_like(dl)
+        gx, gdelta = g * dd[:, None], np.empty_like(dl)
+        gb, gc = np.empty_like(bg), np.empty_like(cg)
         ga = np.zeros_like(ad)
-        gb = np.zeros_like(bd)
-        gh = np.zeros((C, S), dtype=xd.dtype)
-        for t in range(T - 1, -1, -1):
-            gh = gh + g[:, t:t + 1] * cd[:, t][None, :]
-            hprev = hs[:, :, t - 1] if t > 0 else np.zeros((C, S), dtype=xd.dtype)
-            gdecay = gh * hprev
-            gdelta[:, t] += (gdecay * decay[:, :, t] * ad).sum(axis=1)
-            ga += gdecay * decay[:, :, t] * dl[:, t][:, None]
-            gdrive = gh
-            gdelta[:, t] += (gdrive * bd[None, :, t]).sum(axis=1) * xd[:, t]
-            gx[:, t] += (gdrive * bd[None, :, t]).sum(axis=1) * dl[:, t]
-            gb[:, t] += (gdrive * (dl[:, t] * xd[:, t])[:, None]).sum(axis=0)
-            gh = gh * decay[:, :, t]
-        return gx, gdelta, ga, gb, gc, gd_skip
+        tmp = np.empty((C, S), dtype=xd.dtype)
+        carry = np.zeros((C, S), dtype=xd.dtype)  # decay_{t+1} * dL/dh_{t+1} from the later chunk
+        for ch, h0 in zip(reversed(chunks), reversed(starts)):
+            dlc, xc, dxc, bc, cc = chunk_inputs(ch)
+            L = len(dlc)
+            hs, decay = _scan_states(h0, dlc, dxc, ad, bc)
+            gl = _time_major(g[:, ch]).reshape(L, G, 1, Cg)
+            gc[..., ch] = np.matmul(gl, hs.reshape(L, G, Cg, S)).reshape(L, G, S).transpose(1, 2, 0)
+            # dL/dh_t = g_t c_t + decay_{t+1} dL/dh_{t+1}, run backwards in time
+            gh = np.multiply(gl.reshape(L, G, Cg, 1), cc[:, :, None, :]).reshape(L, C, S)
+            gh[-1] += carry
+            for t in range(L - 2, -1, -1):
+                np.multiply(decay[t + 1], gh[t + 1], out=tmp)
+                np.add(gh[t], tmp, out=gh[t])
+            carry = decay[0] * gh[0]
+            # dL/d(decay_t) * decay_t = dL/dh_t * h_{t-1} * decay_t, built in the decay buffer
+            decay[1:] *= hs[:-1]
+            decay[0] *= h0
+            decay *= gh
+            ga += np.einsum("tcs,tc->cs", decay, dlc)
+            gbs = np.matmul(gh.reshape(L, G, Cg, S), bc[..., None]).reshape(L, C)
+            gdelta[:, ch] = (np.einsum("tcs,cs->tc", decay, ad) + gbs * xc).T
+            gx[:, ch] += (gbs * dlc).T
+            gb_t = np.matmul(dxc.reshape(L, G, 1, Cg), gh.reshape(L, G, Cg, S))
+            gb[..., ch] = gb_t.reshape(L, G, S).transpose(1, 2, 0)
+        return gx, gdelta, ga, gb.reshape(b.shape), gc.reshape(c.shape), (g * xd).sum(axis=1)
 
     return _apply("selective_scan", y, (x, delta, a, b, c, d), vjp)
 

@@ -2,7 +2,8 @@
 
 The topology oracle re-derives stage plans by literally walking layer lists
 per the placement and wiring rules, sharing no code with the planner. The
-dense-attention oracle recomputes multi-head attention directly in numpy.
+dense-attention oracle recomputes multi-head attention directly in numpy;
+the depthwise-convolution and selective-scan oracles are plain loops.
 ``run_checks`` executes every registered invariant and returns structured
 results; a sabotage switch deliberately corrupts one computation so the
 harness can prove it actually detects failures.
@@ -140,6 +141,19 @@ def dwconv_oracle(x, w, b=None, stride=1, pad=1):
     if b is not None:
         out += b[:, None, None]
     return out
+
+
+def scan_oracle(x, delta, a, b, c, d):
+    """Per-step loop selective scan; b, c are (S,T) or grouped (G,S,T)."""
+    C, T = x.shape
+    b, c = np.asarray(b).reshape(-1, *np.shape(b)[-2:]), np.asarray(c).reshape(-1, *np.shape(c)[-2:])
+    group = np.arange(C) // (C // b.shape[0])
+    h = np.zeros(a.shape)
+    y = np.zeros((C, T))
+    for t in range(T):
+        h = np.exp(delta[:, t, None] * a) * h + (delta[:, t] * x[:, t])[:, None] * b[group, :, t]
+        y[:, t] = (h * c[group, :, t]).sum(axis=1) + d * x[:, t]
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,19 @@ class TestAccounting:
         b = memory_report(cfg, input_size=448)
         assert b["total_training_bytes"] == 4 * a["total_training_bytes"]
 
+    @pytest.mark.parametrize("size", [0, -32, 16, 48, 230])
+    def test_explicit_bad_input_size_is_rejected_not_replaced(self, size):
+        cfg = get_variant("tiny-reduced")
+        with pytest.raises(ConfigError, match="multiple of 32"):
+            count_flops(cfg, size)
+        with pytest.raises(ConfigError, match="multiple of 32"):
+            memory_report(cfg, input_size=size)
+
+    def test_input_size_none_uses_config(self):
+        cfg = get_variant("tiny-reduced")
+        assert count_flops(cfg, None) == count_flops(cfg, cfg.input_size)
+        assert memory_report(cfg)["input_size"] == cfg.input_size == 32
+
 
 class TestToyTraining:
     def test_zero_learning_rate_leaves_parameters_bit_unchanged(self):

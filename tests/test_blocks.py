@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparx import nd
 from sparx.blocks import (DpeParams, SsmParams, convffn_forward, dpe_forward, init_convffn,
@@ -9,24 +10,15 @@ from sparx.blocks import (DpeParams, SsmParams, convffn_forward, dpe_forward, in
                           ssm_apply, vss_block_forward, window_attention_forward)
 from sparx.nd import ShapeError, Tensor
 from sparx.params import Initializer, bind, iter_arrays
-from sparx.verify import dense_attention_oracle, dwconv_oracle
+from sparx.verify import dense_attention_oracle, dwconv_oracle, scan_oracle
 
 
 def scan_reference(x, p):
     """Plain-loop scan over (C,T) with numpy SsmParams; independent path."""
     mid = p.w_dt_in @ x + p.b_dt_in[:, None]
     delta = np.logaddexp(0, p.w_dt_out @ mid + p.b_dt_out[:, None])
-    A = -np.exp(p.a_log)
-    B = p.w_b @ x + p.b_b[:, None]
-    Cm = p.w_c @ x + p.b_c[:, None]
-    C, T = x.shape
-    S = A.shape[1]
-    h = np.zeros((C, S))
-    y = np.zeros((C, T))
-    for t in range(T):
-        h = np.exp(delta[:, t, None] * A) * h + (delta[:, t] * x[:, t])[:, None] * B[None, :, t]
-        y[:, t] = h @ Cm[:, t] + p.d * x[:, t]
-    return y
+    return scan_oracle(x, delta, -np.exp(p.a_log), p.w_b @ x + p.b_b[:, None],
+                       p.w_c @ x + p.b_c[:, None], p.d)
 
 
 def ss2d_reference(x, ps):
@@ -150,6 +142,17 @@ class TestSs2d:
         ps = [init_ssm(init, 2, 2) for _ in range(4)][:k]
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 4, 3))
+        got = scan_forward(Tensor(x), bind(ps)).data
+        assert np.allclose(got, ss2d_reference(x, ps), atol=1e-12)
+
+    @settings(max_examples=6)
+    @given(k=st.sampled_from([1, 2, 4]), C=st.integers(1, 3), H=st.integers(2, 16),
+           seed=st.integers(0, 2**16))
+    def test_maps_longer_than_a_scan_chunk_match_permutation_oracle(self, k, C, H, seed):
+        W = nd._SCAN_CHUNK // H + 1  # H*W > one chunk of time steps
+        init = Initializer(seed, dtype=np.float64)
+        ps = [init_ssm(init, C, 2) for _ in range(k)]
+        x = np.random.default_rng(seed).standard_normal((C, H, W))
         got = scan_forward(Tensor(x), bind(ps)).data
         assert np.allclose(got, ss2d_reference(x, ps), atol=1e-12)
 

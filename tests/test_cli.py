@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism, manifests."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -206,3 +207,26 @@ class TestNumericInputs:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("input_size", "32"), ("stride", "2"), ("groups", 4.0), ("state_dim", True),
+        ("channels", [8, "16", 24, 32]), ("blocks", "1113"), ("mixer", 3),
+    ], ids=lambda v: json.dumps(v))
+    def test_wrongly_typed_config_field_exits_2_with_one_line(self, field, value, tmp_path, capsys):
+        raw = {"name": "x", "channels": [8, 16, 24, 32], "blocks": [1, 1, 3, 1], "stride": 2,
+               "window": 3, "input_size": 32, "num_classes": 2, "head_dim": 4, "window_size": 4}
+        raw[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert run(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
+    def test_lr_overflow_prints_one_runtime_error_line(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+            code = run(["train-toy", "--lr", "1e300", "--steps", "2", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: non-finite values produced by op ")
+        assert err.count("\n") == 1

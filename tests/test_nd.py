@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import expit
 
 from sparx import nd
 from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add, avgpool_stride,
@@ -10,6 +12,7 @@ from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add, av
                       matmul, mean_axis, mul, permute, reshape, scale, selective_scan,
                       slice_axis, softmax_lastdim, softplus, split, sum_all, sum_axis)
 from sparx.tensor_io import TensorFormatError, read_tensor, tensor_bytes, tensor_from_bytes, write_tensor
+from sparx.verify import dwconv_oracle, scan_oracle
 
 
 class TestDenseOps:
@@ -97,7 +100,6 @@ class TestConvOps:
         assert np.all(out.data[1] == 0.0)
 
     def test_conv2d_matches_naive(self):
-        from sparx.verify import dwconv_oracle
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 3, 3))
         w = rng.standard_normal((2, 3, 3))
@@ -340,6 +342,78 @@ class TestScanSemantics:
             selective_scan(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))),
                            Tensor(-np.ones((1, 1))), Tensor(np.ones((1, 2))),
                            Tensor(np.ones((1, 2))), Tensor(np.ones(1)))
+
+
+class TestKernelProperties:
+    """Random shapes against loop oracles, closed forms and finite differences (float64)."""
+
+    @example(C=3, H=7, W=9, k=3, stride=2, pad=1, seed=0)
+    @given(C=st.integers(1, 4), H=st.integers(1, 9), W=st.integers(1, 9), k=st.integers(1, 4),
+           stride=st.integers(1, 3), pad=st.integers(0, 2), seed=st.integers(0, 2**16))
+    def test_dwconv_matches_loop_oracle_and_finite_differences(self, C, H, W, k, stride, pad, seed):
+        Hp, Wp = H + 2 * pad, W + 2 * pad
+        if Hp < k or Wp < k or (stride > 1 and ((Hp - k) % stride or (Wp - k) % stride)):
+            with pytest.raises(ShapeError):
+                dwconv(Tensor(np.zeros((C, H, W))), Tensor(np.zeros((C, k, k))), stride=stride, pad=pad)
+            return
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.standard_normal((C, H, W)), rng.standard_normal((C, k, k)), rng.standard_normal(C)
+        got = dwconv(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
+        assert np.allclose(got, dwconv_oracle(x, w, b, stride, pad), atol=1e-12)
+        probe = rng.standard_normal(got.shape)
+        err = grad_check(lambda a, ww, bb: sum_all(mul(dwconv(a, ww, bb, stride=stride, pad=pad),
+                                                       Tensor(probe))), [x, w, b])
+        assert err <= 1e-4
+
+    def test_dwconv_rejects_mixed_dtypes_and_bad_bias(self):
+        x, w = np.zeros((2, 3, 3), np.float32), np.zeros((2, 3, 3))
+        with pytest.raises(ShapeError, match="dtype"):
+            dwconv(Tensor(x), Tensor(w), pad=1)
+        with pytest.raises(ShapeError, match="dtype"):
+            dwconv(Tensor(x), Tensor(w.astype(np.float32)), Tensor(np.zeros(2)), pad=1)
+        with pytest.raises(ShapeError, match="bias"):
+            dwconv(Tensor(x), Tensor(w.astype(np.float32)), Tensor(np.zeros(3, np.float32)), pad=1)
+
+    @settings(max_examples=10)
+    @example(G=4, per_group=2, S=2, T=2 * nd._SCAN_CHUNK + 3, seed=0)
+    @given(G=st.sampled_from([1, 2, 4]), per_group=st.integers(1, 3), S=st.integers(1, 3),
+           T=st.sampled_from([1, nd._SCAN_CHUNK - 1, nd._SCAN_CHUNK + 1, 2 * nd._SCAN_CHUNK + 3]),
+           seed=st.integers(0, 2**16))
+    def test_grouped_scan_matches_loop_oracle_and_finite_differences(self, G, per_group, S, T, seed):
+        rng = np.random.default_rng(seed)
+        C = G * per_group
+        x = rng.standard_normal((C, T))
+        dl = rng.standard_normal((C, T))
+        a = -np.abs(rng.standard_normal((C, S))) - 0.1
+        bc_shape = (G, S, T) if G > 1 else (S, T)
+        b, c = rng.standard_normal(bc_shape), rng.standard_normal(bc_shape)
+        d = rng.standard_normal(C)
+        got = selective_scan(Tensor(x), softplus(Tensor(dl)), Tensor(a), Tensor(b), Tensor(c), Tensor(d)).data
+        assert np.allclose(got, scan_oracle(x, np.logaddexp(0, dl), a, b, c, d), atol=1e-12)
+        probe = rng.standard_normal((C, T))
+
+        def f(tx, tdl, ta, tb, tc, td):
+            return sum_all(mul(selective_scan(tx, softplus(tdl), ta, tb, tc, td), Tensor(probe)))
+
+        assert grad_check(f, [x, dl, a, b, c, d], max_elements=40, rng=np.random.default_rng(seed)) <= 1e-4
+
+    def test_grouped_scan_rejects_groups_not_dividing_channels(self):
+        with pytest.raises(ShapeError, match="inconsistent"):
+            selective_scan(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), Tensor(-np.ones((3, 1))),
+                           Tensor(np.ones((2, 1, 2))), Tensor(np.ones((2, 1, 2))), Tensor(np.ones(3)))
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           values=st.lists(st.floats(-200, 200), min_size=1, max_size=40))
+    def test_softplus_matches_logaddexp_and_sigmoid(self, dtype, values):
+        x = np.array(values + [-60.0, -31.0, 31.0, 60.0], dtype=dtype)
+        got = softplus(Tensor(x)).data
+        eps = np.finfo(dtype).eps
+        assert got.dtype == dtype
+        assert np.allclose(got, np.logaddexp(dtype(0), x), rtol=4 * eps, atol=4 * eps)
+        tape = Tape()
+        leaf = tape.leaf(x)
+        grad = backward(tape, sum_all(softplus(leaf)))[leaf.node].data
+        assert np.allclose(grad, expit(x.astype(np.float64)), rtol=4 * eps, atol=4 * eps)
 
 
 class TestTensorFormat:
