@@ -9,7 +9,7 @@ import numpy as np
 
 from .backbone import ModelParams, forward_bound
 from .nd import Tape, backward, slice_axis, sum_all
-from .params import bind
+from .params import astype, bind
 from .topology import Mode, Role, StageTopologyConfig, cache_schedule, plan_stage
 
 
@@ -124,7 +124,6 @@ def erf(model: ModelParams, probe_stage: int, images) -> ErfMap:
     """ERF of a backbone stage's final feature on a batch of images."""
     if not 1 <= probe_stage <= len(model.stages):
         raise AnalysisError(f"probe stage {probe_stage} outside 1..{len(model.stages)}")
-    from .params import astype
     # constants (only the image participates in the tape), in float64 to
     # match the image leaves regardless of the model's inference dtype
     bound = bind(astype(model, np.float64))

@@ -250,13 +250,9 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
 
 def forward(model: ModelParams, image, capture: bool = False):
     """Inference on a raw-array model; returns (logits ndarray, captures)."""
-    img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=_model_dtype(model)))
+    img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=model.stem.w1.dtype))
     logits, captured = forward_bound(bind(model), img, capture=capture)
     return np.array(logits.data), captured
-
-
-def _model_dtype(model: ModelParams):
-    return model.stem.w1.dtype
 
 
 # ---------------------------------------------------------------------------

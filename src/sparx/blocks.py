@@ -14,11 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nd import (Tensor, add, bmm, concat, crop_spatial, dwconv, exp, flip_last,
+from .nd import (Tensor, add, concat, crop_spatial, dwconv, exp, flip_last,
                  gather_rows, gelu, matmul, neg, pad_spatial, permute, pointwise_linear,
                  reshape, roll2d, scale, selective_scan, slice_axis, softmax_lastdim,
                  softplus, split, layernorm_channels, ShapeError)
-from .params import Initializer
+from .params import Initializer, stack
 
 # Scan mixers by the number of directions they run, taken in the fixed order
 # row-major forward, row-major reversed, column-major forward, column-major
@@ -59,11 +59,13 @@ class DpeParams:
 
 @dataclass
 class SsmParams:
-    """One scan direction of a selective state-space mixer.
+    """Scan directions of a selective state-space mixer.
 
-    The state matrix is diagonal and strictly negative, A = -exp(a_log).
-    The step size is produced from the token through a low-rank projection
-    followed by softplus, so it is strictly positive.
+    ``init_ssm`` makes one direction with the shapes below; a mixer stacks
+    its k directions on a new leading axis (``params.stack``). The state
+    matrix is diagonal and strictly negative, A = -exp(a_log). The step size
+    is produced from the token through a low-rank projection followed by
+    softplus, so it is strictly positive.
     """
     a_log: np.ndarray     # (C, state)
     d: np.ndarray         # (C,) passthrough
@@ -102,7 +104,7 @@ class ConvFfnParams:
 @dataclass
 class VssBlockParams:
     mixer_kind: str
-    mixer: object  # list[SsmParams] for scans, WindowAttnParams for attention
+    mixer: object  # SsmParams with k stacked directions for scans, WindowAttnParams for attention
     ln1_g: np.ndarray
     ln1_b: np.ndarray
     ln2_g: np.ndarray
@@ -163,7 +165,7 @@ def init_mixer(init: Initializer, kind: str, channels: int, state_dim: int,
                window: int, heads: int, layer_index: int):
     if kind == "window_attn":
         return init_window_attn(init, channels, window, heads, shifted=layer_index % 2 == 1)
-    return [init_ssm(init, channels, state_dim) for _ in range(SCAN_DIRECTIONS[kind])]
+    return stack([init_ssm(init, channels, state_dim) for _ in range(SCAN_DIRECTIONS[kind])])
 
 
 def init_vss_block(init: Initializer, kind: str, channels: int, state_dim: int,
@@ -199,47 +201,34 @@ def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     return reshape(pointwise_linear(h, p.w2, p.b2), (C, H, W))
 
 
-def ssm_inputs(seq: Tensor, p: SsmParams) -> tuple:
-    """Step size (C,T), state matrix (C,S), B and C (S,T) of one scan direction."""
-    delta = softplus(pointwise_linear(pointwise_linear(seq, p.w_dt_in, p.b_dt_in),
-                                      p.w_dt_out, p.b_dt_out))
-    a = neg(exp(p.a_log))
-    return delta, a, pointwise_linear(seq, p.w_b, p.b_b), pointwise_linear(seq, p.w_c, p.b_c)
+def scan_forward(x: Tensor, p: SsmParams) -> Tensor:
+    """Selective scan over the first k directions of ``SCAN_DIRECTIONS``, summed.
 
-
-def ssm_apply(seq: Tensor, p: SsmParams) -> Tensor:
-    """Run one selective scan direction over a (C,T) sequence."""
-    return selective_scan(seq, *ssm_inputs(seq, p), p.d)
-
-
-def scan_forward(x: Tensor, params: list) -> Tensor:
-    """Selective scan over the first k = len(params) directions, summed.
-
-    k is 1 (causal scan), 2 (bidirectional scan) or 4 (2-d scan); the
-    directions are those of ``SCAN_DIRECTIONS``, each with its own parameter
-    set. The row and column sequences are each flattened once and shared by
-    their two directions. All k directions run as one grouped selective scan:
-    direction i is channel block i of a (kC,T) sequence and reads B and C
-    group i. Results are un-permuted back to the map and summed in the fixed
-    order (d0+d1)+(d2+d3).
+    ``p`` holds k = 1 (causal scan), 2 (bidirectional scan) or 4 (2-d scan)
+    stacked directions. The row and column sequences are each flattened once
+    and shared by their two directions; the k sequences are stacked to
+    (k,C,T), so each projection runs once for all directions. All k
+    directions run as one grouped selective scan: direction i is channel
+    block i of a (kC,T) sequence and reads B and C group i. Results are
+    un-permuted back to the map and summed in the fixed order (d0+d1)+(d2+d3).
     """
-    k = len(params)
+    k = p.a_log.shape[0]
     if k not in SCAN_DIRECTIONS.values():
-        raise ShapeError(f"scan mixer: expected 1, 2 or 4 direction parameter sets, got {k}")
+        raise ShapeError(f"scan mixer: expected 1, 2 or 4 stacked directions, got {k}")
     C, H, W = x.shape
-    rows = reshape(x, (C, H * W))
+    T, S = H * W, p.a_log.shape[2]
+    rows = reshape(x, (C, T))
     seqs = [rows] if k == 1 else [rows, flip_last(rows)]
     if k == 4:
-        cols = reshape(permute(x, (0, 2, 1)), (C, W * H))
+        cols = reshape(permute(x, (0, 2, 1)), (C, T))
         seqs += [cols, flip_last(cols)]
-    deltas, a_s, bs, cs = zip(*(ssm_inputs(seq, p) for seq, p in zip(seqs, params)))
-    S = a_s[0].shape[1]
-
-    def groups(ts):
-        return concat([reshape(t, (1, S, H * W)) for t in ts], axis=0)
-
-    y = selective_scan(concat(seqs), concat(deltas), concat(a_s), groups(bs), groups(cs),
-                       concat([p.d for p in params]))
+    seq = reshape(concat(seqs), (k, C, T))
+    delta = softplus(pointwise_linear(pointwise_linear(seq, p.w_dt_in, p.b_dt_in), p.w_dt_out, p.b_dt_out))
+    a = neg(exp(p.a_log))
+    b, c = pointwise_linear(seq, p.w_b, p.b_b), pointwise_linear(seq, p.w_c, p.b_c)
+    y = selective_scan(reshape(seq, (k * C, T)), reshape(delta, (k * C, T)), reshape(a, (k * C, S)),
+                       b, c, reshape(p.d, (k * C,)))
+    del seqs, seq, delta, b, c  # not live through the un-permute tail, which would raise the peak
     ys = []
     for i, yi in enumerate(split(y, k) if k > 1 else (y,)):
         yi = flip_last(yi) if i % 2 else yi
@@ -304,7 +293,7 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams, shifted: bool | Non
     k = reshape(slice_axis(qkv, 0, 1, 2), (B * heads, T, dh))
     v = reshape(slice_axis(qkv, 0, 2, 3), (B * heads, T, dh))
 
-    attn = scale(bmm(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    attn = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     bias = gather_rows(p.bias_table, relative_index(ws).reshape(-1))   # (T*T, heads)
     bias = reshape(permute(bias, (1, 0)), (1, heads, T, T))
     attn = add(reshape(attn, (B, heads, T, T)), bias)
@@ -313,7 +302,7 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams, shifted: bool | Non
         attn = add(attn, Tensor(mask.reshape(B, 1, T, T)))
     attn = softmax_lastdim(reshape(attn, (B * heads, T, T)))
 
-    out = reshape(permute(reshape(bmm(attn, v), (B, heads, T, dh)), (0, 2, 1, 3)), (B * T, C))
+    out = reshape(permute(reshape(matmul(attn, v), (B, heads, T, dh)), (0, 2, 1, 3)), (B * T, C))
     out = add(matmul(out, permute(p.w_out, (1, 0))), p.b_out)
     # (B,T,C) -> (C,hp,wp)
     out = reshape(permute(reshape(out, (nh, nw, ws, ws, C)), (4, 0, 2, 1, 3)), (C, hp, wp))

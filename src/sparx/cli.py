@@ -235,8 +235,12 @@ def cmd_cka(args) -> int:
     dump = Path(args.dump_dir)
     manifest_path = dump / "capture_manifest.json"
     if manifest_path.exists():
-        records = json.loads(manifest_path.read_text())["layers"]
-        names = [r["file"] for r in records]
+        try:
+            names = [r["file"] for r in json.loads(manifest_path.read_text())["layers"]]
+        except (ValueError, KeyError, TypeError) as e:
+            raise ConfigError(f"malformed {manifest_path}: {type(e).__name__}: {e}") from None
+        if not all(isinstance(n, str) for n in names):
+            raise ConfigError(f"malformed {manifest_path}: every layer record needs a string 'file'")
     else:
         names = sorted(p.name for p in dump.glob("*.spxt"))
     if not names:

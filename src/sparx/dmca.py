@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nd import (Tensor, bmm, concat, dwconv, permute, pointwise_linear, reshape,
+from .nd import (Tensor, concat, dwconv, matmul, permute, pointwise_linear, reshape,
                  scale, softmax_lastdim, split, ShapeError)
 from .params import Initializer
 
@@ -105,7 +105,7 @@ def cgca_attention(q: Tensor, k: Tensor, scale_n: int) -> Tensor:
     """
     if q.shape != k.shape:
         raise ShapeError(f"attention: query {q.shape} and key {k.shape} differ")
-    logits = scale(bmm(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(scale_n))
+    logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(scale_n))
     return softmax_lastdim(logits)
 
 
@@ -114,7 +114,7 @@ def cgca(q: Tensor, k: Tensor, v: Tensor, scale_n: int) -> Tensor:
     if v.shape[:2] != q.shape[:2]:
         raise ShapeError(f"attention: value groups {v.shape} do not match query {q.shape}")
     attn = cgca_attention(q, k, scale_n)
-    z = bmm(attn, v)
+    z = matmul(attn, v)
     G, Cg, N = z.shape
     return reshape(z, (G * Cg, N))
 

@@ -7,11 +7,11 @@ front and checks its output for NaN/Inf, so non-finite values surface as
 errors at the op that produced them instead of propagating silently.
 
 The op surface is deliberately small: exactly the primitives the backbone
-needs (matmul/batched matmul, channel concat/split, depthwise and dense
-convolution via patch extraction, pooling, softmax, layernorm, a handful of
-pointwise nonlinearities, and an input-dependent selective scan). Broadcasting
-is supported only where these ops require it (bias adds and attention-bias
-adds); there is no general-rank broadcasting.
+needs (matmul and channel projections, 2-d or batched over a leading axis;
+channel concat/split, depthwise and dense convolution, pooling, softmax,
+layernorm, a handful of pointwise nonlinearities, and an input-dependent
+selective scan). Broadcasting is supported only where these ops require it
+(bias adds and attention-bias adds); there is no general-rank broadcasting.
 """
 
 from __future__ import annotations
@@ -202,48 +202,46 @@ def scale(a, s: float):
 
 
 def matmul(a, b):
+    """(m,k) @ (k,n), or a same-batch stack (B,m,k) @ (B,k,n)."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_dtype("matmul", a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expects 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: expects 2-d or same-batch 3-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
 
     return _apply("matmul", ad @ bd, (a, b), vjp)
 
 
 def pointwise_linear(x, weight, bias=None):
-    """Channel projection of (Cin, N) tokens: weight (Cout, Cin) @ x + bias."""
+    """Channel projection weight @ x + bias, one op.
+
+    Takes (Cin,N) tokens with weight (Cout,Cin) and bias (Cout,), or k stacked
+    projections: x (k,Cin,N), weight (k,Cout,Cin) and bias (k,Cout).
+    """
     x, weight = _as_tensor(x), _as_tensor(weight)
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ShapeError(f"pointwise_linear: expects 2-d operands, got {weight.shape} @ {x.shape}")
-    out = matmul(weight, x)
+    bias = None if bias is None else _as_tensor(bias, like=x)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    _check_same_dtype("pointwise_linear", *inputs)
+    if (x.data.ndim not in (2, 3) or weight.data.ndim != x.data.ndim
+            or weight.shape[:-2] != x.shape[:-2] or weight.shape[-1] != x.shape[-2]):
+        raise ShapeError(f"pointwise_linear: weight {weight.shape} does not project x {x.shape}")
+    if bias is not None and bias.shape != weight.shape[:-1]:
+        raise ShapeError(f"pointwise_linear: bias {bias.shape} does not match fan-out {weight.shape[:-1]}")
+    xd, wd = x.data, weight.data
+    out = wd @ xd
     if bias is not None:
-        bias = _as_tensor(bias, like=x)
-        if bias.shape != (weight.shape[0],):
-            raise ShapeError(f"pointwise_linear: bias {bias.shape} does not match fan-out {weight.shape[0]}")
-        out = add(out, reshape(bias, (weight.shape[0], 1)))
-    return out
-
-
-def bmm(a, b):
-    """Batched matmul over the leading axis: (B,m,k) @ (B,k,n) -> (B,m,n)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_dtype("bmm", a, b)
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ShapeError(f"bmm: expects 3-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
+        out += bias.data[..., None]
 
     def vjp(g):
-        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
+        gx, gw = np.swapaxes(wd, -1, -2) @ g, g @ np.swapaxes(xd, -1, -2)
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=-1))
 
-    return _apply("bmm", ad @ bd, (a, b), vjp)
+    return _apply("pointwise_linear", out, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +412,11 @@ def softplus(a):
     """log(1 + e^x), computed stably as max(x, 0) + log1p(e^-|x|)."""
     a = _as_tensor(a)
     ad = a.data
-    out = np.maximum(ad, 0)
-    out += np.log1p(np.exp(-np.abs(ad)))
+    out = np.abs(ad)  # -|x|, exp, log1p in place: one result buffer, not one per step
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(ad, 0)
 
     def vjp(g):
         e = np.exp(-np.abs(ad))
@@ -618,11 +619,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         raise ShapeError(f"conv2d: weight {weight.shape} does not match input {x.shape}")
     Ho, Wo = _conv_out_hw(x.shape, k, stride, pad)
     patches = reshape(extract_patches(x, k, stride, pad), (Cin * k * k, Ho * Wo))
-    out = matmul(reshape(weight, (Cout, Cin * k * k)), patches)
-    if bias is not None:
-        bias = _as_tensor(bias, like=x)
-        out = add(out, reshape(bias, (Cout, 1)))
-    return reshape(out, (Cout, Ho, Wo))
+    return reshape(pointwise_linear(patches, reshape(weight, (Cout, Cin * k * k)), bias), (Cout, Ho, Wo))
 
 
 def avgpool_stride(x, stride):

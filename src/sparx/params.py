@@ -2,8 +2,9 @@
 
 Parameter structures are plain dataclasses whose leaves are numpy arrays.
 ``bind`` mirrors a structure with Tensors (tape leaves when a tape is given),
-``iter_arrays`` walks leaves with stable dotted names, and ``pair_leaves``
-zips an array structure with its bound twin for in-place updates.
+``stack`` stacks same-shaped structures leaf by leaf, ``iter_arrays`` walks
+leaves with stable dotted names, and ``pair_leaves`` zips an array structure
+with its bound twin for in-place updates.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ def bind(obj, tape=None):
     if tape is not None:
         return map_arrays(obj, tape.leaf)
     return map_arrays(obj, nd.Tensor)
+
+
+def stack(structs):
+    """One dataclass whose ndarray leaves stack the matching leaves of ``structs``
+    on a new leading axis."""
+    first = structs[0]
+    if isinstance(first, np.ndarray):
+        return np.stack(structs)
+    return type(first)(**{f.name: stack([getattr(s, f.name) for s in structs])
+                          for f in dataclasses.fields(first)})
 
 
 def astype(obj, dtype):

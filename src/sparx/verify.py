@@ -17,16 +17,16 @@ import numpy as np
 
 from . import nd
 from .analysis import cka_linear, cost_model, erf_map
-from .backbone import build, count_flops, forward, memory_report
-from .blocks import (MIXERS, dpe_forward, init_convffn, init_ssm,
-                     init_window_attn, init_vss_block, convffn_forward, ssm_apply,
-                     scan_forward, window_attention_forward,
-                     vss_block_forward, SsmParams)
+from .backbone import build, count_flops, forward, forward_bound, memory_report
+from .blocks import (MIXERS, ConvFfnParams, DpeParams, SsmParams, VssBlockParams,
+                     WindowAttnParams, convffn_forward, dpe_forward, init_convffn, init_ssm,
+                     init_vss_block, init_window_attn, scan_forward, vss_block_forward,
+                     window_attention_forward)
 from .config import get_variant
-from .dmca import (DMCA_MODES, cgca_attention, dmca_forward, dmca_param_count, group_channels,
-                   init_dmca)
+from .dmca import (DMCA_MODES, DmcaParams, cgca_attention, dmca_forward, dmca_param_count,
+                   group_channels, init_dmca)
 from .nd import Tensor, grad_check, sum_all
-from .params import Initializer, bind, count_arrays, iter_arrays
+from .params import Initializer, bind, count_arrays, iter_arrays, pair_leaves, stack
 from .topology import (ConnectionPlan, Mode, Role, StageTopologyConfig, cache_schedule,
                        plan_stage)
 
@@ -345,13 +345,13 @@ def check_dwconv_independence(faults):
 def check_scan_causality(faults):
     rng = np.random.default_rng(5)
     init = Initializer(5, dtype=np.float64)
-    p = bind(init_ssm(init, 3, 2))
-    x = rng.standard_normal((3, 6))
-    y1 = ssm_apply(Tensor(x), p).data
+    p = bind(stack([init_ssm(init, 3, 2)]))
+    x = rng.standard_normal((3, 1, 6))
+    y1 = scan_forward(Tensor(x), p).data
     x2 = x.copy()
-    x2[:, -1] += 10.0
-    y2 = ssm_apply(Tensor(x2), p).data
-    ok = np.array_equal(y1[:, :-1], y2[:, :-1])
+    x2[..., -1] += 10.0
+    y2 = scan_forward(Tensor(x2), p).data
+    ok = np.array_equal(y1[..., :-1], y2[..., :-1])
     return _result("scan_causality", ok, "prefix bit-equal" if ok else "leaked", "bit-exact")
 
 
@@ -372,14 +372,14 @@ def check_scan_recurrence(faults):
 def check_ss2d_equivariance(faults):
     rng = np.random.default_rng(6)
     init = Initializer(6, dtype=np.float64)
-    ps = [bind(init_ssm(init, 2, 2)) for _ in range(4)]
+    ps = [init_ssm(init, 2, 2) for _ in range(4)]
     x = rng.standard_normal((2, 4, 4))
-    y = scan_forward(Tensor(x), ps).data
+    y = scan_forward(Tensor(x), bind(stack(ps))).data
     xr = x[:, ::-1, ::-1].copy()
-    yr = scan_forward(Tensor(xr), [ps[1], ps[0], ps[3], ps[2]]).data
+    yr = scan_forward(Tensor(xr), bind(stack([ps[1], ps[0], ps[3], ps[2]]))).data
     err_rot = float(np.abs(yr[:, ::-1, ::-1] - y).max())
     xt = x.transpose(0, 2, 1).copy()
-    yt = scan_forward(Tensor(xt), [ps[2], ps[3], ps[0], ps[1]]).data
+    yt = scan_forward(Tensor(xt), bind(stack([ps[2], ps[3], ps[0], ps[1]]))).data
     err_t = float(np.abs(yt.transpose(0, 2, 1) - y).max())
     err = max(err_rot, err_t)
     return _result("ss2d_symmetry_equivariance", err <= 1e-12, f"{err:.2e}", "1e-12",
@@ -414,7 +414,6 @@ def check_grad_dpe(faults):
     x = rng.standard_normal((2, 4, 4))
     w = rng.standard_normal((2, 3, 3)) * 0.3
     b = rng.standard_normal(2) * 0.1
-    from .blocks import DpeParams
     return _grad_case("grad_dpe",
                       lambda xx, ww, bb: sum_all(dpe_forward(xx, DpeParams(ww, bb))),
                       [x, w, b])
@@ -428,59 +427,34 @@ def check_grad_convffn(faults):
     arrays = [x, p.w1, p.b1, p.dw, p.db, p.w2, p.b2]
 
     def fn(xx, w1, b1, dw, db, w2, b2):
-        from .blocks import ConvFfnParams
         return sum_all(convffn_forward(xx, ConvFfnParams(w1, b1, dw, db, w2, b2)))
 
     return _grad_case("grad_convffn", fn, arrays)
 
 
-def _ssm_arrays(p: SsmParams):
-    return [p.a_log, p.d, p.w_dt_in, p.b_dt_in, p.w_dt_out, p.b_dt_out,
-            p.w_b, p.b_b, p.w_c, p.b_c]
+def _grad_scan_case(name, seed, k, shape, max_elements=None):
+    """Gradient of a k-direction scan mixer over its input map and stacked parameters."""
+    rng = np.random.default_rng(seed)
+    init = Initializer(seed, dtype=np.float64)
+    p = stack([init_ssm(init, 2, 2) for _ in range(k)])
+    x = rng.standard_normal(shape)
 
+    def fn(xx, *arrs):
+        return sum_all(scan_forward(xx, SsmParams(*arrs)))
 
-def _ssm_from_arrays(arrs):
-    return SsmParams(*arrs)
+    return _grad_case(name, fn, [x] + [a for _, a in iter_arrays(p)], max_elements=max_elements)
 
 
 def check_grad_scan(faults):
-    rng = np.random.default_rng(10)
-    init = Initializer(10, dtype=np.float64)
-    p = init_ssm(init, 2, 2)
-    x = rng.standard_normal((2, 5))
-
-    def fn(xx, *arrs):
-        return sum_all(ssm_apply(xx, _ssm_from_arrays(arrs)))
-
-    return _grad_case("grad_selective_scan", fn, [x] + _ssm_arrays(p))
+    return _grad_scan_case("grad_selective_scan", 10, 1, (2, 1, 5))
 
 
 def check_grad_ss2d(faults):
-    rng = np.random.default_rng(11)
-    init = Initializer(11, dtype=np.float64)
-    ps = [init_ssm(init, 2, 2) for _ in range(4)]
-    x = rng.standard_normal((2, 4, 4))
-    flat = [x] + [a for p in ps for a in _ssm_arrays(p)]
-
-    def fn(xx, *arrs):
-        groups = [_ssm_from_arrays(arrs[i * 10:(i + 1) * 10]) for i in range(4)]
-        return sum_all(scan_forward(xx, groups))
-
-    return _grad_case("grad_ss2d", fn, flat, max_elements=80)
+    return _grad_scan_case("grad_ss2d", 11, 4, (2, 4, 4), max_elements=80)
 
 
 def check_grad_bissm(faults):
-    rng = np.random.default_rng(12)
-    init = Initializer(12, dtype=np.float64)
-    ps = [init_ssm(init, 2, 2) for _ in range(2)]
-    x = rng.standard_normal((2, 3, 3))
-    flat = [x] + [a for p in ps for a in _ssm_arrays(p)]
-
-    def fn(xx, *arrs):
-        groups = [_ssm_from_arrays(arrs[i * 10:(i + 1) * 10]) for i in range(2)]
-        return sum_all(scan_forward(xx, groups))
-
-    return _grad_case("grad_bissm", fn, flat, max_elements=80)
+    return _grad_scan_case("grad_bissm", 12, 2, (2, 3, 3), max_elements=80)
 
 
 def check_grad_window_attn(faults):
@@ -491,7 +465,6 @@ def check_grad_window_attn(faults):
     arrays = [x, p.w_qkv, p.b_qkv, p.w_out, p.b_out, p.bias_table]
 
     def fn(xx, wq, bq, wo, bo, table):
-        from .blocks import WindowAttnParams
         q = WindowAttnParams(wq, bq, wo, bo, table, window=2, heads=2, shifted=True)
         return sum_all(window_attention_forward(xx, q))
 
@@ -508,7 +481,6 @@ def check_grad_dmca(faults):
               p.out_w, p.out_b, p.q_red, p.k_red]
 
     def fn(xx, yy, mw, mb, qw, qb, kw, kb, vw, vb, ow, ob, qr, kr):
-        from .dmca import DmcaParams
         q = DmcaParams(mode="full", channels=8, l_count=2, groups=4, reduce_stride=2,
                        mix_w=mw, mix_b=mb, q_w=qw, q_b=qb, k_w=kw, k_b=kb, v_w=vw, v_b=vb,
                        out_w=ow, out_b=ob, q_red=qr, k_red=kr)
@@ -526,12 +498,10 @@ def check_grad_vss_block(faults):
     x = rng.standard_normal((2, 3, 3))
     flat = [x, p.ln1_g, p.ln1_b, p.ln2_g, p.ln2_b,
             p.ffn.w1, p.ffn.b1, p.ffn.dw, p.ffn.db, p.ffn.w2, p.ffn.b2]
-    flat += [a for sp in p.mixer for a in _ssm_arrays(sp)]
+    flat += [a for _, a in iter_arrays(p.mixer)]
 
     def fn(xx, l1g, l1b, l2g, l2b, w1, b1, dw, db, w2, b2, *marrs):
-        from .blocks import ConvFfnParams, VssBlockParams
-        mix = [_ssm_from_arrays(marrs[i * 10:(i + 1) * 10]) for i in range(4)]
-        q = VssBlockParams("ss2d", mix, l1g, l1b, l2g, l2b,
+        q = VssBlockParams("ss2d", SsmParams(*marrs), l1g, l1b, l2g, l2b,
                            ConvFfnParams(w1, b1, dw, db, w2, b2))
         return sum_all(vss_block_forward(xx, q))
 
@@ -545,8 +515,6 @@ def model_grad_check(cfg, seed=0, sample=60, h=1e-4, rng_seed=17):
     comes from one taped forward/backward; the numeric side re-runs untaped
     forwards with individual parameter elements nudged by +-h.
     """
-    from .backbone import forward_bound
-    from .params import pair_leaves
     model = build(cfg, seed, dtype=np.float64)
     img = np.random.default_rng(16).standard_normal((3, cfg.input_size, cfg.input_size))
 

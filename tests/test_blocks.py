@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from sparx import nd
 from sparx.blocks import (DpeParams, SsmParams, convffn_forward, dpe_forward, init_convffn,
                           init_ssm, init_vss_block, init_window_attn, scan_forward, shift_mask,
-                          ssm_apply, vss_block_forward, window_attention_forward)
+                          vss_block_forward, window_attention_forward)
 from sparx.nd import ShapeError, Tensor
-from sparx.params import Initializer, bind, iter_arrays
+from sparx.params import Initializer, bind, iter_arrays, stack
 from sparx.verify import dense_attention_oracle, dwconv_oracle, scan_oracle
 
 
@@ -78,8 +78,8 @@ class TestSelectiveScan:
         p = zeroed(init_ssm(init, 3, 4))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 6))
-        out = ssm_apply(Tensor(x), bind(p))
-        assert np.allclose(out.data, p.d[:, None] * x, atol=1e-12)
+        out = scan_forward(Tensor(x[:, None]), bind(stack([p])))
+        assert np.allclose(out.data[:, 0], p.d[:, None] * x, atol=1e-12)
 
     def test_hand_unrolled_recurrence(self):
         x = np.array([[1.0, 0.0, 0.0]])
@@ -93,19 +93,19 @@ class TestSelectiveScan:
         p = init_ssm(init, 3, 2)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 7))
-        got = ssm_apply(Tensor(x), bind(p)).data
+        got = scan_forward(Tensor(x[:, None]), bind(stack([p]))).data[:, 0]
         assert np.allclose(got, scan_reference(x, p), atol=1e-12)
 
     def test_causal_at_every_position(self):
         init = Initializer(5, dtype=np.float64)
-        p = bind(init_ssm(init, 2, 2))
+        p = bind(stack([init_ssm(init, 2, 2)]))
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 5))
-        base = ssm_apply(Tensor(x), p).data
+        base = scan_forward(Tensor(x[:, None]), p).data[:, 0]
         for t in range(5):
             x2 = x.copy()
             x2[:, t] += 3.0
-            y2 = ssm_apply(Tensor(x2), p).data
+            y2 = scan_forward(Tensor(x2[:, None]), p).data[:, 0]
             assert np.array_equal(base[:, :t], y2[:, :t])
 
 
@@ -115,7 +115,7 @@ class TestSs2d:
         ps = [init_ssm(init, 3, 2) for _ in range(4)]
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 1, 1))
-        out = scan_forward(Tensor(x), bind(ps)).data
+        out = scan_forward(Tensor(x), bind(stack(ps))).data
         expect = sum(scan_reference(x.reshape(3, 1), p) for p in ps).reshape(3, 1, 1)
         assert np.allclose(out, expect, atol=1e-12)
 
@@ -125,7 +125,7 @@ class TestSs2d:
         ps = [zeroed(base)] * 4
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, 3))
-        out = scan_forward(Tensor(x), bind(ps)).data
+        out = scan_forward(Tensor(x), bind(stack(ps))).data
         assert np.allclose(out, 4 * base.d[:, None, None] * x, atol=1e-12)
 
     def test_corner_influence_matches_permutation_oracle(self):
@@ -133,7 +133,7 @@ class TestSs2d:
         ps = [init_ssm(init, 1, 2) for _ in range(4)]
         x = np.zeros((1, 2, 2))
         x[0, 0, 0] = 1.0
-        got = scan_forward(Tensor(x), bind(ps)).data
+        got = scan_forward(Tensor(x), bind(stack(ps))).data
         assert np.allclose(got, ss2d_reference(x, ps), atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -142,7 +142,7 @@ class TestSs2d:
         ps = [init_ssm(init, 2, 2) for _ in range(4)][:k]
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 4, 3))
-        got = scan_forward(Tensor(x), bind(ps)).data
+        got = scan_forward(Tensor(x), bind(stack(ps))).data
         assert np.allclose(got, ss2d_reference(x, ps), atol=1e-12)
 
     @settings(max_examples=6)
@@ -153,11 +153,11 @@ class TestSs2d:
         init = Initializer(seed, dtype=np.float64)
         ps = [init_ssm(init, C, 2) for _ in range(k)]
         x = np.random.default_rng(seed).standard_normal((C, H, W))
-        got = scan_forward(Tensor(x), bind(ps)).data
+        got = scan_forward(Tensor(x), bind(stack(ps))).data
         assert np.allclose(got, ss2d_reference(x, ps), atol=1e-12)
 
     def test_direction_count_must_be_1_2_or_4(self):
-        ps = bind([init_ssm(Initializer(9, dtype=np.float64), 2, 2) for _ in range(3)])
+        ps = bind(stack([init_ssm(Initializer(9, dtype=np.float64), 2, 2) for _ in range(3)]))
         with pytest.raises(ShapeError, match="1, 2 or 4"):
             scan_forward(Tensor(np.zeros((2, 2, 2))), ps)
 
@@ -165,13 +165,13 @@ class TestSs2d:
         # 180-degree rotation swaps the forward/reversed orders; transpose
         # swaps row/column orders. Both hold exactly in float64.
         init = Initializer(10, dtype=np.float64)
-        ps = [bind(init_ssm(init, 2, 2)) for _ in range(4)]
+        ps = [init_ssm(init, 2, 2) for _ in range(4)]
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 4, 4))
-        y = scan_forward(Tensor(x), ps).data
-        rot = scan_forward(Tensor(x[:, ::-1, ::-1].copy()), [ps[1], ps[0], ps[3], ps[2]]).data
+        y = scan_forward(Tensor(x), bind(stack(ps))).data
+        rot = scan_forward(Tensor(x[:, ::-1, ::-1].copy()), bind(stack([ps[1], ps[0], ps[3], ps[2]]))).data
         assert np.abs(rot[:, ::-1, ::-1] - y).max() <= 1e-12
-        tr = scan_forward(Tensor(x.transpose(0, 2, 1).copy()), [ps[2], ps[3], ps[0], ps[1]]).data
+        tr = scan_forward(Tensor(x.transpose(0, 2, 1).copy()), bind(stack([ps[2], ps[3], ps[0], ps[1]]))).data
         assert np.abs(tr.transpose(0, 2, 1) - y).max() <= 1e-12
 
 
@@ -181,7 +181,7 @@ class TestBissm:
         p = init_ssm(init, 3, 2)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((3, 1, 1))
-        out = scan_forward(Tensor(x), bind([p, p])).data
+        out = scan_forward(Tensor(x), bind(stack([p, p]))).data
         assert np.allclose(out, 2 * scan_reference(x.reshape(3, 1), p).reshape(3, 1, 1),
                            atol=1e-12)
 
@@ -190,7 +190,7 @@ class TestBissm:
         base = init_ssm(init, 2, 2)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 2, 2))
-        out = scan_forward(Tensor(x), bind([zeroed(base), zeroed(base)])).data
+        out = scan_forward(Tensor(x), bind(stack([zeroed(base), zeroed(base)]))).data
         assert np.allclose(out, 2 * base.d[:, None, None] * x, atol=1e-12)
 
     def test_backward_branch_carries_anticausal_influence(self):
@@ -202,17 +202,17 @@ class TestBissm:
         dead_fwd.w_c = np.zeros_like(dead_fwd.w_c)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((1, 1, 4))
-        base = scan_forward(Tensor(x), bind([dead_fwd, bwd])).data
+        base = scan_forward(Tensor(x), bind(stack([dead_fwd, bwd]))).data
         x2 = x.copy()
         x2[0, 0, -1] += 1.0
-        bumped = scan_forward(Tensor(x2), bind([dead_fwd, bwd])).data
+        bumped = scan_forward(Tensor(x2), bind(stack([dead_fwd, bwd]))).data
         assert abs(bumped[0, 0, 0] - base[0, 0, 0]) > 1e-8
         # with the backward branch dead instead, the first token cannot move
         dead_bwd = zeroed(bwd)
         dead_bwd.d = np.zeros_like(dead_bwd.d)
         dead_bwd.w_c = np.zeros_like(dead_bwd.w_c)
-        base = scan_forward(Tensor(x), bind([fwd, dead_bwd])).data
-        bumped = scan_forward(Tensor(x2), bind([fwd, dead_bwd])).data
+        base = scan_forward(Tensor(x), bind(stack([fwd, dead_bwd]))).data
+        bumped = scan_forward(Tensor(x2), bind(stack([fwd, dead_bwd]))).data
         assert bumped[0, 0, 0] == base[0, 0, 0]
 
 
@@ -279,9 +279,8 @@ class TestVssBlock:
     def test_zero_weights_pure_residual(self):
         init = Initializer(19, dtype=np.float64)
         p = init_vss_block(init, "ss2d", 2, 2, 2, window=2, heads=1, layer_index=0)
-        for sp in p.mixer:
-            for _, arr in iter_arrays(sp):
-                arr[...] = 0.0
+        for _, arr in iter_arrays(p.mixer):
+            arr[...] = 0.0
         for _, arr in iter_arrays(p.ffn):
             arr[...] = 0.0
         rng = np.random.default_rng(19)

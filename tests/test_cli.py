@@ -151,6 +151,21 @@ class TestForwardCaptureCka:
         assert run(["cka", "--dump-dir", str(empty), "--out", str(tmp_path / "k")]) == 2
 
 
+    @pytest.mark.parametrize("manifest", [
+        "{not json", "[]", '{"images": 1}', '{"layers": 5}', '{"layers": [{"stage": 1}]}',
+        '{"layers": [{"file": 3}]}', '{"layers": [{"file": ["a.spxt"]}]}', '{"layers": ["a.spxt"]}',
+    ])
+    def test_malformed_capture_manifest_exits_2_with_one_line(self, manifest, tmp_path, capsys):
+        dump = tmp_path / "d"
+        dump.mkdir()
+        write_tensor(dump / "a.spxt", np.ones((2, 3), np.float32))
+        (dump / "capture_manifest.json").write_text(manifest)
+        assert run(["cka", "--dump-dir", str(dump), "--out", str(tmp_path / "k")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+
 class TestErfAndTraining:
     def test_erf_artifacts(self, tmp_path):
         out = tmp_path / "e"
