@@ -106,9 +106,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, taped={self.tape is not None})"
 
@@ -429,9 +426,9 @@ def gelu(a):
     """Exact (erf-based) Gaussian error linear unit."""
     a = _as_tensor(a)
     ad = a.data
-    inner = _np_erf(ad / np.sqrt(2.0)).astype(ad.dtype)
+    inner = _np_erf(ad / ad.dtype.type(np.sqrt(2.0)))
     out = 0.5 * ad * (1.0 + inner)
-    inv_sqrt2pi = 1.0 / np.sqrt(2.0 * np.pi)
+    inv_sqrt2pi = ad.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
 
     def vjp(g):
         pdf = np.exp(-0.5 * ad * ad) * inv_sqrt2pi
@@ -806,43 +803,3 @@ def backward(tape, loss):
             out[nid] = Tensor(g if g is not None else np.zeros(node.shape, dtype=node.dtype))
     return out
 
-
-def grad_check(f, params, h=1e-4, rng=None, max_elements=None):
-    """Max relative error between tape gradients and central differences.
-
-    ``f`` takes one Tensor per entry of ``params`` and returns a scalar
-    Tensor; it must be deterministic. Checks run in float64. When
-    ``max_elements`` is given, a random subset of parameter elements is
-    checked (seeded through ``rng``). The relative error per element is
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    arrays = [np.array(p, dtype=np.float64) for p in params]
-    tape = Tape()
-    leaves = [tape.leaf(a) for a in arrays]
-    loss = f(*leaves)
-    grads = backward(tape, loss)
-    analytic = [grads[leaf.node].data for leaf in leaves]
-
-    coords = [(i, j) for i, a in enumerate(arrays) for j in range(a.size)]
-    if max_elements is not None and len(coords) > max_elements:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        chosen = rng.choice(len(coords), size=max_elements, replace=False)
-        coords = [coords[int(k)] for k in sorted(chosen)]
-
-    def eval_at(arrs):
-        val = f(*[Tensor(a) for a in arrs])
-        return float(val.data.reshape(-1)[0])
-
-    worst = 0.0
-    for i, j in coords:
-        orig = arrays[i].flat[j]
-        arrays[i].flat[j] = orig + h
-        fp = eval_at(arrays)
-        arrays[i].flat[j] = orig - h
-        fm = eval_at(arrays)
-        arrays[i].flat[j] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        ana = analytic[i].flat[j]
-        rel = abs(ana - numeric) / max(1.0, abs(ana), abs(numeric))
-        worst = max(worst, rel)
-    return worst

@@ -4,9 +4,10 @@ The topology oracle re-derives stage plans by literally walking layer lists
 per the placement and wiring rules, sharing no code with the planner. The
 dense-attention oracle recomputes multi-head attention directly in numpy;
 the depthwise-convolution and selective-scan oracles are plain loops.
-``run_checks`` executes every registered invariant and returns structured
-results; a sabotage switch deliberately corrupts one computation so the
-harness can prove it actually detects failures.
+``grad_check`` compares tape gradients with central differences over arrays
+or parameter structures. ``run_checks`` executes every registered invariant
+and returns structured results; a sabotage switch deliberately corrupts one
+computation so the harness can prove it actually detects failures.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ import numpy as np
 from . import nd
 from .analysis import cka_linear, cost_model, erf_map
 from .backbone import build, count_flops, forward, forward_bound, memory_report
-from .blocks import (MIXERS, ConvFfnParams, DpeParams, SsmParams, VssBlockParams,
-                     WindowAttnParams, convffn_forward, dpe_forward, init_convffn, init_ssm,
+from .blocks import (MIXERS, DpeParams, convffn_forward, dpe_forward, init_convffn, init_ssm,
                      init_vss_block, init_window_attn, scan_forward, vss_block_forward,
                      window_attention_forward)
 from .config import get_variant
-from .dmca import (DMCA_MODES, DmcaParams, cgca_attention, dmca_forward, dmca_param_count,
+from .dmca import (DMCA_MODES, cgca_attention, dmca_forward, dmca_param_count,
                    group_channels, init_dmca)
-from .nd import Tensor, grad_check, sum_all
-from .params import Initializer, bind, count_arrays, iter_arrays, pair_leaves, stack
+from .nd import Tensor, sum_all
+from .params import Initializer, bind, count_arrays, iter_arrays, map_arrays, pair_leaves, stack
 from .topology import (ConnectionPlan, Mode, Role, StageTopologyConfig, cache_schedule,
                        plan_stage)
 
@@ -403,8 +403,48 @@ def check_window_attn_oracle(faults):
     return _result("window_attn_dense_oracle", err <= 1e-6, f"{err:.2e}", "1e-6")
 
 
-def _grad_case(name, fn, arrays, tol=1e-4, max_elements=None):
-    err = grad_check(fn, arrays, max_elements=max_elements,
+def grad_check(f, params, h=1e-4, rng=None, max_elements=None):
+    """Max relative error between tape gradients and central differences.
+
+    Each entry of ``params`` is an ndarray or a parameter structure; ``f``
+    takes the entries bound as Tensors and returns a scalar Tensor, and it
+    must be deterministic. Checks run on a float64 copy of ``params``. When
+    ``max_elements`` is given, a random subset of parameter elements is
+    checked (seeded through ``rng``). The relative error per element is
+    |analytic - numeric| / max(1, |analytic|, |numeric|).
+    """
+    params = [map_arrays(p, lambda a: np.array(a, dtype=np.float64)) for p in params]
+    tape = nd.Tape()
+    bound = [bind(p, tape) for p in params]
+    grads = nd.backward(tape, f(*bound))
+    leaves = [pair for p, b in zip(params, bound) for pair in pair_leaves(p, b)]
+
+    coords = [(i, j) for i, (arr, _) in enumerate(leaves) for j in range(arr.size)]
+    if max_elements is not None and len(coords) > max_elements:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        chosen = rng.choice(len(coords), size=max_elements, replace=False)
+        coords = [coords[int(k)] for k in sorted(chosen)]
+
+    def eval_loss():
+        return float(f(*[bind(p) for p in params]).data.reshape(-1)[0])
+
+    worst = 0.0
+    for i, j in coords:
+        arr, leaf = leaves[i]
+        orig = arr.flat[j]
+        arr.flat[j] = orig + h
+        fp = eval_loss()
+        arr.flat[j] = orig - h
+        fm = eval_loss()
+        arr.flat[j] = orig
+        numeric = (fp - fm) / (2.0 * h)
+        ana = grads[leaf.node].data.flat[j]
+        worst = max(worst, abs(ana - numeric) / max(1.0, abs(ana), abs(numeric)))
+    return worst
+
+
+def _grad_case(name, fn, params, tol=1e-4, max_elements=None):
+    err = grad_check(fn, params, max_elements=max_elements,
                      rng=np.random.default_rng(99))
     return _result(name, err <= tol, f"{err:.2e}", f"{tol:g}")
 
@@ -412,11 +452,8 @@ def _grad_case(name, fn, arrays, tol=1e-4, max_elements=None):
 def check_grad_dpe(faults):
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 4, 4))
-    w = rng.standard_normal((2, 3, 3)) * 0.3
-    b = rng.standard_normal(2) * 0.1
-    return _grad_case("grad_dpe",
-                      lambda xx, ww, bb: sum_all(dpe_forward(xx, DpeParams(ww, bb))),
-                      [x, w, b])
+    p = DpeParams(rng.standard_normal((2, 3, 3)) * 0.3, rng.standard_normal(2) * 0.1)
+    return _grad_case("grad_dpe", lambda xx, pp: sum_all(dpe_forward(xx, pp)), [x, p])
 
 
 def check_grad_convffn(faults):
@@ -424,12 +461,7 @@ def check_grad_convffn(faults):
     init = Initializer(9, dtype=np.float64)
     p = init_convffn(init, 2, 2)
     x = rng.standard_normal((2, 3, 3))
-    arrays = [x, p.w1, p.b1, p.dw, p.db, p.w2, p.b2]
-
-    def fn(xx, w1, b1, dw, db, w2, b2):
-        return sum_all(convffn_forward(xx, ConvFfnParams(w1, b1, dw, db, w2, b2)))
-
-    return _grad_case("grad_convffn", fn, arrays)
+    return _grad_case("grad_convffn", lambda xx, pp: sum_all(convffn_forward(xx, pp)), [x, p])
 
 
 def _grad_scan_case(name, seed, k, shape, max_elements=None):
@@ -438,11 +470,8 @@ def _grad_scan_case(name, seed, k, shape, max_elements=None):
     init = Initializer(seed, dtype=np.float64)
     p = stack([init_ssm(init, 2, 2) for _ in range(k)])
     x = rng.standard_normal(shape)
-
-    def fn(xx, *arrs):
-        return sum_all(scan_forward(xx, SsmParams(*arrs)))
-
-    return _grad_case(name, fn, [x] + [a for _, a in iter_arrays(p)], max_elements=max_elements)
+    return _grad_case(name, lambda xx, pp: sum_all(scan_forward(xx, pp)), [x, p],
+                      max_elements=max_elements)
 
 
 def check_grad_scan(faults):
@@ -462,13 +491,9 @@ def check_grad_window_attn(faults):
     init = Initializer(13, dtype=np.float64)
     p = init_window_attn(init, 4, 2, heads=2, shifted=True)
     x = rng.standard_normal((4, 4, 4))
-    arrays = [x, p.w_qkv, p.b_qkv, p.w_out, p.b_out, p.bias_table]
-
-    def fn(xx, wq, bq, wo, bo, table):
-        q = WindowAttnParams(wq, bq, wo, bo, table, window=2, heads=2, shifted=True)
-        return sum_all(window_attention_forward(xx, q))
-
-    return _grad_case("grad_window_attn", fn, arrays, max_elements=80)
+    return _grad_case("grad_window_attn",
+                      lambda xx, pp: sum_all(window_attention_forward(xx, pp)), [x, p],
+                      max_elements=80)
 
 
 def check_grad_dmca(faults):
@@ -477,18 +502,12 @@ def check_grad_dmca(faults):
     p = init_dmca(init, 8, 2, reduce_stride=2, groups=4)
     x = rng.standard_normal((8, 16))
     ys = rng.standard_normal((2, 8, 16))
-    arrays = [x, ys, p.mix_w, p.mix_b, p.q_w, p.q_b, p.k_w, p.k_b, p.v_w, p.v_b,
-              p.out_w, p.out_b, p.q_red, p.k_red]
 
-    def fn(xx, yy, mw, mb, qw, qb, kw, kb, vw, vb, ow, ob, qr, kr):
-        q = DmcaParams(mode="full", channels=8, l_count=2, groups=4, reduce_stride=2,
-                       mix_w=mw, mix_b=mb, q_w=qw, q_b=qb, k_w=kw, k_b=kb, v_w=vw, v_b=vb,
-                       out_w=ow, out_b=ob, q_red=qr, k_red=kr)
-        sources = nd.split(yy, 2, axis=0)
-        ys_list = [nd.reshape(s, (8, 16)) for s in sources]
-        return sum_all(dmca_forward(xx, ys_list, q, (4, 4)))
+    def fn(xx, yy, pp):
+        ys_list = [nd.reshape(s, (8, 16)) for s in nd.split(yy, 2, axis=0)]
+        return sum_all(dmca_forward(xx, ys_list, pp, (4, 4)))
 
-    return _grad_case("grad_dmca_full", fn, arrays, max_elements=120)
+    return _grad_case("grad_dmca_full", fn, [x, ys, p], max_elements=120)
 
 
 def check_grad_vss_block(faults):
@@ -496,64 +515,18 @@ def check_grad_vss_block(faults):
     init = Initializer(15, dtype=np.float64)
     p = init_vss_block(init, "ss2d", 2, 2, 2, window=2, heads=1, layer_index=0)
     x = rng.standard_normal((2, 3, 3))
-    flat = [x, p.ln1_g, p.ln1_b, p.ln2_g, p.ln2_b,
-            p.ffn.w1, p.ffn.b1, p.ffn.dw, p.ffn.db, p.ffn.w2, p.ffn.b2]
-    flat += [a for _, a in iter_arrays(p.mixer)]
-
-    def fn(xx, l1g, l1b, l2g, l2b, w1, b1, dw, db, w2, b2, *marrs):
-        q = VssBlockParams("ss2d", SsmParams(*marrs), l1g, l1b, l2g, l2b,
-                           ConvFfnParams(w1, b1, dw, db, w2, b2))
-        return sum_all(vss_block_forward(xx, q))
-
-    return _grad_case("grad_vss_block", fn, flat, max_elements=100)
-
-
-def model_grad_check(cfg, seed=0, sample=60, h=1e-4, rng_seed=17):
-    """Finite-difference check of a whole model's gradient on one image.
-
-    Returns (max relative error, total parameter count). The analytic side
-    comes from one taped forward/backward; the numeric side re-runs untaped
-    forwards with individual parameter elements nudged by +-h.
-    """
-    model = build(cfg, seed, dtype=np.float64)
-    img = np.random.default_rng(16).standard_normal((3, cfg.input_size, cfg.input_size))
-
-    tape = nd.Tape()
-    bound = bind(model, tape)
-    logits, _ = forward_bound(bound, Tensor(img))
-    grads = nd.backward(tape, sum_all(logits))
-
-    leaves = list(pair_leaves(model, bound))
-    coords = [(i, j) for i, (arr, _) in enumerate(leaves) for j in range(arr.size)]
-    total = len(coords)
-    rng = np.random.default_rng(rng_seed)
-    if sample is not None and sample < total:
-        chosen = rng.choice(total, size=sample, replace=False)
-        coords = [coords[int(k)] for k in sorted(chosen)]
-
-    def eval_loss():
-        lg, _ = forward_bound(bind(model), Tensor(img))
-        return float(sum_all(lg).data)
-
-    worst = 0.0
-    for i, j in coords:
-        arr, leaf = leaves[i]
-        orig = arr.flat[j]
-        arr.flat[j] = orig + h
-        fp = eval_loss()
-        arr.flat[j] = orig - h
-        fm = eval_loss()
-        arr.flat[j] = orig
-        numeric = (fp - fm) / (2 * h)
-        ana = grads[leaf.node].data.flat[j]
-        worst = max(worst, abs(ana - numeric) / max(1.0, abs(ana), abs(numeric)))
-    return worst, total
+    return _grad_case("grad_vss_block", lambda xx, pp: sum_all(vss_block_forward(xx, pp)),
+                      [x, p], max_elements=100)
 
 
 def check_grad_reduced_model(faults):
-    worst, total = model_grad_check(get_variant("tiny-reduced"), sample=60)
+    cfg = get_variant("tiny-reduced")
+    model = build(cfg, 0, dtype=np.float64)
+    img = np.random.default_rng(16).standard_normal((3, cfg.input_size, cfg.input_size))
+    worst = grad_check(lambda m: sum_all(forward_bound(m, Tensor(img))[0]), [model],
+                       max_elements=60, rng=np.random.default_rng(17))
     return _result("grad_reduced_model", worst <= 1e-3, f"{worst:.2e}", "1e-3",
-                   f"sampled 60 of {total} parameters")
+                   f"sampled 60 of {count_arrays(model)} parameters")
 
 
 def check_dmca_shape_independence(faults):

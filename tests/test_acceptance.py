@@ -11,11 +11,11 @@ import numpy as np
 
 from sparx import verify
 from sparx.analysis import erf
-from sparx.backbone import build, memory_report, train_toy
+from sparx.backbone import build, forward_bound, memory_report, train_toy
 from sparx.cli import main as cli_main
 from sparx.config import get_variant
 from sparx.dmca import cgca_attention, group_channels
-from sparx.nd import Tensor
+from sparx.nd import Tensor, sum_all
 from sparx.params import bind, count_arrays, iter_arrays
 from sparx.topology import Mode, StageTopologyConfig, plan_stage
 from sparx.verify import dense_attention_oracle, oracle_stage_plan, plan_as_tuples
@@ -64,9 +64,12 @@ def test_c03_gradient_fidelity():
         assert res.passed, f"{res.name}: {res.measured}"
         worst_block = max(worst_block, float(res.measured))
     cfg = get_variant("tiny-reduced")
-    n_params = count_arrays(build(cfg, 0))
-    sample = max(1, n_params // 100)  # a 1% sample of all parameters
-    worst_model, total = verify.model_grad_check(cfg, sample=sample)
+    model = build(cfg, 0, dtype=np.float64)
+    img = np.random.default_rng(16).standard_normal((3, cfg.input_size, cfg.input_size))
+    total = count_arrays(model)
+    sample = max(1, total // 100)  # a 1% sample of all parameters
+    worst_model = verify.grad_check(lambda m: sum_all(forward_bound(m, Tensor(img))[0]), [model],
+                                    max_elements=sample, rng=np.random.default_rng(17))
     elapsed = time.time() - t0
     ok = worst_block <= 1e-4 and worst_model <= 1e-3 and elapsed < 300
     report(3, "gradients vs central differences", ok,

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from sparx.backbone import (FeatureCache, build, count_flops, forward, make_toy_dataset,
-                            memory_report, train_toy)
+from sparx.backbone import (FeatureCache, build, count_flops, forward, forward_bound,
+                            make_toy_dataset, memory_report, train_toy)
 from sparx.config import ConfigError, ModelConfig, get_variant
-from sparx.nd import Tensor
+from sparx.nd import Tensor, sum_all
 from sparx.params import count_arrays, iter_arrays
 from sparx.topology import StageTopologyConfig, cache_schedule, plan_stage
+from sparx.verify import grad_check
 
 
 class TestBuild:
@@ -218,7 +219,10 @@ class TestToyTraining:
 
 class TestGradientEndToEnd:
     def test_reduced_model_gradient_sample(self):
-        from sparx.verify import model_grad_check
-        worst, total = model_grad_check(get_variant("tiny-reduced"), sample=40)
+        cfg = get_variant("tiny-reduced")
+        model = build(cfg, 0, dtype=np.float64)
+        img = np.random.default_rng(16).standard_normal((3, cfg.input_size, cfg.input_size))
+        worst = grad_check(lambda m: sum_all(forward_bound(m, Tensor(img))[0]), [model],
+                           max_elements=40, rng=np.random.default_rng(17))
         assert worst <= 1e-3, worst
-        assert total > 50_000
+        assert count_arrays(model) > 50_000

@@ -1,5 +1,7 @@
 """Layer blocks: position encoding, scan mixers, window attention, VSS block."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from sparx.blocks import (DpeParams, SsmParams, convffn_forward, dpe_forward, in
                           init_ssm, init_vss_block, init_window_attn, scan_forward, shift_mask,
                           vss_block_forward, window_attention_forward)
 from sparx.nd import ShapeError, Tensor
-from sparx.params import Initializer, bind, iter_arrays, stack
+from sparx.params import Initializer, bind, iter_arrays, map_arrays, stack
 from sparx.verify import dense_attention_oracle, dwconv_oracle, scan_oracle
 
 
@@ -38,13 +40,8 @@ def ss2d_reference(x, ps):
 
 def zeroed(p: SsmParams) -> SsmParams:
     """Copy with the state-input projection zeroed, so B is identically 0."""
-    return SsmParams(
-        a_log=p.a_log.copy(), d=p.d.copy(),
-        w_dt_in=p.w_dt_in.copy(), b_dt_in=p.b_dt_in.copy(),
-        w_dt_out=p.w_dt_out.copy(), b_dt_out=p.b_dt_out.copy(),
-        w_b=np.zeros_like(p.w_b), b_b=np.zeros_like(p.b_b),
-        w_c=p.w_c.copy(), b_c=p.b_c.copy(),
-    )
+    return dataclasses.replace(map_arrays(p, np.copy), w_b=np.zeros_like(p.w_b),
+                               b_b=np.zeros_like(p.b_b))
 
 
 class TestDpe:

@@ -1,13 +1,20 @@
 """Command-line interface: artifacts, exit codes, determinism, manifests."""
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sparx.blocks import MIXERS
 from sparx.cli import main
+from sparx.dmca import DMCA_MODES
 from sparx.tensor_io import read_tensor, write_tensor
+from sparx.topology import Mode
 
 
 def run(argv):
@@ -245,3 +252,78 @@ class TestNumericInputs:
         err = capsys.readouterr().err
         assert err.startswith("runtime error: non-finite values produced by op ")
         assert err.count("\n") == 1
+
+
+_JUNK = ["", "-1", "0", "2.5", "nan", "inf", "abc", "1e9", "--bogus"]
+_MODES = [m.value for m in Mode]
+_MODEL_OPTIONS = {"--input": ["32", "64", "48"], "--mixer": list(MIXERS),
+                  "--topology-mode": _MODES, "--dmca-mode": list(DMCA_MODES),
+                  "--seed": ["0", "3", "12345678901234567890"]}
+# (leading option, its values) and the other options with their valid values.
+# No value, valid or junk, asks for an expensive run: at most 40 layers, only
+# tiny-reduced models, at most 2 images or training steps.
+_FUZZ_OPTIONS = {
+    "plan": (("--layers", ["1", "13", "40"]),
+             {"--variant": ["tiny-reduced", "tiny"], "--stride": ["1", "2", "8"],
+              "--window": ["1", "3"], "--mode": _MODES, "--cross-stage": [None], "--seed": ["0"]}),
+    "stats": (("--variant", ["tiny-reduced", "tiny-reduced,tiny-reduced", "tiny-reduced,"]),
+              {"--input": ["32", "64", "48"], "--modes": ["sparx", "plain,dsn", "sparx,zzz"],
+               "--seed": ["0", "5"]}),
+    "forward": (("--variant", ["tiny-reduced"]), _MODEL_OPTIONS),
+    "capture": (("--variant", ["tiny-reduced"]), {**_MODEL_OPTIONS, "--images": ["1", "2"]}),
+    "train-toy": (("--steps", ["1", "2"]),  # the default of 500 steps is not cheap
+                  {"--lr": ["0.02", "-1", "1e300"], "--batch": ["1", "2"],
+                   "--target-acc": ["0.5", "2"], "--seed": ["0", "3"]}),
+}
+
+
+@st.composite
+def _argv(draw, command):
+    """A valid argv for ``command`` with up to two values (or a stray token) made junk."""
+    (lead, lead_values), opts = _FUZZ_OPTIONS[command]
+    flags = [lead] + draw(st.lists(st.sampled_from(sorted(opts)), unique=True))
+    values = [draw(st.sampled_from(lead_values))] + [draw(st.sampled_from(opts[f])) for f in flags[1:]]
+    stray = []
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(flags)))
+        junk = draw(st.sampled_from(_JUNK))
+        if i == len(flags):
+            stray.append(junk)
+        else:
+            values[i] = junk
+    argv = [command]
+    for flag, value in zip(flags, values):
+        argv += [flag] if value is None else [flag, value]
+    return argv + stray
+
+
+def _fuzz_run(argv):
+    """(exit code, stderr, whether argparse exited) of one run in a fresh output dir."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a warning would add a line to stderr
+        try:
+            return main(argv + ["--out", out]), err.getvalue(), False
+        except SystemExit as e:
+            return e.code, err.getvalue(), True
+
+
+class TestArgvFuzz:
+    def _check(self, argv):
+        code, err, parse_exit = _fuzz_run(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, argv
+        if code and not parse_exit:
+            assert err.startswith(("error: ", "runtime error: ")) and err.count("\n") == 1, (argv, err)
+
+    @pytest.mark.parametrize("command", ["plan", "stats", "forward", "capture"])
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_cheap_commands_end_in_0_1_or_2(self, command, data):
+        self._check(data.draw(_argv(command)))
+
+    @settings(max_examples=6)  # a valid run takes about a second
+    @given(argv=_argv("train-toy"))
+    def test_train_toy_ends_in_0_1_or_2(self, argv):
+        self._check(argv)

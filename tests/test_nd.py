@@ -1,5 +1,6 @@
 """Tensor engine: forward kernels, tape gradients, binary format."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -10,11 +11,11 @@ from scipy.special import expit
 from sparx import nd
 from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add, avgpool_stride,
                       backward, concat, conv2d, cross_entropy_logits, dwconv,
-                      gather_rows, gelu, grad_check, layernorm_channels,
+                      gather_rows, gelu, layernorm_channels,
                       matmul, mean_axis, mul, permute, reshape, scale, selective_scan,
                       slice_axis, softmax_lastdim, softplus, split, sum_all, sum_axis)
 from sparx.tensor_io import TensorFormatError, read_tensor, tensor_bytes, tensor_from_bytes, write_tensor
-from sparx.verify import dwconv_oracle, scan_oracle
+from sparx.verify import dwconv_oracle, grad_check, scan_oracle
 
 
 class TestDenseOps:
@@ -146,6 +147,19 @@ class TestNonlinearOps:
         x = np.array([0.0])
         assert abs(gelu(Tensor(x)).data[0]) < 1e-12
         assert abs(softplus(Tensor(x)).data[0] - np.log(2)) < 1e-12
+
+    def test_gelu_float32_runs_in_float32(self):
+        x = np.random.default_rng(11).standard_normal((256, 1024)).astype(np.float32) * 2
+        t = Tensor(x)
+        tracemalloc.start()
+        try:
+            y = gelu(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.dtype == np.float32
+        assert np.abs(y.data - gelu(Tensor(x.astype(np.float64))).data).max() <= 1e-6
+        assert peak < 3.5 * x.nbytes, peak / x.nbytes  # no float64 intermediate
 
 
 class TestBackward:

@@ -4,11 +4,12 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from sparx.config import get_variant
 from sparx.topology import (CROSS_STAGE_SLOT, Mode, PlanError, Role, StageTopologyConfig,
                             cache_schedule, plan_model, plan_stage, plan_to_json, to_dot)
-from sparx.verify import oracle_stage_plan, plan_as_tuples
+from sparx.verify import oracle_peak_live, oracle_stage_plan, plan_as_tuples
 
 
 class TestPlanStage:
@@ -91,6 +92,22 @@ class TestOracleEquivalence:
                             depth, stride, window, Mode(mode), has_cross_stage_input=cross))
                         expect = oracle_stage_plan(depth, stride, window, mode, cross)
                         assert plan_as_tuples(plan) == expect, (depth, stride, window, mode, cross)
+
+
+    @given(depth=st.integers(13, 64), stride=st.integers(1, 8), window=st.integers(1, 8),
+           mode=st.sampled_from(list(Mode)), cross=st.booleans())
+    @example(depth=13, stride=1, window=1, mode=Mode.PLAIN, cross=True)
+    @example(depth=64, stride=8, window=8, mode=Mode.DSN, cross=True)
+    def test_deep_stages_match_oracle(self, depth, stride, window, mode, cross):
+        cfg = StageTopologyConfig(depth, stride, window, mode, has_cross_stage_input=cross)
+        if mode is Mode.PLAIN and cross:
+            with pytest.raises(PlanError):
+                plan_stage(cfg)
+            return
+        plan = plan_stage(cfg)
+        args = (depth, stride, window, mode.value, cross)
+        assert plan_as_tuples(plan) == oracle_stage_plan(*args)
+        assert cache_schedule(plan).peak_live_count == oracle_peak_live(*args)
 
 
 class TestPlanModel:
