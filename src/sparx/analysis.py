@@ -9,7 +9,7 @@ import numpy as np
 
 from .backbone import ModelParams, forward_bound
 from .nd import Tape, backward, slice_axis, sum_all
-from .params import astype, bind
+from .params import astype
 from .topology import Mode, Role, StageTopologyConfig, cache_schedule, plan_stage
 
 
@@ -124,12 +124,12 @@ def erf(model: ModelParams, probe_stage: int, images) -> ErfMap:
     """ERF of a backbone stage's final feature on a batch of images."""
     if not 1 <= probe_stage <= len(model.stages):
         raise AnalysisError(f"probe stage {probe_stage} outside 1..{len(model.stages)}")
-    # constants (only the image participates in the tape), in float64 to
-    # match the image leaves regardless of the model's inference dtype
-    bound = bind(astype(model, np.float64))
+    # raw arrays are constants (only the image participates in the tape), in
+    # float64 to match the image leaves regardless of the model's inference dtype
+    model64 = astype(model, np.float64)
 
     def fn(img):
-        feat, _ = forward_bound(bound, img, to_stage=probe_stage)
+        feat, _ = forward_bound(model64, img, to_stage=probe_stage)
         return feat
 
     return erf_map(fn, images)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import nd
 from .nd import (Tape, Tensor, add, avgpool_stride, backward, conv2d, cross_entropy_logits,
-                 gelu, mean_axis, pointwise_linear, reshape, scale)
-from .blocks import (VssBlockParams, DpeParams, dpe_forward, init_dpe, init_vss_block, ln2d,
+                 gelu, layernorm_channels, mean_axis, pointwise_linear, reshape, scale)
+from .blocks import (VssBlockParams, DpeParams, dpe_forward, init_dpe, init_vss_block,
                      mixer_macs, vss_block_forward)
 from .config import ConfigError, ModelConfig
 from .dmca import DmcaParams, dmca_forward, init_dmca
@@ -185,25 +185,25 @@ class CapturedFeature:
 
 def _stem_forward(p: StemParams, img: Tensor) -> Tensor:
     h = conv2d(img, p.w1, p.b1, stride=2, pad=1)
-    h = gelu(ln2d(h, p.ln1_g, p.ln1_b))
+    h = gelu(layernorm_channels(h, p.ln1_g, p.ln1_b))
     h = conv2d(h, p.w2, p.b2, stride=2, pad=1)
-    return ln2d(h, p.ln2_g, p.ln2_b)
+    return layernorm_channels(h, p.ln2_g, p.ln2_b)
 
 
 def _bridge_forward(p: BridgeParams, prev_final: Tensor) -> Tensor:
-    pooled = avgpool_stride(prev_final, 2)
-    c_prev, h, w = pooled.shape
-    proj = pointwise_linear(reshape(pooled, (c_prev, h * w)), p.w, p.b)
-    return reshape(proj, (p.w.shape[0], h, w))
+    return pointwise_linear(avgpool_stride(prev_final, 2), p.w, p.b)
 
 
 def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
                   to_stage: int | None = None):
-    """Run a bound (Tensor-valued) model on one (3,H,W) image.
+    """Run a model on one (3,H,W) image.
 
-    Returns (logits Tensor, captured list). With ``to_stage`` in 1..4 the
-    walk stops after that stage and returns its final feature instead of
-    logits.
+    ``bound`` holds Tensors (tape leaves when gradients are wanted) or raw
+    arrays, which every op wraps as constants. Features stay (C,H,W) maps
+    throughout: the feature cache holds maps and the aggregator takes and
+    returns them. Returns (logits Tensor, captured list). With ``to_stage``
+    in 1..4 the walk stops after that stage and returns its final feature
+    instead of logits.
     """
     cfg = bound.cfg
     _, H, W = image.shape
@@ -215,22 +215,18 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
     for i, (stage, plan) in enumerate(zip(bound.stages, bound.plans)):
         if i > 0:
             x = conv2d(prev_final, stage.downsample.w, stage.downsample.b, stride=2, pad=1)
-            x = ln2d(x, stage.downsample.ln_g, stage.downsample.ln_b)
+            x = layernorm_channels(x, stage.downsample.ln_g, stage.downsample.ln_b)
         cache = FeatureCache(cache_schedule(plan))
         if stage.bridge is not None:
             cache.put(CROSS_STAGE_SLOT, _bridge_forward(stage.bridge, prev_final))
-        C, h, w = x.shape
         for layer_plan, layer in zip(plan.layers, stage.layers):
             step = layer_plan.index
             cache.assert_live(step)
             t = dpe_forward(x, layer.dpe)
             if layer_plan.role is Role.GANGLION:
-                ys = []
-                if layer_plan.takes_cross_stage:
-                    ys.append(reshape(cache.get(CROSS_STAGE_SLOT), (C, h * w)))
-                ys.extend(reshape(cache.get(j), (C, h * w)) for j in layer_plan.sources)
-                agg = dmca_forward(reshape(t, (C, h * w)), ys, layer.dmca, (h, w))
-                t = reshape(pointwise_linear(agg, layer.fuse_w, layer.fuse_b), (C, h, w))
+                ys = [cache.get(CROSS_STAGE_SLOT)] if layer_plan.takes_cross_stage else []
+                ys.extend(cache.get(j) for j in layer_plan.sources)
+                t = pointwise_linear(dmca_forward(t, ys, layer.dmca), layer.fuse_w, layer.fuse_b)
             x = vss_block_forward(t, layer.block)
             cache.put(step, x)
             cache.evict_after(step)
@@ -243,15 +239,16 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
     c4 = prev_final.shape[0]
     pooled = mean_axis(reshape(prev_final, (c4, prev_final.shape[1] * prev_final.shape[2])),
                        axis=1, keepdims=True)
-    normed = nd.layernorm_channels(pooled, bound.head.ln_g, bound.head.ln_b)
+    normed = layernorm_channels(pooled, bound.head.ln_g, bound.head.ln_b)
     logits = reshape(pointwise_linear(normed, bound.head.w, bound.head.b), (cfg.num_classes,))
     return logits, captured
 
 
 def forward(model: ModelParams, image, capture: bool = False):
-    """Inference on a raw-array model; returns (logits ndarray, captures)."""
+    """Inference on a raw-array model, passed to the ops as constants; returns
+    (logits ndarray, captures)."""
     img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=model.stem.w1.dtype))
-    logits, captured = forward_bound(bind(model), img, capture=capture)
+    logits, captured = forward_bound(model, img, capture=capture)
     return np.array(logits.data), captured
 
 
@@ -400,12 +397,15 @@ def train_toy(cfg: ModelConfig, dataset=None, steps: int = 500, lr: float = 0.02
     """Plain SGD on softmax cross-entropy over the synthetic set.
 
     Deterministic under ``seed`` (model init, data, and batch order all
-    derive from it). Aborts with the failing step index if the loss goes
-    non-finite. With ``target_acc`` set, training stops early once the full
-    training set reaches that accuracy.
+    derive from it). ``lr`` must be finite. Aborts with the failing step
+    index if the loss or an updated parameter goes non-finite. With
+    ``target_acc`` set, training stops early once the full training set
+    reaches that accuracy.
     """
     if steps < 1 or batch_size < 1:
         raise ConfigError(f"steps ({steps}) and batch size ({batch_size}) must be positive")
+    if not np.isfinite(lr):
+        raise ConfigError(f"learning rate must be finite, got {lr}")
     model = build(cfg, seed, dtype=np.float64)
     if dataset is None:
         dataset = make_toy_dataset(size=cfg.input_size, seed=seed)
@@ -432,6 +432,8 @@ def train_toy(cfg: ModelConfig, dataset=None, steps: int = 500, lr: float = 0.02
         grads = backward(tape, loss)
         for arr, leaf in pair_leaves(model, bound):
             arr -= lr * grads[leaf.node].data
+            if not np.all(np.isfinite(arr)):
+                raise nd.NumericError(f"non-finite values produced by op 'sgd_update' at step {step}")
         steps_run = step + 1
         if target_acc is not None and steps_run % eval_every == 0:
             if evaluate(model, images, labels) >= target_acc:

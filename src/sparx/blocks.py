@@ -1,9 +1,13 @@
 """Layer-level building blocks: position encoding, token mixers, feed-forward.
 
-Every block maps (C,H,W) -> (C,H,W). Four interchangeable token mixers are
-provided: shifted window attention and one selective scan run over the first
-1, 2 or 4 of four fixed directions (a causal 1-d scan, a bidirectional 1-d
-scan, and a four-direction 2-d scan).
+Every block maps a (C,H,W) map to a (C,H,W) map, and the channel ops it
+calls (projection, layernorm, depthwise convolution) take maps directly. A
+reshape appears only where the token axes change: a scan flattens the map
+into sequences, window attention partitions it into windows.
+
+Four interchangeable token mixers are provided: shifted window attention and
+one selective scan run over the first 1, 2 or 4 of four fixed directions (a
+causal 1-d scan, a bidirectional 1-d scan, and a four-direction 2-d scan).
 """
 
 from __future__ import annotations
@@ -180,25 +184,17 @@ def init_vss_block(init: Initializer, kind: str, channels: int, state_dim: int,
 
 
 # ---------------------------------------------------------------------------
-# forward passes (params are bound structures of Tensors)
+# forward passes (params hold Tensors or raw arrays; ops wrap arrays as constants)
 # ---------------------------------------------------------------------------
-
-def ln2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    C, H, W = x.shape
-    return reshape(layernorm_channels(reshape(x, (C, H * W)), gamma, beta), (C, H, W))
-
 
 def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
     return add(x, dwconv(x, p.w, p.b, pad=1))
 
 
 def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
-    C, H, W = x.shape
-    hidden = p.w1.shape[0]
-    h = pointwise_linear(reshape(x, (C, H * W)), p.w1, p.b1)
-    h = dwconv(reshape(h, (hidden, H, W)), p.dw, p.db, pad=1)
-    h = gelu(reshape(h, (hidden, H * W)))
-    return reshape(pointwise_linear(h, p.w2, p.b2), (C, H, W))
+    """Expand, 3x3 depthwise, gelu, contract; every step on the map."""
+    h = dwconv(pointwise_linear(x, p.w1, p.b1), p.dw, p.db, pad=1)
+    return pointwise_linear(gelu(h), p.w2, p.b2)
 
 
 def scan_forward(x: Tensor, p: SsmParams) -> Tensor:
@@ -321,5 +317,5 @@ def mixer_forward(x: Tensor, kind: str, params) -> Tensor:
 
 def vss_block_forward(x: Tensor, p: VssBlockParams) -> Tensor:
     """Pre-norm residual token mixer followed by a pre-norm residual ConvFFN."""
-    x1 = add(x, mixer_forward(ln2d(x, p.ln1_g, p.ln1_b), p.mixer_kind, p.mixer))
-    return add(x1, convffn_forward(ln2d(x1, p.ln2_g, p.ln2_b), p.ffn))
+    x1 = add(x, mixer_forward(layernorm_channels(x, p.ln1_g, p.ln1_b), p.mixer_kind, p.mixer))
+    return add(x1, convffn_forward(layernorm_channels(x1, p.ln2_g, p.ln2_b), p.ffn))

@@ -128,7 +128,7 @@ def cmd_plan(args) -> int:
 def cmd_stats(args) -> int:
     out = _out_dir(args)
     variants = args.variant.split(",")
-    modes = (args.modes or "sparx").split(",")
+    modes = (args.modes if args.modes is not None else "sparx").split(",")
     rows = []
     for name in variants:
         for mode in modes:
@@ -163,7 +163,7 @@ def cmd_stats(args) -> int:
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     sabotage = set()
-    if args.sabotage:
+    if args.sabotage is not None:
         if args.sabotage not in SABOTAGE_TARGETS:
             raise ConfigError(f"unknown sabotage target {args.sabotage!r}; "
                               f"expected one of {SABOTAGE_TARGETS}")

@@ -1,16 +1,17 @@
 """Multi-layer channel aggregation with grouped channel cross-attention.
 
-A ganglion layer's current feature ``x`` (C,N) queries a stack of earlier
-features ``ys`` (each C,N). The earlier features are concatenated, projected
-to 2C and split into a key source and a value source. Channel-to-channel
-attention is computed within ``groups`` channel groups between spatially
-reduced query/key, so the attention map is (G, C/G, C/G) regardless of how
-many tokens the map has; the value keeps full resolution. The output
-concatenates x, the value source, and the attended feature, projected to 2C.
+A ganglion layer's current feature map ``x`` (C,H,W) queries a stack of
+earlier maps ``ys`` (each C,H,W). The earlier maps are concatenated,
+projected to 2C and split into a key source and a value source. Query and
+key are spatially reduced, then flattened into channel groups: channel-to-
+channel attention is computed within ``groups`` channel groups, so the
+attention map is (G, C/G, C/G) regardless of how many tokens the map has;
+the value keeps full resolution. The output concatenates x, the value
+source, and the attended feature, projected to a (2C,H,W) map.
 
 Spatial reduction uses strided depthwise convolutions whose stride s
-satisfies s*s = r, chosen so N/r matches the token count of the network's
-final stage.
+satisfies s*s = r, chosen so N/r (N = H*W) matches the token count of the
+network's final stage.
 
 Ablation modes:
 * ``concat``: single linear over cat(x, ys...), no attention.
@@ -90,11 +91,11 @@ def init_dmca(init: Initializer, channels: int, l_count: int, reduce_stride: int
 
 
 def group_channels(t: Tensor, groups: int) -> Tensor:
-    """(C,N) -> (G, C/G, N) with contiguous channel groups."""
-    C, N = t.shape
+    """(C, *rest) -> (G, C/G, N) with contiguous channel groups; N flattens ``rest``."""
+    C = t.shape[0]
     if C % groups:
         raise ShapeError(f"channels {C} not divisible by groups {groups}")
-    return reshape(t, (groups, C // groups, N))
+    return reshape(t, (groups, C // groups, math.prod(t.shape[1:])))
 
 
 def cgca_attention(q: Tensor, k: Tensor, scale_n: int) -> Tensor:
@@ -110,46 +111,27 @@ def cgca_attention(q: Tensor, k: Tensor, scale_n: int) -> Tensor:
 
 
 def cgca(q: Tensor, k: Tensor, v: Tensor, scale_n: int) -> Tensor:
-    """Attend value channels with the grouped map; returns (C,N)."""
+    """Attend grouped value channels (G, C/G, N) with the grouped map; same shape out."""
     if v.shape[:2] != q.shape[:2]:
         raise ShapeError(f"attention: value groups {v.shape} do not match query {q.shape}")
-    attn = cgca_attention(q, k, scale_n)
-    z = matmul(attn, v)
-    G, Cg, N = z.shape
-    return reshape(z, (G * Cg, N))
+    return matmul(cgca_attention(q, k, scale_n), v)
 
 
-def _reduce_tokens(t2d: Tensor, red: np.ndarray | Tensor | None, stride: int, hw) -> Tensor:
-    if stride == 1:
-        return t2d
-    H, W = hw
-    C = t2d.shape[0]
-    if H % stride or W % stride:
-        raise ShapeError(f"reducer stride {stride} does not divide spatial dims ({H},{W})")
-    red_map = dwconv(reshape(t2d, (C, H, W)), red, stride=stride)
-    return reshape(red_map, (C, (H // stride) * (W // stride)))
+def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
+    """Aggregate earlier feature maps into the current one; (C,H,W) -> (2C,H,W).
 
-
-def dmca_forward(x: Tensor, ys: list, p: DmcaParams, hw) -> Tensor:
-    """Aggregate earlier features into the current one; (C,N) -> (2C,N).
-
-    ``ys`` must be ordered the way the mixing projection was built (the
-    caller owns that ordering and keeps it fixed).
+    ``ys`` holds maps shaped like ``x``, ordered the way the mixing
+    projection was built (the caller owns that ordering and keeps it fixed).
+    The strided reducers need H and W divisible by the reduction stride;
+    ``dwconv`` checks that.
     """
-    C, N = x.shape
-    H, W = hw
-    if H * W != N:
-        raise ShapeError(f"spatial dims ({H},{W}) do not match token count {N}")
     if len(ys) != p.l_count:
         raise ShapeError(f"expected {p.l_count} source features, got {len(ys)}")
     for y in ys:
         if y.shape != x.shape:
             raise ShapeError(f"source feature {y.shape} does not match current {x.shape}")
-    if C != p.channels:
-        raise ShapeError(f"feature channels {C} do not match aggregator channels {p.channels}")
-    r = p.reduce_stride * p.reduce_stride
-    if N % r:
-        raise ShapeError(f"token count {N} not divisible by reduction ratio {r}")
+    if x.shape[0] != p.channels:
+        raise ShapeError(f"feature channels {x.shape[0]} do not match aggregator channels {p.channels}")
 
     if p.mode == "concat":
         return pointwise_linear(concat([x] + list(ys), axis=0), p.out_w, p.out_b)
@@ -161,12 +143,13 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams, hw) -> Tensor:
 
     mixed = pointwise_linear(cat_ys, p.mix_w, p.mix_b)
     yk, yv = split(mixed, 2, axis=0)
-    q_in = _reduce_tokens(x, p.q_red, p.reduce_stride, hw)
-    k_in = _reduce_tokens(yk, p.k_red, p.reduce_stride, hw)
+    s = p.reduce_stride
+    q_in = x if s == 1 else dwconv(x, p.q_red, stride=s)
+    k_in = yk if s == 1 else dwconv(yk, p.k_red, stride=s)
     q = group_channels(pointwise_linear(q_in, p.q_w, p.q_b), p.groups)
     k = group_channels(pointwise_linear(k_in, p.k_w, p.k_b), p.groups)
     v = group_channels(pointwise_linear(yv, p.v_w, p.v_b), p.groups)
-    z = cgca(q, k, v, scale_n=N // r)
+    z = reshape(cgca(q, k, v, scale_n=q.shape[2]), x.shape)
     if p.mode == "no_skip":
         return pointwise_linear(z, p.out_w, p.out_b)
     return pointwise_linear(concat([x, yv, z], axis=0), p.out_w, p.out_b)

@@ -7,11 +7,14 @@ front and checks its output for NaN/Inf, so non-finite values surface as
 errors at the op that produced them instead of propagating silently.
 
 The op surface is deliberately small: exactly the primitives the backbone
-needs (matmul and channel projections, 2-d or batched over a leading axis;
-channel concat/split, depthwise and dense convolution, pooling, softmax,
-layernorm, a handful of pointwise nonlinearities, and an input-dependent
-selective scan). Broadcasting is supported only where these ops require it
-(bias adds and attention-bias adds); there is no general-rank broadcasting.
+needs (matmul, 2-d or batched over a leading axis; channel projection and
+channel layernorm; channel concat/split, depthwise and dense convolution,
+pooling, softmax, a handful of pointwise nonlinearities, and an
+input-dependent selective scan). Channel ops take ``(C, *rest)`` and treat
+every trailing axis as a token axis, so a (C,H,W) map goes in and comes out
+as a map; a reshape is needed only where the token axes themselves change.
+Broadcasting is supported only where these ops require it (bias adds and
+attention-bias adds); there is no general-rank broadcasting.
 """
 
 from __future__ import annotations
@@ -217,28 +220,34 @@ def matmul(a, b):
 def pointwise_linear(x, weight, bias=None):
     """Channel projection weight @ x + bias, one op.
 
-    Takes (Cin,N) tokens with weight (Cout,Cin) and bias (Cout,), or k stacked
-    projections: x (k,Cin,N), weight (k,Cout,Cin) and bias (k,Cout).
+    Projects x (Cin, *rest) with weight (Cout, Cin) and bias (Cout,) to
+    (Cout, *rest): every axis after the channel axis is a token axis. k
+    stacked projections take x (k, Cin, *rest), weight (k, Cout, Cin) and
+    bias (k, Cout). The tokens are flattened with a view, so a call is one
+    matrix product whatever the rank of ``rest``.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     bias = None if bias is None else _as_tensor(bias, like=x)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("pointwise_linear", *inputs)
-    if (x.data.ndim not in (2, 3) or weight.data.ndim != x.data.ndim
-            or weight.shape[:-2] != x.shape[:-2] or weight.shape[-1] != x.shape[-2]):
+    nb = weight.data.ndim - 2  # stacked projections: 0 or 1 leading axis
+    if nb not in (0, 1) or x.shape[:nb + 1] != weight.shape[:-2] + weight.shape[-1:]:
         raise ShapeError(f"pointwise_linear: weight {weight.shape} does not project x {x.shape}")
     if bias is not None and bias.shape != weight.shape[:-1]:
         raise ShapeError(f"pointwise_linear: bias {bias.shape} does not match fan-out {weight.shape[:-1]}")
-    xd, wd = x.data, weight.data
+    x_shape = x.shape
+    xd, wd = x.data.reshape(*x_shape[:nb + 1], -1), weight.data
     out = wd @ xd
     if bias is not None:
         out += bias.data[..., None]
+    flat_shape = out.shape
 
     def vjp(g):
-        gx, gw = np.swapaxes(wd, -1, -2) @ g, g @ np.swapaxes(xd, -1, -2)
+        g = g.reshape(flat_shape)
+        gx, gw = (np.swapaxes(wd, -1, -2) @ g).reshape(x_shape), g @ np.swapaxes(xd, -1, -2)
         return (gx, gw) if bias is None else (gx, gw, g.sum(axis=-1))
 
-    return _apply("pointwise_linear", out, inputs, vjp)
+    return _apply("pointwise_linear", out.reshape(weight.shape[:-1] + x_shape[nb + 1:]), inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -454,31 +463,35 @@ def softmax_lastdim(a):
 
 
 def layernorm_channels(x, gamma, beta, eps=1e-6):
-    """Normalize each column of (C,N) over the channel axis, then affine."""
+    """Normalize (C, *rest) over the channel axis at every token, then affine.
+
+    The tokens are flattened with a view, so the statistics are one
+    reduction over axis 0 whatever the rank of ``rest``.
+    """
     x = _as_tensor(x)
     gamma, beta = _as_tensor(gamma, like=x), _as_tensor(beta, like=x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"layernorm_channels: expects (C,N), got {x.shape}")
-    C = x.shape[0]
+    C = x.shape[0] if x.data.ndim else 0
     if C < 1:
-        raise ShapeError("layernorm_channels: empty channel axis")
+        raise ShapeError(f"layernorm_channels: expects a non-empty channel axis, got {x.shape}")
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeError(f"layernorm_channels: affine shapes {gamma.shape}/{beta.shape} do not match C={C}")
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
+    x_shape, xd = x.shape, x.data.reshape(C, -1)
+    mu = xd.mean(axis=0)
+    var = xd.var(axis=0)
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = (x.data - mu) * inv
+    xhat = (xd - mu) * inv
     out = gamma.data[:, None] * xhat + beta.data[:, None]
     gd = gamma.data
 
     def vjp(g):
+        g = g.reshape(C, -1)
         dgamma = (g * xhat).sum(axis=1)
         dbeta = g.sum(axis=1)
         dxhat = g * gd[:, None]
         dx = inv / C * (C * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-        return dx, dgamma, dbeta
+        return dx.reshape(x_shape), dgamma, dbeta
 
-    return _apply("layernorm", out, (x, gamma, beta), vjp)
+    return _apply("layernorm", out.reshape(x_shape), (x, gamma, beta), vjp)
 
 
 def cross_entropy_logits(logits, label):
@@ -549,10 +562,11 @@ _DWCONV_BLOCK = 1 << 15
 
 
 def dwconv(x, weight, bias=None, stride=1, pad=0):
-    """Depthwise 2-d convolution; channel i of the output sees only channel i.
+    """Depthwise 2-d convolution of a (C,H,W) map with a (C,k,k) kernel.
 
-    Computed as k*k shifted multiply-adds over strided views of the padded
-    input, so no patch matrix is built.
+    Channel i of the output sees only channel i. A stride must reduce both
+    spatial axes evenly. Computed as k*k shifted multiply-adds over strided
+    views of the padded input, so no patch matrix is built.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight, like=x)
@@ -606,7 +620,10 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
 
 
 def conv2d(x, weight, bias=None, stride=1, pad=0):
-    """Dense 2-d convolution, weight shaped (Cout, Cin, k, k)."""
+    """Dense 2-d convolution of a (Cin,H,W) map to (Cout,Ho,Wo), weight (Cout, Cin, k, k).
+
+    One channel projection of the (Cin*k*k, Ho, Wo) patch map.
+    """
     x = _as_tensor(x)
     weight = _as_tensor(weight, like=x)
     if weight.data.ndim != 4:
@@ -615,8 +632,8 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     if k != k2 or Cin != x.shape[0]:
         raise ShapeError(f"conv2d: weight {weight.shape} does not match input {x.shape}")
     Ho, Wo = _conv_out_hw(x.shape, k, stride, pad)
-    patches = reshape(extract_patches(x, k, stride, pad), (Cin * k * k, Ho * Wo))
-    return reshape(pointwise_linear(patches, reshape(weight, (Cout, Cin * k * k)), bias), (Cout, Ho, Wo))
+    patches = reshape(extract_patches(x, k, stride, pad), (Cin * k * k, Ho, Wo))
+    return pointwise_linear(patches, reshape(weight, (Cout, Cin * k * k)), bias)
 
 
 def avgpool_stride(x, stride):

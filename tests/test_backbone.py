@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from sparx import backbone
 from sparx.backbone import (FeatureCache, build, count_flops, forward, forward_bound,
                             make_toy_dataset, memory_report, train_toy)
 from sparx.config import ConfigError, ModelConfig, get_variant
-from sparx.nd import Tensor, sum_all
-from sparx.params import count_arrays, iter_arrays
+from sparx.nd import NumericError, Tape, Tensor, sum_all
+from sparx.params import bind, count_arrays, iter_arrays
 from sparx.topology import StageTopologyConfig, cache_schedule, plan_stage
 from sparx.verify import grad_check
 
@@ -117,6 +118,17 @@ class TestForward:
         assert logits.shape == (2,)
         assert np.all(np.isfinite(logits))
 
+    @pytest.mark.parametrize("mixer,limit", [("ss2d", 100), ("window_attn", 112)])
+    def test_taped_forward_reshapes_only_where_token_axes_change(self, mixer, limit):
+        # maps stay (C,H,W) through every channel op; reshapes remain for scan
+        # sequences, window partitions, channel groups and the head's pooling
+        cfg = get_variant("tiny-reduced", mixer=mixer)
+        tape = Tape()
+        img = np.random.default_rng(0).standard_normal((3, 32, 32)).astype(np.float32)
+        forward_bound(bind(build(cfg, 0), tape), Tensor(img))
+        reshapes = sum(node.op == "reshape" for node in tape.nodes)
+        assert reshapes <= limit, f"{reshapes} reshapes recorded"
+
     def test_mixer_swap_preserves_plans_and_aggregator_shapes(self):
         ref = None
         for mixer in ("ss2d", "ssm", "bissm", "window_attn"):
@@ -210,6 +222,16 @@ class TestToyTraining:
         a = train_toy(get_variant("tiny-reduced"), steps=3, seed=7)
         b = train_toy(get_variant("tiny-reduced"), steps=3, seed=7)
         assert a.losses == b.losses
+
+    def test_non_finite_update_names_sgd_update_and_step(self, monkeypatch):
+        real_backward = backbone.backward
+
+        def overflowing_backward(tape, loss):  # every gradient overflows the update
+            return {k: Tensor(np.full(g.shape, np.inf)) for k, g in real_backward(tape, loss).items()}
+
+        monkeypatch.setattr(backbone, "backward", overflowing_backward)
+        with pytest.raises(NumericError, match=r"^non-finite values produced by op 'sgd_update' at step 0$"):
+            train_toy(get_variant("tiny-reduced"), steps=2, seed=0)
 
     def test_dataset_is_linearly_separable_by_construction(self):
         images, labels = make_toy_dataset(n=16, size=32, seed=0)

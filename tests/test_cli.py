@@ -102,8 +102,11 @@ class TestVerifyCommand:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failed == ["softmax_rowsum"]
 
-    def test_unknown_sabotage_target_is_config_error(self, tmp_path):
-        assert run(["verify", "--sabotage", "gravity", "--out", str(tmp_path)]) == 2
+    def test_unknown_sabotage_target_is_config_error(self, tmp_path, capsys):
+        for target in ("gravity", ""):
+            assert run(["verify", "--sabotage", target, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown sabotage target") and err.count("\n") == 1
 
 
 class TestForwardCaptureCka:
@@ -223,6 +226,9 @@ class TestNumericInputs:
         ["train-toy", "--steps", "0"],
         ["train-toy", "--batch", "0"],
         ["forward", "--variant", "tiny-reduced", "--seed", "-1"],
+        ["stats", "--variant", "tiny-reduced", "--modes", ""],
+        ["train-toy", "--steps", "1", "--lr", "nan"],
+        ["train-toy", "--steps", "1", "--lr", "inf"],
     ], ids=" ".join)
     def test_non_positive_values_exit_2_with_one_line(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path)]) == 2

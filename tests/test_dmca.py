@@ -13,23 +13,28 @@ def make_params(channels, l_count, stride, mode="full", seed=0, dtype=np.float64
     return init_dmca(Initializer(seed, dtype=dtype), channels, l_count, stride, mode=mode)
 
 
-def run(p, x, ys, hw):
-    return dmca_forward(Tensor(x), [Tensor(y) for y in ys], bind(p), hw).data
+def run(p, x, ys):
+    return dmca_forward(Tensor(x), [Tensor(y) for y in ys], bind(p)).data
+
+
+def flat(a):
+    """(C,H,W) map -> (C,H*W) token matrix, for closed-form comparisons."""
+    return a.reshape(a.shape[0], -1)
 
 
 class TestShapes:
     def test_stage3_like_shape_trace(self):
         # C=64, G=4, L=3, N=196 (14x14), reduction 4
-        C, L, N, H = 64, 3, 196, 14
+        C, L, H = 64, 3, 14
         p = make_params(C, L, stride=2)
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((C, N))
-        ys = rng.standard_normal((L, C, N))
-        out = run(p, x, list(ys), (H, H))
-        assert out.shape == (2 * C, N)
-        q = group_channels(Tensor(rng.standard_normal((C, N // 4))), 4)
-        k = group_channels(Tensor(rng.standard_normal((C, N // 4))), 4)
-        v = group_channels(Tensor(rng.standard_normal((C, N))), 4)
+        x = rng.standard_normal((C, H, H))
+        ys = rng.standard_normal((L, C, H, H))
+        out = run(p, x, list(ys))
+        assert out.shape == (2 * C, H, H)
+        q = group_channels(Tensor(rng.standard_normal((C, H // 2, H // 2))), 4)
+        k = group_channels(Tensor(rng.standard_normal((C, H // 2, H // 2))), 4)
+        v = group_channels(Tensor(rng.standard_normal((C, H, H))), 4)
         assert q.shape == (4, 16, 49)
         assert v.shape == (4, 16, 196)
         attn = cgca_attention(q, k, scale_n=49)
@@ -48,16 +53,16 @@ class TestShapes:
     def test_source_count_mismatch_rejected(self):
         p = make_params(8, 2, stride=1)
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((8, 16))
+        x = rng.standard_normal((8, 4, 4))
         with pytest.raises(ShapeError, match="source features"):
-            run(p, x, [x], (4, 4))
+            run(p, x, [x])
 
     def test_token_count_must_divide_reduction(self):
         p = make_params(8, 1, stride=2)
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((8, 6))
-        with pytest.raises(ShapeError):
-            run(p, x, [x], (2, 3))
+        x = rng.standard_normal((8, 2, 3))
+        with pytest.raises(ShapeError, match="stride 2"):
+            run(p, x, [x])
 
     def test_channels_must_divide_groups(self):
         with pytest.raises(ShapeError, match="groups"):
@@ -73,7 +78,7 @@ class TestAttention:
         attn = cgca_attention(q, k, scale_n=5)
         assert attn.shape == (1, 1, 1) and abs(attn.data[0, 0, 0] - 1.0) < 1e-12
         z = cgca(q, k, v, scale_n=5)
-        assert np.allclose(z.data, v.data.reshape(1, 9), atol=1e-12)
+        assert z.shape == v.shape and np.allclose(z.data, v.data, atol=1e-12)
 
     def test_equal_norm_orthogonal_rows_peak_on_diagonal(self):
         q = np.zeros((1, 2, 4))
@@ -102,14 +107,14 @@ class TestFullMode:
     def test_zero_sources_make_output_linear_in_x(self):
         p = make_params(8, 2, stride=1)
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((8, 16))
-        zeros = [np.zeros((8, 16))] * 2
-        out1 = run(p, x, zeros, (4, 4))
-        out2 = run(p, 2 * x, zeros, (4, 4))
+        x = rng.standard_normal((8, 4, 4))
+        zeros = [np.zeros((8, 4, 4))] * 2
+        out1 = run(p, x, zeros)
+        out2 = run(p, 2 * x, zeros)
         assert np.allclose(out2, 2 * out1, atol=1e-9)
         # and equals the output projection applied to cat(x, 0, 0)
-        stacked = np.concatenate([x, np.zeros((16, 16))], axis=0)
-        assert np.allclose(out1, p.out_w @ stacked + p.out_b[:, None], atol=1e-9)
+        stacked = np.concatenate([flat(x), np.zeros((16, 16))], axis=0)
+        assert np.allclose(flat(out1), p.out_w @ stacked + p.out_b[:, None], atol=1e-9)
 
     def test_channel_permutation_consistency(self):
         # permuting source channels and the mixing projection's columns
@@ -117,9 +122,9 @@ class TestFullMode:
         C, L = 8, 2
         p = make_params(C, L, stride=1)
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((C, 16))
-        ys = [rng.standard_normal((C, 16)) for _ in range(L)]
-        base = run(p, x, ys, (4, 4))
+        x = rng.standard_normal((C, 4, 4))
+        ys = [rng.standard_normal((C, 4, 4)) for _ in range(L)]
+        base = run(p, x, ys)
         perm = rng.permutation(C)
         p2 = make_params(C, L, stride=1)
         cols = np.concatenate([block * C + perm for block in range(L)])
@@ -127,7 +132,7 @@ class TestFullMode:
         p2.mix_b = p.mix_b.copy()
         for name in ("q_w", "q_b", "k_w", "k_b", "v_w", "v_b", "out_w", "out_b"):
             setattr(p2, name, getattr(p, name).copy())
-        permuted = run(p2, x, [y[perm] for y in ys], (4, 4))
+        permuted = run(p2, x, [y[perm] for y in ys])
         assert np.allclose(permuted, base, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -140,49 +145,49 @@ class TestAblations:
     def test_concat_mode_is_single_projection(self):
         p = make_params(8, 2, stride=1, mode="concat")
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((8, 16))
-        ys = [rng.standard_normal((8, 16)) for _ in range(2)]
-        out = run(p, x, ys, (4, 4))
-        stacked = np.concatenate([x] + ys, axis=0)
-        assert np.allclose(out, p.out_w @ stacked + p.out_b[:, None], atol=1e-12)
+        x = rng.standard_normal((8, 4, 4))
+        ys = [rng.standard_normal((8, 4, 4)) for _ in range(2)]
+        out = run(p, x, ys)
+        stacked = np.concatenate([flat(x)] + [flat(y) for y in ys], axis=0)
+        assert np.allclose(flat(out), p.out_w @ stacked + p.out_b[:, None], atol=1e-12)
 
     def test_no_sr_equals_full_when_reduction_is_identity(self):
         a = make_params(8, 2, stride=1, mode="full", seed=5)
         b = make_params(8, 2, stride=1, mode="no_sr", seed=5)
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((8, 16))
-        ys = [rng.standard_normal((8, 16)) for _ in range(2)]
-        oa = run(a, x, ys, (4, 4))
-        ob = run(b, x, ys, (4, 4))
+        x = rng.standard_normal((8, 4, 4))
+        ys = [rng.standard_normal((8, 4, 4)) for _ in range(2)]
+        oa = run(a, x, ys)
+        ob = run(b, x, ys)
         assert np.array_equal(oa, ob)
 
     def test_no_cgca_uses_value_branch_only(self):
         p = make_params(8, 2, stride=2, mode="no_cgca")
         assert p.q_w is None and p.k_w is None and p.q_red is None
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((8, 16))
-        ys = [rng.standard_normal((8, 16)) for _ in range(2)]
-        out = run(p, x, ys, (4, 4))
-        yv = p.mix_w @ np.concatenate(ys, axis=0) + p.mix_b[:, None]
-        expect = p.out_w @ np.concatenate([x, yv], axis=0) + p.out_b[:, None]
-        assert np.allclose(out, expect, atol=1e-12)
+        x = rng.standard_normal((8, 4, 4))
+        ys = [rng.standard_normal((8, 4, 4)) for _ in range(2)]
+        out = run(p, x, ys)
+        yv = p.mix_w @ np.concatenate([flat(y) for y in ys], axis=0) + p.mix_b[:, None]
+        expect = p.out_w @ np.concatenate([flat(x), yv], axis=0) + p.out_b[:, None]
+        assert np.allclose(flat(out), expect, atol=1e-12)
 
     def test_no_skip_depends_on_x_only_through_query(self):
         p = make_params(8, 2, stride=1, mode="no_skip")
         p.q_w = np.zeros_like(p.q_w)
         p.q_b = np.zeros_like(p.q_b)
         rng = np.random.default_rng(12)
-        ys = [rng.standard_normal((8, 16)) for _ in range(2)]
-        out1 = run(p, rng.standard_normal((8, 16)), ys, (4, 4))
-        out2 = run(p, rng.standard_normal((8, 16)), ys, (4, 4))
+        ys = [rng.standard_normal((8, 4, 4)) for _ in range(2)]
+        out1 = run(p, rng.standard_normal((8, 4, 4)), ys)
+        out2 = run(p, rng.standard_normal((8, 4, 4)), ys)
         assert np.array_equal(out1, out2)
 
     def test_no_skip_output_width(self):
         p = make_params(8, 1, stride=1, mode="no_skip")
         rng = np.random.default_rng(13)
-        x = rng.standard_normal((8, 16))
-        out = run(p, x, [rng.standard_normal((8, 16))], (4, 4))
-        assert out.shape == (16, 16)
+        x = rng.standard_normal((8, 4, 4))
+        out = run(p, x, [rng.standard_normal((8, 4, 4))])
+        assert out.shape == (16, 4, 4)
 
 
 class TestParamCount:

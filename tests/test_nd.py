@@ -423,25 +423,47 @@ class TestKernelProperties:
 
     @given(stacked=st.booleans(), with_bias=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
            k=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4), n=st.integers(1, 6),
-           seed=st.integers(0, 2**16))
+           extra=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2**16))
     def test_pointwise_linear_matches_matmul_and_finite_differences(self, stacked, with_bias, dtype,
-                                                                    k, cin, cout, n, seed):
+                                                                    k, cin, cout, n, extra, seed):
+        # x is a (Cin, n, *extra) map: 1 to 3 token axes, compared with the flattened (Cin, N) call
         lead = (k,) if stacked else ()
         rng = np.random.default_rng(seed)
-        x, w, b = (rng.standard_normal(lead + s).astype(dtype) for s in ((cin, n), (cout, cin), (cout,)))
+        x, w, b = (rng.standard_normal(lead + s).astype(dtype) for s in ((cin, n, *extra), (cout, cin), (cout,)))
         args = [x, w, b] if with_bias else [x, w]
+        xs = x.reshape(lead + (cin, -1))
+        flat = nd.pointwise_linear(*(Tensor(a) for a in [xs] + args[1:])).data
+        assert np.array_equal(flat, w @ xs + b[..., None] if with_bias else w @ xs)
         got = nd.pointwise_linear(*(Tensor(a) for a in args)).data
-        assert got.dtype == dtype
-        assert np.array_equal(got, w @ x + b[..., None] if with_bias else w @ x)
+        assert got.dtype == dtype and got.shape == lead + (cout, n, *extra)
+        assert np.array_equal(got, flat.reshape(got.shape))
         probe = Tensor(rng.standard_normal(got.shape))
         assert grad_check(lambda *ts: sum_all(mul(nd.pointwise_linear(*ts), probe)), args) <= 1e-4
         bad = [(np.zeros(lead + (cout, cin + 1), dtype), None), (w, np.zeros(lead + (cout + 1,), dtype))]
         if stacked:
-            bad += [(np.zeros((k + 1, cout, cin), dtype), None), (w, np.zeros((k + 1, cout), dtype)),
-                    (w[0], None)]
+            bad += [(np.zeros((k + 1, cout, cin), dtype), None), (w, np.zeros((k + 1, cout), dtype))]
+        if stacked and k != cin:  # with k == cin, x is a valid (Cin, *rest) map for one projection
+            bad.append((w[0], None))
         for bw, bb in bad:
             with pytest.raises(ShapeError):
                 nd.pointwise_linear(Tensor(x), Tensor(bw), None if bb is None else Tensor(bb))
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), C=st.integers(1, 4), n=st.integers(1, 6),
+           extra=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2**16))
+    def test_layernorm_channels_on_maps_matches_flattened_call_and_finite_differences(self, dtype, C, n,
+                                                                                      extra, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((C, n, *extra)) * 3 + 1).astype(dtype)
+        g, b = (rng.standard_normal(C) + 1.5).astype(dtype), rng.standard_normal(C).astype(dtype)
+        xs = x.reshape(C, -1)
+        flat = layernorm_channels(Tensor(xs), Tensor(g), Tensor(b)).data
+        ref = (xs - xs.mean(axis=0)) / np.sqrt(xs.var(axis=0) + 1e-6) * g[:, None] + b[:, None]
+        assert np.allclose(flat, ref, atol=1e-5 if dtype == np.float32 else 1e-12)
+        got = layernorm_channels(Tensor(x), Tensor(g), Tensor(b)).data
+        assert got.dtype == dtype and got.shape == x.shape
+        assert np.array_equal(got, flat.reshape(x.shape))
+        probe = Tensor(rng.standard_normal(x.shape))
+        assert grad_check(lambda *ts: sum_all(mul(layernorm_channels(*ts), probe)), [x, g, b]) <= 1e-4
 
     @example(C=2, H=5, W=6, k=3, stride=2, pad=1, seed=0)
     @example(C=1, H=1, W=2, k=4, stride=1, pad=1, seed=0)
