@@ -3,8 +3,10 @@
 Tensors wrap row-major contiguous numpy arrays (float32 or float64) and
 optionally participate in a recording ``Tape``. Operations are pure: given the
 same inputs they produce bit-identical outputs. Every op validates shapes up
-front and checks its output for NaN/Inf, so non-finite values surface as
-errors at the op that produced them instead of propagating silently.
+front, and every op that computes values checks its output for NaN/Inf, so
+non-finite values surface as errors at the op that produced them instead of
+propagating silently. Ops that only move values (reshape, permute, slice,
+flip, concat, pad, crop, roll) cannot produce one and are not scanned.
 
 The op surface is deliberately small: exactly the primitives the backbone
 needs (matmul, 2-d or batched over a leading axis; channel projection and
@@ -126,21 +128,36 @@ def _check_same_dtype(op, *ts):
         raise ShapeError(f"{op}: mixed dtypes {sorted(d.name for d in dtypes)}")
 
 
+def _wrap(data, tape=None, node=None):
+    """A Tensor around an op's output, which is already a contiguous float array."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.tape, t.node = data, tape, node
+    return t
+
+
+# Ops that only carry input values to new positions (or add zeros); they cannot
+# make a value non-finite, so their outputs are not scanned.
+_DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "flip", "concat",
+                            "pad_spatial", "crop_spatial", "roll2d"})
+
+
 def _apply(op, out, inputs, vjp):
     """Finalize an op: finiteness check, tape wiring, output wrapping."""
-    if not np.all(np.isfinite(out)):
+    if op not in _DATA_MOVEMENT and not np.isfinite(out).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
     if not (out.flags["C_CONTIGUOUS"] if isinstance(out, np.ndarray) else False):
         out = np.asarray(out, order="C")
-    tapes = {t.tape for t in inputs if t.tape is not None}
-    if not tapes:
-        return Tensor(out)
-    if len(tapes) > 1:
-        raise TapeError(f"{op}: inputs come from different tapes")
-    tape = tapes.pop()
+    tape = None
+    for t in inputs:
+        if t.tape is not None:
+            if tape is None:
+                tape = t.tape
+            elif t.tape is not tape:
+                raise TapeError(f"{op}: inputs come from different tapes")
+    if tape is None:
+        return _wrap(out)
     ids = tuple(t.node if t.tape is tape else -1 for t in inputs)
-    nid = tape._record(op, ids, vjp, out.shape, out.dtype)
-    return Tensor(out, tape, nid)
+    return _wrap(out, tape, tape._record(op, ids, vjp, out.shape, out.dtype))
 
 
 def _unbroadcast(g, shape):
@@ -313,7 +330,7 @@ def split(a, parts, axis=0):
     """Split into ``parts`` equal segments along ``axis``; inverse of concat."""
     a = _as_tensor(a)
     n = a.shape[axis]
-    if n % parts != 0:
+    if parts < 1 or n % parts != 0:
         raise ShapeError(f"split: axis {axis} of {a.shape} not divisible into {parts} parts")
     step = n // parts
     return tuple(slice_axis(a, axis, i * step, (i + 1) * step) for i in range(parts))
@@ -431,17 +448,81 @@ def softplus(a):
     return _apply("softplus", out, (a,), vjp)
 
 
+# Numerical Recipes' erfc fit ("erfcc"), lowest order first: for z >= 0,
+# erfc(z) = t * exp(-z*z + sum_n c_n t^n), t = 1 / (1 + z/2), with fractional
+# error below 1.2e-7 everywhere.
+_ERFCC = np.array([-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+                   0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277], dtype=np.float32)
+# Elements per block of the float32 gelu: its scratch and output blocks stay in cache.
+_GELU_BLOCK = 1 << 15
+
+
+def _gelu_f32(x):
+    """float32 gelu as max(x, 0) - |x| erfc(|x|/sqrt2) / 2, from the erfcc fit.
+
+    Branch-free: both signs share the one erfc of |x|. Runs block by block on
+    three cache-sized scratch buffers with in-place SIMD ufuncs, so the output
+    is the only full-size allocation.
+    """
+    out = np.empty_like(x)
+    xf, of = x.reshape(-1), out.reshape(-1)
+    half_abs, t, e = np.empty((3, min(xf.size, _GELU_BLOCK)), dtype=np.float32)
+    rsqrt2, c = np.float32(np.sqrt(0.5)), _ERFCC
+    with np.errstate(over="ignore"):  # z*z is inf for |x| above ~3.7e19, where erfc is 0
+        for b0 in range(0, xf.size, _GELU_BLOCK):
+            xb, ob = xf[b0:b0 + _GELU_BLOCK], of[b0:b0 + _GELU_BLOCK]
+            n = len(xb)
+            hb, tb, eb = half_abs[:n], t[:n], e[:n]
+            np.abs(xb, out=hb)
+            hb *= np.float32(0.5)                    # |x|/2
+            np.multiply(hb, rsqrt2, out=tb)          # z/2 with z = |x|/sqrt2
+            tb += np.float32(1)
+            np.reciprocal(tb, out=tb)                # t = 1/(1 + z/2)
+            np.multiply(tb, c[9], out=eb)
+            for cn in c[8:0:-1]:                     # Horner from the top coefficient down
+                eb += cn
+                eb *= tb
+            eb += c[0]
+            np.multiply(hb, hb, out=ob)              # z*z = 2 (|x|/2)^2
+            eb -= ob
+            eb -= ob
+            np.exp(eb, out=eb)
+            eb *= tb                                 # erfc(z)
+            eb *= hb                                 # |x| erfc(z) / 2
+            np.maximum(xb, np.float32(0), out=ob)
+            ob -= eb
+    return out
+
+
 def gelu(a):
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact (erf-based) Gaussian error linear unit, x * Phi(x).
+
+    float64 calls scipy's ``erf``. float32 evaluates the same function through
+    a Chebyshev fit of erfc (``_gelu_f32``), in cache-sized blocks of SIMD
+    ufuncs; its error against float64 is below 1e-6 absolute. The float32
+    backward pass recomputes Phi with ``erf`` instead of keeping it.
+    """
     a = _as_tensor(a)
     ad = a.data
-    inner = _np_erf(ad / ad.dtype.type(np.sqrt(2.0)))
-    out = 0.5 * ad * (1.0 + inner)
+
+    def one_plus_erf():
+        inner = ad / ad.dtype.type(np.sqrt(2.0))
+        _np_erf(inner, out=inner)
+        inner += 1
+        return inner
+
+    if ad.dtype == np.float32:
+        out, kept = _gelu_f32(ad), None
+    else:
+        kept = one_plus_erf()
+        out = ad * kept
+        out *= 0.5
     inv_sqrt2pi = ad.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
 
     def vjp(g):
+        inner = one_plus_erf() if kept is None else kept
         pdf = np.exp(-0.5 * ad * ad) * inv_sqrt2pi
-        return (g * (0.5 * (1.0 + inner) + ad * pdf),)
+        return (g * (0.5 * inner + ad * pdf),)
 
     return _apply("gelu", out, (a,), vjp)
 
@@ -519,6 +600,19 @@ def cross_entropy_logits(logits, label):
 # convolution building blocks
 # ---------------------------------------------------------------------------
 
+def _conv_out_hw(op, shape, kernel, stride, pad):
+    """(Ho, Wo) of a kernel x kernel window moved by ``stride`` over a (C,H,W) map padded by ``pad``."""
+    if len(shape) != 3:
+        raise ShapeError(f"{op}: expects (C,H,W), got {shape}")
+    if kernel < 1 or stride < 1 or pad < 0:
+        raise ShapeError(f"{op}: needs kernel >= 1, stride >= 1 and pad >= 0, "
+                         f"got kernel {kernel}, stride {stride}, pad {pad}")
+    Hp, Wp = shape[1] + 2 * pad, shape[2] + 2 * pad
+    if Hp < kernel or Wp < kernel:
+        raise ShapeError(f"{op}: spatial dims {shape} smaller than kernel {kernel}")
+    return (Hp - kernel) // stride + 1, (Wp - kernel) // stride + 1
+
+
 def extract_patches(x, kernel, stride=1, pad=0):
     """im2col for (C,H,W): returns (C, kernel*kernel, P) patch columns.
 
@@ -527,15 +621,10 @@ def extract_patches(x, kernel, stride=1, pad=0):
     dense and depthwise convolutions can be built on top.
     """
     x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"extract_patches: expects (C,H,W), got {x.shape}")
-    C, H, W = x.shape
     k, s, p = int(kernel), int(stride), int(pad)
+    Ho, Wo = _conv_out_hw("extract_patches", x.shape, k, s, p)
+    C, H, W = x.shape
     Hp, Wp = H + 2 * p, W + 2 * p
-    if Hp < k or Wp < k:
-        raise ShapeError(f"extract_patches: spatial dims {x.shape} smaller than kernel {k}")
-    Ho = (Hp - k) // s + 1
-    Wo = (Wp - k) // s + 1
     xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
     sc, sh, sw = xp.strides
     view = as_strided(xp, shape=(C, Ho, Wo, k, k), strides=(sc, sh * s, sw * s, sh, sw))
@@ -552,12 +641,8 @@ def extract_patches(x, kernel, stride=1, pad=0):
     return _apply("extract_patches", out, (x,), vjp)
 
 
-def _conv_out_hw(shape, kernel, stride, pad):
-    _, H, W = shape
-    return (H + 2 * pad - kernel) // stride + 1, (W + 2 * pad - kernel) // stride + 1
-
-
-# Output elements per channel block of the depthwise convolution's forward pass.
+# Output-grid cells per channel block of the depthwise convolution: a block's
+# buffers stay in cache across the k*k taps.
 _DWCONV_BLOCK = 1 << 15
 
 
@@ -565,8 +650,19 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
     """Depthwise 2-d convolution of a (C,H,W) map with a (C,k,k) kernel.
 
     Channel i of the output sees only channel i. A stride must reduce both
-    spatial axes evenly. Computed as k*k shifted multiply-adds over strided
-    views of the padded input, so no patch matrix is built.
+    spatial axes evenly. The map is processed in cache-sized channel blocks,
+    each copied into a flat zero-padded buffer. Channel c of a block owns
+    ``R`` cells of a flat output grid with rows of the padded width Wp, and
+    ``stride * R`` cells of the buffer, which start with its (Hp, Wp) map.
+    Grid cell q of every channel then reads buffer cell
+    ``stride * q + i * Wp + j`` at tap (i, j), so each tap is one 1-d slice of
+    the whole block: one long multiply-add instead of one per output row.
+    Only the Ho x Wo valid cells are copied out; with a stride the grid is as
+    wide as the padded map, about ``stride`` times the kept columns. The taps
+    are summed in row-major order and the bias is added last, the arithmetic
+    of a loop over windows, in either dtype. The backward pass scatter-adds
+    each tap into a flat padded gradient the same way and re-pads ``x``
+    block by block instead of keeping a padded copy.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight, like=x)
@@ -581,39 +677,62 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
     if bias is not None and bias.shape != (C,):
         raise ShapeError(f"dwconv: bias {bias.shape} does not match input channels {x.shape}")
     k, s, p = weight.shape[1], int(stride), int(pad)
-    if H + 2 * p < k or W + 2 * p < k:
-        raise ShapeError(f"dwconv: spatial dims {x.shape} smaller than kernel {k}")
-    if s > 1 and ((H + 2 * p - k) % s or (W + 2 * p - k) % s):
+    Ho, Wo = _conv_out_hw("dwconv", x.shape, k, s, p)
+    Hp, Wp = H + 2 * p, W + 2 * p
+    if s > 1 and ((Hp - k) % s or (Wp - k) % s):
         raise ShapeError(f"dwconv: stride {s} does not evenly reduce {x.shape} with kernel {k}")
-    Ho, Wo = _conv_out_hw(x.shape, k, s, p)
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
-    wd = weight.data
-    taps = [(i, j, (slice(None), slice(i, i + (Ho - 1) * s + 1, s), slice(j, j + (Wo - 1) * s + 1, s)))
-            for i in range(k) for j in range(k)]
+    R = max(Ho * Wp, -(-Hp * Wp // s))  # grid cells per channel: the (Ho, Wp) grid, and s*R hold the map
+    taps = [(i, j, i * Wp + j) for i in range(k) for j in range(k)]
+    cb = max(1, min(C, _DWCONV_BLOCK // R))
+    size = s * cb * R + max(0, taps[-1][2] - s + 1)  # a tail so the last tap's slice fits
+    xd, wd = x.data, weight.data
 
-    out = np.empty((C, Ho, Wo), dtype=x.dtype)
-    cb = max(1, _DWCONV_BLOCK // (Ho * Wo))
-    tmp = np.empty((min(C, cb), Ho, Wo), dtype=x.dtype)
-    for c0 in range(0, C, cb):  # channel blocks small enough to stay in cache
-        blk = slice(c0, c0 + cb)
-        o, xb = out[blk], xp[blk]
-        t = tmp[:o.shape[0]]
-        for n, (i, j, win) in enumerate(taps):
-            np.multiply(xb[win], wd[blk, i, j, None, None], out=o if n == 0 else t)
-            if n:
+    def maps(flat, n):
+        """The (n, Hp, Wp) padded maps in a flat block buffer."""
+        return flat[:s * n * R].reshape(n, s * R)[:, :Hp * Wp].reshape(n, Hp, Wp)
+
+    def valid(grid, n):
+        """The (n, Ho, Wo) output cells of a flat block grid."""
+        return grid[:n * R].reshape(n, R)[:, :Ho * Wp].reshape(n, Ho, Wp)[:, :, :Wo]
+
+    def blocks():
+        """Each channel block: its slice, its size and its input in a flat zero-padded buffer."""
+        flat = np.zeros(size, dtype=xd.dtype)
+        for c0 in range(0, C, cb):
+            n = min(cb, C - c0)
+            blk = slice(c0, c0 + n)
+            maps(flat, n)[:, p:p + H, p:p + W] = xd[blk]
+            yield blk, n, flat
+
+    out = np.empty((C, Ho, Wo), dtype=xd.dtype)
+    grid, tmp = np.empty((2, cb * R), dtype=xd.dtype)
+    for blk, n, xf in blocks():
+        o, t = grid[:n * R], tmp[:n * R]
+        for m, (i, j, off) in enumerate(taps):
+            np.multiply(xf[off:off + s * n * R:s].reshape(n, R), wd[blk, i, j, None],
+                        out=(t if m else o).reshape(n, R))
+            if m:
                 o += t
-    if bias is not None:
-        out += bias.data[:, None, None]
+        if bias is None:
+            out[blk] = valid(o, n)
+        else:
+            np.add(valid(o, n), bias.data[blk, None, None], out=out[blk])
 
     def vjp(g):
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
-        gw = np.empty_like(wd)
-        buf = np.empty_like(g)
-        for i, j, win in taps:
-            np.multiply(g, wd[:, i, j, None, None], out=buf)
-            gxp[win] += buf
-            gw[:, i, j] = np.einsum("chw,chw->c", g, xp[win])
-        gx = gxp[:, p:p + H, p:p + W].copy() if p else gxp
+        gx, gw = np.empty_like(xd), np.empty_like(wd)
+        gq = np.zeros(cb * R, dtype=g.dtype)  # g on the output grid, zero on every other cell
+        gxf, tmp = np.empty(size, dtype=g.dtype), np.empty(cb * R, dtype=g.dtype)
+        for blk, n, xf in blocks():
+            valid(gq, n)[:] = g[blk]
+            gf, t = gq[:n * R].reshape(n, R), tmp[:n * R]
+            gxf.fill(0)
+            xp = maps(xf, n)
+            for i, j, off in taps:
+                np.multiply(gf, wd[blk, i, j, None], out=t.reshape(n, R))
+                gxf[off:off + s * n * R:s] += t
+                win = xp[:, i:i + (Ho - 1) * s + 1:s, j:j + (Wo - 1) * s + 1:s]
+                gw[blk, i, j] = np.einsum("chw,chw->c", g[blk], win)
+            gx[blk] = maps(gxf, n)[:, p:p + H, p:p + W]
         return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(1, 2)))
 
     return _apply("dwconv", out, inputs, vjp)
@@ -629,9 +748,9 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d: weight must be (Cout,Cin,k,k), got {weight.shape}")
     Cout, Cin, k, k2 = weight.shape
+    Ho, Wo = _conv_out_hw("conv2d", x.shape, k, int(stride), int(pad))
     if k != k2 or Cin != x.shape[0]:
         raise ShapeError(f"conv2d: weight {weight.shape} does not match input {x.shape}")
-    Ho, Wo = _conv_out_hw(x.shape, k, stride, pad)
     patches = reshape(extract_patches(x, k, stride, pad), (Cin * k * k, Ho, Wo))
     return pointwise_linear(patches, reshape(weight, (Cout, Cin * k * k)), bias)
 
@@ -639,20 +758,23 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
 def avgpool_stride(x, stride):
     """Non-overlapping average pooling; stride must divide both spatial dims."""
     x = _as_tensor(x)
-    C, H, W = x.shape
     s = int(stride)
+    Ho, Wo = _conv_out_hw("avgpool_stride", x.shape, s, s, 0)
+    C, H, W = x.shape
     if H % s or W % s:
         raise ShapeError(f"avgpool_stride: stride {s} does not divide spatial dims of {x.shape}")
     patches = extract_patches(x, s, s, 0)
-    return reshape(mean_axis(patches, axis=1), (C, H // s, W // s))
+    return reshape(mean_axis(patches, axis=1), (C, Ho, Wo))
 
 
 def gather_rows(table, index):
-    """Row lookup out[i] = table[index[i]]; index is a fixed int array."""
+    """Row lookup out[i] = table[index[i]]; index is a fixed, non-empty int array."""
     table = _as_tensor(table)
     idx = np.asarray(index, dtype=np.int64).reshape(-1)
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows: table must be 2-d, got {table.shape}")
+    if idx.size == 0:
+        raise ShapeError("gather_rows: empty index")
     if idx.min() < 0 or idx.max() >= table.shape[0]:
         raise ShapeError(f"gather_rows: index out of range for table {table.shape}")
     tshape, tdtype = table.shape, table.dtype

@@ -272,6 +272,89 @@ class TestWindowAttention:
         assert out.shape == (4, 6, 10)
 
 
+def shifted_window_attention_reference(x, p):
+    """Loop reference for shifted window attention on a map of any size.
+
+    Zero-pads to window multiples, rolls by half a window (unless the map is
+    one window), and lets each token attend only to tokens of its own window
+    with the same Swin region label, built here from the three slices per
+    axis, plus the relative position bias.
+    """
+    C, H, W = x.shape
+    ws, heads = p.window, p.heads
+    dh = C // heads
+    hp, wp = -(-H // ws) * ws, -(-W // ws) * ws
+    shift = ws // 2 if (hp > ws or wp > ws) else 0
+    xp = np.zeros((C, hp, wp))
+    xp[:, :H, :W] = x
+
+    def region(n, i):
+        return 0 if i < n - ws else 1 if i < n - shift else 2
+
+    rolled = np.roll(xp, (-shift, -shift), axis=(1, 2))
+    out = np.zeros_like(rolled)
+    for y0 in range(0, hp, ws):
+        for x0 in range(0, wp, ws):
+            cells = [(y0 + a, x0 + b) for a in range(ws) for b in range(ws)]
+            tok = np.stack([rolled[:, y, xx] for y, xx in cells])  # (T, C)
+            qkv = tok @ p.w_qkv.T + p.b_qkv
+            mixed = np.zeros_like(tok)
+            for h in range(heads):
+                q, k, v = (qkv[:, i * C + h * dh:i * C + (h + 1) * dh] for i in range(3))
+                for a, (ya, xa) in enumerate(cells):
+                    keep = [b for b, (yb, xb) in enumerate(cells) if not shift or
+                            (region(hp, ya), region(wp, xa)) == (region(hp, yb), region(wp, xb))]
+                    rel = [((ya - yb) + ws - 1) * (2 * ws - 1) + (xa - xb) + ws - 1 for yb, xb in
+                           (cells[b] for b in keep)]
+                    logits = q[a] @ k[keep].T / np.sqrt(dh) + p.bias_table[rel, h]
+                    e = np.exp(logits - logits.max())
+                    mixed[a, h * dh:(h + 1) * dh] = (e / e.sum()) @ v[keep]
+            res = mixed @ p.w_out.T + p.b_out
+            for (y, xx), r in zip(cells, res):
+                out[:, y, xx] = r
+    return np.roll(out, (shift, shift), axis=(1, 2))[:, :H, :W]
+
+
+class TestWindowAttentionProperties:
+    """Maps that are not window multiples, against loop references (float64)."""
+
+    @given(ws=st.integers(2, 4), rows=st.integers(0, 2), rem=st.integers(1, 3), W=st.integers(1, 9),
+           heads=st.integers(1, 2), dh=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_unshifted_matches_dense_attention_per_padded_window(self, ws, rows, rem, W, heads, dh, seed):
+        H = rows * ws + min(rem, ws - 1)  # H mod ws != 0
+        rng = np.random.default_rng(seed)
+        C = heads * dh
+        p = init_window_attn(Initializer(seed, dtype=np.float64), C, ws, heads, shifted=False)
+        for name in ("w_qkv", "b_qkv", "w_out", "b_out"):
+            setattr(p, name, rng.standard_normal(getattr(p, name).shape) * 0.5)
+        x = rng.standard_normal((C, H, W))
+        got = window_attention_forward(Tensor(x), bind(p)).data
+        hp, wp = -(-H // ws) * ws, -(-W // ws) * ws
+        xp = np.zeros((C, hp, wp))
+        xp[:, :H, :W] = x
+        ref = np.zeros_like(xp)
+        for y0 in range(0, hp, ws):
+            for x0 in range(0, wp, ws):
+                tok = xp[:, y0:y0 + ws, x0:x0 + ws].reshape(C, ws * ws).T
+                res = dense_attention_oracle(tok, p.w_qkv, p.b_qkv, p.w_out, p.b_out, heads)
+                ref[:, y0:y0 + ws, x0:x0 + ws] = res.T.reshape(C, ws, ws)
+        assert got.shape == x.shape
+        assert np.allclose(got, ref[:, :H, :W], atol=1e-10)
+
+    @given(ws=st.integers(2, 4), rows=st.integers(0, 2), rem=st.integers(1, 3), W=st.integers(1, 9),
+           heads=st.integers(1, 2), dh=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_shifted_matches_region_label_loop_reference(self, ws, rows, rem, W, heads, dh, seed):
+        H = rows * ws + min(rem, ws - 1)
+        rng = np.random.default_rng(seed)
+        C = heads * dh
+        p = init_window_attn(Initializer(seed, dtype=np.float64), C, ws, heads, shifted=True)
+        for name in ("w_qkv", "b_qkv", "w_out", "b_out", "bias_table"):
+            setattr(p, name, rng.standard_normal(getattr(p, name).shape) * 0.5)
+        x = rng.standard_normal((C, H, W))
+        got = window_attention_forward(Tensor(x), bind(p)).data
+        assert np.allclose(got, shifted_window_attention_reference(x, p), atol=1e-10)
+
+
 class TestVssBlock:
     def test_zero_weights_pure_residual(self):
         init = Initializer(19, dtype=np.float64)

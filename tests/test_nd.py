@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from sparx import nd
 from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add, avgpool_stride,
@@ -53,6 +53,12 @@ class TestDenseOps:
         big = Tensor(np.array([1e300]))
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
             mul(big, big)
+
+    def test_data_movement_carries_values_and_the_next_computing_op_raises(self):
+        moved = permute(reshape(Tensor(np.array([[1.0, np.inf]])), (2, 1)), (1, 0))
+        assert moved.data[0, 1] == np.inf
+        with pytest.raises(NumericError, match="scale"):
+            scale(moved, 2.0)
 
     def test_matmul_batch_mismatch(self):
         with pytest.raises(ShapeError):
@@ -101,6 +107,18 @@ class TestConvOps:
         w = rng.standard_normal((4, 3, 3))
         out = dwconv(Tensor(x), Tensor(w), pad=1)
         assert np.all(out.data[1] == 0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: avgpool_stride(Tensor(np.zeros((1, 4, 4))), 0),
+        lambda: avgpool_stride(Tensor(np.zeros((4, 4))), 2),
+        lambda: conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 4, 3, 3))), pad=1),
+        lambda: conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((2, 1, 3, 3))), stride=0),
+        lambda: split(Tensor(np.zeros((4, 2))), 0),
+        lambda: gather_rows(Tensor(np.zeros((3, 2))), np.zeros(0, dtype=np.int64)),
+    ], ids=["avgpool-stride0", "avgpool-2d", "conv2d-2d", "conv2d-stride0", "split-0", "gather-empty"])
+    def test_bad_op_arguments_raise_shape_error(self, call):
+        with pytest.raises(ShapeError):
+            call()
 
     def test_conv2d_matches_naive(self):
         rng = np.random.default_rng(3)
@@ -160,6 +178,23 @@ class TestNonlinearOps:
         assert y.dtype == np.float32
         assert np.abs(y.data - gelu(Tensor(x.astype(np.float64))).data).max() <= 1e-6
         assert peak < 3.5 * x.nbytes, peak / x.nbytes  # no float64 intermediate
+
+    def test_gelu_float32_fit_against_float64_on_a_dense_grid(self):
+        # the float32 forward is a Chebyshev erfc fit, the float64 one scipy's erf
+        x = np.concatenate([np.linspace(-12, 12, 240_001, dtype=np.float32),
+                            np.array([0.0, 1e-30, -1e-30], dtype=np.float32)])
+        x64 = x.astype(np.float64)
+        ref = 0.5 * x64 * (1 + erf(x64 / np.sqrt(2.0)))
+        got = gelu(Tensor(x)).data
+        assert got.dtype == np.float32
+        assert np.abs(got - ref).max() <= 1e-6
+        grads = []
+        for arr in (x, x64):
+            tape = Tape()
+            leaf = tape.leaf(arr)
+            grads.append(backward(tape, sum_all(gelu(leaf)))[leaf.node].data)
+        assert grads[0].dtype == np.float32
+        assert np.abs(grads[0] - grads[1]).max() <= 1e-6
 
 
 class TestBackward:
@@ -364,20 +399,37 @@ class TestScanSemantics:
 
 
 class TestKernelProperties:
-    """Random shapes against loop oracles, closed forms and finite differences (float64)."""
+    """Random shapes against loop oracles, closed forms and finite differences (in float64)."""
 
+    @settings(max_examples=60)  # stride 0 or pad -1 make about 4 draws in 10 invalid
     @example(C=3, H=7, W=9, k=3, stride=2, pad=1, seed=0)
+    @example(C=2, H=4, W=4, k=2, stride=0, pad=0, seed=0)
+    @example(C=2, H=4, W=4, k=3, stride=1, pad=-1, seed=0)
     @given(C=st.integers(1, 4), H=st.integers(1, 9), W=st.integers(1, 9), k=st.integers(1, 4),
-           stride=st.integers(1, 3), pad=st.integers(0, 2), seed=st.integers(0, 2**16))
+           stride=st.integers(0, 3), pad=st.integers(-1, 2), seed=st.integers(0, 2**16))
     def test_dwconv_matches_loop_oracle_and_finite_differences(self, C, H, W, k, stride, pad, seed):
         Hp, Wp = H + 2 * pad, W + 2 * pad
-        if Hp < k or Wp < k or (stride > 1 and ((Hp - k) % stride or (Wp - k) % stride)):
+        if (stride < 1 or pad < 0 or Hp < k or Wp < k
+                or (stride > 1 and ((Hp - k) % stride or (Wp - k) % stride))):
             with pytest.raises(ShapeError):
                 dwconv(Tensor(np.zeros((C, H, W))), Tensor(np.zeros((C, k, k))), stride=stride, pad=pad)
             return
         rng = np.random.default_rng(seed)
         x, w, b = rng.standard_normal((C, H, W)), rng.standard_normal((C, k, k)), rng.standard_normal(C)
-        got = dwconv(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
+        Ho, Wo = (Hp - k) // stride + 1, (Wp - k) // stride + 1
+        for dtype in (np.float32, np.float64):
+            xd, wd, bd = x.astype(dtype), w.astype(dtype), b.astype(dtype)
+            got = dwconv(Tensor(xd), Tensor(wd), Tensor(bd), stride=stride, pad=pad).data
+            # the same arithmetic as a loop over windows: taps summed in row-major order, then the bias
+            xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad)))
+            ref = None
+            for i in range(k):
+                for j in range(k):
+                    window = xp[:, i:i + (Ho - 1) * stride + 1:stride, j:j + (Wo - 1) * stride + 1:stride]
+                    term = window * wd[:, i, j, None, None]
+                    ref = term if ref is None else ref + term
+            assert got.dtype == dtype and np.array_equal(got, ref + bd[:, None, None])
+        # got is the float64 output from here on
         assert np.allclose(got, dwconv_oracle(x, w, b, stride, pad), atol=1e-12)
         probe = rng.standard_normal(got.shape)
         err = grad_check(lambda a, ww, bb: sum_all(mul(dwconv(a, ww, bb, stride=stride, pad=pad),
@@ -465,13 +517,16 @@ class TestKernelProperties:
         probe = Tensor(rng.standard_normal(x.shape))
         assert grad_check(lambda *ts: sum_all(mul(layernorm_channels(*ts), probe)), [x, g, b]) <= 1e-4
 
+    @settings(max_examples=60)  # stride 0 or pad -1 make about 4 draws in 10 invalid
     @example(C=2, H=5, W=6, k=3, stride=2, pad=1, seed=0)
     @example(C=1, H=1, W=2, k=4, stride=1, pad=1, seed=0)
+    @example(C=1, H=4, W=4, k=2, stride=0, pad=0, seed=0)
+    @example(C=1, H=4, W=4, k=2, stride=1, pad=-1, seed=0)
     @given(C=st.integers(1, 3), H=st.integers(1, 7), W=st.integers(1, 7), k=st.integers(1, 4),
-           stride=st.integers(1, 3), pad=st.integers(0, 2), seed=st.integers(0, 2**16))
+           stride=st.integers(0, 3), pad=st.integers(-1, 2), seed=st.integers(0, 2**16))
     def test_extract_patches_matches_loop_oracle_and_finite_differences(self, C, H, W, k, stride, pad, seed):
         Hp, Wp = H + 2 * pad, W + 2 * pad
-        if Hp < k or Wp < k:
+        if stride < 1 or pad < 0 or Hp < k or Wp < k:
             with pytest.raises(ShapeError):
                 nd.extract_patches(Tensor(np.zeros((C, H, W))), k, stride, pad)
             return
