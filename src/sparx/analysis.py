@@ -3,6 +3,7 @@ and the connectivity cost model."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,14 @@ def cka_matrix(features: list[np.ndarray]) -> np.ndarray:
     """Pairwise linear CKA over per-layer feature matrices (same n rows)."""
     if not features:
         raise AnalysisError("no feature matrices given")
-    n = np.asarray(features[0]).shape[0]
     flat = []
     for i, f in enumerate(features):
         f = np.asarray(f, dtype=np.float64)
-        f = f.reshape(f.shape[0], -1)
-        if f.shape[0] != n:
-            raise AnalysisError(f"layer {i} has {f.shape[0]} rows, expected {n}")
-        flat.append(f)
+        if f.ndim == 0:
+            raise AnalysisError(f"layer {i} is a scalar, expected (n, ...) features")
+        flat.append(f.reshape(f.shape[0], math.prod(f.shape[1:])))
+        if flat[i].shape[0] != flat[0].shape[0]:
+            raise AnalysisError(f"layer {i} has {f.shape[0]} rows, expected {flat[0].shape[0]}")
     k = len(flat)
     out = np.eye(k)
     for i in range(k):
@@ -140,17 +141,15 @@ def erf(model: ModelParams, probe_stage: int, images) -> ErfMap:
 # ---------------------------------------------------------------------------
 
 def cost_model(depth: int, stride: int, window: int, mode: str,
-               bytes_per_feature: int = 1, channels: int = 1, tokens: int = 1) -> dict:
+               bytes_per_feature: int = 1) -> dict:
     """Peak cache statistics plus aggregation-concat MACs for one stage.
 
-    ``concat_macs`` counts the mixing projection (fan-in L*C, fan-out 2C over
-    ``tokens`` positions) for every aggregating layer; with the default
-    channels/tokens of 1 it reduces to 2 * sum(L).
+    ``concat_macs`` counts the mixing projection (fan-in L*C, fan-out 2C)
+    of every aggregating layer per unit channel and token: 2 * sum(L).
     """
     plan = plan_stage(StageTopologyConfig(depth, stride, window, Mode(mode)))
     sched = cache_schedule(plan, bytes_per_feature)
-    concat_macs = sum(2 * l.y_count * channels * channels * tokens
-                      for l in plan.layers if l.role is Role.GANGLION)
+    concat_macs = sum(2 * l.y_count for l in plan.layers if l.role is Role.GANGLION)
     return {
         "peak_features": sched.peak_live_count,
         "peak_bytes": sched.peak_live_bytes,

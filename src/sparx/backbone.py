@@ -391,16 +391,18 @@ def evaluate(model: ModelParams, images, labels) -> float:
     return correct / len(labels)
 
 
+TOY_EVAL_EVERY = 25  # steps between early-stop accuracy checks in train_toy
+
+
 def train_toy(cfg: ModelConfig, dataset=None, steps: int = 500, lr: float = 0.02,
-              seed: int = 0, batch_size: int = 4, target_acc: float | None = None,
-              eval_every: int = 25) -> ToyTrainResult:
+              seed: int = 0, batch_size: int = 4, target_acc: float | None = None) -> ToyTrainResult:
     """Plain SGD on softmax cross-entropy over the synthetic set.
 
     Deterministic under ``seed`` (model init, data, and batch order all
     derive from it). ``lr`` must be finite. Aborts with the failing step
     index if the loss or an updated parameter goes non-finite. With
-    ``target_acc`` set, training stops early once the full training set
-    reaches that accuracy.
+    ``target_acc`` set, the full training set is evaluated every
+    ``TOY_EVAL_EVERY`` steps and training stops once it reaches that accuracy.
     """
     if steps < 1 or batch_size < 1:
         raise ConfigError(f"steps ({steps}) and batch size ({batch_size}) must be positive")
@@ -435,7 +437,7 @@ def train_toy(cfg: ModelConfig, dataset=None, steps: int = 500, lr: float = 0.02
             if not np.all(np.isfinite(arr)):
                 raise nd.NumericError(f"non-finite values produced by op 'sgd_update' at step {step}")
         steps_run = step + 1
-        if target_acc is not None and steps_run % eval_every == 0:
+        if target_acc is not None and steps_run % TOY_EVAL_EVERY == 0:
             if evaluate(model, images, labels) >= target_acc:
                 break
     return ToyTrainResult(losses, evaluate(model, images, labels), steps_run, model)

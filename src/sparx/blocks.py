@@ -20,7 +20,7 @@ import numpy as np
 
 from .nd import (Tensor, add, concat, crop_spatial, dwconv, exp, flip_last,
                  gather_rows, gelu, matmul, neg, pad_spatial, permute, pointwise_linear,
-                 reshape, roll2d, scale, selective_scan, slice_axis, softmax_lastdim,
+                 reshape, roll2d, scale, selective_scan, softmax_lastdim,
                  softplus, split, layernorm_channels, ShapeError)
 from .params import Initializer, stack
 
@@ -258,36 +258,33 @@ def shift_mask(hp: int, wp: int, window: int, shift: int) -> np.ndarray:
     return mask  # (num_windows, T, T)
 
 
-def window_attention_forward(x: Tensor, p: WindowAttnParams, shifted: bool | None = None) -> Tensor:
-    """Multi-head attention inside non-overlapping windows, optionally shifted.
+def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
+    """Multi-head attention inside non-overlapping windows, shifted when ``p.shifted``.
 
     The map is zero-padded to a window multiple, cyclically shifted by half a
-    window when ``shifted``, partitioned, attended (with learned relative
-    position bias and, for the shifted case, a cross-boundary mask), then
-    reassembled and cropped back.
+    window when shifted, projected to q/k/v on the map, partitioned once into
+    (window x head) batches, attended (with learned relative position bias
+    and, for the shifted case, a cross-boundary mask), reassembled once, rolled
+    back and cropped. The output projection runs on the cropped map: a
+    per-token projection commutes with the roll and the crop.
     """
     C, H, W = x.shape
     ws, heads = p.window, p.heads
     if C % heads:
         raise ShapeError(f"window attention: channels {C} not divisible by heads {heads}")
     dh = C // heads
-    shifted = p.shifted if shifted is None else shifted
     hp = (H + ws - 1) // ws * ws
     wp = (W + ws - 1) // ws * ws
     h = pad_spatial(x, (0, hp - H), (0, wp - W)) if (hp != H or wp != W) else x
-    shift = ws // 2 if (shifted and (hp > ws or wp > ws)) else 0
+    shift = ws // 2 if (p.shifted and (hp > ws or wp > ws)) else 0
     if shift:
         h = roll2d(h, -shift, -shift)
 
     nh, nw = hp // ws, wp // ws
     B, T = nh * nw, ws * ws
-    # (C,hp,wp) -> (B,T,C)
-    tok = reshape(permute(reshape(h, (C, nh, ws, nw, ws)), (1, 3, 2, 4, 0)), (B * T, C))
-    qkv = add(matmul(tok, permute(p.w_qkv, (1, 0))), p.b_qkv)
-    qkv = permute(reshape(qkv, (B, T, 3, heads, dh)), (2, 0, 3, 1, 4))  # (3,B,heads,T,dh)
-    q = reshape(slice_axis(qkv, 0, 0, 1), (B * heads, T, dh))
-    k = reshape(slice_axis(qkv, 0, 1, 2), (B * heads, T, dh))
-    v = reshape(slice_axis(qkv, 0, 2, 3), (B * heads, T, dh))
+    # (3C,hp,wp) -> (3,nh,nw,heads,ws,ws,dh) -> q, k, v of (B*heads,T,dh)
+    qkv = reshape(pointwise_linear(h, p.w_qkv, p.b_qkv), (3, heads, dh, nh, ws, nw, ws))
+    q, k, v = split(reshape(permute(qkv, (0, 3, 5, 1, 4, 6, 2)), (3 * B * heads, T, dh)), 3)
 
     attn = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     bias = gather_rows(p.bias_table, relative_index(ws).reshape(-1))   # (T*T, heads)
@@ -298,15 +295,14 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams, shifted: bool | Non
         attn = add(attn, Tensor(mask.reshape(B, 1, T, T)))
     attn = softmax_lastdim(reshape(attn, (B * heads, T, T)))
 
-    out = reshape(permute(reshape(matmul(attn, v), (B, heads, T, dh)), (0, 2, 1, 3)), (B * T, C))
-    out = add(matmul(out, permute(p.w_out, (1, 0))), p.b_out)
-    # (B,T,C) -> (C,hp,wp)
-    out = reshape(permute(reshape(out, (nh, nw, ws, ws, C)), (4, 0, 2, 1, 3)), (C, hp, wp))
+    # (B*heads,T,dh) -> (nh,nw,heads,ws,ws,dh) -> (C,hp,wp)
+    out = reshape(matmul(attn, v), (nh, nw, heads, ws, ws, dh))
+    out = reshape(permute(out, (2, 5, 0, 3, 1, 4)), (C, hp, wp))
     if shift:
         out = roll2d(out, shift, shift)
     if hp != H or wp != W:
         out = crop_spatial(out, H, W)
-    return out
+    return pointwise_linear(out, p.w_out, p.b_out)
 
 
 def mixer_forward(x: Tensor, kind: str, params) -> Tensor:

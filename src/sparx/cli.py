@@ -245,11 +245,7 @@ def cmd_cka(args) -> int:
         names = sorted(p.name for p in dump.glob("*.spxt"))
     if not names:
         raise ConfigError(f"no .spxt feature dumps found in {dump}")
-    feats = []
-    for name in names:
-        arr = read_tensor(dump / name)
-        feats.append(arr.reshape(arr.shape[0], -1))
-    matrix = cka_matrix(feats)
+    matrix = cka_matrix([read_tensor(dump / name) for name in names])
     labels = [Path(n).stem for n in names]
     cp = out / "cka.csv"
     _write(cp, cka_matrix_csv(matrix, labels))

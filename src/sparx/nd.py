@@ -401,24 +401,18 @@ def sum_all(a):
     return _apply("sum_all", np.asarray(a.data.sum(), dtype=a.dtype), (a,), vjp)
 
 
-def sum_axis(a, axis, keepdims=False):
-    a = _as_tensor(a)
-    in_shape = a.shape
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, in_shape).copy(),)
-
-    return _apply("sum_axis", a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
-
-
 def mean_axis(a, axis, keepdims=False):
     a = _as_tensor(a)
-    n = a.shape[axis]
-    if n == 0:
-        raise ShapeError(f"mean_axis: empty reduction axis {axis} of {a.shape}")
-    return scale(sum_axis(a, axis, keepdims), 1.0 / n)
+    in_shape = a.shape
+    if in_shape[axis] == 0:
+        raise ShapeError(f"mean_axis: empty reduction axis {axis} of {in_shape}")
+    inv_n = a.dtype.type(1.0 / in_shape[axis])
+
+    def vjp(g):
+        g = g * inv_n
+        return (np.broadcast_to(g if keepdims else np.expand_dims(g, axis), in_shape).copy(),)
+
+    return _apply("mean_axis", a.data.sum(axis=axis, keepdims=keepdims) * inv_n, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Layout: magic bytes ``SPXT``, one u8 dtype code (0 = float32, 1 = float64),
 one u8 rank, then rank u32 little-endian dims, then the row-major payload in
-little-endian order. Readers reject bad magic, unknown dtype codes, and
-truncated payloads.
+little-endian order. Readers reject bad magic, unknown dtype codes, shapes
+no array can have, and payloads whose length does not match the shape.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -22,7 +23,7 @@ class TensorFormatError(ValueError):
 
 
 def tensor_bytes(arr) -> bytes:
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr)  # not ascontiguousarray, which makes a 0-d array 1-d
     if arr.dtype not in _CODE_FOR:
         raise TensorFormatError(f"unsupported dtype {arr.dtype}; expected float32 or float64")
     if arr.ndim > 255:
@@ -51,12 +52,14 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
     if len(buf) < off:
         raise TensorFormatError("truncated dimension block")
     shape = struct.unpack(f"<{ndim}I", buf[6:off]) if ndim else ()
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    expected = off + count * dtype.itemsize
+    # exact integer products: a fixed-width product can wrap to a small count
+    if dtype.itemsize * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
+        raise TensorFormatError(f"shape {shape} is too large for an array")
+    expected = off + math.prod(shape) * dtype.itemsize
     if len(buf) != expected:
         raise TensorFormatError(f"payload length {len(buf) - off} does not match shape {shape}")
     arr = np.frombuffer(buf[off:], dtype=dtype).reshape(shape)
-    return np.ascontiguousarray(arr.astype(dtype.newbyteorder("=")))
+    return arr.astype(dtype.newbyteorder("="), order="C")
 
 
 def read_tensor(path) -> np.ndarray:

@@ -11,7 +11,7 @@ from sparx.blocks import (DpeParams, SsmParams, convffn_forward, dpe_forward, in
                           init_ssm, init_vss_block, init_window_attn, scan_forward, shift_mask,
                           vss_block_forward, window_attention_forward)
 from sparx.nd import ShapeError, Tensor
-from sparx.params import Initializer, bind, iter_arrays, map_arrays, stack
+from sparx.params import Initializer, astype, bind, iter_arrays, map_arrays, stack
 from sparx.verify import dense_attention_oracle, dwconv_oracle, scan_oracle
 
 
@@ -353,6 +353,22 @@ class TestWindowAttentionProperties:
         x = rng.standard_normal((C, H, W))
         got = window_attention_forward(Tensor(x), bind(p)).data
         assert np.allclose(got, shifted_window_attention_reference(x, p), atol=1e-10)
+
+    @given(ws=st.integers(2, 4), rows=st.integers(0, 2), rem=st.integers(1, 3), W=st.integers(1, 9),
+           heads=st.integers(1, 3), dh=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_shifted_float32_tracks_float64(self, ws, rows, rem, W, heads, dh, seed):
+        H = rows * ws + min(rem, ws - 1)
+        rng = np.random.default_rng(seed)
+        C = heads * dh
+        p = init_window_attn(Initializer(seed, dtype=np.float32), C, ws, heads, shifted=True)
+        for name in ("w_qkv", "b_qkv", "w_out", "b_out", "bias_table"):
+            setattr(p, name, (rng.standard_normal(getattr(p, name).shape) * 0.5).astype(np.float32))
+        x = rng.standard_normal((C, H, W)).astype(np.float32)
+        got = window_attention_forward(Tensor(x), bind(p)).data
+        p64 = astype(p, np.float64)
+        ref = window_attention_forward(Tensor(x.astype(np.float64)), bind(p64)).data
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - ref)) <= 1e-5 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestVssBlock:

@@ -160,6 +160,20 @@ class TestForwardCaptureCka:
         empty.mkdir()
         assert run(["cka", "--dump-dir", str(empty), "--out", str(tmp_path / "k")]) == 2
 
+    @pytest.mark.parametrize("blob", [
+        b"SPXT" + bytes([0, 4]) + (65536).to_bytes(4, "little") * 4,  # element count wraps to 0
+        b"SPXT" + bytes([0, 0]) + np.float32(1).tobytes(),
+        b"SPXT" + bytes([0, 2]) + (0).to_bytes(4, "little") + (3).to_bytes(4, "little"),
+    ], ids=["wrapping_count", "scalar", "no_rows"])
+    def test_cka_crafted_dump_exits_2_with_one_line(self, blob, tmp_path, capsys):
+        dump = tmp_path / "d"
+        dump.mkdir()
+        write_tensor(dump / "a.spxt", np.ones((2, 3), np.float32))
+        (dump / "b.spxt").write_bytes(blob)
+        assert run(["cka", "--dump-dir", str(dump), "--out", str(tmp_path / "k")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("manifest", [
         "{not json", "[]", '{"images": 1}', '{"layers": 5}', '{"layers": [{"stage": 1}]}',
