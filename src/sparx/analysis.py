@@ -80,8 +80,8 @@ class ErfMap:
     values: np.ndarray        # (H,W), max-normalized to 1
     argmax: tuple[int, int]
 
-    def support(self, threshold: float = 1e-6) -> np.ndarray:
-        return self.values > threshold
+    def support(self) -> np.ndarray:
+        return self.values > 1e-6  # cells above a millionth of the peak
 
     def to_pgm(self) -> str:
         """ASCII PGM rendering (P2, 255 gray levels)."""

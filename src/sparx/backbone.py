@@ -394,9 +394,9 @@ def evaluate(model: ModelParams, images, labels) -> float:
 TOY_EVAL_EVERY = 25  # steps between early-stop accuracy checks in train_toy
 
 
-def train_toy(cfg: ModelConfig, dataset=None, steps: int = 500, lr: float = 0.02,
+def train_toy(cfg: ModelConfig, steps: int = 500, lr: float = 0.02,
               seed: int = 0, batch_size: int = 4, target_acc: float | None = None) -> ToyTrainResult:
-    """Plain SGD on softmax cross-entropy over the synthetic set.
+    """Plain SGD on softmax cross-entropy over the synthetic set (``make_toy_dataset``).
 
     Deterministic under ``seed`` (model init, data, and batch order all
     derive from it). ``lr`` must be finite. Aborts with the failing step
@@ -409,9 +409,7 @@ def train_toy(cfg: ModelConfig, dataset=None, steps: int = 500, lr: float = 0.02
     if not np.isfinite(lr):
         raise ConfigError(f"learning rate must be finite, got {lr}")
     model = build(cfg, seed, dtype=np.float64)
-    if dataset is None:
-        dataset = make_toy_dataset(size=cfg.input_size, seed=seed)
-    images, labels = dataset
+    images, labels = make_toy_dataset(size=cfg.input_size, seed=seed)
     images = np.asarray(images, dtype=np.float64)
     order_rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(9001,))))

@@ -18,10 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nd import (Tensor, add, concat, crop_spatial, dwconv, exp, flip_last,
-                 gather_rows, gelu, matmul, neg, pad_spatial, permute, pointwise_linear,
-                 reshape, roll2d, scale, selective_scan, softmax_lastdim,
-                 softplus, split, layernorm_channels, ShapeError)
+from .nd import (Tensor, add, crop_spatial, dwconv, gather_rows, gelu, matmul,
+                 pad_spatial, permute, pointwise_linear, reshape, roll2d, scale,
+                 selective_scan, softmax_lastdim, softplus, split, layernorm_channels,
+                 ShapeError)
 from .params import Initializer, stack
 
 # Scan mixers by the number of directions they run, taken in the fixed order
@@ -197,40 +197,33 @@ def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     return pointwise_linear(gelu(h), p.w2, p.b2)
 
 
+@lru_cache(maxsize=32)
+def scan_orders(H: int, W: int, k: int) -> np.ndarray:
+    """The (k, H*W) token orders of the first k scan directions on an H x W map."""
+    rows, cols = np.arange(H * W), np.arange(H * W).reshape(H, W).T.reshape(-1)
+    order = np.stack([rows, rows[::-1], cols, cols[::-1]][:k])
+    order.flags.writeable = False
+    return order
+
+
 def scan_forward(x: Tensor, p: SsmParams) -> Tensor:
     """Selective scan over the first k directions of ``SCAN_DIRECTIONS``, summed.
 
     ``p`` holds k = 1 (causal scan), 2 (bidirectional scan) or 4 (2-d scan)
-    stacked directions. The row and column sequences are each flattened once
-    and shared by their two directions; the k sequences are stacked to
-    (k,C,T), so each projection runs once for all directions. All k
-    directions run as one grouped selective scan: direction i is channel
-    block i of a (kC,T) sequence and reads B and C group i. Results are
-    un-permuted back to the map and summed in the fixed order (d0+d1)+(d2+d3).
+    stacked directions. Every projection is per token, so each runs once on
+    the flattened map for all k directions, in token order; the one
+    selective scan visits the tokens in each direction's order and returns
+    the directions summed in token order.
     """
     k = p.a_log.shape[0]
     if k not in SCAN_DIRECTIONS.values():
         raise ShapeError(f"scan mixer: expected 1, 2 or 4 stacked directions, got {k}")
     C, H, W = x.shape
-    T, S = H * W, p.a_log.shape[2]
-    rows = reshape(x, (C, T))
-    seqs = [rows] if k == 1 else [rows, flip_last(rows)]
-    if k == 4:
-        cols = reshape(permute(x, (0, 2, 1)), (C, T))
-        seqs += [cols, flip_last(cols)]
-    seq = reshape(concat(seqs), (k, C, T))
+    seq = reshape(x, (1, C, H * W))
     delta = softplus(pointwise_linear(pointwise_linear(seq, p.w_dt_in, p.b_dt_in), p.w_dt_out, p.b_dt_out))
-    a = neg(exp(p.a_log))
     b, c = pointwise_linear(seq, p.w_b, p.b_b), pointwise_linear(seq, p.w_c, p.b_c)
-    y = selective_scan(reshape(seq, (k * C, T)), reshape(delta, (k * C, T)), reshape(a, (k * C, S)),
-                       b, c, reshape(p.d, (k * C,)))
-    del seqs, seq, delta, b, c  # not live through the un-permute tail, which would raise the peak
-    ys = []
-    for i, yi in enumerate(split(y, k) if k > 1 else (y,)):
-        yi = flip_last(yi) if i % 2 else yi
-        ys.append(reshape(yi, (C, H, W)) if i < 2 else permute(reshape(yi, (C, W, H)), (0, 2, 1)))
-    y = ys[0] if k == 1 else add(ys[0], ys[1])
-    return add(y, add(ys[2], ys[3])) if k == 4 else y
+    y = selective_scan(reshape(x, (C, H * W)), delta, p.a_log, b, c, p.d, scan_orders(H, W, k))
+    return reshape(y, (C, H, W))
 
 
 @lru_cache(maxsize=32)

@@ -6,20 +6,23 @@ same inputs they produce bit-identical outputs. Every op validates shapes up
 front, and every op that computes values checks its output for NaN/Inf, so
 non-finite values surface as errors at the op that produced them instead of
 propagating silently. Ops that only move values (reshape, permute, slice,
-flip, concat, pad, crop, roll) cannot produce one and are not scanned.
+concat, pad, crop, roll) cannot produce one and are not scanned.
 
 The op surface is deliberately small: exactly the primitives the backbone
 needs (matmul, 2-d or batched over a leading axis; channel projection and
 channel layernorm; channel concat/split, depthwise and dense convolution,
 pooling, softmax, a handful of pointwise nonlinearities, and an
-input-dependent selective scan). Channel ops take ``(C, *rest)`` and treat
-every trailing axis as a token axis, so a (C,H,W) map goes in and comes out
-as a map; a reshape is needed only where the token axes themselves change.
-Broadcasting is supported only where these ops require it (bias adds and
-attention-bias adds); there is no general-rank broadcasting.
+input-dependent selective scan over k token orders of one sequence).
+Channel ops take ``(C, *rest)`` and treat every trailing axis as a token
+axis, so a (C,H,W) map goes in and comes out as a map; a reshape is needed
+only where the token axes themselves change. Broadcasting is supported only
+where these ops require it (bias adds, attention-bias adds, one x shared by
+k stacked projections); there is no general-rank broadcasting.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -137,7 +140,7 @@ def _wrap(data, tape=None, node=None):
 
 # Ops that only carry input values to new positions (or add zeros); they cannot
 # make a value non-finite, so their outputs are not scanned.
-_DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "flip", "concat",
+_DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat",
                             "pad_spatial", "crop_spatial", "roll2d"})
 
 
@@ -190,11 +193,6 @@ def add(a, b):
     return _apply("add", out, (a, b), vjp)
 
 
-def neg(a):
-    a = _as_tensor(a)
-    return _apply("neg", -a.data, (a,), lambda g: (-g,))
-
-
 def mul(a, b):
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
@@ -239,8 +237,9 @@ def pointwise_linear(x, weight, bias=None):
 
     Projects x (Cin, *rest) with weight (Cout, Cin) and bias (Cout,) to
     (Cout, *rest): every axis after the channel axis is a token axis. k
-    stacked projections take x (k, Cin, *rest), weight (k, Cout, Cin) and
-    bias (k, Cout). The tokens are flattened with a view, so a call is one
+    stacked projections take weight (k, Cout, Cin), bias (k, Cout) and x
+    (k, Cin, *rest), or x (1, Cin, *rest) shared by all k (its gradient is
+    summed over them). The tokens are flattened with a view, so a call is one
     matrix product whatever the rank of ``rest``.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
@@ -248,7 +247,8 @@ def pointwise_linear(x, weight, bias=None):
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("pointwise_linear", *inputs)
     nb = weight.data.ndim - 2  # stacked projections: 0 or 1 leading axis
-    if nb not in (0, 1) or x.shape[:nb + 1] != weight.shape[:-2] + weight.shape[-1:]:
+    shared = nb == 1 and x.shape[:1] == (1,)  # one x for every stacked projection
+    if nb not in (0, 1) or x.shape[:nb + 1] != ((1,) if shared else weight.shape[:-2]) + weight.shape[-1:]:
         raise ShapeError(f"pointwise_linear: weight {weight.shape} does not project x {x.shape}")
     if bias is not None and bias.shape != weight.shape[:-1]:
         raise ShapeError(f"pointwise_linear: bias {bias.shape} does not match fan-out {weight.shape[:-1]}")
@@ -261,7 +261,8 @@ def pointwise_linear(x, weight, bias=None):
 
     def vjp(g):
         g = g.reshape(flat_shape)
-        gx, gw = (np.swapaxes(wd, -1, -2) @ g).reshape(x_shape), g @ np.swapaxes(xd, -1, -2)
+        gx = wd.reshape(-1, wd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if shared else np.swapaxes(wd, -1, -2) @ g
+        gx, gw = gx.reshape(x_shape), g @ np.swapaxes(xd, -1, -2)
         return (gx, gw) if bias is None else (gx, gw, g.sum(axis=-1))
 
     return _apply("pointwise_linear", out.reshape(weight.shape[:-1] + x_shape[nb + 1:]), inputs, vjp)
@@ -274,7 +275,7 @@ def pointwise_linear(x, weight, bias=None):
 def reshape(a, shape):
     a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if min(shape, default=0) < 0 or math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     in_shape = a.shape
     return _apply("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),))
@@ -334,12 +335,6 @@ def split(a, parts, axis=0):
         raise ShapeError(f"split: axis {axis} of {a.shape} not divisible into {parts} parts")
     step = n // parts
     return tuple(slice_axis(a, axis, i * step, (i + 1) * step) for i in range(parts))
-
-
-def flip_last(a):
-    """Reverse the last axis (sequence reversal for scans)."""
-    a = _as_tensor(a)
-    return _apply("flip", a.data[..., ::-1].copy(), (a,), lambda g: (g[..., ::-1].copy(),))
 
 
 def roll2d(a, shift_h, shift_w):
@@ -418,12 +413,6 @@ def mean_axis(a, axis, keepdims=False):
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
 # ---------------------------------------------------------------------------
-
-def exp(a):
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return _apply("exp", out, (a,), lambda g: (g * out,))
-
 
 def softplus(a):
     """log(1 + e^x), computed stably as max(x, 0) + log1p(e^-|x|)."""
@@ -786,26 +775,26 @@ def gather_rows(table, index):
 # ---------------------------------------------------------------------------
 
 # Time steps per chunk of state and decay buffers: the scan's working memory
-# is O(_SCAN_CHUNK * C * S) whatever the sequence length.
+# is O(_SCAN_CHUNK * k * C * S) whatever the sequence length.
 _SCAN_CHUNK = 128
 
 
 def _scan_states(h0, dl, dx, ad, b):
     """States h_t and decays exp(delta_t * a) of one chunk of L steps, time-major.
 
-    ``dl`` (delta) and ``dx`` (delta * x) are (L,C), ``ad`` is (C,S) and ``b``
-    is (L,G,S); ``h0`` is the (C,S) state before the chunk. Returns two
-    contiguous (L,C,S) arrays: states and decays.
+    ``dl`` (delta) and ``dx`` (delta * x) are (L,kC) for k directions, ``ad``
+    is (kC,S) and ``b`` is (L,k,S); ``h0`` is the (kC,S) state before the
+    chunk. Returns two contiguous (L,kC,S) arrays: states and decays.
     """
-    (L, C), G, S = dl.shape, b.shape[1], ad.shape[1]
-    decay = np.empty((L, C, S), dtype=dl.dtype)
+    (L, kC), k, S = dl.shape, b.shape[1], ad.shape[1]
+    decay = np.empty((L, kC, S), dtype=dl.dtype)
     hs = np.empty_like(decay)
-    hs4, dx3 = hs.reshape(L, G, C // G, S), dx.reshape(L, G, C // G)
+    hs4, dx3 = hs.reshape(L, k, kC // k, S), dx.reshape(L, k, kC // k)
     for s in range(S):  # one state at a time: long inner loops, not length-S ones
         np.multiply(dl, ad[:, s], out=decay[:, :, s])
         np.multiply(dx3, b[:, :, None, s], out=hs4[..., s])
     np.exp(decay, out=decay)
-    prev, tmp = h0, np.empty((C, S), dtype=hs.dtype)
+    prev, tmp = h0, np.empty((kC, S), dtype=hs.dtype)
     for t in range(L):
         np.multiply(decay[t], prev, out=tmp)
         prev = hs[t]
@@ -813,75 +802,89 @@ def _scan_states(h0, dl, dx, ad, b):
     return hs, decay
 
 
-def _time_major(arr):
-    """(C,L) -> contiguous (L,C); (G,S,L) -> contiguous (L,G,S)."""
-    return np.ascontiguousarray(np.moveaxis(arr, -1, 0))
+def selective_scan(x, delta, a_log, b, c, d, order):
+    """Input-dependent linear state recurrence over k token orders of one sequence, summed.
 
+    x (C,T) is shared by the k directions; row i of the fixed (k,T) int array
+    ``order`` is a permutation of the tokens, the order in which direction i
+    visits them. delta (k,C,T), a_log (k,C,S), b and c (k,S,T) and d (k,C)
+    are given in token order. With A = -exp(a_log), direction i runs over its
+    visiting steps u = order[i, t], per channel and state,
+        h_t = exp(delta_u * A) * h_{t-1} + delta_u * b_u * x_u,   h_0 = 0
+        y_u = sum_s c_u[s] * h_t[s] + d * x_u
+    so it is causal in its own order. The k outputs are summed in token order
+    as a balanced tree, (y0+y1)+(y2+y3) for k = 4. delta must be strictly
+    positive (produce it through softplus).
 
-def selective_scan(x, delta, a, b, c, d):
-    """Input-dependent linear state recurrence along the last axis.
-
-    Shapes: x, delta (C,T); a (C,S); b, c (S,T) or (G,S,T) with G dividing C;
-    d (C,). Channel block g of C/G channels reads b[g] and c[g] (grouped B/C;
-    (S,T) is G=1). Per channel and state,
-        h_t = exp(delta_t * a) * h_{t-1} + delta_t * b_t * x_t,   h_0 = 0
-        y_t = sum_s c_t[s] * h_t[s] + d * x_t
-    The recurrence is causal: y_t depends only on x_{1..t}. delta must be
-    strictly positive (produce it through softplus).
-
-    The loop runs time-major over chunks of ``_SCAN_CHUNK`` steps; no (T,C,S)
-    array is kept, only the state entering each chunk. The backward pass
-    recomputes each chunk's states and decays from that state and the inputs.
+    The loop runs time-major over chunks of ``_SCAN_CHUNK`` visiting steps; a
+    chunk gathers its inputs in visiting order and scatters its results back
+    to token order, and only the state entering each chunk is kept. The
+    backward pass recomputes each chunk's states and decays from that state.
     """
     x, delta = _as_tensor(x), _as_tensor(delta)
-    a, b, c, d = _as_tensor(a, like=x), _as_tensor(b, like=x), _as_tensor(c, like=x), _as_tensor(d, like=x)
-    _check_same_dtype("selective_scan", x, delta, a, b, c, d)
-    if x.data.ndim != 2:
-        raise ShapeError(f"selective_scan: x must be (C,T), got {x.shape}")
-    C, T = x.shape
-    S = a.shape[1] if a.data.ndim == 2 else -1
-    G = b.shape[0] if b.data.ndim == 3 else 1
-    bc_shape = (G, S, T) if b.data.ndim == 3 else (S, T)
-    if (a.shape != (C, S) or delta.shape != (C, T) or b.shape != bc_shape or c.shape != bc_shape
-            or d.shape != (C,) or G < 1 or C % G):
-        raise ShapeError(
-            f"selective_scan: inconsistent shapes x{x.shape} delta{delta.shape} a{a.shape} b{b.shape} c{c.shape} d{d.shape}")
+    a_log, b, c, d = (_as_tensor(t, like=x) for t in (a_log, b, c, d))
+    _check_same_dtype("selective_scan", x, delta, a_log, b, c, d)
+    order = np.asarray(order)
+    if x.data.ndim != 2 or order.ndim != 2 or order.dtype.kind not in "iu":
+        raise ShapeError(f"selective_scan: expects x (C,T) and an integer order (k,T), got {x.shape}, {order.shape}")
+    (C, T), k = x.shape, order.shape[0]
+    S = a_log.shape[2] if a_log.data.ndim == 3 else -1
+    if (order.shape != (k, T) or delta.shape != (k, C, T) or a_log.shape != (k, C, S)
+            or b.shape != (k, S, T) or c.shape != (k, S, T) or d.shape != (k, C)):
+        raise ShapeError(f"selective_scan: inconsistent shapes x{x.shape} delta{delta.shape} a_log{a_log.shape} "
+                         f"b{b.shape} c{c.shape} d{d.shape} order{order.shape}")
+    if not np.array_equal(np.sort(order, axis=1), np.broadcast_to(np.arange(T), order.shape)):
+        raise ShapeError("selective_scan: every row of order must be a permutation of the tokens")
     if np.any(delta.data <= 0):
         raise NumericError("selective_scan: delta must be strictly positive")
+    with np.errstate(over="ignore"):
+        neg_a = -np.exp(a_log.data)
+    if not np.isfinite(neg_a).all():
+        raise NumericError("selective_scan: exp(a_log) overflows")
 
-    xd, dl, ad, dd = x.data, delta.data, a.data, d.data
-    bg, cg = b.data.reshape(G, S, T), c.data.reshape(G, S, T)
-    Cg = C // G
+    xd, dl, bd, cd, dd = x.data, delta.data, b.data, c.data, d.data
+    ad, dk, ar = neg_a.reshape(k * C, S), dd.reshape(k * C), np.arange(k)
     chunks = [slice(t0, min(T, t0 + _SCAN_CHUNK)) for t0 in range(0, T, _SCAN_CHUNK)]
 
-    def chunk_inputs(ch):
-        dlc, xc = _time_major(dl[:, ch]), _time_major(xd[:, ch])
-        return dlc, xc, dlc * xc, _time_major(bg[..., ch]), _time_major(cg[..., ch])
+    def visit(arr, idx):
+        """The chunk of (k,R,T) ``arr`` as a contiguous (L,k,R) array in visiting order."""
+        return np.moveaxis(arr, 2, 0)[idx.T, ar]
 
-    y = dd[:, None] * xd
-    starts, h = [], np.zeros((C, S), dtype=xd.dtype)  # state entering each chunk, kept for backward
+    def scatter(dst, vals, idx):
+        """Write a chunk's (L,k,R) values in visiting order to their tokens in (k,R,T) ``dst``."""
+        np.moveaxis(dst, 2, 0)[idx.T, ar] = vals
+
+    def chunk_inputs(idx):
+        L = idx.shape[1]
+        dlc, xc = visit(dl, idx).reshape(L, k * C), xd.T[idx.T].reshape(L, k * C)
+        return dlc, xc, dlc * xc, visit(bd, idx), visit(cd, idx)
+
+    ys = np.empty((k, C, T), dtype=xd.dtype)  # the k outputs in token order
+    starts, h = [], np.zeros((k * C, S), dtype=xd.dtype)  # state entering each chunk, kept for backward
     for ch in chunks:
         starts.append(h)
-        dlc, _, dxc, bc, cc = chunk_inputs(ch)
+        idx = order[:, ch]
+        dlc, xc, dxc, bc, cc = chunk_inputs(idx)
         hs, _ = _scan_states(h, dlc, dxc, ad, bc)
-        L = len(dlc)
-        y[:, ch] += np.matmul(hs.reshape(L, G, Cg, S), cc[..., None]).reshape(L, C).T
+        yc = np.matmul(hs.reshape(len(dlc), k, C, S), cc[..., None]).reshape(dxc.shape)
+        scatter(ys, (dk * xc + yc).reshape(-1, k, C), idx)
         h = hs[-1].copy()
 
     def vjp(g):
-        gx, gdelta = g * dd[:, None], np.empty_like(dl)
-        gb, gc = np.empty_like(bg), np.empty_like(cg)
+        gx = g * dd.sum(axis=0)[:, None]
+        gdelta, gb, gc = np.empty_like(dl), np.empty_like(bd), np.empty_like(cd)
         ga = np.zeros_like(ad)
-        tmp = np.empty((C, S), dtype=xd.dtype)
-        carry = np.zeros((C, S), dtype=xd.dtype)  # decay_{t+1} * dL/dh_{t+1} from the later chunk
+        tmp = np.empty((k * C, S), dtype=xd.dtype)
+        carry = np.zeros((k * C, S), dtype=xd.dtype)  # decay_{t+1} * dL/dh_{t+1} from the later chunk
         for ch, h0 in zip(reversed(chunks), reversed(starts)):
-            dlc, xc, dxc, bc, cc = chunk_inputs(ch)
+            idx = order[:, ch]
+            dlc, xc, dxc, bc, cc = chunk_inputs(idx)
             L = len(dlc)
             hs, decay = _scan_states(h0, dlc, dxc, ad, bc)
-            gl = _time_major(g[:, ch]).reshape(L, G, 1, Cg)
-            gc[..., ch] = np.matmul(gl, hs.reshape(L, G, Cg, S)).reshape(L, G, S).transpose(1, 2, 0)
+            gl = g.T[idx.T].reshape(L, k, 1, C)
+            scatter(gc, np.matmul(gl, hs.reshape(L, k, C, S))[:, :, 0], idx)
             # dL/dh_t = g_t c_t + decay_{t+1} dL/dh_{t+1}, run backwards in time
-            gh = np.multiply(gl.reshape(L, G, Cg, 1), cc[:, :, None, :]).reshape(L, C, S)
+            gh = np.multiply(gl.reshape(L, k, C, 1), cc[:, :, None, :]).reshape(L, k * C, S)
             gh[-1] += carry
             for t in range(L - 2, -1, -1):
                 np.multiply(decay[t + 1], gh[t + 1], out=tmp)
@@ -892,14 +895,17 @@ def selective_scan(x, delta, a, b, c, d):
             decay[0] *= h0
             decay *= gh
             ga += np.einsum("tcs,tc->cs", decay, dlc)
-            gbs = np.matmul(gh.reshape(L, G, Cg, S), bc[..., None]).reshape(L, C)
-            gdelta[:, ch] = (np.einsum("tcs,cs->tc", decay, ad) + gbs * xc).T
-            gx[:, ch] += (gbs * dlc).T
-            gb_t = np.matmul(dxc.reshape(L, G, 1, Cg), gh.reshape(L, G, Cg, S))
-            gb[..., ch] = gb_t.reshape(L, G, S).transpose(1, 2, 0)
-        return gx, gdelta, ga, gb.reshape(b.shape), gc.reshape(c.shape), (g * xd).sum(axis=1)
+            gbs = np.matmul(gh.reshape(L, k, C, S), bc[..., None]).reshape(L, k * C)
+            scatter(gdelta, (np.einsum("tcs,cs->tc", decay, ad) + gbs * xc).reshape(L, k, C), idx)
+            for j, gxi in zip(idx, (gbs * dlc).reshape(L, k, C).transpose(1, 2, 0)):
+                gx[:, j] += gxi  # the directions share x: one add each
+            scatter(gb, np.matmul(dxc.reshape(L, k, 1, C), gh.reshape(L, k, C, S))[:, :, 0], idx)
+        gd = np.tile((g * xd).sum(axis=1), (k, 1))  # d_i multiplies the same x in every direction
+        return gx, gdelta, ga.reshape(k, C, S) * neg_a, gb, gc, gd
 
-    return _apply("selective_scan", y, (x, delta, a, b, c, d), vjp)
+    while len(ys) > 1:  # a balanced tree: (y0+y1)+(y2+y3) for k = 4
+        ys = [ys[i] + ys[i + 1] if i + 1 < len(ys) else ys[i] for i in range(0, len(ys), 2)]
+    return _apply("selective_scan", ys[0], (x, delta, a_log, b, c, d), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,9 @@ class Initializer:
         self._counter += 1
         return np.random.Generator(np.random.Philox(ss))
 
-    def trunc_normal(self, shape, std=0.02):
-        """Normal(0, std) truncated to two standard deviations by resampling."""
-        rng = self._rng()
+    def trunc_normal(self, shape):
+        """Normal(0, 0.02) truncated to two standard deviations by resampling."""
+        rng, std = self._rng(), 0.02
         out = rng.standard_normal(shape) * std
         lim = 2.0 * std
         bad = np.abs(out) > lim

@@ -144,15 +144,13 @@ def dwconv_oracle(x, w, b=None, stride=1, pad=1):
 
 
 def scan_oracle(x, delta, a, b, c, d):
-    """Per-step loop selective scan; b, c are (S,T) or grouped (G,S,T)."""
+    """Per-step loop selective scan of one direction: x, delta (C,T); a (C,S); b, c (S,T); d (C,)."""
     C, T = x.shape
-    b, c = np.asarray(b).reshape(-1, *np.shape(b)[-2:]), np.asarray(c).reshape(-1, *np.shape(c)[-2:])
-    group = np.arange(C) // (C // b.shape[0])
     h = np.zeros(a.shape)
     y = np.zeros((C, T))
     for t in range(T):
-        h = np.exp(delta[:, t, None] * a) * h + (delta[:, t] * x[:, t])[:, None] * b[group, :, t]
-        y[:, t] = (h * c[group, :, t]).sum(axis=1) + d * x[:, t]
+        h = np.exp(delta[:, t, None] * a) * h + (delta[:, t] * x[:, t])[:, None] * b[:, t]
+        y[:, t] = (h * c[:, t]).sum(axis=1) + d * x[:, t]
     return y
 
 
@@ -356,14 +354,11 @@ def check_scan_causality(faults):
 
 
 def check_scan_recurrence(faults):
-    # constant delta=1, a=-1, b=1, c=1, d=0, x=[1,0,0] -> y = [1, e^-1, e^-2]
-    x = np.array([[1.0, 0.0, 0.0]])
-    delta = np.ones((1, 3))
-    a = np.array([[-1.0]])
-    b = np.ones((1, 3))
-    c = np.ones((1, 3))
-    d = np.zeros(1)
-    y = nd.selective_scan(Tensor(x), Tensor(delta), Tensor(a), Tensor(b), Tensor(c), Tensor(d)).data
+    # one direction in token order, constant delta=1, A=-exp(0)=-1, b=1, c=1, d=0,
+    # x=[1,0,0] -> y = [1, e^-1, e^-2]
+    ones = Tensor(np.ones((1, 1, 3)))
+    y = nd.selective_scan(Tensor([[1.0, 0.0, 0.0]]), ones, Tensor(np.zeros((1, 1, 1))), ones, ones,
+                          Tensor(np.zeros((1, 1))), np.arange(3)[None]).data
     ref = np.array([1.0, np.exp(-1.0), np.exp(-2.0)])
     err = float(np.abs(y[0] - ref).max())
     return _result("scan_hand_recurrence", err <= 1e-4, f"{err:.2e}", "1e-4")

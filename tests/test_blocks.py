@@ -78,13 +78,6 @@ class TestSelectiveScan:
         out = scan_forward(Tensor(x[:, None]), bind(stack([p])))
         assert np.allclose(out.data[:, 0], p.d[:, None] * x, atol=1e-12)
 
-    def test_hand_unrolled_recurrence(self):
-        x = np.array([[1.0, 0.0, 0.0]])
-        y = nd.selective_scan(Tensor(x), Tensor(np.ones((1, 3))), Tensor([[-1.0]]),
-                              Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))),
-                              Tensor(np.zeros(1))).data
-        assert np.allclose(y[0], [1.0, np.exp(-1), np.exp(-2)], atol=1e-4)
-
     def test_matches_reference_loop(self):
         init = Initializer(4, dtype=np.float64)
         p = init_ssm(init, 3, 2)
