@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparx import nd
 from sparx.blocks import (DpeParams, SsmParams, convffn_forward, dpe_forward, init_convffn,
-                          init_ssm, init_vss_block, init_window_attn, scan_forward, shift_mask,
+                          init_ssm, init_vss_block, init_window_attn, scan_forward, scan_orders, shift_mask,
                           vss_block_forward, window_attention_forward)
 from sparx.nd import ShapeError, Tensor
 from sparx.params import Initializer, astype, bind, iter_arrays, map_arrays, stack
@@ -78,6 +78,14 @@ class TestSelectiveScan:
         out = scan_forward(Tensor(x[:, None]), bind(stack([p])))
         assert np.allclose(out.data[:, 0], p.d[:, None] * x, atol=1e-12)
 
+    def test_hand_unrolled_recurrence(self):
+        # A = -exp(0) = -1, delta = b = c = 1, d = 0: an impulse decays as exp(-t)
+        x = np.array([[1.0, 0.0, 0.0]])
+        y = nd.selective_scan(Tensor(x), Tensor(np.ones((1, 1, 3))), Tensor(np.zeros((1, 1, 1))),
+                              Tensor(np.ones((1, 1, 3))), Tensor(np.ones((1, 1, 3))),
+                              Tensor(np.zeros((1, 1))), np.arange(3)[None]).data
+        assert np.allclose(y[0], [1.0, np.exp(-1), np.exp(-2)], atol=1e-4)
+
     def test_matches_reference_loop(self):
         init = Initializer(4, dtype=np.float64)
         p = init_ssm(init, 3, 2)
@@ -100,6 +108,16 @@ class TestSelectiveScan:
 
 
 class TestSs2d:
+    def test_scan_orders_are_rows_then_columns_forward_and_reversed(self):
+        H, W = 3, 4
+        grid = np.arange(H * W).reshape(H, W)
+        order = scan_orders(H, W, 4)
+        assert np.array_equal(order, [grid.reshape(-1), grid.reshape(-1)[::-1],
+                                      grid.T.reshape(-1), grid.T.reshape(-1)[::-1]])
+        assert not order.flags.writeable
+        for k in (1, 2):
+            assert np.array_equal(scan_orders(H, W, k), order[:k])
+
     def test_single_token_is_sum_of_four_scans(self):
         init = Initializer(6, dtype=np.float64)
         ps = [init_ssm(init, 3, 2) for _ in range(4)]

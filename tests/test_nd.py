@@ -305,6 +305,23 @@ class TestGradCheck:
 
         assert grad_check(f, [table]) <= 1e-6
 
+    def test_selective_scan_against_finite_differences(self):
+        rng = np.random.default_rng(7)
+        k, C, T, S = 2, 2, 4, 2
+        order = np.stack([np.arange(T), np.arange(T)[::-1]])
+        for trial in range(5):
+            x = rng.standard_normal((C, T))
+            dl = rng.standard_normal((k, C, T))
+            a_log = rng.standard_normal((k, C, S))
+            b = rng.standard_normal((k, S, T))
+            c = rng.standard_normal((k, S, T))
+            d = rng.standard_normal((k, C))
+
+            def f(tx, tdl, ta, tb, tc, td):
+                return sum_all(selective_scan(tx, softplus(tdl), ta, tb, tc, td, order))
+
+            assert grad_check(f, [x, dl, a_log, b, c, d]) <= 1e-4
+
 
 def _op_cases():
     """One scalar-valued probe per differentiable primitive."""
@@ -359,6 +376,46 @@ class TestEveryOpGradient:
                 arrays[1] = arrays[1] + 1.5  # keep the affine gain away from zero
             err = grad_check(fn, arrays)
             assert err <= 1e-4, f"{name} trial {trial}: {err}"
+
+
+class TestScanSemantics:
+    @staticmethod
+    def _args(rng, k, C, S, T):
+        return [Tensor(np.full((k, C, T), 0.7)), Tensor(rng.standard_normal((k, C, S))),
+                Tensor(rng.standard_normal((k, S, T))), Tensor(rng.standard_normal((k, S, T))),
+                Tensor(rng.standard_normal((k, C)))]
+
+    def test_causality_bitwise(self):
+        # one direction in a shuffled order: changing its last-visited token leaves the others bitwise
+        rng = np.random.default_rng(10)
+        C, T, S = 3, 6, 2
+        order = rng.permutation(T)[None]
+        args = self._args(rng, 1, C, S, T)
+        x = rng.standard_normal((C, T))
+        y1 = selective_scan(Tensor(x), *args, order).data
+        x2 = x.copy()
+        x2[:, order[0, -1]] = 99.0
+        y2 = selective_scan(Tensor(x2), *args, order).data
+        rest = order[0, :-1]
+        assert np.array_equal(y1[:, rest], y2[:, rest])
+
+    def test_reversed_order_is_the_forward_scan_of_the_flipped_sequence(self):
+        rng = np.random.default_rng(11)
+        C, T, S = 2, 2 * nd._SCAN_CHUNK + 5, 3
+        x = rng.standard_normal((C, T))
+        args = self._args(rng, 1, C, S, T)
+        backward = selective_scan(Tensor(x), *args, np.arange(T)[None, ::-1]).data
+        flipped = [args[0].data[..., ::-1], args[1].data, args[2].data[..., ::-1], args[3].data[..., ::-1],
+                   args[4].data]
+        forward = selective_scan(Tensor(x[:, ::-1].copy()), *(Tensor(v.copy()) for v in flipped),
+                                 np.arange(T)[None]).data
+        assert np.allclose(backward, forward[:, ::-1], rtol=0, atol=1e-12)
+
+    def test_nonpositive_delta_rejected(self):
+        with pytest.raises(NumericError, match="delta"):
+            selective_scan(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 1, 2))),
+                           Tensor(np.zeros((1, 1, 1))), Tensor(np.ones((1, 1, 2))),
+                           Tensor(np.ones((1, 1, 2))), Tensor(np.ones((1, 1))), np.arange(2)[None])
 
 
 class TestKernelProperties:
