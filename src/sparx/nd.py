@@ -782,20 +782,16 @@ _SCAN_CHUNK = 128
 def _scan_states(h0, dl, dx, ad, b):
     """States h_t and decays exp(delta_t * a) of one chunk of L steps, time-major.
 
-    ``dl`` (delta) and ``dx`` (delta * x) are (L,kC) for k directions, ``ad``
-    is (kC,S) and ``b`` is (L,k,S); ``h0`` is the (kC,S) state before the
-    chunk. Returns two contiguous (L,kC,S) arrays: states and decays.
+    ``dl`` (delta) and ``dx`` (delta * x) are (L,k,C) for k directions, ``ad``
+    is (k,S,C) and ``b`` is (L,k,S); ``h0`` is the (k,S,C) state before the
+    chunk. Returns two contiguous (L,k,S,C) arrays, states and decays, so
+    every bulk multiply runs along contiguous rows of C.
     """
-    (L, kC), k, S = dl.shape, b.shape[1], ad.shape[1]
-    decay = np.empty((L, kC, S), dtype=dl.dtype)
-    hs = np.empty_like(decay)
-    hs4, dx3 = hs.reshape(L, k, kC // k, S), dx.reshape(L, k, kC // k)
-    for s in range(S):  # one state at a time: long inner loops, not length-S ones
-        np.multiply(dl, ad[:, s], out=decay[:, :, s])
-        np.multiply(dx3, b[:, :, None, s], out=hs4[..., s])
+    decay = dl[:, :, None, :] * ad
     np.exp(decay, out=decay)
-    prev, tmp = h0, np.empty((kC, S), dtype=hs.dtype)
-    for t in range(L):
+    hs = np.einsum("tkc,tks->tksc", dx, b)  # one multiply per element, like a broadcast `*`, but faster
+    prev, tmp = h0, np.empty_like(h0)
+    for t in range(len(hs)):
         np.multiply(decay[t], prev, out=tmp)
         prev = hs[t]
         np.add(prev, tmp, out=prev)
@@ -817,9 +813,11 @@ def selective_scan(x, delta, a_log, b, c, d, order):
     positive (produce it through softplus).
 
     The loop runs time-major over chunks of ``_SCAN_CHUNK`` visiting steps; a
-    chunk gathers its inputs in visiting order and scatters its results back
-    to token order, and only the state entering each chunk is kept. The
-    backward pass recomputes each chunk's states and decays from that state.
+    chunk gathers its inputs in visiting order as (L,k,C) and (L,k,S) rows,
+    keeps its states and decays as (L,k,S,C), and scatters its outputs as
+    C-rows into a time-first (T,k,C) buffer. Only the (k,S,C) state entering
+    each chunk is kept; the backward pass recomputes each chunk's states and
+    decays from that state.
     """
     x, delta = _as_tensor(x), _as_tensor(delta)
     a_log, b, c, d = (_as_tensor(t, like=x) for t in (a_log, b, c, d))
@@ -843,50 +841,45 @@ def selective_scan(x, delta, a_log, b, c, d, order):
         raise NumericError("selective_scan: exp(a_log) overflows")
 
     xd, dl, bd, cd, dd = x.data, delta.data, b.data, c.data, d.data
-    ad, dk, ar = neg_a.reshape(k * C, S), dd.reshape(k * C), np.arange(k)
+    ad, ar = neg_a.transpose(0, 2, 1).copy(), np.arange(k)  # A as (k,S,C)
     chunks = [slice(t0, min(T, t0 + _SCAN_CHUNK)) for t0 in range(0, T, _SCAN_CHUNK)]
 
-    def visit(arr, idx):
-        """The chunk of (k,R,T) ``arr`` as a contiguous (L,k,R) array in visiting order."""
-        return np.moveaxis(arr, 2, 0)[idx.T, ar]
-
-    def scatter(dst, vals, idx):
-        """Write a chunk's (L,k,R) values in visiting order to their tokens in (k,R,T) ``dst``."""
-        np.moveaxis(dst, 2, 0)[idx.T, ar] = vals
+    def time_first(arr):
+        """A (k,R,T) array viewed as (T,k,R): row [u, i] is token u of direction i."""
+        return np.moveaxis(arr, 2, 0)
 
     def chunk_inputs(idx):
-        L = idx.shape[1]
-        dlc, xc = visit(dl, idx).reshape(L, k * C), xd.T[idx.T].reshape(L, k * C)
-        return dlc, xc, dlc * xc, visit(bd, idx), visit(cd, idx)
+        """A chunk's delta and x (L,k,C), delta * x, and B and C (L,k,S), in visiting order."""
+        dlc, xc = time_first(dl)[idx.T, ar], xd.T[idx.T]
+        return dlc, xc, dlc * xc, time_first(bd)[idx.T, ar], time_first(cd)[idx.T, ar]
 
-    ys = np.empty((k, C, T), dtype=xd.dtype)  # the k outputs in token order
-    starts, h = [], np.zeros((k * C, S), dtype=xd.dtype)  # state entering each chunk, kept for backward
+    ys = np.empty((T, k, C), dtype=xd.dtype)  # the k outputs in token order, time-first
+    starts, h = [], np.zeros((k, S, C), dtype=xd.dtype)  # state entering each chunk, kept for backward
     for ch in chunks:
         starts.append(h)
         idx = order[:, ch]
         dlc, xc, dxc, bc, cc = chunk_inputs(idx)
-        hs, _ = _scan_states(h, dlc, dxc, ad, bc)
-        yc = np.matmul(hs.reshape(len(dlc), k, C, S), cc[..., None]).reshape(dxc.shape)
-        scatter(ys, (dk * xc + yc).reshape(-1, k, C), idx)
+        hs = _scan_states(h, dlc, dxc, ad, bc)[0]
+        ys[idx.T, ar] = dd * xc + np.einsum("tksc,tks->tkc", hs, cc)
         h = hs[-1].copy()
+    del hs  # free the last chunk's states before the output sum, where the peak is
 
     def vjp(g):
-        gx = g * dd.sum(axis=0)[:, None]
+        gx = np.multiply(g.T, dd.sum(axis=0), out=np.empty((T, C), dtype=g.dtype))  # time-first
         gdelta, gb, gc = np.empty_like(dl), np.empty_like(bd), np.empty_like(cd)
         ga = np.zeros_like(ad)
-        tmp = np.empty((k * C, S), dtype=xd.dtype)
-        carry = np.zeros((k * C, S), dtype=xd.dtype)  # decay_{t+1} * dL/dh_{t+1} from the later chunk
+        tmp = np.empty((k, S, C), dtype=xd.dtype)
+        carry = np.zeros((k, S, C), dtype=xd.dtype)  # decay_{t+1} * dL/dh_{t+1} from the later chunk
         for ch, h0 in zip(reversed(chunks), reversed(starts)):
             idx = order[:, ch]
             dlc, xc, dxc, bc, cc = chunk_inputs(idx)
-            L = len(dlc)
             hs, decay = _scan_states(h0, dlc, dxc, ad, bc)
-            gl = g.T[idx.T].reshape(L, k, 1, C)
-            scatter(gc, np.matmul(gl, hs.reshape(L, k, C, S))[:, :, 0], idx)
+            gl = g.T[idx.T]
+            time_first(gc)[idx.T, ar] = np.einsum("tksc,tkc->tks", hs, gl)
             # dL/dh_t = g_t c_t + decay_{t+1} dL/dh_{t+1}, run backwards in time
-            gh = np.multiply(gl.reshape(L, k, C, 1), cc[:, :, None, :]).reshape(L, k * C, S)
+            gh = np.einsum("tkc,tks->tksc", gl, cc)
             gh[-1] += carry
-            for t in range(L - 2, -1, -1):
+            for t in range(len(gh) - 2, -1, -1):
                 np.multiply(decay[t + 1], gh[t + 1], out=tmp)
                 np.add(gh[t], tmp, out=gh[t])
             carry = decay[0] * gh[0]
@@ -894,18 +887,19 @@ def selective_scan(x, delta, a_log, b, c, d, order):
             decay[1:] *= hs[:-1]
             decay[0] *= h0
             decay *= gh
-            ga += np.einsum("tcs,tc->cs", decay, dlc)
-            gbs = np.matmul(gh.reshape(L, k, C, S), bc[..., None]).reshape(L, k * C)
-            scatter(gdelta, (np.einsum("tcs,cs->tc", decay, ad) + gbs * xc).reshape(L, k, C), idx)
-            for j, gxi in zip(idx, (gbs * dlc).reshape(L, k, C).transpose(1, 2, 0)):
-                gx[:, j] += gxi  # the directions share x: one add each
-            scatter(gb, np.matmul(dxc.reshape(L, k, 1, C), gh.reshape(L, k, C, S))[:, :, 0], idx)
+            ga += np.einsum("tksc,tkc->ksc", decay, dlc)
+            gbs = np.einsum("tksc,tks->tkc", gh, bc)
+            time_first(gdelta)[idx.T, ar] = np.einsum("tksc,ksc->tkc", decay, ad) + gbs * xc
+            for j, gxi in zip(idx, np.moveaxis(gbs * dlc, 1, 0)):
+                gx[j] += gxi  # the directions share x: one add each
+            time_first(gb)[idx.T, ar] = np.einsum("tksc,tkc->tks", gh, dxc)
         gd = np.tile((g * xd).sum(axis=1), (k, 1))  # d_i multiplies the same x in every direction
-        return gx, gdelta, ga.reshape(k, C, S) * neg_a, gb, gc, gd
+        return gx.T, gdelta, ga.transpose(0, 2, 1) * neg_a, gb, gc, gd
 
-    while len(ys) > 1:  # a balanced tree: (y0+y1)+(y2+y3) for k = 4
-        ys = [ys[i] + ys[i + 1] if i + 1 < len(ys) else ys[i] for i in range(0, len(ys), 2)]
-    return _apply("selective_scan", ys[0], (x, delta, a_log, b, c, d), vjp)
+    parts = [ys[:, i] for i in range(k)]
+    while len(parts) > 1:  # a balanced tree: (y0+y1)+(y2+y3) for k = 4
+        parts = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
+    return _apply("selective_scan", parts[0].T, (x, delta, a_log, b, c, d), vjp)
 
 
 # ---------------------------------------------------------------------------

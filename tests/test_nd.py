@@ -411,6 +411,58 @@ class TestScanSemantics:
                                  np.arange(T)[None]).data
         assert np.allclose(backward, forward[:, ::-1], rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _random_scan(rng, k, C, S, T, dtype=np.float64):
+        """Scan inputs (delta already positive) and k random token orders."""
+        arrays = [rng.standard_normal((C, T)), np.logaddexp(0, rng.standard_normal((k, C, T))),
+                  rng.standard_normal((k, C, S)), rng.standard_normal((k, S, T)),
+                  rng.standard_normal((k, S, T)), rng.standard_normal((k, C))]
+        return [a.astype(dtype) for a in arrays], np.stack([rng.permutation(T) for _ in range(k)])
+
+    @staticmethod
+    def _output_and_grads(arrays, order, probe):
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        y = selective_scan(*leaves, order)
+        grads = backward(tape, sum_all(mul(y, Tensor(probe))))
+        return [y.data] + [grads[t.node].data for t in leaves]
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_chunk_length_does_not_change_outputs_or_gradients(self, k, monkeypatch):
+        # chunks of 1 and 7 steps carry the state across every step and end on a partial chunk
+        rng = np.random.default_rng(20 + k)
+        C, S, T = 3, 2, 259
+        arrays, order = self._random_scan(rng, k, C, S, T)
+        probe = rng.standard_normal((C, T))
+        ref = self._output_and_grads(arrays, order, probe)
+        for chunk in (1, 7):
+            monkeypatch.setattr(nd, "_SCAN_CHUNK", chunk)
+            got = self._output_and_grads(arrays, order, probe)
+            for name, r, v in zip(("y", "x", "delta", "a_log", "b", "c", "d"), ref, got):
+                assert np.abs(v - r).max() <= 1e-13 * max(1.0, np.abs(r).max()), (chunk, name)
+
+    def test_kernel_never_writes_its_inputs(self):
+        rng = np.random.default_rng(12)
+        C, S, T = 3, 2, nd._SCAN_CHUNK + 9
+        arrays, order = self._random_scan(rng, 4, C, S, T)
+        before = [a.copy() for a in arrays] + [order.copy()]
+        self._output_and_grads(arrays, order, rng.standard_normal((C, T)))
+        for name, b, a in zip(("x", "delta", "a_log", "b", "c", "d", "order"), before, arrays + [order]):
+            assert np.array_equal(a, b), name
+
+    def test_working_memory_stays_within_twice_delta_at_stage_one(self):
+        # a tiny@224 stage-1 call: a full-size reordered copy of delta or x would pass 2x delta
+        C, H, k, S = 96, 56, 4, 4
+        arrays, order = self._random_scan(np.random.default_rng(13), k, C, S, H * H, np.float32)
+        ts = [Tensor(a) for a in arrays]
+        tracemalloc.start()
+        try:
+            selective_scan(*ts, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * arrays[1].nbytes, peak / arrays[1].nbytes
+
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(NumericError, match="delta"):
             selective_scan(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 1, 2))),
