@@ -1,5 +1,4 @@
-"""Representation and cost analyses: linear CKA, effective receptive fields,
-and the connectivity cost model."""
+"""Representation analyses: linear CKA and effective receptive fields."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import numpy as np
 from .backbone import ModelParams, forward_bound
 from .nd import Tape, backward, slice_axis, sum_all
 from .params import astype
-from .topology import Mode, Role, StageTopologyConfig, cache_schedule, plan_stage
 
 
 class AnalysisError(ValueError):
@@ -134,24 +132,3 @@ def erf(model: ModelParams, probe_stage: int, images) -> ErfMap:
         return feat
 
     return erf_map(fn, images)
-
-
-# ---------------------------------------------------------------------------
-# connectivity cost model
-# ---------------------------------------------------------------------------
-
-def cost_model(depth: int, stride: int, window: int, mode: str,
-               bytes_per_feature: int = 1) -> dict:
-    """Peak cache statistics plus aggregation-concat MACs for one stage.
-
-    ``concat_macs`` counts the mixing projection (fan-in L*C, fan-out 2C)
-    of every aggregating layer per unit channel and token: 2 * sum(L).
-    """
-    plan = plan_stage(StageTopologyConfig(depth, stride, window, Mode(mode)))
-    sched = cache_schedule(plan, bytes_per_feature)
-    concat_macs = sum(2 * l.y_count for l in plan.layers if l.role is Role.GANGLION)
-    return {
-        "peak_features": sched.peak_live_count,
-        "peak_bytes": sched.peak_live_bytes,
-        "concat_macs": concat_macs,
-    }

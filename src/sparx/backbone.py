@@ -5,8 +5,8 @@ planned chain of normal layers (position encoding -> token-mixer block) and
 ganglion layers (position encoding -> multi-layer aggregation -> fuse ->
 token-mixer block). The first ganglion layer of stages 2..4 additionally
 consumes a downsampled, re-projected copy of the previous stage's final
-feature. A feature cache holds exactly the earlier outputs the schedule says
-are still needed, evicting eagerly.
+feature. The feature cache is driven by the stage's cache schedule: every
+layer output is stored and dropped after the step whose evictions name it.
 
 Also here: analytic MAC counting, the cache-driven memory model, and a small
 synthetic training loop demonstrating end-to-end differentiability.
@@ -24,10 +24,9 @@ from .nd import (Tape, Tensor, add, avgpool_stride, backward, conv2d, cross_entr
 from .blocks import (VssBlockParams, DpeParams, dpe_forward, init_dpe, init_vss_block,
                      mixer_macs, vss_block_forward)
 from .config import ConfigError, ModelConfig
-from .dmca import DmcaParams, dmca_forward, init_dmca
+from .dmca import DmcaParams, dmca_forward, dmca_macs, init_dmca
 from .params import Initializer, bind, pair_leaves
-from .topology import (CROSS_STAGE_SLOT, CacheSchedule, ConnectionPlan, Role,
-                       cache_schedule, plan_model)
+from .topology import CROSS_STAGE_SLOT, ConnectionPlan, Role, cache_schedule, plan_model
 
 # Spatial-reducer strides per stage, chosen so reduced token counts match the
 # final stage's token count (stage 4 tokens = stage_i tokens / 4^(3-i)).
@@ -145,36 +144,6 @@ def build(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 # forward
 # ---------------------------------------------------------------------------
 
-class FeatureCache:
-    """Stored layer outputs for one stage, validated against the schedule."""
-
-    def __init__(self, schedule: CacheSchedule):
-        self.schedule = schedule
-        self.store: dict[int, Tensor] = {}
-        self._last_need: dict[int, int] = {}
-        for step in schedule.steps:
-            for idx in step.live:
-                self._last_need[idx] = max(self._last_need.get(idx, 0), step.step)
-
-    def assert_live(self, step: int):
-        expected = set(self.schedule.live_entering(step))
-        got = set(self.store)
-        if expected != got:
-            raise AssertionError(
-                f"feature cache out of sync at step {step}: have {sorted(got)}, expected {sorted(expected)}")
-
-    def put(self, index: int, feature: Tensor):
-        if index in self._last_need:
-            self.store[index] = feature
-
-    def get(self, index: int) -> Tensor:
-        return self.store[index]
-
-    def evict_after(self, step: int):
-        for idx in self.schedule.steps[step - 1].evictions:
-            del self.store[idx]
-
-
 @dataclass
 class CapturedFeature:
     stage: int       # 1-based
@@ -216,22 +185,21 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
         if i > 0:
             x = conv2d(prev_final, stage.downsample.w, stage.downsample.b, stride=2, pad=1)
             x = layernorm_channels(x, stage.downsample.ln_g, stage.downsample.ln_b)
-        cache = FeatureCache(cache_schedule(plan))
+        cache: dict[int, Tensor] = {}
         if stage.bridge is not None:
-            cache.put(CROSS_STAGE_SLOT, _bridge_forward(stage.bridge, prev_final))
-        for layer_plan, layer in zip(plan.layers, stage.layers):
-            step = layer_plan.index
-            cache.assert_live(step)
+            cache[CROSS_STAGE_SLOT] = _bridge_forward(stage.bridge, prev_final)
+        for layer_plan, layer, step in zip(plan.layers, stage.layers, cache_schedule(plan).steps):
             t = dpe_forward(x, layer.dpe)
             if layer_plan.role is Role.GANGLION:
-                ys = [cache.get(CROSS_STAGE_SLOT)] if layer_plan.takes_cross_stage else []
-                ys.extend(cache.get(j) for j in layer_plan.sources)
+                ys = [cache[CROSS_STAGE_SLOT]] if layer_plan.takes_cross_stage else []
+                ys.extend(cache[j] for j in layer_plan.sources)
                 t = pointwise_linear(dmca_forward(t, ys, layer.dmca), layer.fuse_w, layer.fuse_b)
             x = vss_block_forward(t, layer.block)
-            cache.put(step, x)
-            cache.evict_after(step)
+            cache[step.step] = x
+            for j in step.evictions:
+                del cache[j]
             if capture:
-                captured.append(CapturedFeature(i + 1, step, layer_plan.role.value,
+                captured.append(CapturedFeature(i + 1, step.step, layer_plan.role.value,
                                                 np.array(x.data)))
         prev_final = x
         if to_stage is not None and i + 1 == to_stage:
@@ -285,23 +253,14 @@ def count_flops(cfg: ModelConfig, input_size: int | None = None) -> dict:
             fl["downsample"] += N * C * cfg.channels[i - 1] * 9
         if any(l.takes_cross_stage for l in plan.layers):
             fl["bridge"] += N * C * cfg.channels[i - 1]
-        s = STAGE_REDUCE_STRIDE[i]
-        r = s * s
         for layer in plan.layers:
             fl["dpe"] += N * C * 9
             fl["mixer"] += mixer_macs(cfg.mixer, C, N, cfg.state_dim, cfg.window_size)
             fl["ffn"] += N * C * (cfg.ffn_ratio * C) * 2 + N * (cfg.ffn_ratio * C) * 9
             if layer.role is Role.GANGLION:
-                L = layer.y_count
-                agg = N * (L * C) * 2 * C            # mixing projection
-                agg += 2 * (N // r) * C * C + N * C * C   # q, k, v projections
-                if s > 1:
-                    agg += 2 * (N // r) * C * s * s  # strided depthwise reducers
-                agg += (C * C // cfg.groups) * (N // r)   # channel attention logits
-                agg += (C * C // cfg.groups) * N          # attention applied to value
-                agg += N * 3 * C * 2 * C             # output projection
-                agg += N * 2 * C * C                 # fuse back to C
-                fl["aggregation"] += agg
+                fl["aggregation"] += dmca_macs(C, layer.y_count, N, STAGE_REDUCE_STRIDE[i],
+                                               cfg.groups, cfg.dmca_mode)
+                fl["aggregation"] += N * 2 * C * C   # fuse back to C
     fl["head"] += cfg.channels[3] * cfg.num_classes
     fl["total"] = sum(v for k, v in fl.items() if k != "total")
     return fl
@@ -331,7 +290,7 @@ def memory_report(cfg: ModelConfig, input_size: int | None = None, mode: str | N
         C = cfg.channels[i]
         side = size // (4 * 2 ** i)
         feat_bytes = C * side * side * bytes_per_value
-        sched = cache_schedule(plan, feat_bytes)
+        peak = cache_schedule(plan).peak_live_count
         train_feats = plan.num_layers  # every output retained for backward
         if any(l.takes_cross_stage for l in plan.layers):
             train_feats += 1
@@ -342,12 +301,12 @@ def memory_report(cfg: ModelConfig, input_size: int | None = None, mode: str | N
         stages.append({
             "stage": i + 1,
             "feature_bytes": feat_bytes,
-            "peak_live_features": sched.peak_live_count,
-            "peak_live_bytes": sched.peak_live_bytes,
+            "peak_live_features": peak,
+            "peak_live_bytes": peak * feat_bytes,
             "training_bytes": train_bytes,
         })
         total_train += train_bytes
-        peak_inference = max(peak_inference, sched.peak_live_bytes)
+        peak_inference = max(peak_inference, peak * feat_bytes)
     return {
         "mode": cfg.topology_mode,
         "input_size": size,

@@ -91,7 +91,10 @@ def _seeded_images(seed: int, count: int, size: int, dtype=np.float32):
     if count < 1:
         raise ConfigError(f"--images must be a positive integer, got {count}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(7000,))))
-    return rng.standard_normal((count, 3, size, size)).astype(dtype)
+    try:
+        return rng.standard_normal((count, 3, size, size)).astype(dtype)
+    except ValueError as e:  # numpy's "array is too big": beyond the address space
+        raise MemoryError(f"cannot allocate {count} images of 3x{size}x{size}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
     except CONFIG_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (nd.NumericError, nd.TapeError, AssertionError, OSError) as e:
+    except (nd.NumericError, nd.TapeError, OSError, MemoryError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 1
 

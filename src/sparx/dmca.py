@@ -172,3 +172,28 @@ def dmca_param_count(channels: int, l_count: int, reduce_stride: int,
     if s > 1:
         total += 2 * s * s * C                 # depthwise reducers, no bias
     return total
+
+
+def dmca_macs(channels: int, l_count: int, tokens: int, reduce_stride: int, groups: int,
+              mode: str = "full") -> int:
+    """Closed-form multiply-accumulates of one ``dmca_forward`` on N = ``tokens``.
+
+    Counts the projections, the strided reducers and both attention products;
+    ``no_sr`` runs at stride 1 whatever ``reduce_stride`` says.
+    """
+    C, L, N = channels, l_count, tokens
+    if mode == "concat":
+        return N * ((L + 1) * C) * 2 * C
+    if mode == "no_cgca":
+        return N * (L * C) * C + N * 2 * C * 2 * C
+    s = 1 if mode == "no_sr" else reduce_stride
+    r = s * s
+    macs = N * (L * C) * 2 * C                 # mixing projection
+    macs += 2 * (N // r) * C * C + N * C * C   # q, k, v projections
+    if s > 1:
+        macs += 2 * (N // r) * C * s * s       # strided depthwise reducers
+    macs += (C * C // groups) * (N // r)       # channel attention logits
+    macs += (C * C // groups) * N              # attention applied to value
+    fan_in = C if mode == "no_skip" else 3 * C
+    macs += N * fan_in * 2 * C                 # output projection
+    return macs

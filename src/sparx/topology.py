@@ -215,19 +215,17 @@ class CacheStep:
 class CacheSchedule:
     steps: tuple[CacheStep, ...]
     peak_live_count: int   # max cached features plus the running activation
-    peak_live_bytes: int
-
-    def live_entering(self, step: int) -> tuple[int, ...]:
-        return self.steps[step - 1].live
 
 
-def cache_schedule(plan: ConnectionPlan, bytes_per_feature: int = 1) -> CacheSchedule:
+def cache_schedule(plan: ConnectionPlan) -> CacheSchedule:
     """Lifetimes for cached layer outputs under eager eviction.
 
     Index 0 stands for the cross-stage input when the plan has one. A feature
     is live from its production until the last step that consumes it as an
-    aggregation source; the running chain activation is not a cache entry but
-    counts as one extra slot in ``peak_live_count``.
+    aggregation source, and is evicted after that step; a layer output that
+    no later layer reads is evicted after the step that produced it. The
+    running chain activation is not a cache entry but counts as one extra
+    slot in ``peak_live_count``.
     """
     n = plan.num_layers
     last_need: dict[int, int] = {}
@@ -243,10 +241,11 @@ def cache_schedule(plan: ConnectionPlan, bytes_per_feature: int = 1) -> CacheSch
         live = tuple(sorted(j for j, last in last_need.items()
                             if last >= i and (j == CROSS_STAGE_SLOT or j < i)))
         evict = tuple(sorted(j for j in live if last_need[j] == i))
+        if i not in last_need:
+            evict += (i,)
         steps.append(CacheStep(i, live, evict))
         peak = max(peak, len(live))
-    peak += 1  # the running activation always occupies one slot
-    return CacheSchedule(tuple(steps), peak, peak * int(bytes_per_feature))
+    return CacheSchedule(tuple(steps), peak + 1)  # + the running activation
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nd
-from .analysis import cka_linear, cost_model, erf_map
+from .analysis import cka_linear, erf_map
 from .backbone import build, count_flops, forward, forward_bound, memory_report
 from .blocks import (MIXERS, DpeParams, convffn_forward, dpe_forward, init_convffn, init_ssm,
                      init_vss_block, init_window_attn, scan_forward, vss_block_forward,
@@ -282,8 +282,8 @@ def check_cache_ordering(faults):
 def check_cost_model_agreement(faults):
     bad = 0
     for depth, stride, window, mode in _sweep_configs():
-        cm = cost_model(depth, stride, window, mode)
-        if cm["peak_features"] != oracle_peak_live(depth, stride, window, mode):
+        plan = plan_stage(StageTopologyConfig(depth, stride, window, Mode(mode)))
+        if cache_schedule(plan).peak_live_count != oracle_peak_live(depth, stride, window, mode):
             bad += 1
     return _result("cost_model_schedule_agreement", bad == 0, bad, "exact")
 

@@ -1,11 +1,11 @@
-"""CKA, effective receptive fields, and the connectivity cost model."""
+"""CKA and effective receptive fields."""
 
 import numpy as np
 import pytest
 
 from sparx import nd
-from sparx.analysis import (AnalysisError, ErfMap, cka_linear, cka_matrix, cka_matrix_csv,
-                            cost_model, erf, erf_map)
+from sparx.analysis import (AnalysisError, ErfMap, cka_linear, cka_matrix, cka_matrix_csv, erf,
+                            erf_map)
 from sparx.backbone import build
 from sparx.config import get_variant
 from sparx.nd import Tensor
@@ -123,36 +123,3 @@ class TestErf:
         text = m.to_pgm()
         assert text.startswith("P2\n2 2\n255\n")
         assert "255" in text.splitlines()[3]
-
-
-class TestCostModel:
-    def test_plain_has_no_aggregation_cost(self):
-        cm = cost_model(5, 2, 2, "plain")
-        assert cm["peak_features"] == 1 and cm["concat_macs"] == 0
-
-    def test_depth7_ordering(self):
-        sparx = cost_model(7, 2, 3, "sparx")
-        dgc = cost_model(7, 2, 3, "dgc")
-        dsn = cost_model(7, 1, 3, "dsn")
-        assert sparx["peak_features"] < dgc["peak_features"] <= dsn["peak_features"]
-        assert sparx["concat_macs"] < dgc["concat_macs"] < dsn["concat_macs"]
-
-    def test_concat_macs_monotone_in_window(self):
-        vals = [cost_model(10, 2, m, "sparx")["concat_macs"] for m in (1, 2, 3, 4)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_agrees_with_cache_schedule_over_sweep(self):
-        # cost_model reads the cache schedule; the oracle walks the rule
-        # interpreter's plan step by step and shares no code with either
-        from sparx.verify import oracle_peak_live
-        for mode in ("sparx", "dgc", "dsn"):
-            for depth in range(1, 13):
-                for s in (1, 2, 3, 4):
-                    for w in (1, 2, 3, 4):
-                        cm = cost_model(depth, s, w, mode)
-                        assert cm["peak_features"] == oracle_peak_live(depth, s, w, mode)
-
-    def test_bytes_scale_with_feature_size(self):
-        a = cost_model(8, 2, 2, "sparx", bytes_per_feature=10)
-        b = cost_model(8, 2, 2, "sparx", bytes_per_feature=30)
-        assert b["peak_bytes"] == 3 * a["peak_bytes"]

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from sparx import backbone
-from sparx.backbone import (FeatureCache, build, count_flops, forward, forward_bound,
-                            make_toy_dataset, memory_report, train_toy)
+from sparx.backbone import (build, count_flops, forward, forward_bound, make_toy_dataset,
+                            memory_report, train_toy)
 from sparx.config import ConfigError, ModelConfig, get_variant
 from sparx.nd import NumericError, Tape, Tensor, sum_all
 from sparx.params import bind, count_arrays, iter_arrays
-from sparx.topology import StageTopologyConfig, cache_schedule, plan_stage
 from sparx.verify import grad_check
 
 
@@ -101,13 +100,6 @@ class TestForward:
         for c in caps:
             sides.setdefault(c.stage, c.data.shape[1] * c.data.shape[2])
         assert sides == {1: 3136, 2: 784, 3: 196, 4: 49}
-
-    def test_feature_cache_detects_tampering(self):
-        sched = cache_schedule(plan_stage(StageTopologyConfig(8, 2, 2)))
-        cache = FeatureCache(sched)
-        cache.store[3] = Tensor(np.zeros(1))  # not scheduled to be live at step 1
-        with pytest.raises(AssertionError, match="out of sync"):
-            cache.assert_live(1)
 
     @pytest.mark.parametrize("mixer", ["ss2d", "ssm", "bissm", "window_attn"])
     def test_every_mixer_runs_end_to_end(self, mixer):

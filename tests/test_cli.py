@@ -273,15 +273,25 @@ class TestNumericInputs:
         assert err.startswith("runtime error: non-finite values produced by op ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["capture", "--variant", "tiny-reduced", "--images", "100000000000"],
+        ["forward", "--variant", "tiny-reduced", "--input", "3200000000"]])
+    def test_impossible_image_sizes_print_one_runtime_error_line(self, argv, tmp_path, capsys):
+        # both fail when the image array is allocated, before any forward runs
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1, err
+
 
 _JUNK = ["", "-1", "0", "2.5", "nan", "inf", "abc", "1e9", "--bogus"]
 _MODES = [m.value for m in Mode]
-_MODEL_OPTIONS = {"--input": ["32", "64", "48"], "--mixer": list(MIXERS),
+_MODEL_OPTIONS = {"--input": ["32", "64", "48", "3200000000"], "--mixer": list(MIXERS),
                   "--topology-mode": _MODES, "--dmca-mode": list(DMCA_MODES),
                   "--seed": ["0", "3", "12345678901234567890"]}
 # (leading option, its values) and the other options with their valid values.
 # No value, valid or junk, asks for an expensive run: at most 40 layers, only
-# tiny-reduced models, at most 2 images or training steps.
+# tiny-reduced models, at most 2 images or training steps. The PiB-scale
+# --input and --images values fail when the image array is allocated.
 _FUZZ_OPTIONS = {
     "plan": (("--layers", ["1", "13", "40"]),
              {"--variant": ["tiny-reduced", "tiny"], "--stride": ["1", "2", "8"],
@@ -290,7 +300,8 @@ _FUZZ_OPTIONS = {
               {"--input": ["32", "64", "48"], "--modes": ["sparx", "plain,dsn", "sparx,zzz"],
                "--seed": ["0", "5"]}),
     "forward": (("--variant", ["tiny-reduced"]), _MODEL_OPTIONS),
-    "capture": (("--variant", ["tiny-reduced"]), {**_MODEL_OPTIONS, "--images": ["1", "2"]}),
+    "capture": (("--variant", ["tiny-reduced"]),
+                {**_MODEL_OPTIONS, "--images": ["1", "2", "100000000000"]}),
     "train-toy": (("--steps", ["1", "2"]),  # the default of 500 steps is not cheap
                   {"--lr": ["0.02", "-1", "1e300"], "--batch": ["1", "2"],
                    "--target-acc": ["0.5", "2"], "--seed": ["0", "3"]}),

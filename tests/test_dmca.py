@@ -1,16 +1,22 @@
 """Multi-layer channel aggregation: shapes, attention, ablations, counts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparx.dmca import (cgca, cgca_attention, dmca_forward, dmca_param_count,
-                        group_channels, init_dmca)
+from sparx import dmca, nd
+from sparx.dmca import (DMCA_MODES, cgca, cgca_attention, dmca_forward, dmca_macs,
+                        dmca_param_count, group_channels, init_dmca)
 from sparx.nd import ShapeError, Tensor
 from sparx.params import Initializer, bind, iter_arrays
+from sparx.verify import dwconv_oracle
 
 
-def make_params(channels, l_count, stride, mode="full", seed=0, dtype=np.float64):
-    return init_dmca(Initializer(seed, dtype=dtype), channels, l_count, stride, mode=mode)
+def make_params(channels, l_count, stride, mode="full", seed=0, dtype=np.float64, groups=4):
+    return init_dmca(Initializer(seed, dtype=dtype), channels, l_count, stride, groups=groups,
+                     mode=mode)
 
 
 def run(p, x, ys):
@@ -213,3 +219,101 @@ class TestParamCount:
         p = make_params(C, L, stride=s, mode=mode)
         actual = sum(a.size for _, a in iter_arrays(p))
         assert actual == dmca_param_count(C, L, s, mode=mode)
+
+
+def dmca_oracle(x, ys, p):
+    """Float64 loop reference of ``dmca_forward`` on a (C,H,W) map and L source maps.
+
+    Projections are ``w @ a + b`` on (C, N) token matrices; the strided
+    reducers run through the nested-loop ``dwconv_oracle``; channel attention
+    is a softmax over explicit per-group channel dot products.
+    """
+    C, H, W = x.shape
+    N = H * W
+
+    def lin(w, b, a):
+        return w @ a + b[:, None]
+
+    def out(a):
+        return lin(p.out_w, p.out_b, a).reshape(2 * C, H, W)
+
+    xf = x.reshape(C, N)
+    if p.mode == "concat":
+        return out(np.concatenate([x] + ys).reshape(-1, N))
+    mixed = lin(p.mix_w, p.mix_b, np.concatenate(ys).reshape(-1, N))
+    if p.mode == "no_cgca":
+        return out(np.concatenate([xf, mixed]))
+    yk, yv = mixed[:C], mixed[C:]
+    s = p.reduce_stride
+    if s == 1:
+        q_in, k_in = xf, yk
+    else:
+        q_in = dwconv_oracle(x, p.q_red, stride=s, pad=0).reshape(C, -1)
+        k_in = dwconv_oracle(yk.reshape(C, H, W), p.k_red, stride=s, pad=0).reshape(C, -1)
+    q, k, v = lin(p.q_w, p.q_b, q_in), lin(p.k_w, p.k_b, k_in), lin(p.v_w, p.v_b, yv)
+    cg = C // p.groups
+    z = np.zeros((C, N))
+    for g in range(p.groups):
+        chans = range(g * cg, (g + 1) * cg)
+        for i in chans:
+            logits = np.array([q[i] @ k[j] for j in chans]) / math.sqrt(q.shape[1])
+            wts = np.exp(logits - logits.max())
+            wts /= wts.sum()
+            for wt, j in zip(wts, chans):
+                z[i] += wt * v[j]
+    if p.mode == "no_skip":
+        return out(z)
+    return out(np.concatenate([xf, yv, z]))
+
+
+class TestValueOracle:
+    @settings(max_examples=80)
+    @given(mode=st.sampled_from(DMCA_MODES), stride=st.sampled_from([1, 2, 4]),
+           l_count=st.integers(1, 4), groups=st.sampled_from([1, 2, 4]),
+           per_group=st.integers(1, 3), hq=st.integers(1, 3), wq=st.integers(1, 3),
+           aligned=st.booleans(), off=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           seed=st.integers(0, 2 ** 16))
+    def test_forward_matches_loop_reference(self, mode, stride, l_count, groups, per_group,
+                                            hq, wq, aligned, off, seed):
+        # maps are stride multiples, or fall short of one by up to stride - 1
+        h, w = (stride * hq, stride * wq) if aligned else (stride * hq - off[0] % stride,
+                                                          stride * wq - off[1] % stride)
+        C = groups * per_group
+        p = make_params(C, l_count, stride, mode=mode, seed=seed, groups=groups)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((C, h, w))
+        ys = list(rng.standard_normal((l_count, C, h, w)))
+        if p.q_red is not None and (h % stride or w % stride):
+            with pytest.raises(ShapeError):
+                run(p, x, ys)
+            return
+        np.testing.assert_allclose(run(p, x, ys), dmca_oracle(x, ys, p), rtol=1e-10, atol=1e-12)
+
+
+class TestMacCount:
+    @pytest.mark.parametrize("mode", DMCA_MODES)
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_closed_form_matches_counted_calls(self, mode, stride, groups, monkeypatch):
+        # every multiply-accumulate of dmca_forward goes through one of these
+        # three ops; each counter charges its call from the operand shapes
+        macs = []
+
+        def counting(op, count):
+            def counted(*args, **kwargs):
+                macs.append(count(*args))
+                return op(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(dmca, "pointwise_linear", counting(
+            nd.pointwise_linear, lambda x, w, b=None: w.shape[0] * math.prod(x.shape)))
+        monkeypatch.setattr(dmca, "matmul", counting(
+            nd.matmul, lambda a, b: math.prod(a.shape) * b.shape[-1]))
+        monkeypatch.setattr(dmca, "dwconv", counting(
+            nd.dwconv, lambda x, w: x.shape[0] * (x.shape[1] // stride) * (x.shape[2] // stride)
+            * w.shape[1] * w.shape[2]))
+        C, L, H, W = 8, 3, 8, 4
+        p = make_params(C, L, stride, mode=mode, groups=groups)
+        rng = np.random.default_rng(7)
+        run(p, rng.standard_normal((C, H, W)), list(rng.standard_normal((L, C, H, W))))
+        assert macs and sum(macs) == dmca_macs(C, L, H * W, stride, groups, mode)

@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from sparx.config import get_variant
 from sparx.topology import (CROSS_STAGE_SLOT, Mode, PlanError, Role, StageTopologyConfig,
@@ -157,7 +157,7 @@ class TestCacheSchedule:
     def test_dense_8_layer_peak_is_depth(self):
         sched = cache_schedule(plan_stage(StageTopologyConfig(8, 1, 1, Mode.DSN)))
         assert sched.peak_live_count == 8
-        assert sched.live_entering(8) == (1, 2, 3, 4, 5, 6, 7)
+        assert sched.steps[7].live == (1, 2, 3, 4, 5, 6, 7)
 
     def test_sparse_beats_dense_at_same_depth(self):
         sparse = cache_schedule(plan_stage(StageTopologyConfig(8, 2, 2)))
@@ -172,24 +172,50 @@ class TestCacheSchedule:
                     for m in ("sparx", "dgc", "dsn")}
                 assert peaks["sparx"] <= peaks["dgc"] <= peaks["dsn"]
 
-    def test_feature_lifetimes_end_at_last_use(self):
-        plan = plan_stage(StageTopologyConfig(8, 2, 2))
+    @pytest.mark.parametrize("cfg", [StageTopologyConfig(8, 2, 2),
+                                     StageTopologyConfig(5, 1, 1, Mode.PLAIN),
+                                     StageTopologyConfig(7, 3, 1, has_cross_stage_input=True)])
+    def test_feature_lifetimes_end_at_last_use(self, cfg):
+        # an evicted index is read for the last time at this step, or is this
+        # step's own output and read by no later layer
+        plan = plan_stage(cfg)
         sched = cache_schedule(plan)
         last_use = {}
         for l in plan.layers:
-            for s in l.sources:
+            for s in l.sources + ((CROSS_STAGE_SLOT,) if l.takes_cross_stage else ()):
                 last_use[s] = max(last_use.get(s, 0), l.index)
         for step in sched.steps:
             for idx in step.live:
                 assert last_use[idx] >= step.step
             for idx in step.evictions:
-                assert last_use[idx] == step.step
+                assert last_use.get(idx) == step.step or (idx == step.step and idx not in last_use)
+        assert sched.steps[-1].evictions[-1] == plan.num_layers  # no layer reads the stage output
 
-    def test_bytes_scale_with_feature_size(self):
-        plan = plan_stage(StageTopologyConfig(6, 2, 2))
-        s1 = cache_schedule(plan, bytes_per_feature=100)
-        s2 = cache_schedule(plan, bytes_per_feature=700)
-        assert s2.peak_live_bytes == 7 * s1.peak_live_bytes
+    @given(depth=st.integers(1, 40), stride=st.integers(1, 40), window=st.integers(1, 40),
+           mode=st.sampled_from(list(Mode)), cross=st.booleans())
+    @example(depth=8, stride=1, window=1, mode=Mode.PLAIN, cross=False)
+    @example(depth=40, stride=1, window=40, mode=Mode.DSN, cross=True)
+    def test_replayed_evictions_hold_exactly_the_live_features(self, depth, stride, window, mode,
+                                                              cross):
+        # replays the schedule the way forward_bound runs its cache: store the
+        # bridged input and every output, read sources, delete the evictions
+        assume(not (mode is Mode.PLAIN and cross))
+        plan = plan_stage(StageTopologyConfig(depth, stride, window, mode,
+                                              has_cross_stage_input=cross))
+        oracle = oracle_stage_plan(depth, stride, window, mode.value, cross)
+        held = {CROSS_STAGE_SLOT} if any(l.takes_cross_stage for l in plan.layers) else set()
+        for step in cache_schedule(plan).steps:
+            later = oracle[step.step - 1:]
+            live = {j for _, intra, inter, _ in later for j in intra + inter if j < step.step}
+            if any(takes_cross for *_, takes_cross in later):
+                live.add(CROSS_STAGE_SLOT)
+            assert held == live, step.step
+            _, intra, inter, takes_cross = oracle[step.step - 1]
+            assert set(intra + inter) | ({CROSS_STAGE_SLOT} if takes_cross else set()) <= held
+            held.add(step.step)
+            for j in step.evictions:
+                held.remove(j)
+        assert held == set()
 
     def test_cross_stage_feature_lives_until_first_ganglion(self):
         plan = plan_stage(StageTopologyConfig(5, 3, 2, has_cross_stage_input=True))
