@@ -35,7 +35,7 @@ from .params import count_arrays
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .topology import (Mode, PlanError, StageTopologyConfig, plan_model, plan_stage,
                        plan_to_json, to_dot)
-from .verify import SABOTAGE_TARGETS, run_checks
+from .verify import run_checks
 
 CONFIG_ERRORS = (ConfigError, PlanError, TensorFormatError, AnalysisError, nd.ShapeError)
 
@@ -104,6 +104,8 @@ def _seeded_images(seed: int, count: int, size: int, dtype=np.float32):
 def cmd_plan(args) -> int:
     out = _out_dir(args)
     files = []
+    if args.variant and args.layers is not None:
+        raise ConfigError("--variant or --layers, not both")
     if args.variant:
         cfg = get_variant(args.variant, **({"topology_mode": args.mode} if args.mode else {}))
         plans = plan_model(cfg)
@@ -165,13 +167,7 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     out = _out_dir(args)
-    sabotage = set()
-    if args.sabotage is not None:
-        if args.sabotage not in SABOTAGE_TARGETS:
-            raise ConfigError(f"unknown sabotage target {args.sabotage!r}; "
-                              f"expected one of {SABOTAGE_TARGETS}")
-        sabotage.add(args.sabotage)
-    results = run_checks(sabotage)
+    results = run_checks()
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: measured {r.measured} "
               f"(tolerance {r.tolerance})")
@@ -180,7 +176,6 @@ def cmd_verify(args) -> int:
         "checks": [vars(r) for r in results],
         "total": len(results),
         "failed": failed,
-        "sabotage": sorted(sabotage),
     }
     rp = out / "verify_report.json"
     _write(rp, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -322,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--sabotage", help="deliberately corrupt one computation (harness self-test)")
     common(p)
     p.set_defaults(func=cmd_verify)
 

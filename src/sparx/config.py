@@ -95,29 +95,26 @@ class ModelConfig:
         return cls(**raw)
 
 
-def _variants() -> dict[str, ModelConfig]:
-    return {
-        "tiny": ModelConfig("tiny", (96, 192, 320, 512), (2, 2, 7, 2), stride=2, window=3,
-                            stage4_policy="all_ganglion"),
-        "small": ModelConfig("small", (96, 192, 328, 544), (2, 2, 17, 2), stride=3, window=3,
-                             stage4_policy="all_ganglion"),
-        "base": ModelConfig("base", (120, 240, 396, 636), (2, 2, 21, 3), stride=3, window=3,
-                            stage4_policy="last_only"),
-        "tiny-reduced": ModelConfig("tiny-reduced", (8, 16, 24, 32), (1, 1, 3, 1), stride=2, window=3,
-                                    stage4_policy="all_ganglion", num_classes=2, input_size=32,
-                                    head_dim=4, window_size=4),
-    }
+_VARIANTS = {
+    "tiny": ModelConfig("tiny", (96, 192, 320, 512), (2, 2, 7, 2), stride=2, window=3,
+                        stage4_policy="all_ganglion"),
+    "small": ModelConfig("small", (96, 192, 328, 544), (2, 2, 17, 2), stride=3, window=3,
+                         stage4_policy="all_ganglion"),
+    "base": ModelConfig("base", (120, 240, 396, 636), (2, 2, 21, 3), stride=3, window=3,
+                        stage4_policy="last_only"),
+    "tiny-reduced": ModelConfig("tiny-reduced", (8, 16, 24, 32), (1, 1, 3, 1), stride=2, window=3,
+                                stage4_policy="all_ganglion", num_classes=2, input_size=32,
+                                head_dim=4, window_size=4),
+}
 
-
-VARIANT_NAMES = ("tiny", "small", "base", "tiny-reduced")
+VARIANT_NAMES = tuple(_VARIANTS)
 
 
 def get_variant(name: str, **overrides) -> ModelConfig:
-    """Resolve a named variant, optionally overriding fields."""
-    table = _variants()
-    if name not in table:
+    """A fresh copy of a named variant, optionally overriding fields."""
+    if name not in _VARIANTS:
         raise ConfigError(f"unknown variant {name!r}; expected one of {VARIANT_NAMES}")
     unknown = set(overrides) - set(ModelConfig.__dataclass_fields__)  # type: ignore[attr-defined]
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return replace(table[name], **overrides)
+    return replace(_VARIANTS[name], **overrides)

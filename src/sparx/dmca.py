@@ -110,13 +110,6 @@ def cgca_attention(q: Tensor, k: Tensor, scale_n: int) -> Tensor:
     return softmax_lastdim(logits)
 
 
-def cgca(q: Tensor, k: Tensor, v: Tensor, scale_n: int) -> Tensor:
-    """Attend grouped value channels (G, C/G, N) with the grouped map; same shape out."""
-    if v.shape[:2] != q.shape[:2]:
-        raise ShapeError(f"attention: value groups {v.shape} do not match query {q.shape}")
-    return matmul(cgca_attention(q, k, scale_n), v)
-
-
 def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     """Aggregate earlier feature maps into the current one; (C,H,W) -> (2C,H,W).
 
@@ -149,26 +142,25 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     q = group_channels(pointwise_linear(q_in, p.q_w, p.q_b), p.groups)
     k = group_channels(pointwise_linear(k_in, p.k_w, p.k_b), p.groups)
     v = group_channels(pointwise_linear(yv, p.v_w, p.v_b), p.groups)
-    z = reshape(cgca(q, k, v, scale_n=q.shape[2]), x.shape)
+    z = reshape(matmul(cgca_attention(q, k, q.shape[2]), v), x.shape)
     if p.mode == "no_skip":
         return pointwise_linear(z, p.out_w, p.out_b)
     return pointwise_linear(concat([x, yv, z], axis=0), p.out_w, p.out_b)
 
 
 def dmca_param_count(channels: int, l_count: int, reduce_stride: int,
-                     mode: str = "full", bias: bool = True) -> int:
-    """Closed-form parameter count; must agree with the built structures."""
+                     mode: str = "full") -> int:
+    """Closed-form parameter count, biases included; must agree with the built structures."""
     C, L = channels, l_count
-    b = 1 if bias else 0
     s = 1 if mode == "no_sr" else reduce_stride
     if mode == "concat":
-        return (L + 1) * C * 2 * C + b * 2 * C
+        return (L + 1) * C * 2 * C + 2 * C
     if mode == "no_cgca":
-        return (L * C * C + b * C) + (2 * C * 2 * C + b * 2 * C)
-    total = L * C * 2 * C + b * 2 * C          # mixing projection
-    total += 3 * (C * C + b * C)               # query/key/value projections
+        return (L * C * C + C) + (2 * C * 2 * C + 2 * C)
+    total = L * C * 2 * C + 2 * C              # mixing projection
+    total += 3 * (C * C + C)                   # query/key/value projections
     fan_in = C if mode == "no_skip" else 3 * C
-    total += fan_in * 2 * C + b * 2 * C        # output projection
+    total += fan_in * 2 * C + 2 * C            # output projection
     if s > 1:
         total += 2 * s * s * C                 # depthwise reducers, no bias
     return total

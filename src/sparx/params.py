@@ -27,8 +27,6 @@ def map_arrays(obj, fn):
         return [map_arrays(v, fn) for v in obj]
     if isinstance(obj, tuple):
         return tuple(map_arrays(v, fn) for v in obj)
-    if isinstance(obj, dict):
-        return {k: map_arrays(v, fn) for k, v in obj.items()}
     return obj
 
 
@@ -64,9 +62,6 @@ def iter_arrays(obj, prefix=""):
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from iter_arrays(v, f"{prefix}[{i}]")
-    elif isinstance(obj, dict):
-        for k in sorted(obj):
-            yield from iter_arrays(obj[k], f"{prefix}.{k}" if prefix else str(k))
 
 
 def pair_leaves(orig, bound):
@@ -79,9 +74,6 @@ def pair_leaves(orig, bound):
     elif isinstance(orig, (list, tuple)):
         for o, b in zip(orig, bound):
             yield from pair_leaves(o, b)
-    elif isinstance(orig, dict):
-        for k in sorted(orig):
-            yield from pair_leaves(orig[k], bound[k])
 
 
 def count_arrays(obj) -> int:

@@ -6,8 +6,7 @@ dense-attention oracle recomputes multi-head attention directly in numpy;
 the depthwise-convolution and selective-scan oracles are plain loops.
 ``grad_check`` compares tape gradients with central differences over arrays
 or parameter structures. ``run_checks`` executes every registered invariant
-and returns structured results; a sabotage switch deliberately corrupts one
-computation so the harness can prove it actually detects failures.
+and returns structured results.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def _sweep_configs():
                     yield depth, stride, window, mode
 
 
-def check_topology_oracle(faults):
+def check_topology_oracle():
     mismatches = 0
     total = 0
     for depth, stride, window, mode in _sweep_configs():
@@ -193,7 +192,7 @@ def check_topology_oracle(faults):
                    f"{total} configurations")
 
 
-def check_worked_example(faults):
+def check_worked_example():
     plan = plan_stage(StageTopologyConfig(8, 2, 2))
     ok = plan.ganglion_indices == (2, 4, 6, 8) and plan.normal_indices == (1, 3, 5, 7)
     last = plan.layer(8)
@@ -202,7 +201,7 @@ def check_worked_example(faults):
                    f"ganglion={plan.ganglion_indices}", "{2,4,6,8} exact")
 
 
-def check_window_locality(faults):
+def check_window_locality():
     bad = 0
     for depth, stride, window, mode in _sweep_configs():
         if mode != "sparx":
@@ -217,7 +216,7 @@ def check_window_locality(faults):
     return _result("topology_window_locality", bad == 0, bad, "0 violations")
 
 
-def check_window_monotonicity(faults):
+def check_window_monotonicity():
     bad = 0
     for depth in range(2, 13):
         for stride in range(1, 5):
@@ -230,7 +229,7 @@ def check_window_monotonicity(faults):
     return _result("topology_window_monotonic", bad == 0, bad, "0 removed edges")
 
 
-def check_stride_monotonicity(faults):
+def check_stride_monotonicity():
     bad = 0
     for depth in range(1, 13):
         sets = {s: set(plan_stage(StageTopologyConfig(depth, s, 2, Mode.SPARX)).ganglion_indices)
@@ -245,7 +244,7 @@ def check_stride_monotonicity(faults):
                    "count monotone; superset for divisor strides")
 
 
-def check_reachability(faults):
+def check_reachability():
     bad = 0
     for depth, stride, window, mode in _sweep_configs():
         plan = plan_stage(StageTopologyConfig(depth, stride, window, Mode(mode)))
@@ -265,7 +264,7 @@ def check_reachability(faults):
     return _result("topology_reachability", bad == 0, bad, "path within depth hops")
 
 
-def check_cache_ordering(faults):
+def check_cache_ordering():
     bad = 0
     for depth in range(1, 13):
         for stride in range(1, 5):
@@ -279,7 +278,7 @@ def check_cache_ordering(faults):
     return _result("cache_peak_ordering", bad == 0, bad, "plain<=sparx<=dgc<=dsn; plain==1")
 
 
-def check_cost_model_agreement(faults):
+def check_cost_model_agreement():
     bad = 0
     for depth, stride, window, mode in _sweep_configs():
         plan = plan_stage(StageTopologyConfig(depth, stride, window, Mode(mode)))
@@ -288,7 +287,7 @@ def check_cost_model_agreement(faults):
     return _result("cost_model_schedule_agreement", bad == 0, bad, "exact")
 
 
-def check_concat_split(faults):
+def check_concat_split():
     rng = np.random.default_rng(0)
     a = Tensor(rng.standard_normal((64, 196)).astype(np.float32))
     b = Tensor(rng.standard_normal((64, 196)).astype(np.float32))
@@ -299,19 +298,17 @@ def check_concat_split(faults):
     return _result("concat_split_roundtrip", ok, "bit-equal" if ok else "mismatch", "bit-exact")
 
 
-def check_softmax_rowsum(faults):
+def check_softmax_rowsum():
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(50):
         x = Tensor(rng.uniform(-50, 50, size=(8, 16)))
         s = nd.softmax_lastdim(x).data
-        if "softmax" in faults:
-            s = s + 1e-3  # deliberately corrupted for harness self-test
         worst = max(worst, float(np.abs(s.sum(axis=-1) - 1).max()))
     return _result("softmax_rowsum", worst <= 1e-6, f"{worst:.2e}", "1e-6")
 
 
-def check_softmax_shift(faults):
+def check_softmax_shift():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 9))
     d = np.abs(nd.softmax_lastdim(Tensor(x)).data
@@ -319,7 +316,7 @@ def check_softmax_shift(faults):
     return _result("softmax_shift_invariance", d <= 1e-6, f"{d:.2e}", "1e-6")
 
 
-def check_layernorm_moments(faults):
+def check_layernorm_moments():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((16, 10)) * 3 + 2
     y = nd.layernorm_channels(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
@@ -329,7 +326,7 @@ def check_layernorm_moments(faults):
                    f"mean {dm:.2e}, var {dv:.2e}", "1e-5")
 
 
-def check_dwconv_independence(faults):
+def check_dwconv_independence():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 6, 6))
     x[2] = 0.0
@@ -340,7 +337,7 @@ def check_dwconv_independence(faults):
                    "exact")
 
 
-def check_scan_causality(faults):
+def check_scan_causality():
     rng = np.random.default_rng(5)
     init = Initializer(5, dtype=np.float64)
     p = bind(stack([init_ssm(init, 3, 2)]))
@@ -353,7 +350,7 @@ def check_scan_causality(faults):
     return _result("scan_causality", ok, "prefix bit-equal" if ok else "leaked", "bit-exact")
 
 
-def check_scan_recurrence(faults):
+def check_scan_recurrence():
     # one direction in token order, constant delta=1, A=-exp(0)=-1, b=1, c=1, d=0,
     # x=[1,0,0] -> y = [1, e^-1, e^-2]
     ones = Tensor(np.ones((1, 1, 3)))
@@ -364,7 +361,7 @@ def check_scan_recurrence(faults):
     return _result("scan_hand_recurrence", err <= 1e-4, f"{err:.2e}", "1e-4")
 
 
-def check_ss2d_equivariance(faults):
+def check_ss2d_equivariance():
     rng = np.random.default_rng(6)
     init = Initializer(6, dtype=np.float64)
     ps = [init_ssm(init, 2, 2) for _ in range(4)]
@@ -381,7 +378,7 @@ def check_ss2d_equivariance(faults):
                    "180-degree rotation and transpose with matching direction swaps")
 
 
-def check_window_attn_oracle(faults):
+def check_window_attn_oracle():
     rng = np.random.default_rng(7)
     C, H = 8, 4
     init = Initializer(7, dtype=np.float64)
@@ -444,14 +441,14 @@ def _grad_case(name, fn, params, tol=1e-4, max_elements=None):
     return _result(name, err <= tol, f"{err:.2e}", f"{tol:g}")
 
 
-def check_grad_dpe(faults):
+def check_grad_dpe():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 4, 4))
     p = DpeParams(rng.standard_normal((2, 3, 3)) * 0.3, rng.standard_normal(2) * 0.1)
     return _grad_case("grad_dpe", lambda xx, pp: sum_all(dpe_forward(xx, pp)), [x, p])
 
 
-def check_grad_convffn(faults):
+def check_grad_convffn():
     rng = np.random.default_rng(9)
     init = Initializer(9, dtype=np.float64)
     p = init_convffn(init, 2, 2)
@@ -469,19 +466,19 @@ def _grad_scan_case(name, seed, k, shape, max_elements=None):
                       max_elements=max_elements)
 
 
-def check_grad_scan(faults):
+def check_grad_scan():
     return _grad_scan_case("grad_selective_scan", 10, 1, (2, 1, 5))
 
 
-def check_grad_ss2d(faults):
+def check_grad_ss2d():
     return _grad_scan_case("grad_ss2d", 11, 4, (2, 4, 4), max_elements=80)
 
 
-def check_grad_bissm(faults):
+def check_grad_bissm():
     return _grad_scan_case("grad_bissm", 12, 2, (2, 3, 3), max_elements=80)
 
 
-def check_grad_window_attn(faults):
+def check_grad_window_attn():
     rng = np.random.default_rng(13)
     init = Initializer(13, dtype=np.float64)
     p = init_window_attn(init, 4, 2, heads=2, shifted=True)
@@ -491,7 +488,7 @@ def check_grad_window_attn(faults):
                       max_elements=80)
 
 
-def check_grad_dmca(faults):
+def check_grad_dmca():
     rng = np.random.default_rng(14)
     init = Initializer(14, dtype=np.float64)
     p = init_dmca(init, 8, 2, reduce_stride=2, groups=4)
@@ -501,7 +498,7 @@ def check_grad_dmca(faults):
                       [x, ys, p], max_elements=120)
 
 
-def check_grad_vss_block(faults):
+def check_grad_vss_block():
     rng = np.random.default_rng(15)
     init = Initializer(15, dtype=np.float64)
     p = init_vss_block(init, "ss2d", 2, 2, 2, window=2, heads=1, layer_index=0)
@@ -510,7 +507,7 @@ def check_grad_vss_block(faults):
                       [x, p], max_elements=100)
 
 
-def check_grad_reduced_model(faults):
+def check_grad_reduced_model():
     cfg = get_variant("tiny-reduced")
     model = build(cfg, 0, dtype=np.float64)
     img = np.random.default_rng(16).standard_normal((3, cfg.input_size, cfg.input_size))
@@ -520,7 +517,7 @@ def check_grad_reduced_model(faults):
                    f"sampled 60 of {count_arrays(model)} parameters")
 
 
-def check_dmca_shape_independence(faults):
+def check_dmca_shape_independence():
     shapes = set()
     for side in (7, 14, 28, 56):
         n = side * side
@@ -535,7 +532,7 @@ def check_dmca_shape_independence(faults):
                    "G x C/G x C/G for all N")
 
 
-def check_dmca_rowsum(faults):
+def check_dmca_rowsum():
     rng = np.random.default_rng(22)
     worst = 0.0
     for _ in range(100):
@@ -546,7 +543,7 @@ def check_dmca_rowsum(faults):
     return _result("dmca_attention_rowsum", worst <= 1e-6, f"{worst:.2e}", "1e-6")
 
 
-def check_dmca_zero_sources(faults):
+def check_dmca_zero_sources():
     init = Initializer(23, dtype=np.float64)
     p = init_dmca(init, 8, 2, reduce_stride=1, groups=4)
     rng = np.random.default_rng(24)
@@ -558,7 +555,7 @@ def check_dmca_zero_sources(faults):
     return _result("dmca_zero_sources_linear", err <= 1e-9, f"{err:.2e}", "1e-9")
 
 
-def check_dmca_param_formula(faults):
+def check_dmca_param_formula():
     bad = 0
     for mode in DMCA_MODES:
         for C, L, s in ((8, 1, 1), (8, 3, 2), (16, 2, 4)):
@@ -570,7 +567,7 @@ def check_dmca_param_formula(faults):
     return _result("dmca_param_count_formula", bad == 0, bad, "exact for all modes")
 
 
-def check_accounting_bands(faults):
+def check_accounting_bands():
     rows = []
     ok = True
     for name, p_t, f_t in (("tiny", 27.1e6, 5.2e9), ("small", 47e6, 9.3e9), ("base", 84e6, 15.9e9)):
@@ -582,13 +579,13 @@ def check_accounting_bands(faults):
     return _result("params_flops_bands", ok, "; ".join(rows), "params +-10%, flops +-15%")
 
 
-def check_flops_resolution(faults):
+def check_flops_resolution():
     cfg = get_variant("tiny")
     ratio = count_flops(cfg, 384)["total"] / count_flops(cfg, 224)["total"]
     return _result("flops_resolution_ratio", 2.9 <= ratio <= 3.1, f"{ratio:.4f}", "[2.9, 3.1]")
 
 
-def check_build_determinism(faults):
+def check_build_determinism():
     cfg = get_variant("tiny-reduced")
     a = build(cfg, 0)
     b = build(cfg, 0)
@@ -597,7 +594,7 @@ def check_build_determinism(faults):
     return _result("build_determinism", same, "bit-identical" if same else "differs", "bit-exact")
 
 
-def check_forward_determinism(faults):
+def check_forward_determinism():
     cfg = get_variant("tiny-reduced")
     model = build(cfg, 0)
     img = np.random.default_rng(30).standard_normal((3, 32, 32)).astype(np.float32)
@@ -607,7 +604,7 @@ def check_forward_determinism(faults):
     return _result("forward_determinism", same, "bit-identical" if same else "differs", "bit-exact")
 
 
-def check_memory_ordering(faults):
+def check_memory_ordering():
     cfg = get_variant("tiny")
     vals = {m.value: memory_report(cfg, mode=m.value)["total_training_bytes"] for m in Mode}
     seq = list(vals.values())
@@ -617,7 +614,7 @@ def check_memory_ordering(faults):
                    "plain < sparx < dgc < dsn")
 
 
-def check_mixer_interchangeability(faults):
+def check_mixer_interchangeability():
     plans = {}
     dmca_shapes = {}
     for mixer in MIXERS:
@@ -634,7 +631,7 @@ def check_mixer_interchangeability(faults):
                    "plans and aggregator shapes identical" if ok else "diverged", "exact")
 
 
-def check_cka_identities(faults):
+def check_cka_identities():
     rng = np.random.default_rng(40)
     a = rng.standard_normal((32, 12))
     self_err = abs(cka_linear(a, a) - 1.0)
@@ -646,7 +643,7 @@ def check_cka_identities(faults):
     return _result("cka_identities", worst <= 1e-6, f"{worst:.2e}", "1e-6")
 
 
-def check_erf_footprints(faults):
+def check_erf_footprints():
     rng = np.random.default_rng(41)
     w1 = Tensor(rng.standard_normal((1, 3, 3)))
     w2 = Tensor(rng.standard_normal((1, 3, 3)))
@@ -701,16 +698,12 @@ CHECKS = [
     check_erf_footprints,
 ]
 
-SABOTAGE_TARGETS = ("softmax",)
-
-
-def run_checks(sabotage=frozenset()) -> list[CheckResult]:
+def run_checks() -> list[CheckResult]:
     """Run every registered check; failures never abort the suite early."""
-    faults = frozenset(sabotage)
     results = []
     for fn in CHECKS:
         try:
-            results.append(fn(faults))
+            results.append(fn())
         except Exception as e:  # a crashed check is a failed check
             results.append(_result(fn.__name__.removeprefix("check_"), False,
                                    f"exception: {type(e).__name__}: {e}", "no exception"))

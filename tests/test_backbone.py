@@ -57,6 +57,12 @@ class TestBuild:
         assert tiny.stage4_policy == "all_ganglion" and small.stage4_policy == "all_ganglion"
         assert base.stage4_policy == "last_only"
 
+    def test_get_variant_returns_a_fresh_copy(self):
+        expected = get_variant("tiny").to_json()
+        for cfg in (get_variant("tiny"), get_variant("tiny", mixer="window_attn")):
+            cfg.stride, cfg.channels, cfg.mixer = 9, (1, 2, 3, 4), "ssm"
+        assert get_variant("tiny").to_json() == expected
+
     def test_config_json_roundtrip_and_unknown_fields(self):
         cfg = get_variant("tiny-reduced")
         again = ModelConfig.from_json(cfg.to_json())
@@ -124,34 +130,8 @@ class TestForward:
         assert reshapes <= limit, f"{reshapes} reshapes recorded"
         assert ops <= op_limit, f"{ops} ops recorded"
 
-    def test_mixer_swap_preserves_plans_and_aggregator_shapes(self):
-        ref = None
-        for mixer in ("ss2d", "ssm", "bissm", "window_attn"):
-            model = build(get_variant("tiny-reduced", mixer=mixer), 0)
-            plans = [[(l.role.value, l.intra_sources, l.inter_sources) for l in p.layers]
-                     for p in model.plans]
-            shapes = [tuple(a.shape for _, a in iter_arrays(st.layers[i].dmca))
-                      for st in model.stages for i in range(len(st.layers))
-                      if st.layers[i].dmca is not None]
-            if ref is None:
-                ref = (plans, shapes)
-            else:
-                assert (plans, shapes) == ref
-
 
 class TestAccounting:
-    @pytest.mark.parametrize("name,p_target,f_target", [
-        ("tiny", 27.1e6, 5.2e9),
-        ("small", 47e6, 9.3e9),
-        ("base", 84e6, 15.9e9),
-    ])
-    def test_params_and_macs_within_bands(self, name, p_target, f_target):
-        cfg = get_variant(name)
-        p = count_arrays(build(cfg, 0))
-        f = count_flops(cfg)["total"]
-        assert abs(p - p_target) / p_target <= 0.10, f"{name} params {p}"
-        assert abs(f - f_target) / f_target <= 0.15, f"{name} macs {f}"
-
     def test_params_independent_of_input_resolution(self):
         a = build(get_variant("tiny", input_size=224), 0)
         b = build(get_variant("tiny", input_size=384), 0)
@@ -169,12 +149,6 @@ class TestAccounting:
         fl = count_flops(get_variant("tiny"))
         assert fl["total"] == sum(v for k, v in fl.items() if k != "total")
         assert fl["aggregation"] > 0 and fl["mixer"] > 0
-
-    def test_memory_mode_ordering_matches_density(self):
-        cfg = get_variant("tiny")
-        vals = {m: memory_report(cfg, mode=m)["total_training_bytes"]
-                for m in ("plain", "sparx", "dgc", "dsn")}
-        assert vals["plain"] < vals["sparx"] < vals["dgc"] < vals["dsn"]
 
     def test_memory_plain_has_single_live_feature_per_stage(self):
         rep = memory_report(get_variant("tiny"), mode="plain")

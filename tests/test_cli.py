@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparx import nd, verify
 from sparx.blocks import MIXERS
 from sparx.cli import main
 from sparx.dmca import DMCA_MODES
@@ -46,6 +47,11 @@ class TestPlanCommand:
 
     def test_missing_layer_spec_is_config_error(self, tmp_path):
         assert run(["plan", "--out", str(tmp_path / "x")]) == 2
+
+    def test_variant_with_layers_is_config_error(self, tmp_path, capsys):
+        assert run(["plan", "--variant", "tiny", "--layers", "3", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --variant or --layers, not both\n"
 
     def test_plan_outputs_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -85,29 +91,51 @@ class TestStatsCommand:
         assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
 
 
+def check_passing():
+    return verify.CheckResult("passing", True, "0", "0")
+
+
+def check_failing():
+    return verify.CheckResult("failing", False, "1", "0")
+
+
+def check_raising():
+    raise RuntimeError("boom")
+
+
 class TestVerifyCommand:
     def test_fresh_checkout_passes_and_reports_enough_checks(self, tmp_path):
         out = tmp_path / "v"
-        assert run(["verify", "--out", str(out)]) == 0
+        code = run(["verify", "--out", str(out)])
         report = json.loads((out / "verify_report.json").read_text())
-        assert report["failed"] == 0
+        failing = [f"{c['name']}: measured {c['measured']} (tolerance {c['tolerance']})"
+                   for c in report["checks"] if not c["passed"]]
+        assert code == 0 and report["failed"] == 0, "; ".join(failing)
         assert report["total"] >= 20
         assert all(set(c) >= {"name", "passed", "measured", "tolerance"}
                    for c in report["checks"])
 
-    def test_sabotage_flips_softmax_check(self, tmp_path):
-        out = tmp_path / "v"
-        assert run(["verify", "--sabotage", "softmax", "--out", str(out)]) == 1
-        report = json.loads((out / "verify_report.json").read_text())
-        failed = [c["name"] for c in report["checks"] if not c["passed"]]
-        assert failed == ["softmax_rowsum"]
+    def test_failed_and_raising_checks_fail_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "CHECKS", [check_passing, check_failing, check_raising])
+        assert run(["verify", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:3]] == [
+            ["PASS", "passing:"], ["FAIL", "failing:"], ["FAIL", "raising:"]]
+        assert lines[3:] == ["1/3 checks passed"]
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert (report["total"], report["failed"]) == (3, 2)
+        raised = report["checks"][2]
+        assert raised["passed"] is False and raised["measured"].startswith("exception:")
 
-    def test_unknown_sabotage_target_is_config_error(self, tmp_path, capsys):
-        for target in ("gravity", ""):
-            assert run(["verify", "--sabotage", target, "--out", str(tmp_path)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: unknown sabotage target") and err.count("\n") == 1
+    def test_all_passing_checks_exit_0(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "CHECKS", [check_passing])
+        assert run(["verify", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-7])  # 16 columns: row sums off by 1.6e-2 and 1.6e-6
+    def test_softmax_check_detects_a_corrupted_softmax(self, eps, monkeypatch):
+        real = nd.softmax_lastdim
+        monkeypatch.setattr(nd, "softmax_lastdim", lambda a: nd.Tensor(real(a).data + eps))
+        assert not verify.check_softmax_rowsum().passed
 
 class TestForwardCaptureCka:
     def test_forward_twice_identical_logits_files(self, tmp_path):
