@@ -103,17 +103,33 @@ def check_raising():
     raise RuntimeError("boom")
 
 
+@pytest.fixture(scope="class")
+def verify_run(tmp_path_factory):
+    """One real `sparx verify` run, shared by every test that reads its report."""
+    out = tmp_path_factory.mktemp("verify")
+    code = run(["verify", "--out", str(out)])
+    return code, json.loads((out / "verify_report.json").read_text())
+
+
 class TestVerifyCommand:
-    def test_fresh_checkout_passes_and_reports_enough_checks(self, tmp_path):
-        out = tmp_path / "v"
-        code = run(["verify", "--out", str(out)])
-        report = json.loads((out / "verify_report.json").read_text())
+    def test_fresh_checkout_passes_and_reports_enough_checks(self, verify_run):
+        code, report = verify_run
         failing = [f"{c['name']}: measured {c['measured']} (tolerance {c['tolerance']})"
                    for c in report["checks"] if not c["passed"]]
         assert code == 0 and report["failed"] == 0, "; ".join(failing)
         assert report["total"] >= 20
         assert all(set(c) >= {"name", "passed", "measured", "tolerance"}
                    for c in report["checks"])
+
+    # One test id per registered invariant, read from the shared run: a failing
+    # check is reported under its own name without running the registry twice.
+    @pytest.mark.parametrize("index", range(len(verify.CHECKS)),
+                             ids=[fn.__name__ for fn in verify.CHECKS])
+    def test_registered_check_passes(self, index, verify_run):
+        _, report = verify_run
+        assert report["total"] == len(verify.CHECKS)
+        c = report["checks"][index]
+        assert c["passed"], f"{c['name']}: measured {c['measured']} (tolerance {c['tolerance']})"
 
     def test_failed_and_raising_checks_fail_the_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(verify, "CHECKS", [check_passing, check_failing, check_raising])
