@@ -9,7 +9,7 @@ import numpy as np
 
 from .backbone import ModelParams, forward_bound
 from .nd import Tape, backward, slice_axis, sum_all
-from .params import astype
+from .params import astype, bind
 
 
 class AnalysisError(ValueError):
@@ -104,7 +104,7 @@ def erf_map(feature_fn, images) -> ErfMap:
         if feat.data.ndim != 3:
             raise AnalysisError(f"feature_fn must return (C,h,w), got {feat.shape}")
         _, h, w = feat.shape
-        center = slice_axis(slice_axis(feat, 1, h // 2, h // 2 + 1), 2, w // 2, w // 2 + 1)
+        center = slice_axis(feat, (1, 2), (h // 2, w // 2), (h // 2 + 1, w // 2 + 1))
         grads = backward(tape, sum_all(center))
         g = grads[leaf.node].data
         sal = np.abs(g).sum(axis=0) if g.ndim == 3 else np.abs(g)
@@ -123,9 +123,9 @@ def erf(model: ModelParams, probe_stage: int, images) -> ErfMap:
     """ERF of a backbone stage's final feature on a batch of images."""
     if not 1 <= probe_stage <= len(model.stages):
         raise AnalysisError(f"probe stage {probe_stage} outside 1..{len(model.stages)}")
-    # raw arrays are constants (only the image participates in the tape), in
+    # the weights are bound as constants (only the image is a tape leaf), in
     # float64 to match the image leaves regardless of the model's inference dtype
-    model64 = astype(model, np.float64)
+    model64 = bind(astype(model, np.float64))
 
     def fn(img):
         feat, _ = forward_bound(model64, img, to_stage=probe_stage)

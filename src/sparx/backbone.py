@@ -167,8 +167,8 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
                   to_stage: int | None = None):
     """Run a model on one (3,H,W) image.
 
-    ``bound`` holds Tensors (tape leaves when gradients are wanted) or raw
-    arrays, which every op wraps as constants. Features stay (C,H,W) maps
+    ``bound`` is a model passed through ``params.bind``: its leaves are
+    Tensors, tape leaves when gradients are wanted. Features stay (C,H,W) maps
     throughout: the feature cache holds maps and the aggregator takes and
     returns them. Returns (logits Tensor, captured list). With ``to_stage``
     in 1..4 the walk stops after that stage and returns its final feature
@@ -213,10 +213,10 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
 
 
 def forward(model: ModelParams, image, capture: bool = False):
-    """Inference on a raw-array model, passed to the ops as constants; returns
+    """Inference on a raw-array model, bound once as constants; returns
     (logits ndarray, captures)."""
     img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=model.stem.w1.dtype))
-    logits, captured = forward_bound(model, img, capture=capture)
+    logits, captured = forward_bound(bind(model), img, capture=capture)
     return np.array(logits.data), captured
 
 
@@ -343,10 +343,11 @@ class ToyTrainResult:
 
 
 def evaluate(model: ModelParams, images, labels) -> float:
+    bound = bind(model)
     correct = 0
     for img, lbl in zip(images, labels):
-        logits, _ = forward(model, img)
-        correct += int(np.argmax(logits) == int(lbl))
+        logits, _ = forward_bound(bound, Tensor(np.asarray(img, dtype=model.stem.w1.dtype)))
+        correct += int(np.argmax(logits.data) == int(lbl))
     return correct / len(labels)
 
 

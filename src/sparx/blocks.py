@@ -18,10 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nd import (Tensor, add, crop_spatial, dwconv, gather_rows, gelu, matmul,
-                 pad_spatial, permute, pointwise_linear, reshape, roll2d, scale,
-                 selective_scan, softmax_lastdim, softplus, split, layernorm_channels,
-                 ShapeError)
+from .nd import (Tensor, add, dwconv, gather_rows, gelu, matmul, pad_spatial, permute,
+                 pointwise_linear, reshape, roll2d, scale, selective_scan, slice_axis,
+                 softmax_lastdim, softplus, split, layernorm_channels, ShapeError)
 from .params import Initializer, stack
 
 # Scan mixers by the number of directions they run, taken in the fixed order
@@ -107,7 +106,6 @@ class ConvFfnParams:
 
 @dataclass
 class VssBlockParams:
-    mixer_kind: str
     mixer: object  # SsmParams with k stacked directions for scans, WindowAttnParams for attention
     ln1_g: np.ndarray
     ln1_b: np.ndarray
@@ -165,18 +163,14 @@ def init_convffn(init: Initializer, channels: int, ratio: int) -> ConvFfnParams:
     )
 
 
-def init_mixer(init: Initializer, kind: str, channels: int, state_dim: int,
-               window: int, heads: int, layer_index: int):
-    if kind == "window_attn":
-        return init_window_attn(init, channels, window, heads, shifted=layer_index % 2 == 1)
-    return stack([init_ssm(init, channels, state_dim) for _ in range(SCAN_DIRECTIONS[kind])])
-
-
 def init_vss_block(init: Initializer, kind: str, channels: int, state_dim: int,
                    ffn_ratio: int, window: int, heads: int, layer_index: int) -> VssBlockParams:
+    if kind == "window_attn":
+        mixer = init_window_attn(init, channels, window, heads, shifted=layer_index % 2 == 1)
+    else:
+        mixer = stack([init_ssm(init, channels, state_dim) for _ in range(SCAN_DIRECTIONS[kind])])
     return VssBlockParams(
-        mixer_kind=kind,
-        mixer=init_mixer(init, kind, channels, state_dim, window, heads, layer_index),
+        mixer=mixer,
         ln1_g=init.ones((channels,)), ln1_b=init.zeros((channels,)),
         ln2_g=init.ones((channels,)), ln2_b=init.zeros((channels,)),
         ffn=init_convffn(init, channels, ffn_ratio),
@@ -184,7 +178,7 @@ def init_vss_block(init: Initializer, kind: str, channels: int, state_dim: int,
 
 
 # ---------------------------------------------------------------------------
-# forward passes (params hold Tensors or raw arrays; ops wrap arrays as constants)
+# forward passes (params hold Tensors: ``params.bind`` makes them from arrays)
 # ---------------------------------------------------------------------------
 
 def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
@@ -294,17 +288,18 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
     if shift:
         out = roll2d(out, shift, shift)
     if hp != H or wp != W:
-        out = crop_spatial(out, H, W)
+        out = slice_axis(out, (1, 2), (0, 0), (H, W))
     return pointwise_linear(out, p.w_out, p.b_out)
 
 
-def mixer_forward(x: Tensor, kind: str, params) -> Tensor:
-    if kind == "window_attn":
+def mixer_forward(x: Tensor, params) -> Tensor:
+    """Window attention for ``WindowAttnParams``, otherwise the scan over stacked ``SsmParams``."""
+    if isinstance(params, WindowAttnParams):
         return window_attention_forward(x, params)
     return scan_forward(x, params)
 
 
 def vss_block_forward(x: Tensor, p: VssBlockParams) -> Tensor:
     """Pre-norm residual token mixer followed by a pre-norm residual ConvFFN."""
-    x1 = add(x, mixer_forward(layernorm_channels(x, p.ln1_g, p.ln1_b), p.mixer_kind, p.mixer))
+    x1 = add(x, mixer_forward(layernorm_channels(x, p.ln1_g, p.ln1_b), p.mixer))
     return add(x1, convffn_forward(layernorm_channels(x1, p.ln2_g, p.ln2_b), p.ffn))

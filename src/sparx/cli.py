@@ -76,13 +76,15 @@ def _resolve_config(args) -> ModelConfig:
     flags = {"input_size": "input", "mixer": "mixer", "topology_mode": "topology_mode",
              "dmca_mode": "dmca_mode"}
     overrides = {f: getattr(args, a) for f, a in flags.items() if getattr(args, a, None) is not None}
-    if getattr(args, "config", None):
+    if args.config and args.variant:
+        raise ConfigError("--variant or --config, not both")
+    if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as e:
             raise ConfigError(f"cannot read config file {args.config}: {e}") from e
         return replace(ModelConfig.from_json(text), **overrides)
-    if getattr(args, "variant", None):
+    if args.variant:
         return get_variant(args.variant, **overrides)
     raise ConfigError("either --variant or --config is required")
 
@@ -104,9 +106,11 @@ def _seeded_images(seed: int, count: int, size: int, dtype=np.float32):
 def cmd_plan(args) -> int:
     out = _out_dir(args)
     files = []
-    if args.variant and args.layers is not None:
-        raise ConfigError("--variant or --layers, not both")
     if args.variant:
+        for flag, value in (("--layers", args.layers), ("--stride", args.stride),
+                            ("--window", args.window), ("--cross-stage", args.cross_stage)):
+            if value is not None:
+                raise ConfigError(f"--variant or {flag}, not both")
         cfg = get_variant(args.variant, **({"topology_mode": args.mode} if args.mode else {}))
         plans = plan_model(cfg)
         for i, plan in enumerate(plans, start=1):
@@ -117,6 +121,10 @@ def cmd_plan(args) -> int:
     else:
         if args.layers is None:
             raise ConfigError("plan needs --variant or --layers")
+        # defaults are filled in where they apply, so the manifest records what ran
+        for name, default in (("stride", 2), ("window", 2), ("cross_stage", False)):
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         cfg = StageTopologyConfig(args.layers, args.stride, args.window,
                                   Mode(args.mode or "sparx"),
                                   has_cross_stage_input=args.cross_stage)
@@ -255,6 +263,8 @@ def cmd_cka(args) -> int:
 
 def cmd_erf(args) -> int:
     out = _out_dir(args)
+    if not args.config and not args.variant:
+        args.variant = "tiny-reduced"
     cfg = _resolve_config(args)
     model = build(cfg, args.seed, dtype=np.float64)
     images = _seeded_images(args.seed, args.images, cfg.input_size, dtype=np.float64)
@@ -302,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="emit connectivity plans as JSON and DOT")
     p.add_argument("--variant", choices=VARIANT_NAMES)
     p.add_argument("--layers", type=int)
-    p.add_argument("--stride", type=int, default=2)
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--stride", type=int, help="ganglion stride with --layers (default 2)")
+    p.add_argument("--window", type=int, help="connection window with --layers (default 2)")
     p.add_argument("--mode", choices=[m.value for m in Mode])
-    p.add_argument("--cross-stage", action="store_true", dest="cross_stage")
+    p.add_argument("--cross-stage", action="store_true", default=None, dest="cross_stage")
     common(p)
     p.set_defaults(func=cmd_plan)
 
@@ -339,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cka)
 
     p = sub.add_parser("erf", help="effective receptive field of a stage")
-    p.add_argument("--variant", choices=VARIANT_NAMES, default="tiny-reduced")
+    p.add_argument("--variant", choices=VARIANT_NAMES, help="default tiny-reduced without --config")
     p.add_argument("--config")
     p.add_argument("--stage", type=int, default=4)
     p.add_argument("--images", type=int, default=8)

@@ -1,12 +1,17 @@
 """Dense n-d tensor engine with reverse-mode differentiation.
 
 Tensors wrap row-major contiguous numpy arrays (float32 or float64) and
-optionally participate in a recording ``Tape``. Operations are pure: given the
-same inputs they produce bit-identical outputs. Every op validates shapes up
-front, and every op that computes values checks its output for NaN/Inf, so
-non-finite values surface as errors at the op that produced them instead of
-propagating silently. Ops that only move values (reshape, permute, slice,
-concat, pad, crop, roll) cannot produce one and are not scanned.
+optionally participate in a recording ``Tape``. Ops take Tensors: a raw
+parameter array becomes a constant Tensor through ``params.bind`` (or a tape
+leaf through ``Tape.leaf``), never inside an op, and no op casts a dtype; the
+only plain values are fixed integer tables (a scan's ``order``, a gather
+index) and Python scalars. Operations are pure: given the same inputs they
+produce bit-identical outputs. Every op validates shapes up front, an op with
+several tensor inputs requires one dtype for all of them, and every op that
+computes values checks its output for NaN/Inf, so non-finite values surface
+as errors at the op that produced them instead of propagating silently. Ops
+that only move values (reshape, permute, slice, concat, pad, roll) cannot
+produce one and are not scanned.
 
 The op surface is deliberately small: exactly the primitives the backbone
 needs (matmul, 2-d or batched over a leading axis; channel projection and
@@ -118,13 +123,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, taped={self.tape is not None})"
 
 
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _check_same_dtype(op, *ts):
     dtypes = {t.dtype for t in ts}
     if len(dtypes) > 1:
@@ -140,8 +138,7 @@ def _wrap(data, tape=None, node=None):
 
 # Ops that only carry input values to new positions (or add zeros); they cannot
 # make a value non-finite, so their outputs are not scanned.
-_DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat",
-                            "pad_spatial", "crop_spatial", "roll2d"})
+_DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d"})
 
 
 def _apply(op, out, inputs, vjp):
@@ -178,8 +175,6 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
     _check_same_dtype("add", a, b)
     try:
         out = a.data + b.data
@@ -194,8 +189,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
     _check_same_dtype("mul", a, b)
     try:
         out = a.data * b.data
@@ -211,14 +204,12 @@ def mul(a, b):
 
 def scale(a, s: float):
     """Multiply by a python scalar."""
-    a = _as_tensor(a)
     s = a.dtype.type(s)
     return _apply("scale", a.data * s, (a,), lambda g: (g * s,))
 
 
 def matmul(a, b):
     """(m,k) @ (k,n), or a same-batch stack (B,m,k) @ (B,k,n)."""
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_same_dtype("matmul", a, b)
     if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: expects 2-d or same-batch 3-d operands, got {a.shape} @ {b.shape}")
@@ -242,8 +233,6 @@ def pointwise_linear(x, weight, bias=None):
     summed over them). The tokens are flattened with a view, so a call is one
     matrix product whatever the rank of ``rest``.
     """
-    x, weight = _as_tensor(x), _as_tensor(weight)
-    bias = None if bias is None else _as_tensor(bias, like=x)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("pointwise_linear", *inputs)
     nb = weight.data.ndim - 2  # stacked projections: 0 or 1 leading axis
@@ -273,7 +262,6 @@ def pointwise_linear(x, weight, bias=None):
 # ---------------------------------------------------------------------------
 
 def reshape(a, shape):
-    a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
     if min(shape, default=0) < 0 or math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
@@ -282,7 +270,6 @@ def reshape(a, shape):
 
 
 def permute(a, axes):
-    a = _as_tensor(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _apply("permute", a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
@@ -290,7 +277,7 @@ def permute(a, axes):
 
 def concat(tensors, axis=0):
     """Concatenate along ``axis``; all other dims must match exactly."""
-    ts = [_as_tensor(t) for t in tensors]
+    ts = list(tensors)
     if not ts:
         raise ShapeError("concat: empty input list")
     _check_same_dtype("concat", *ts)
@@ -310,12 +297,14 @@ def concat(tensors, axis=0):
 
 
 def slice_axis(a, axis, start, stop):
-    a = _as_tensor(a)
-    n = a.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_axis: [{start}:{stop}) out of range for axis {axis} of {a.shape}")
+    """Keep [start, stop) of ``axis``; equal-length tuples of axes, starts and
+    stops slice several axes in one op."""
     idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
+    axes, starts, stops = (v if isinstance(v, tuple) else (v,) for v in (axis, start, stop))
+    for ax, lo, hi in zip(axes, starts, stops, strict=True):
+        if not (0 <= lo < hi <= a.shape[ax]):
+            raise ShapeError(f"slice_axis: [{lo}:{hi}) out of range for axis {ax} of {a.shape}")
+        idx[ax] = slice(lo, hi)
     idx = tuple(idx)
     in_shape, in_dtype = a.shape, a.dtype
 
@@ -329,7 +318,6 @@ def slice_axis(a, axis, start, stop):
 
 def split(a, parts, axis=0):
     """Split into ``parts`` equal segments along ``axis``; inverse of concat."""
-    a = _as_tensor(a)
     n = a.shape[axis]
     if parts < 1 or n % parts != 0:
         raise ShapeError(f"split: axis {axis} of {a.shape} not divisible into {parts} parts")
@@ -339,7 +327,6 @@ def split(a, parts, axis=0):
 
 def roll2d(a, shift_h, shift_w):
     """Cyclic shift of the two trailing spatial axes of a (C,H,W) tensor."""
-    a = _as_tensor(a)
     if a.data.ndim != 3:
         raise ShapeError(f"roll2d: expects (C,H,W), got {a.shape}")
     out = np.roll(a.data, (shift_h, shift_w), axis=(1, 2))
@@ -352,7 +339,6 @@ def roll2d(a, shift_h, shift_w):
 
 def pad_spatial(a, pad_h, pad_w):
     """Zero-pad the spatial axes of (C,H,W); pads are (before, after) pairs."""
-    a = _as_tensor(a)
     if a.data.ndim != 3:
         raise ShapeError(f"pad_spatial: expects (C,H,W), got {a.shape}")
     (ht, hb), (wl, wr) = pad_h, pad_w
@@ -365,29 +351,11 @@ def pad_spatial(a, pad_h, pad_w):
     return _apply("pad_spatial", out, (a,), vjp)
 
 
-def crop_spatial(a, h, w):
-    """Keep the top-left h x w spatial region of (C,H,W)."""
-    a = _as_tensor(a)
-    if a.data.ndim != 3:
-        raise ShapeError(f"crop_spatial: expects (C,H,W), got {a.shape}")
-    if h > a.shape[1] or w > a.shape[2]:
-        raise ShapeError(f"crop_spatial: target ({h},{w}) exceeds {a.shape}")
-    in_shape, in_dtype = a.shape, a.dtype
-
-    def vjp(g):
-        z = np.zeros(in_shape, dtype=in_dtype)
-        z[:, :h, :w] = g
-        return (z,)
-
-    return _apply("crop_spatial", a.data[:, :h, :w].copy(), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
 
 def sum_all(a):
-    a = _as_tensor(a)
     in_shape, in_dtype = a.shape, a.dtype
 
     def vjp(g):
@@ -397,7 +365,6 @@ def sum_all(a):
 
 
 def mean_axis(a, axis, keepdims=False):
-    a = _as_tensor(a)
     in_shape = a.shape
     if in_shape[axis] == 0:
         raise ShapeError(f"mean_axis: empty reduction axis {axis} of {in_shape}")
@@ -416,7 +383,6 @@ def mean_axis(a, axis, keepdims=False):
 
 def softplus(a):
     """log(1 + e^x), computed stably as max(x, 0) + log1p(e^-|x|)."""
-    a = _as_tensor(a)
     ad = a.data
     out = np.abs(ad)  # -|x|, exp, log1p in place: one result buffer, not one per step
     np.negative(out, out=out)
@@ -485,7 +451,6 @@ def gelu(a):
     ufuncs; its error against float64 is below 1e-6 absolute. The float32
     backward pass recomputes Phi with ``erf`` instead of keeping it.
     """
-    a = _as_tensor(a)
     ad = a.data
 
     def one_plus_erf():
@@ -512,7 +477,6 @@ def gelu(a):
 
 def softmax_lastdim(a):
     """Softmax over the last axis, max-subtracted for stability."""
-    a = _as_tensor(a)
     if a.shape[-1] == 0:
         raise ShapeError("softmax_lastdim: empty reduction axis")
     z = a.data - a.data.max(axis=-1, keepdims=True)
@@ -532,8 +496,7 @@ def layernorm_channels(x, gamma, beta, eps=1e-6):
     The tokens are flattened with a view, so the statistics are one
     reduction over axis 0 whatever the rank of ``rest``.
     """
-    x = _as_tensor(x)
-    gamma, beta = _as_tensor(gamma, like=x), _as_tensor(beta, like=x)
+    _check_same_dtype("layernorm_channels", x, gamma, beta)
     C = x.shape[0] if x.data.ndim else 0
     if C < 1:
         raise ShapeError(f"layernorm_channels: expects a non-empty channel axis, got {x.shape}")
@@ -560,7 +523,6 @@ def layernorm_channels(x, gamma, beta, eps=1e-6):
 
 def cross_entropy_logits(logits, label):
     """Softmax cross-entropy of a single logit vector against an int label."""
-    logits = _as_tensor(logits)
     if logits.data.ndim != 1:
         raise ShapeError(f"cross_entropy_logits: expects 1-d logits, got {logits.shape}")
     label = int(label)
@@ -603,7 +565,6 @@ def extract_patches(x, kernel, stride=1, pad=0):
     field is laid out row-major along axis 1; channels stay separate so both
     dense and depthwise convolutions can be built on top.
     """
-    x = _as_tensor(x)
     k, s, p = int(kernel), int(stride), int(pad)
     Ho, Wo = _conv_out_hw("extract_patches", x.shape, k, s, p)
     C, H, W = x.shape
@@ -647,9 +608,6 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
     each tap into a flat padded gradient the same way and re-pads ``x``
     block by block instead of keeping a padded copy.
     """
-    x = _as_tensor(x)
-    weight = _as_tensor(weight, like=x)
-    bias = None if bias is None else _as_tensor(bias, like=x)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("dwconv", *inputs)
     if x.data.ndim != 3:
@@ -726,8 +684,6 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
 
     One channel projection of the (Cin*k*k, Ho, Wo) patch map.
     """
-    x = _as_tensor(x)
-    weight = _as_tensor(weight, like=x)
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d: weight must be (Cout,Cin,k,k), got {weight.shape}")
     Cout, Cin, k, k2 = weight.shape
@@ -740,7 +696,6 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
 
 def avgpool_stride(x, stride):
     """Non-overlapping average pooling; stride must divide both spatial dims."""
-    x = _as_tensor(x)
     s = int(stride)
     Ho, Wo = _conv_out_hw("avgpool_stride", x.shape, s, s, 0)
     C, H, W = x.shape
@@ -752,7 +707,6 @@ def avgpool_stride(x, stride):
 
 def gather_rows(table, index):
     """Row lookup out[i] = table[index[i]]; index is a fixed, non-empty int array."""
-    table = _as_tensor(table)
     idx = np.asarray(index, dtype=np.int64).reshape(-1)
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows: table must be 2-d, got {table.shape}")
@@ -819,8 +773,6 @@ def selective_scan(x, delta, a_log, b, c, d, order):
     each chunk is kept; the backward pass recomputes each chunk's states and
     decays from that state.
     """
-    x, delta = _as_tensor(x), _as_tensor(delta)
-    a_log, b, c, d = (_as_tensor(t, like=x) for t in (a_log, b, c, d))
     _check_same_dtype("selective_scan", x, delta, a_log, b, c, d)
     order = np.asarray(order)
     if x.data.ndim != 2 or order.ndim != 2 or order.dtype.kind not in "iu":

@@ -31,7 +31,12 @@ def map_arrays(obj, fn):
 
 
 def bind(obj, tape=None):
-    """Return a parallel structure with ndarray leaves wrapped as Tensors."""
+    """Return a parallel structure with ndarray leaves wrapped as Tensors.
+
+    With a tape the leaves are differentiable tape leaves; without one they
+    are constants. Ops take only Tensors, so this is where parameter arrays
+    become op inputs.
+    """
     if tape is not None:
         return map_arrays(obj, tape.leaf)
     return map_arrays(obj, nd.Tensor)

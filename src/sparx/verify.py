@@ -545,7 +545,7 @@ def check_dmca_rowsum():
 
 def check_dmca_zero_sources():
     init = Initializer(23, dtype=np.float64)
-    p = init_dmca(init, 8, 2, reduce_stride=1, groups=4)
+    p = bind(init_dmca(init, 8, 2, reduce_stride=1, groups=4))
     rng = np.random.default_rng(24)
     x = rng.standard_normal((8, 4, 4))
     zeros = [Tensor(np.zeros((8, 4, 4))) for _ in range(2)]

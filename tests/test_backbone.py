@@ -96,7 +96,6 @@ class TestForward:
         assert roles[0] == (1, 1, "normal")
         assert roles[-1] == (4, 1, "ganglion")
 
-    @pytest.mark.slow
     def test_tiny_224_stage_token_counts(self):
         model = build(get_variant("tiny"), 0)
         img = np.random.default_rng(2).standard_normal((3, 224, 224)).astype(np.float32)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparx import nd, verify
 from sparx.blocks import MIXERS
+from sparx.config import get_variant
 from sparx.cli import main
 from sparx.dmca import DMCA_MODES
 from sparx.tensor_io import read_tensor, write_tensor
@@ -272,6 +273,40 @@ class TestManifests:
         monkeypatch.setenv("SPARX_OUT", str(target))
         assert run(["plan", "--layers", "4"]) == 0
         assert (target / "plan.json").exists()
+
+
+class TestConflictingOptions:
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--variant", "tiny", "--stride", "2"],
+        ["plan", "--variant", "tiny", "--window", "2"],
+        ["plan", "--variant", "tiny", "--cross-stage"],
+        ["forward", "--variant", "tiny-reduced", "--config"],
+        ["capture", "--variant", "tiny-reduced", "--config"],
+        ["erf", "--variant", "tiny-reduced", "--config"],
+    ], ids=" ".join)
+    def test_option_the_command_would_ignore_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        flag = argv[3]
+        if flag == "--config":
+            path = tmp_path / "cfg.json"
+            path.write_text(get_variant("tiny-reduced").to_json())
+            argv = argv + [str(path)]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: --variant or {flag}, not both\n"
+
+    def test_omitted_plan_options_keep_stride_2_window_2(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["plan", "--layers", "8", "--out", str(a)]) == 0
+        assert run(["plan", "--layers", "8", "--stride", "2", "--window", "2", "--out", str(b)]) == 0
+        for name in ("plan.json", "plan.dot"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_config_file_alone_matches_its_variant(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(get_variant("tiny-reduced").to_json())
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["forward", "--config", str(path), "--out", str(a)]) == 0
+        assert run(["forward", "--variant", "tiny-reduced", "--out", str(b)]) == 0
+        assert (a / "logits.spxt").read_bytes() == (b / "logits.spxt").read_bytes()
 
 
 class TestNumericInputs:

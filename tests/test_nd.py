@@ -18,6 +18,21 @@ from sparx.tensor_io import TensorFormatError, read_tensor, tensor_bytes, tensor
 from sparx.verify import dwconv_oracle, grad_check, scan_oracle
 
 
+# (name, op, operand shapes) of every op with two or more tensor inputs
+_MULTI_INPUT_OPS = [
+    ("add", add, [(3,), (3,)]),
+    ("mul", mul, [(3,), (3,)]),
+    ("matmul", matmul, [(2, 3), (3, 2)]),
+    ("pointwise_linear", nd.pointwise_linear, [(3, 4), (2, 3), (2,)]),
+    ("concat", lambda *ts: concat(ts), [(2, 3), (1, 3)]),
+    ("layernorm_channels", layernorm_channels, [(3, 4), (3,), (3,)]),
+    ("dwconv", lambda x, w, b: dwconv(x, w, b, pad=1), [(2, 3, 3), (2, 3, 3), (2,)]),
+    ("conv2d", lambda x, w, b: conv2d(x, w, b, pad=1), [(2, 4, 4), (3, 2, 3, 3), (3,)]),
+    ("selective_scan", lambda *ts: selective_scan(*ts, np.arange(4)[None]),
+     [(2, 4), (1, 2, 4), (1, 2, 3), (1, 3, 4), (1, 3, 4), (1, 2)]),
+]
+
+
 class TestDenseOps:
     def test_matmul_identity(self):
         out = matmul(Tensor(np.eye(2)), Tensor([[3.0, 4.0], [5.0, 6.0]]))
@@ -35,9 +50,28 @@ class TestDenseOps:
         with pytest.raises(ShapeError):
             split(Tensor(np.zeros((5, 2))), 2, axis=0)
 
-    def test_mixed_dtypes_rejected(self):
-        with pytest.raises(ShapeError, match="dtype"):
-            add(Tensor(np.zeros(3, np.float32)), Tensor(np.zeros(3, np.float64)))
+    @pytest.mark.parametrize("op,shapes,wide", [pytest.param(op, shapes, i, id=f"{name}-{i}")
+                                                 for name, op, shapes in _MULTI_INPUT_OPS
+                                                 for i in range(len(shapes))])
+    def test_mixed_dtypes_rejected(self, op, shapes, wide):
+        ts = [Tensor(np.ones(s, np.float64 if i == wide else np.float32)) for i, s in enumerate(shapes)]
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            op(*ts)
+
+    def test_slice_of_several_axes_is_one_op_equal_to_chained_slices(self):
+        x = np.random.default_rng(3).standard_normal((2, 5, 4))
+        tape = Tape()
+        a = tape.leaf(x)
+        one = slice_axis(a, (1, 2), (1, 0), (4, 3))
+        assert len(tape) == 2
+        chained = slice_axis(slice_axis(a, 1, 1, 4), 2, 0, 3)
+        assert np.array_equal(one.data, chained.data)
+        probe = Tensor(np.random.default_rng(4).standard_normal(one.shape))
+        g_one = backward(tape, sum_all(mul(one, probe)))[a.node].data
+        g_chained = backward(tape, sum_all(mul(chained, probe)))[a.node].data
+        assert np.array_equal(g_one, g_chained)
+        with pytest.raises(ShapeError, match="out of range for axis 2"):
+            slice_axis(a, (1, 2), (0, 0), (5, 5))
 
     def test_nonfinite_output_raises(self):
         big = Tensor(np.array([1e300]))
@@ -348,8 +382,8 @@ def _op_cases():
         ("reshape_permute", lambda a: sum_all(mul(permute(reshape(a, (2, 6)), (1, 0)),
                                                   permute(reshape(a, (2, 6)), (1, 0)))), [(3, 4)]),
         ("roll", lambda a: sum_all(mul(nd.roll2d(a, 1, -1), a)), [(2, 3, 3)]),
-        ("pad_crop", lambda a: sum_all(mul(nd.crop_spatial(nd.pad_spatial(a, (1, 1), (0, 2)), 3, 3),
-                                           nd.crop_spatial(nd.pad_spatial(a, (1, 1), (0, 2)), 3, 3))),
+        ("pad_crop", lambda a: sum_all(mul(slice_axis(nd.pad_spatial(a, (1, 1), (0, 2)), (1, 2), (0, 0), (3, 3)),
+                                           slice_axis(nd.pad_spatial(a, (1, 1), (0, 2)), (1, 2), (0, 0), (3, 3)))),
          [(2, 3, 3)]),
         ("mean_axis", lambda a: sum_all(mul(mean_axis(a, 1), mean_axis(a, 1))), [(3, 4)]),
         ("softplus", lambda a: sum_all(softplus(a)), [(2, 3)]),
