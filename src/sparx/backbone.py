@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nd
 from .nd import (Tape, Tensor, add, avgpool_stride, backward, conv2d, cross_entropy_logits,
-                 gelu, layernorm_channels, mean_axis, pointwise_linear, reshape, scale)
+                 gelu, layernorm_channels, matmul, mean_axis, reshape, scale)
 from .blocks import (VssBlockParams, DpeParams, dpe_forward, init_dpe, init_vss_block,
                      mixer_macs, vss_block_forward)
 from .config import ConfigError, ModelConfig
@@ -160,7 +160,7 @@ def _stem_forward(p: StemParams, img: Tensor) -> Tensor:
 
 
 def _bridge_forward(p: BridgeParams, prev_final: Tensor) -> Tensor:
-    return pointwise_linear(avgpool_stride(prev_final, 2), p.w, p.b)
+    return matmul(p.w, avgpool_stride(prev_final, 2), p.b)
 
 
 def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
@@ -193,7 +193,7 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
             if layer_plan.role is Role.GANGLION:
                 ys = [cache[CROSS_STAGE_SLOT]] if layer_plan.takes_cross_stage else []
                 ys.extend(cache[j] for j in layer_plan.sources)
-                t = pointwise_linear(dmca_forward(t, ys, layer.dmca), layer.fuse_w, layer.fuse_b)
+                t = matmul(layer.fuse_w, dmca_forward(t, ys, layer.dmca), layer.fuse_b)
             x = vss_block_forward(t, layer.block)
             cache[step.step] = x
             for j in step.evictions:
@@ -208,7 +208,7 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
     pooled = mean_axis(reshape(prev_final, (c4, prev_final.shape[1] * prev_final.shape[2])),
                        axis=1, keepdims=True)
     normed = layernorm_channels(pooled, bound.head.ln_g, bound.head.ln_b)
-    logits = reshape(pointwise_linear(normed, bound.head.w, bound.head.b), (cfg.num_classes,))
+    logits = reshape(matmul(bound.head.w, normed, bound.head.b), (cfg.num_classes,))
     return logits, captured
 
 

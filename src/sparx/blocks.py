@@ -1,9 +1,10 @@
 """Layer-level building blocks: position encoding, token mixers, feed-forward.
 
 Every block maps a (C,H,W) map to a (C,H,W) map, and the channel ops it
-calls (projection, layernorm, depthwise convolution) take maps directly. A
-reshape appears only where the token axes change: a scan flattens the map
-into sequences, window attention partitions it into windows.
+calls (``matmul`` projection, layernorm, depthwise convolution) take maps
+directly. A reshape appears only where the token axes change: a scan
+flattens the map into sequences, window attention partitions it into
+windows.
 
 Four interchangeable token mixers are provided: shifted window attention and
 one selective scan run over the first 1, 2 or 4 of four fixed directions (a
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .nd import (Tensor, add, dwconv, gather_rows, gelu, matmul, pad_spatial, permute,
-                 pointwise_linear, reshape, roll2d, scale, selective_scan, slice_axis,
+                 reshape, roll2d, scale, selective_scan, slice_axis,
                  softmax_lastdim, softplus, split, layernorm_channels, ShapeError)
 from .params import Initializer, stack
 
@@ -187,8 +188,8 @@ def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
 
 def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     """Expand, 3x3 depthwise, gelu, contract; every step on the map."""
-    h = dwconv(pointwise_linear(x, p.w1, p.b1), p.dw, p.db, pad=1)
-    return pointwise_linear(gelu(h), p.w2, p.b2)
+    h = dwconv(matmul(p.w1, x, p.b1), p.dw, p.db, pad=1)
+    return matmul(p.w2, gelu(h), p.b2)
 
 
 @lru_cache(maxsize=32)
@@ -214,8 +215,8 @@ def scan_forward(x: Tensor, p: SsmParams) -> Tensor:
         raise ShapeError(f"scan mixer: expected 1, 2 or 4 stacked directions, got {k}")
     C, H, W = x.shape
     seq = reshape(x, (1, C, H * W))
-    delta = softplus(pointwise_linear(pointwise_linear(seq, p.w_dt_in, p.b_dt_in), p.w_dt_out, p.b_dt_out))
-    b, c = pointwise_linear(seq, p.w_b, p.b_b), pointwise_linear(seq, p.w_c, p.b_c)
+    delta = softplus(matmul(p.w_dt_out, matmul(p.w_dt_in, seq, p.b_dt_in), p.b_dt_out))
+    b, c = matmul(p.w_b, seq, p.b_b), matmul(p.w_c, seq, p.b_c)
     y = selective_scan(reshape(x, (C, H * W)), delta, p.a_log, b, c, p.d, scan_orders(H, W, k))
     return reshape(y, (C, H, W))
 
@@ -270,7 +271,7 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
     nh, nw = hp // ws, wp // ws
     B, T = nh * nw, ws * ws
     # (3C,hp,wp) -> (3,nh,nw,heads,ws,ws,dh) -> q, k, v of (B*heads,T,dh)
-    qkv = reshape(pointwise_linear(h, p.w_qkv, p.b_qkv), (3, heads, dh, nh, ws, nw, ws))
+    qkv = reshape(matmul(p.w_qkv, h, p.b_qkv), (3, heads, dh, nh, ws, nw, ws))
     q, k, v = split(reshape(permute(qkv, (0, 3, 5, 1, 4, 6, 2)), (3 * B * heads, T, dh)), 3)
 
     attn = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
@@ -289,7 +290,7 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
         out = roll2d(out, shift, shift)
     if hp != H or wp != W:
         out = slice_axis(out, (1, 2), (0, 0), (H, W))
-    return pointwise_linear(out, p.w_out, p.b_out)
+    return matmul(p.w_out, out, p.b_out)
 
 
 def mixer_forward(x: Tensor, params) -> Tensor:

@@ -47,13 +47,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write(path: Path, payload):
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
-        path.write_text(payload)
-
-
 def _write_manifest(out: Path, command: str, args, files: list[Path]):
     arg_dict = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "func")}
     checksums = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(files)}
@@ -115,8 +108,8 @@ def cmd_plan(args) -> int:
         plans = plan_model(cfg)
         for i, plan in enumerate(plans, start=1):
             pj, pd = out / f"plan_stage{i}.json", out / f"plan_stage{i}.dot"
-            _write(pj, plan_to_json(plan))
-            _write(pd, to_dot(plan))
+            pj.write_text(plan_to_json(plan))
+            pd.write_text(to_dot(plan))
             files += [pj, pd]
     else:
         if args.layers is None:
@@ -130,8 +123,8 @@ def cmd_plan(args) -> int:
                                   has_cross_stage_input=args.cross_stage)
         plan = plan_stage(cfg)
         pj, pd = out / "plan.json", out / "plan.dot"
-        _write(pj, plan_to_json(plan))
-        _write(pd, to_dot(plan))
+        pj.write_text(plan_to_json(plan))
+        pd.write_text(to_dot(plan))
         files += [pj, pd]
         print(f"ganglion layers: {list(plan.ganglion_indices)}")
     _write_manifest(out, "plan", args, files)
@@ -164,7 +157,7 @@ def cmd_stats(args) -> int:
     for r in rows:
         csv_text += ",".join(str(r[h]) for h in header) + "\n"
     csv_path = out / "stats.csv"
-    _write(csv_path, csv_text)
+    csv_path.write_text(csv_text)
     widths = {h: max(len(h), max(len(str(r[h])) for r in rows)) for h in header}
     print("  ".join(h.ljust(widths[h]) for h in header))
     for r in rows:
@@ -186,7 +179,7 @@ def cmd_verify(args) -> int:
         "failed": failed,
     }
     rp = out / "verify_report.json"
-    _write(rp, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    rp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "verify", args, [rp])
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 1 if failed else 0
@@ -229,7 +222,7 @@ def cmd_capture(args) -> int:
         records.append({"file": fname, "stage": stage, "layer": layer, "role": role,
                         "shape": list(stacked.shape)})
     cm = out / "capture_manifest.json"
-    _write(cm, json.dumps({"layers": records, "images": args.images}, indent=2, sort_keys=True) + "\n")
+    cm.write_text(json.dumps({"layers": records, "images": args.images}, indent=2, sort_keys=True) + "\n")
     files.append(cm)
     print(f"captured {len(records)} layers x {args.images} images")
     _write_manifest(out, "capture", args, files)
@@ -254,7 +247,7 @@ def cmd_cka(args) -> int:
     matrix = cka_matrix([read_tensor(dump / name) for name in names])
     labels = [Path(n).stem for n in names]
     cp = out / "cka.csv"
-    _write(cp, cka_matrix_csv(matrix, labels))
+    cp.write_text(cka_matrix_csv(matrix, labels))
     print(f"cka matrix {matrix.shape[0]}x{matrix.shape[0]}; "
           f"mean off-diagonal {float((matrix.sum() - len(labels)) / max(1, len(labels)**2 - len(labels))):.4f}")
     _write_manifest(out, "cka", args, [cp])
@@ -271,7 +264,7 @@ def cmd_erf(args) -> int:
     emap = erf(model, args.stage, images)
     ep, pp = out / "erf.spxt", out / "erf.pgm"
     write_tensor(ep, emap.values)
-    _write(pp, emap.to_pgm())
+    pp.write_text(emap.to_pgm())
     print(f"erf stage {args.stage}: support {int(emap.support().sum())} cells, argmax {emap.argmax}")
     _write_manifest(out, "erf", args, [ep, pp])
     return 0
@@ -284,11 +277,11 @@ def cmd_train_toy(args) -> int:
                        batch_size=args.batch, target_acc=args.target_acc)
     losses_csv = "step,loss\n" + "".join(f"{i},{v:.10f}\n" for i, v in enumerate(result.losses))
     lp = out / "losses.csv"
-    _write(lp, losses_csv)
+    lp.write_text(losses_csv)
     summary = {"accuracy": result.accuracy, "steps_run": result.steps_run,
                "final_loss": result.losses[-1]}
     rp = out / "result.json"
-    _write(rp, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    rp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"train-toy: accuracy {result.accuracy:.3f} after {result.steps_run} steps")
     _write_manifest(out, "train-toy", args, [lp, rp])
     return 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nd import (Tensor, concat, dwconv, matmul, permute, pointwise_linear, reshape,
+from .nd import (Tensor, concat, dwconv, matmul, permute, reshape,
                  scale, softmax_lastdim, split, ShapeError)
 from .params import Initializer
 
@@ -127,25 +127,25 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
         raise ShapeError(f"feature channels {x.shape[0]} do not match aggregator channels {p.channels}")
 
     if p.mode == "concat":
-        return pointwise_linear(concat([x] + list(ys), axis=0), p.out_w, p.out_b)
+        return matmul(p.out_w, concat([x] + list(ys), axis=0), p.out_b)
 
     cat_ys = concat(list(ys), axis=0)
     if p.mode == "no_cgca":
-        yv = pointwise_linear(cat_ys, p.mix_w, p.mix_b)
-        return pointwise_linear(concat([x, yv], axis=0), p.out_w, p.out_b)
+        yv = matmul(p.mix_w, cat_ys, p.mix_b)
+        return matmul(p.out_w, concat([x, yv], axis=0), p.out_b)
 
-    mixed = pointwise_linear(cat_ys, p.mix_w, p.mix_b)
+    mixed = matmul(p.mix_w, cat_ys, p.mix_b)
     yk, yv = split(mixed, 2, axis=0)
     s = p.reduce_stride
     q_in = x if s == 1 else dwconv(x, p.q_red, stride=s)
     k_in = yk if s == 1 else dwconv(yk, p.k_red, stride=s)
-    q = group_channels(pointwise_linear(q_in, p.q_w, p.q_b), p.groups)
-    k = group_channels(pointwise_linear(k_in, p.k_w, p.k_b), p.groups)
-    v = group_channels(pointwise_linear(yv, p.v_w, p.v_b), p.groups)
+    q = group_channels(matmul(p.q_w, q_in, p.q_b), p.groups)
+    k = group_channels(matmul(p.k_w, k_in, p.k_b), p.groups)
+    v = group_channels(matmul(p.v_w, yv, p.v_b), p.groups)
     z = reshape(matmul(cgca_attention(q, k, q.shape[2]), v), x.shape)
     if p.mode == "no_skip":
-        return pointwise_linear(z, p.out_w, p.out_b)
-    return pointwise_linear(concat([x, yv, z], axis=0), p.out_w, p.out_b)
+        return matmul(p.out_w, z, p.out_b)
+    return matmul(p.out_w, concat([x, yv, z], axis=0), p.out_b)
 
 
 def dmca_param_count(channels: int, l_count: int, reduce_stride: int,

@@ -1,11 +1,11 @@
 """Dense n-d tensor engine with reverse-mode differentiation.
 
-Tensors wrap row-major contiguous numpy arrays (float32 or float64) and
-optionally participate in a recording ``Tape``. Ops take Tensors: a raw
-parameter array becomes a constant Tensor through ``params.bind`` (or a tape
-leaf through ``Tape.leaf``), never inside an op, and no op casts a dtype; the
-only plain values are fixed integer tables (a scan's ``order``, a gather
-index) and Python scalars. Operations are pure: given the same inputs they
+Tensors wrap row-major contiguous numpy arrays, float32 or float64 (any
+other dtype raises), and optionally participate in a recording ``Tape``.
+Ops take Tensors: a raw parameter array becomes a constant Tensor through
+``params.bind`` (or a tape leaf through ``Tape.leaf``), never inside an op,
+and no op casts a dtype; the only plain values are fixed integer tables (a
+scan's ``order``, a gather index) and Python scalars. Operations are pure: given the same inputs they
 produce bit-identical outputs. Every op validates shapes up front, an op with
 several tensor inputs requires one dtype for all of them, and every op that
 computes values checks its output for NaN/Inf, so non-finite values surface
@@ -14,15 +14,16 @@ that only move values (reshape, permute, slice, concat, pad, roll) cannot
 produce one and are not scanned.
 
 The op surface is deliberately small: exactly the primitives the backbone
-needs (matmul, 2-d or batched over a leading axis; channel projection and
-channel layernorm; channel concat/split, depthwise and dense convolution,
-pooling, softmax, a handful of pointwise nonlinearities, and an
-input-dependent selective scan over k token orders of one sequence).
-Channel ops take ``(C, *rest)`` and treat every trailing axis as a token
-axis, so a (C,H,W) map goes in and comes out as a map; a reshape is needed
-only where the token axes themselves change. Broadcasting is supported only
-where these ops require it (bias adds, attention-bias adds, one x shared by
-k stacked projections); there is no general-rank broadcasting.
+needs (one linear op, ``matmul``, for every channel projection and attention
+product, plain or stacked over a leading axis; channel layernorm; channel
+concat/split, depthwise and dense convolution, pooling, softmax, a handful of
+pointwise nonlinearities, and an input-dependent selective scan over k token
+orders of one sequence). Channel ops take ``(C, *rest)`` and treat every
+trailing axis as a token axis, so a (C,H,W) map goes in and comes out as a
+map; a reshape is needed only where the token axes themselves change.
+Broadcasting is supported only where these ops require it (bias adds,
+attention-bias adds, one right operand shared by a stack of left ones);
+there is no general-rank broadcasting.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ class Tape:
         self.nodes.append(_Node(op, inputs, vjp, is_leaf, shape, dtype))
         return len(self.nodes) - 1
 
-    def leaf(self, data, dtype=None):
+    def leaf(self, data):
         """Register ``data`` as a differentiable leaf (parameter) tensor."""
-        arr = _validate_array(data, dtype)
+        arr = _validate_array(data)
         nid = self._record("leaf", (), None, arr.shape, arr.dtype, is_leaf=True)
         return Tensor(arr, self, nid)
 
@@ -88,10 +89,10 @@ class Tape:
         return len(self.nodes)
 
 
-def _validate_array(data, dtype=None):
-    arr = np.asarray(data, dtype=dtype)
+def _validate_array(data):
+    arr = np.asarray(data)
     if arr.dtype not in _FLOAT_DTYPES:
-        arr = arr.astype(np.float32 if dtype is None else dtype)
+        raise ShapeError(f"Tensor: expects float32 or float64 data, got {arr.dtype.name}")
     if not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
     return arr
@@ -188,73 +189,45 @@ def add(a, b):
     return _apply("add", out, (a, b), vjp)
 
 
-def mul(a, b):
-    _check_same_dtype("mul", a, b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return _apply("mul", out, (a, b), vjp)
-
-
 def scale(a, s: float):
     """Multiply by a python scalar."""
     s = a.dtype.type(s)
     return _apply("scale", a.data * s, (a,), lambda g: (g * s,))
 
 
-def matmul(a, b):
-    """(m,k) @ (k,n), or a same-batch stack (B,m,k) @ (B,k,n)."""
-    _check_same_dtype("matmul", a, b)
-    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: expects 2-d or same-batch 3-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
+def matmul(a, b, bias=None):
+    """a @ b + bias, one op: every weight and attention product in the backbone.
 
-    def vjp(g):
-        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
-
-    return _apply("matmul", ad @ bd, (a, b), vjp)
-
-
-def pointwise_linear(x, weight, bias=None):
-    """Channel projection weight @ x + bias, one op.
-
-    Projects x (Cin, *rest) with weight (Cout, Cin) and bias (Cout,) to
-    (Cout, *rest): every axis after the channel axis is a token axis. k
-    stacked projections take weight (k, Cout, Cin), bias (k, Cout) and x
-    (k, Cin, *rest), or x (1, Cin, *rest) shared by all k (its gradient is
-    summed over them). The tokens are flattened with a view, so a call is one
-    matrix product whatever the rank of ``rest``.
+    ``a`` (m, k) multiplies ``b`` (k, *rest) to (m, *rest), with ``bias``
+    (m,) added at every position: every axis of ``b`` after its first is a
+    token axis, so a (C,H,W) map is projected as a map. A stack ``a``
+    (B, m, k) multiplies ``b`` (B, k, *rest), or one ``b`` (1, k, *rest)
+    shared by the whole stack (its gradient is summed over the stack in one
+    product), with ``bias`` (B, m). The token axes are flattened with a view,
+    so a call is one matrix product whatever the rank of ``rest``.
     """
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    _check_same_dtype("pointwise_linear", *inputs)
-    nb = weight.data.ndim - 2  # stacked projections: 0 or 1 leading axis
-    shared = nb == 1 and x.shape[:1] == (1,)  # one x for every stacked projection
-    if nb not in (0, 1) or x.shape[:nb + 1] != ((1,) if shared else weight.shape[:-2]) + weight.shape[-1:]:
-        raise ShapeError(f"pointwise_linear: weight {weight.shape} does not project x {x.shape}")
-    if bias is not None and bias.shape != weight.shape[:-1]:
-        raise ShapeError(f"pointwise_linear: bias {bias.shape} does not match fan-out {weight.shape[:-1]}")
-    x_shape = x.shape
-    xd, wd = x.data.reshape(*x_shape[:nb + 1], -1), weight.data
-    out = wd @ xd
+    inputs = (a, b) if bias is None else (a, b, bias)
+    _check_same_dtype("matmul", *inputs)
+    nb = a.data.ndim - 2  # a stack: 0 or 1 leading axis
+    shared = nb == 1 and b.shape[:1] == (1,)  # one b for every product of the stack
+    if nb not in (0, 1) or b.shape[:nb + 1] != ((1,) if shared else a.shape[:-2]) + a.shape[-1:]:
+        raise ShapeError(f"matmul: a {a.shape} does not multiply b {b.shape}")
+    if bias is not None and bias.shape != a.shape[:-1]:
+        raise ShapeError(f"matmul: bias {bias.shape} does not match fan-out {a.shape[:-1]}")
+    b_shape = b.shape
+    ad, bd = a.data, b.data.reshape(*b_shape[:nb + 1], -1)
+    out = ad @ bd
     if bias is not None:
         out += bias.data[..., None]
     flat_shape = out.shape
 
     def vjp(g):
         g = g.reshape(flat_shape)
-        gx = wd.reshape(-1, wd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if shared else np.swapaxes(wd, -1, -2) @ g
-        gx, gw = gx.reshape(x_shape), g @ np.swapaxes(xd, -1, -2)
-        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=-1))
+        gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if shared else np.swapaxes(ad, -1, -2) @ g
+        ga, gb = g @ np.swapaxes(bd, -1, -2), gb.reshape(b_shape)
+        return (ga, gb) if bias is None else (ga, gb, g.sum(axis=-1))
 
-    return _apply("pointwise_linear", out.reshape(weight.shape[:-1] + x_shape[nb + 1:]), inputs, vjp)
+    return _apply("matmul", out.reshape(a.shape[:-1] + b_shape[nb + 1:]), inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +655,9 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
 def conv2d(x, weight, bias=None, stride=1, pad=0):
     """Dense 2-d convolution of a (Cin,H,W) map to (Cout,Ho,Wo), weight (Cout, Cin, k, k).
 
-    One channel projection of the (Cin*k*k, Ho, Wo) patch map.
+    One ``matmul`` of the flattened weight with the (Cin*k*k, Ho, Wo) patch map.
     """
+    _check_same_dtype("conv2d", *((x, weight) if bias is None else (x, weight, bias)))
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d: weight must be (Cout,Cin,k,k), got {weight.shape}")
     Cout, Cin, k, k2 = weight.shape
@@ -691,7 +665,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     if k != k2 or Cin != x.shape[0]:
         raise ShapeError(f"conv2d: weight {weight.shape} does not match input {x.shape}")
     patches = reshape(extract_patches(x, k, stride, pad), (Cin * k * k, Ho, Wo))
-    return pointwise_linear(patches, reshape(weight, (Cout, Cin * k * k)), bias)
+    return matmul(reshape(weight, (Cout, Cin * k * k)), patches, bias)
 
 
 def avgpool_stride(x, stride):

@@ -1,7 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
-per criterion. Each criterion is also an independent pytest test.
+per criterion. Each criterion is also an independent pytest test. A
+criterion built on registered ``verify`` checks reads their entries from the
+one shared ``sparx verify`` run (the ``verify_run`` fixture) instead of
+running them again.
 """
 
 import json
@@ -27,6 +30,11 @@ def report(num, description, passed, detail):
     assert passed, line
 
 
+def entry(verify_run, check):
+    """The shared verify run's report entry of the registered ``check``."""
+    return verify_run[1]["checks"][verify.CHECKS.index(check)]
+
+
 def test_c01_topology_oracle_exact_and_fast():
     t0 = time.time()
     mismatches = 0
@@ -44,12 +52,12 @@ def test_c01_topology_oracle_exact_and_fast():
            f"{total} configs, {mismatches} mismatches, {elapsed:.2f}s")
 
 
-def test_c02_worked_example():
-    res = verify.check_worked_example()
-    report(2, "8-layer stride-2 placement", res.passed, res.measured)
+def test_c02_worked_example(verify_run):
+    res = entry(verify_run, verify.check_worked_example)
+    report(2, "8-layer stride-2 placement", res["passed"], res["measured"])
 
 
-def test_c03_gradient_fidelity():
+def test_c03_gradient_fidelity(verify_run):
     t0 = time.time()
     block_checks = [
         verify.check_grad_dpe, verify.check_grad_convffn, verify.check_grad_window_attn,
@@ -58,9 +66,9 @@ def test_c03_gradient_fidelity():
     ]
     worst_block = 0.0
     for chk in block_checks:
-        res = chk()
-        assert res.passed, f"{res.name}: {res.measured}"
-        worst_block = max(worst_block, float(res.measured))
+        res = entry(verify_run, chk)
+        assert res["passed"], f"{res['name']}: {res['measured']}"
+        worst_block = max(worst_block, float(res["measured"]))
     cfg = get_variant("tiny-reduced")
     model = build(cfg, 0, dtype=np.float64)
     img = np.random.default_rng(16).standard_normal((3, cfg.input_size, cfg.input_size))
@@ -75,14 +83,14 @@ def test_c03_gradient_fidelity():
            f"(tol 1e-3, {sample}/{total} sampled), {elapsed:.0f}s")
 
 
-def test_c04_parameter_and_mac_accounting():
-    res = verify.check_accounting_bands()
-    report(4, "params within 10%, MACs within 15%", res.passed, res.measured)
+def test_c04_parameter_and_mac_accounting(verify_run):
+    res = entry(verify_run, verify.check_accounting_bands)
+    report(4, "params within 10%, MACs within 15%", res["passed"], res["measured"])
 
 
-def test_c05_memory_ordering():
-    res = verify.check_memory_ordering()
-    report(5, "modeled memory ordering sparx < dgc < dsn, plain minimal", res.passed, res.measured)
+def test_c05_memory_ordering(verify_run):
+    res = entry(verify_run, verify.check_memory_ordering)
+    report(5, "modeled memory ordering sparx < dgc < dsn, plain minimal", res["passed"], res["measured"])
 
 
 def test_c06_aggregation_resolution_independence():
@@ -105,42 +113,42 @@ def test_c06_aggregation_resolution_independence():
            f"shapes={sorted(shapes)}, max row-sum error {worst:.2e}")
 
 
-def test_c07_mac_resolution_scaling():
-    res = verify.check_flops_resolution()
+def test_c07_mac_resolution_scaling(verify_run):
+    res = entry(verify_run, verify.check_flops_resolution)
     a = build(get_variant("tiny", input_size=224), 0)
     b = build(get_variant("tiny", input_size=384), 0)
     params_same = all(np.array_equal(xa, xb)
                       for (_, xa), (_, xb) in zip(iter_arrays(a), iter_arrays(b)))
-    ok = res.passed and params_same
+    ok = res["passed"] and params_same
     report(7, "MACs(384)/MACs(224) in [2.9, 3.1], params resolution-independent", ok,
-           f"ratio={res.measured}, params bit-identical={params_same}")
+           f"ratio={res['measured']}, params bit-identical={params_same}")
 
 
-def test_c08_mixer_versatility():
-    mixers = verify.check_mixer_interchangeability()
-    attn = verify.check_window_attn_oracle()
+def test_c08_mixer_versatility(verify_run):
+    mixers = entry(verify_run, verify.check_mixer_interchangeability)
+    attn = entry(verify_run, verify.check_window_attn_oracle)
     report(8, "mixers interchange; one-window attention matches dense oracle",
-           mixers.passed and attn.passed,
-           f"{mixers.measured}, dense-oracle err {attn.measured} (tol {attn.tolerance})")
+           mixers["passed"] and attn["passed"],
+           f"{mixers['measured']}, dense-oracle err {attn['measured']} (tol {attn['tolerance']})")
 
 
-def test_c09_cka_identities():
-    res = verify.check_cka_identities()
-    report(9, "CKA identities", res.passed,
-           f"worst of self, orthogonal and symmetry errors {res.measured}")
+def test_c09_cka_identities(verify_run):
+    res = entry(verify_run, verify.check_cka_identities)
+    report(9, "CKA identities", res["passed"],
+           f"worst of self, orthogonal and symmetry errors {res['measured']}")
 
 
-def test_c10_erf_sanity():
-    footprints = verify.check_erf_footprints()
+def test_c10_erf_sanity(verify_run):
+    footprints = entry(verify_run, verify.check_erf_footprints)
     rng = np.random.default_rng(3)
     model = build(get_variant("tiny-reduced"), 0, dtype=np.float64)
     probes = [rng.standard_normal((3, 32, 32)) for _ in range(2)]
     s1 = erf(model, 1, probes).support()
     s4 = erf(model, 4, probes).support()
     nested = bool(np.all(s4[s1]))
-    ok = footprints.passed and nested
+    ok = footprints["passed"] and nested
     report(10, "ERF footprints", ok,
-           f"conv footprints {footprints.measured}, "
+           f"conv footprints {footprints['measured']}, "
            f"stage4 support contains stage1={nested} "
            f"({int(s1.sum())} vs {int(s4.sum())} cells)")
 

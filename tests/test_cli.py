@@ -104,14 +104,6 @@ def check_raising():
     raise RuntimeError("boom")
 
 
-@pytest.fixture(scope="class")
-def verify_run(tmp_path_factory):
-    """One real `sparx verify` run, shared by every test that reads its report."""
-    out = tmp_path_factory.mktemp("verify")
-    code = run(["verify", "--out", str(out)])
-    return code, json.loads((out / "verify_report.json").read_text())
-
-
 class TestVerifyCommand:
     def test_fresh_checkout_passes_and_reports_enough_checks(self, verify_run):
         code, report = verify_run

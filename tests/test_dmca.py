@@ -283,7 +283,7 @@ class TestMacCount:
     @pytest.mark.parametrize("groups", [1, 4])
     def test_closed_form_matches_counted_calls(self, mode, stride, groups, monkeypatch):
         # every multiply-accumulate of dmca_forward goes through one of these
-        # three ops; each counter charges its call from the operand shapes
+        # two ops; each counter charges its call from the operand shapes
         macs = []
 
         def counting(op, count):
@@ -292,10 +292,8 @@ class TestMacCount:
                 return op(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(dmca, "pointwise_linear", counting(
-            nd.pointwise_linear, lambda x, w, b=None: w.shape[0] * math.prod(x.shape)))
         monkeypatch.setattr(dmca, "matmul", counting(
-            nd.matmul, lambda a, b: math.prod(a.shape) * b.shape[-1]))
+            nd.matmul, lambda a, b, bias=None: math.prod(a.shape) * math.prod(b.shape[a.data.ndim - 1:])))
         monkeypatch.setattr(dmca, "dwconv", counting(
             nd.dwconv, lambda x, w: x.shape[0] * (x.shape[1] // stride) * (x.shape[2] // stride)
             * w.shape[1] * w.shape[2]))
