@@ -187,9 +187,12 @@ def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
 
 
 def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
-    """Expand, 3x3 depthwise, gelu, contract; every step on the map."""
-    h = dwconv(matmul(p.w1, x, p.b1), p.dw, p.db, pad=1)
-    return matmul(p.w2, gelu(h), p.b2)
+    """Expand, 3x3 depthwise, gelu, contract; every step on the map.
+
+    One expression, so each hidden map is freed after its last use: at most
+    two are live at once.
+    """
+    return matmul(p.w2, gelu(dwconv(matmul(p.w1, x, p.b1), p.dw, p.db, pad=1)), p.b2)
 
 
 @lru_cache(maxsize=32)
@@ -270,11 +273,17 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
 
     nh, nw = hp // ws, wp // ws
     B, T = nh * nw, ws * ws
-    # (3C,hp,wp) -> (3,nh,nw,heads,ws,ws,dh) -> q, k, v of (B*heads,T,dh)
+    # (3C,hp,wp) -> (3,nh,nw,heads,ws,ws,dh) -> q, k, v of (B*heads,T,dh). Each
+    # intermediate is dropped after its last use: at most two copies of q/k/v
+    # are live at once.
     qkv = reshape(matmul(p.w_qkv, h, p.b_qkv), (3, heads, dh, nh, ws, nw, ws))
-    q, k, v = split(reshape(permute(qkv, (0, 3, 5, 1, 4, 6, 2)), (3 * B * heads, T, dh)), 3)
+    del h
+    qkv = permute(qkv, (0, 3, 5, 1, 4, 6, 2))
+    q, k, v = split(reshape(qkv, (3 * B * heads, T, dh)), 3)
+    del qkv
 
     attn = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    del q, k
     bias = gather_rows(p.bias_table, relative_index(ws).reshape(-1))   # (T*T, heads)
     bias = reshape(permute(bias, (1, 0)), (1, heads, T, T))
     attn = add(reshape(attn, (B, heads, T, T)), bias)
@@ -285,6 +294,7 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
 
     # (B*heads,T,dh) -> (nh,nw,heads,ws,ws,dh) -> (C,hp,wp)
     out = reshape(matmul(attn, v), (nh, nw, heads, ws, ws, dh))
+    del attn, v
     out = reshape(permute(out, (2, 5, 0, 3, 1, 4)), (C, hp, wp))
     if shift:
         out = roll2d(out, shift, shift)

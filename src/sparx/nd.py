@@ -11,7 +11,15 @@ several tensor inputs requires one dtype for all of them, and every op that
 computes values checks its output for NaN/Inf, so non-finite values surface
 as errors at the op that produced them instead of propagating silently. Ops
 that only move values (reshape, permute, slice, concat, pad, roll) cannot
-produce one and are not scanned.
+produce one and are not scanned. The check tests ``isfinite`` one block of
+``_CHECK_BLOCK`` elements at a time, so it stays exact and its mask is never
+larger than one block. Apart from layernorm, no op keeps output-sized
+scratch either: softmax and softplus work in their output buffer, gelu,
+softplus' relu term, dwconv and the scan's chunks run through cache-sized
+buffers, and an op's other full-size arrays are values its backward pass
+reads (layernorm's normalized input, float64 gelu's 1 + erf). Layernorm
+makes one full-size temporary, its squared deviations, to keep the
+arithmetic of ``var`` bit for bit.
 
 The op surface is deliberately small: exactly the primitives the backbone
 needs (one linear op, ``matmul``, for every channel projection and attention
@@ -140,14 +148,30 @@ def _wrap(data, tape=None, node=None):
 # Ops that only carry input values to new positions (or add zeros); they cannot
 # make a value non-finite, so their outputs are not scanned.
 _DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d"})
+# Elements per block of the float32 gelu and of softplus: their scratch and
+# output blocks stay in cache.
+_BLOCK = 1 << 15
+# Elements per block of the finiteness check, so its boolean mask is at most
+# this many bytes: 1/37 of a stage-1 `tiny`@224 hidden map. Smaller blocks cost
+# more in per-block calls than the check itself on stage-sized maps.
+_CHECK_BLOCK = 1 << 17
+
+
+def _all_finite(out):
+    """No NaN or Inf anywhere in ``out``, tested one block at a time: each block's mask is freed before the next."""
+    flat = out.reshape(-1)
+    for b0 in range(0, flat.size, _CHECK_BLOCK):
+        if not np.isfinite(flat[b0:b0 + _CHECK_BLOCK]).all():
+            return False
+    return True
 
 
 def _apply(op, out, inputs, vjp):
     """Finalize an op: finiteness check, tape wiring, output wrapping."""
-    if op not in _DATA_MOVEMENT and not np.isfinite(out).all():
-        raise NumericError(f"non-finite values produced by op '{op}'")
     if not (out.flags["C_CONTIGUOUS"] if isinstance(out, np.ndarray) else False):
         out = np.asarray(out, order="C")
+    if op not in _DATA_MOVEMENT and not _all_finite(out):
+        raise NumericError(f"non-finite values produced by op '{op}'")
     tape = None
     for t in inputs:
         if t.tape is not None:
@@ -214,20 +238,19 @@ def matmul(a, b, bias=None):
         raise ShapeError(f"matmul: a {a.shape} does not multiply b {b.shape}")
     if bias is not None and bias.shape != a.shape[:-1]:
         raise ShapeError(f"matmul: bias {bias.shape} does not match fan-out {a.shape[:-1]}")
-    b_shape = b.shape
-    ad, bd = a.data, b.data.reshape(*b_shape[:nb + 1], -1)
-    out = ad @ bd
+    ad, bd = a.data, b.data
+    out = ad @ bd.reshape(*bd.shape[:nb + 1], -1)
     if bias is not None:
         out += bias.data[..., None]
-    flat_shape = out.shape
 
     def vjp(g):
-        g = g.reshape(flat_shape)
+        bf = bd.reshape(*bd.shape[:nb + 1], -1)
+        g = g.reshape(*ad.shape[:-1], bf.shape[-1])
         gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if shared else np.swapaxes(ad, -1, -2) @ g
-        ga, gb = g @ np.swapaxes(bd, -1, -2), gb.reshape(b_shape)
-        return (ga, gb) if bias is None else (ga, gb, g.sum(axis=-1))
+        ga = g @ np.swapaxes(bf, -1, -2)
+        return (ga, gb.reshape(bd.shape)) if bias is None else (ga, gb.reshape(bd.shape), g.sum(axis=-1))
 
-    return _apply("matmul", out.reshape(a.shape[:-1] + b_shape[nb + 1:]), inputs, vjp)
+    return _apply("matmul", out.reshape(a.shape[:-1] + bd.shape[nb + 1:]), inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +377,15 @@ def mean_axis(a, axis, keepdims=False):
 # pointwise nonlinearities
 # ---------------------------------------------------------------------------
 
+def _add_relu(out, x):
+    """out += max(x, 0), block by block through one block-sized scratch buffer."""
+    of, xf = out.reshape(-1), x.reshape(-1)
+    pos = np.empty(min(xf.size, _BLOCK), dtype=x.dtype)
+    for b0 in range(0, xf.size, _BLOCK):
+        xb, ob = xf[b0:b0 + _BLOCK], of[b0:b0 + _BLOCK]
+        ob += np.maximum(xb, 0, out=pos[:len(xb)])
+
+
 def softplus(a):
     """log(1 + e^x), computed stably as max(x, 0) + log1p(e^-|x|)."""
     ad = a.data
@@ -361,7 +393,7 @@ def softplus(a):
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(ad, 0)
+    _add_relu(out, ad)
 
     def vjp(g):
         e = np.exp(-np.abs(ad))
@@ -375,8 +407,6 @@ def softplus(a):
 # error below 1.2e-7 everywhere.
 _ERFCC = np.array([-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
                    0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277], dtype=np.float32)
-# Elements per block of the float32 gelu: its scratch and output blocks stay in cache.
-_GELU_BLOCK = 1 << 15
 
 
 def _gelu_f32(x):
@@ -388,11 +418,11 @@ def _gelu_f32(x):
     """
     out = np.empty_like(x)
     xf, of = x.reshape(-1), out.reshape(-1)
-    half_abs, t, e = np.empty((3, min(xf.size, _GELU_BLOCK)), dtype=np.float32)
+    half_abs, t, e = np.empty((3, min(xf.size, _BLOCK)), dtype=np.float32)
     rsqrt2, c = np.float32(np.sqrt(0.5)), _ERFCC
     with np.errstate(over="ignore"):  # z*z is inf for |x| above ~3.7e19, where erfc is 0
-        for b0 in range(0, xf.size, _GELU_BLOCK):
-            xb, ob = xf[b0:b0 + _GELU_BLOCK], of[b0:b0 + _GELU_BLOCK]
+        for b0 in range(0, xf.size, _BLOCK):
+            xb, ob = xf[b0:b0 + _BLOCK], of[b0:b0 + _BLOCK]
             n = len(xb)
             hb, tb, eb = half_abs[:n], t[:n], e[:n]
             np.abs(xb, out=hb)
@@ -452,9 +482,9 @@ def softmax_lastdim(a):
     """Softmax over the last axis, max-subtracted for stability."""
     if a.shape[-1] == 0:
         raise ShapeError("softmax_lastdim: empty reduction axis")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = a.data - a.data.max(axis=-1, keepdims=True)  # exp and normalize in place: one full-size array
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -476,12 +506,13 @@ def layernorm_channels(x, gamma, beta, eps=1e-6):
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeError(f"layernorm_channels: affine shapes {gamma.shape}/{beta.shape} do not match C={C}")
     x_shape, xd = x.shape, x.data.reshape(C, -1)
-    mu = xd.mean(axis=0)
-    var = xd.var(axis=0)
+    xhat = xd - xd.mean(axis=0)  # centered here, normalized in place below
+    var = (xhat * xhat).sum(axis=0) / C  # the arithmetic of ``xd.var(axis=0)``, bit for bit
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = (xd - mu) * inv
-    out = gamma.data[:, None] * xhat + beta.data[:, None]
+    xhat *= inv
     gd = gamma.data
+    out = gd[:, None] * xhat
+    out += beta.data[:, None]
 
     def vjp(g):
         g = g.reshape(C, -1)
@@ -742,8 +773,10 @@ def selective_scan(x, delta, a_log, b, c, d, order):
 
     The loop runs time-major over chunks of ``_SCAN_CHUNK`` visiting steps; a
     chunk gathers its inputs in visiting order as (L,k,C) and (L,k,S) rows,
-    keeps its states and decays as (L,k,S,C), and scatters its outputs as
-    C-rows into a time-first (T,k,C) buffer. Only the (k,S,C) state entering
+    keeps its states and decays as (L,k,S,C), and adds each direction's
+    outputs as C-rows into a time-first (T,C) pair buffer: ceil(k/2) of them,
+    filled with -0.0, buffer j taking directions 2j and 2j+1. The buffers are
+    then summed in place as the rest of the tree. Only the (k,S,C) state entering
     each chunk is kept; the backward pass recomputes each chunk's states and
     decays from that state.
     """
@@ -759,7 +792,7 @@ def selective_scan(x, delta, a_log, b, c, d, order):
                          f"b{b.shape} c{c.shape} d{d.shape} order{order.shape}")
     if not np.array_equal(np.sort(order, axis=1), np.broadcast_to(np.arange(T), order.shape)):
         raise ShapeError("selective_scan: every row of order must be a permutation of the tokens")
-    if np.any(delta.data <= 0):
+    if np.fmin.reduce(delta.data, axis=None, initial=np.inf) <= 0:  # any(delta <= 0) without a mask
         raise NumericError("selective_scan: delta must be strictly positive")
     with np.errstate(over="ignore"):
         neg_a = -np.exp(a_log.data)
@@ -779,16 +812,21 @@ def selective_scan(x, delta, a_log, b, c, d, order):
         dlc, xc = time_first(dl)[idx.T, ar], xd.T[idx.T]
         return dlc, xc, dlc * xc, time_first(bd)[idx.T, ar], time_first(cd)[idx.T, ar]
 
-    ys = np.empty((T, k, C), dtype=xd.dtype)  # the k outputs in token order, time-first
+    # Pair j of the k outputs in token order, time-first: directions 2j and 2j+1
+    # are added onto -0, the identity of IEEE addition, so in whichever order
+    # they arrive the pair holds y_2j + y_2j+1 bit for bit.
+    pairs = [np.full((T, C), -0.0, dtype=xd.dtype) for _ in range(0, k, 2)]
     starts, h = [], np.zeros((k, S, C), dtype=xd.dtype)  # state entering each chunk, kept for backward
     for ch in chunks:
         starts.append(h)
         idx = order[:, ch]
         dlc, xc, dxc, bc, cc = chunk_inputs(idx)
         hs = _scan_states(h, dlc, dxc, ad, bc)[0]
-        ys[idx.T, ar] = dd * xc + np.einsum("tksc,tks->tkc", hs, cc)
+        yc = dd * xc + np.einsum("tksc,tks->tkc", hs, cc)
+        for i in range(k):  # one add per direction: two directions may visit one token in a chunk
+            pairs[i // 2][idx[i]] += yc[:, i]
         h = hs[-1].copy()
-    del hs  # free the last chunk's states before the output sum, where the peak is
+    del hs, yc  # free the last chunk's buffers before the tree sum and the transposed output copy
 
     def vjp(g):
         gx = np.multiply(g.T, dd.sum(axis=0), out=np.empty((T, C), dtype=g.dtype))  # time-first
@@ -822,10 +860,11 @@ def selective_scan(x, delta, a_log, b, c, d, order):
         gd = np.tile((g * xd).sum(axis=1), (k, 1))  # d_i multiplies the same x in every direction
         return gx.T, gdelta, ga.transpose(0, 2, 1) * neg_a, gb, gc, gd
 
-    parts = [ys[:, i] for i in range(k)]
-    while len(parts) > 1:  # a balanced tree: (y0+y1)+(y2+y3) for k = 4
-        parts = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
-    return _apply("selective_scan", parts[0].T, (x, delta, a_log, b, c, d), vjp)
+    while len(pairs) > 1:  # the rest of a balanced tree, in place: (y0+y1)+(y2+y3) for k = 4
+        for left, right in zip(pairs[::2], pairs[1::2]):
+            left += right
+        pairs = pairs[::2]
+    return _apply("selective_scan", pairs.pop().T, (x, delta, a_log, b, c, d), vjp)
 
 
 # ---------------------------------------------------------------------------

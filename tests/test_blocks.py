@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
 from sparx import nd
@@ -247,6 +248,14 @@ class TestWindowAttention:
         init = Initializer(17, dtype=np.float64)
         with pytest.raises(ShapeError, match="heads"):
             init_window_attn(init, 6, 2, heads=4, shifted=False)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["plain", "shifted"])
+    def test_stage_one_working_memory_stays_within_eleven_and_a_half_maps(self, shifted):
+        # a tiny@224 stage-1 block; q/k/v or the attention map kept to the output projection pass 11.5 maps
+        p = bind(init_window_attn(Initializer(19), 96, 7, heads=3, shifted=shifted))
+        x = Tensor(np.random.default_rng(19).standard_normal((96, 56, 56)).astype(np.float32))
+        _, peak = traced_peak(lambda: window_attention_forward(x, p))
+        assert peak <= 11.5 * x.data.nbytes, peak / x.data.nbytes
 
     def test_shifted_variant_pads_and_crops_odd_sizes(self):
         init = Initializer(18, dtype=np.float64)

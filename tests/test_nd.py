@@ -1,10 +1,10 @@
 """Tensor engine: forward kernels, tape gradients, binary format."""
 
-import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import erf, expit
 
@@ -95,6 +95,25 @@ class TestDenseOps:
         assert moved.data[0, 1] == np.inf
         with pytest.raises(NumericError, match="scale"):
             scale(moved, 2.0)
+
+    @example(n=nd._CHECK_BLOCK + 1, where=1.0, bad=np.nan, dtype=np.float32)  # the last element, alone in its block
+    @example(n=2 * nd._CHECK_BLOCK, where=0.5, bad=-np.inf, dtype=np.float64)  # the first of the second block
+    @given(n=st.integers(nd._CHECK_BLOCK + 1, 3 * nd._CHECK_BLOCK), where=st.floats(0, 1),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf, None]), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_one_nonfinite_value_anywhere_in_an_output_of_several_check_blocks_raises(self, n, where, bad, dtype):
+        x = np.random.default_rng(n).standard_normal(n).astype(dtype)
+        if bad is None:  # all finite: no error, and the values pass through
+            assert np.array_equal(scale(Tensor(x), 1.0).data, x)
+            return
+        x[min(n - 1, int(where * n))] = bad
+        with pytest.raises(NumericError, match="scale"):
+            scale(Tensor(x), 1.0)
+
+    def test_elementwise_op_keeps_no_output_sized_scratch(self):
+        # a tiny@224 stage-1 FFN hidden map: an output-sized finiteness mask alone is 1.25x the output
+        m = Tensor(np.random.default_rng(31).standard_normal((384, 56, 56)).astype(np.float32))
+        out, peak = traced_peak(lambda: scale(m, 2.0))
+        assert peak <= 1.05 * out.data.nbytes, peak / out.data.nbytes
 
     def test_matmul_batch_mismatch(self):
         with pytest.raises(ShapeError):
@@ -225,15 +244,16 @@ class TestNonlinearOps:
     def test_gelu_float32_runs_in_float32(self):
         x = np.random.default_rng(11).standard_normal((256, 1024)).astype(np.float32) * 2
         t = Tensor(x)
-        tracemalloc.start()
-        try:
-            y = gelu(t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        y, peak = traced_peak(lambda: gelu(t))
         assert y.dtype == np.float32
         assert np.abs(y.data - gelu(Tensor(x.astype(np.float64))).data).max() <= 1e-6
         assert peak < 3.5 * x.nbytes, peak / x.nbytes  # no float64 intermediate
+
+    def test_softplus_adds_its_relu_through_one_block_of_scratch(self):
+        # a tiny@224 stage-1 step size, (k,C,T): a full-size max(x, 0) makes the peak 2x the input
+        d = Tensor(np.random.default_rng(32).standard_normal((4, 96, 56 * 56)).astype(np.float32))
+        _, peak = traced_peak(lambda: softplus(d))
+        assert peak <= 1.1 * d.data.nbytes, peak / d.data.nbytes
 
     def test_gelu_float32_fit_against_float64_on_a_dense_grid(self):
         # the float32 forward is a Chebyshev erfc fit, the float64 one scipy's erf
@@ -499,13 +519,16 @@ class TestScanSemantics:
         C, H, k, S = 96, 56, 4, 4
         arrays, order = self._random_scan(np.random.default_rng(13), k, C, S, H * H, np.float32)
         ts = [Tensor(a) for a in arrays]
-        tracemalloc.start()
-        try:
-            selective_scan(*ts, order)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: selective_scan(*ts, order))
         assert peak <= 2.0 * arrays[1].nbytes, peak / arrays[1].nbytes
+
+    def test_outputs_accumulate_in_pair_buffers_at_stage_one(self):
+        # ceil(k/2) time-first (T,C) sums and one chunk's buffers: a (T,k,C) output buffer passes 1.3x delta
+        C, H, k, S = 96, 56, 4, 4
+        arrays, order = self._random_scan(np.random.default_rng(14), k, C, S, H * H, np.float32)
+        ts = [Tensor(a) for a in arrays]
+        _, peak = traced_peak(lambda: selective_scan(*ts, order))
+        assert peak <= 1.3 * arrays[1].nbytes, peak / arrays[1].nbytes
 
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(NumericError, match="delta"):
@@ -590,6 +613,43 @@ class TestKernelProperties:
                 return _dot(selective_scan(ts[0], softplus(ts[1]), *ts[2:], order), probe)
 
             assert grad_check(f, [inputs[i]], max_elements=8, rng=np.random.default_rng(seed)) <= 1e-4
+
+    @settings(max_examples=12)
+    @example(k=4, C=2, S=2, T=2 * nd._SCAN_CHUNK + 3, dtype=np.float32, seed=0)
+    @given(k=st.sampled_from([1, 2, 3, 4]), C=st.integers(1, 3), S=st.integers(1, 3),
+           T=st.sampled_from([1, 5, nd._SCAN_CHUNK + 1, 2 * nd._SCAN_CHUNK + 3]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_k_direction_scan_is_the_balanced_tree_sum_of_one_direction_scans_bit_for_bit(self, k, C, S, T,
+                                                                                         dtype, seed):
+        arrays, order = TestScanSemantics._random_scan(np.random.default_rng(seed), k, C, S, T, dtype)
+        x, per_direction = Tensor(arrays[0]), arrays[1:]
+        parts = [selective_scan(x, *(Tensor(a[i:i + 1].copy()) for a in per_direction), order[i:i + 1]).data
+                 for i in range(k)]
+        while len(parts) > 1:  # (y0+y1)+(y2+y3) for k = 4, (y0+y1)+y2 for k = 3
+            parts = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
+        got = selective_scan(*(Tensor(a) for a in arrays), order).data
+        assert got.dtype == dtype and got.tobytes() == parts[0].tobytes()
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), C=st.integers(1, 9), n=st.integers(1, 40),
+           loc=st.floats(-100, 100), spread=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
+    def test_layernorm_channels_is_the_numpy_variance_formula_bit_for_bit(self, dtype, C, n, loc, spread, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((C, n)) * spread + loc).astype(dtype)
+        g, b = rng.standard_normal(C).astype(dtype), rng.standard_normal(C).astype(dtype)
+        probe = rng.standard_normal((C, n)).astype(dtype)
+        inv = 1.0 / np.sqrt(x.var(axis=0) + dtype(1e-6))
+        xhat = (x - x.mean(axis=0)) * inv
+        dxhat = probe * g[:, None]
+        ref = {"out": g[:, None] * xhat + b[:, None],
+               "dx": inv / C * (C * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)),
+               "dgamma": (probe * xhat).sum(axis=1)}
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in (x, g, b)]
+        out = layernorm_channels(*leaves)
+        grads = backward(tape, _dot(out, Tensor(probe)))
+        got = {"out": out.data, "dx": grads[leaves[0].node].data, "dgamma": grads[leaves[1].node].data}
+        for name in ref:
+            assert got[name].dtype == dtype and got[name].tobytes() == ref[name].tobytes(), name
 
     def test_scan_rejects_bad_orders_shapes_and_delta(self):
         k, C, S, T = 2, 2, 1, 3
