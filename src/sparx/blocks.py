@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nd import (Tensor, add, dwconv, gather_rows, gelu, matmul, pad_spatial, permute,
+from .nd import (Tensor, add, concat, dwconv, gather_rows, gelu, matmul, pad_spatial, permute,
                  reshape, roll2d, scale, selective_scan, slice_axis,
                  softmax_lastdim, softplus, split, layernorm_channels, ShapeError)
 from .params import Initializer, stack
@@ -186,13 +186,37 @@ def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
     return add(x, dwconv(x, p.w, p.b, pad=1))
 
 
-def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
-    """Expand, 3x3 depthwise, gelu, contract; every step on the map.
+# Tokens per row band of the ConvFFN: a map with more tokens runs band by band,
+# so no full-size hidden map is live. Stage 1 of `tiny`@224 (56 x 56) runs in
+# three bands of 19/19/18 rows; stage 2 and later fit in one.
+_FFN_BAND = 1120
 
-    One expression, so each hidden map is freed after its last use: at most
-    two are live at once.
+
+def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
+    """Expand, 3x3 depthwise, gelu, contract; a map of over ``_FFN_BAND`` tokens in row bands.
+
+    A map of H*W tokens runs in n = ceil(H*W / _FFN_BAND) bands of equal
+    height (at most H bands, the first H % n one row taller). Each band
+    expands its rows plus one halo row on each side inside the map, and the
+    depthwise convolution pads zeros only at the map's real edges, so it
+    returns exactly the band's rows, each cell computed as on the whole map:
+    the bands joined along the rows equal the one-band result bit for bit.
+    Within a band each hidden map is freed after its last use, so at most
+    two band-sized hidden maps are live at once.
     """
-    return matmul(p.w2, gelu(dwconv(matmul(p.w1, x, p.b1), p.dw, p.db, pad=1)), p.b2)
+    def ffn(t, pad):
+        return matmul(p.w2, gelu(dwconv(matmul(p.w1, t, p.b1), p.dw, p.db, pad=pad)), p.b2)
+
+    H, W = x.shape[1:]
+    n = min(H, -(-H * W // _FFN_BAND))
+    if n <= 1:
+        return ffn(x, 1)
+    rows, extra = divmod(H, n)
+    ends = np.cumsum([0] + [rows + (i < extra) for i in range(n)]).tolist()
+    # each band with one halo row a side inside the map; zero rows only where the map ends
+    bands = [ffn(slice_axis(x, 1, max(r0 - 1, 0), min(r1 + 1, H)), ((int(r0 == 0), int(r1 == H)), (1, 1)))
+             for r0, r1 in zip(ends, ends[1:])]
+    return concat(bands, axis=1)
 
 
 @lru_cache(maxsize=32)

@@ -549,14 +549,28 @@ def cross_entropy_logits(logits, label):
 # convolution building blocks
 # ---------------------------------------------------------------------------
 
+def _side_pads(pad):
+    """((top, bottom), (left, right)) of an int pad or of such a pair of pairs."""
+    if isinstance(pad, (tuple, list)):
+        try:
+            (top, bottom), (left, right) = pad
+        except (TypeError, ValueError):
+            raise ShapeError(f"pad: expects an int or ((top, bottom), (left, right)), got {pad}") from None
+        return (int(top), int(bottom)), (int(left), int(right))
+    p = int(pad)
+    return (p, p), (p, p)
+
+
 def _conv_out_hw(op, shape, kernel, stride, pad):
-    """(Ho, Wo) of a kernel x kernel window moved by ``stride`` over a (C,H,W) map padded by ``pad``."""
+    """(Ho, Wo) of a kernel x kernel window moved by ``stride`` over a (C,H,W) map
+    padded by ``pad``: an int for every side, or ((top, bottom), (left, right))."""
     if len(shape) != 3:
         raise ShapeError(f"{op}: expects (C,H,W), got {shape}")
-    if kernel < 1 or stride < 1 or pad < 0:
+    (top, bottom), (left, right) = _side_pads(pad)
+    if kernel < 1 or stride < 1 or min(top, bottom, left, right) < 0:
         raise ShapeError(f"{op}: needs kernel >= 1, stride >= 1 and pad >= 0, "
                          f"got kernel {kernel}, stride {stride}, pad {pad}")
-    Hp, Wp = shape[1] + 2 * pad, shape[2] + 2 * pad
+    Hp, Wp = shape[1] + top + bottom, shape[2] + left + right
     if Hp < kernel or Wp < kernel:
         raise ShapeError(f"{op}: spatial dims {shape} smaller than kernel {kernel}")
     return (Hp - kernel) // stride + 1, (Wp - kernel) // stride + 1
@@ -597,7 +611,9 @@ _DWCONV_BLOCK = 1 << 15
 def dwconv(x, weight, bias=None, stride=1, pad=0):
     """Depthwise 2-d convolution of a (C,H,W) map with a (C,k,k) kernel.
 
-    Channel i of the output sees only channel i. A stride must reduce both
+    Channel i of the output sees only channel i. ``pad`` is one int for every
+    side or ((top, bottom), (left, right)), so a band of rows can be padded
+    with zeros only at the map's real edges. A stride must reduce both
     spatial axes evenly. The map is processed in cache-sized channel blocks,
     each copied into a flat zero-padded buffer. Channel c of a block owns
     ``R`` cells of a flat output grid with rows of the padded width Wp, and
@@ -621,9 +637,10 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
         raise ShapeError(f"dwconv: kernel {weight.shape} does not match input channels {x.shape}")
     if bias is not None and bias.shape != (C,):
         raise ShapeError(f"dwconv: bias {bias.shape} does not match input channels {x.shape}")
-    k, s, p = weight.shape[1], int(stride), int(pad)
-    Ho, Wo = _conv_out_hw("dwconv", x.shape, k, s, p)
-    Hp, Wp = H + 2 * p, W + 2 * p
+    k, s = weight.shape[1], int(stride)
+    Ho, Wo = _conv_out_hw("dwconv", x.shape, k, s, pad)
+    (top, bottom), (left, right) = _side_pads(pad)
+    Hp, Wp = H + top + bottom, W + left + right
     if s > 1 and ((Hp - k) % s or (Wp - k) % s):
         raise ShapeError(f"dwconv: stride {s} does not evenly reduce {x.shape} with kernel {k}")
     R = max(Ho * Wp, -(-Hp * Wp // s))  # grid cells per channel: the (Ho, Wp) grid, and s*R hold the map
@@ -646,7 +663,7 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
         for c0 in range(0, C, cb):
             n = min(cb, C - c0)
             blk = slice(c0, c0 + n)
-            maps(flat, n)[:, p:p + H, p:p + W] = xd[blk]
+            maps(flat, n)[:, top:top + H, left:left + W] = xd[blk]
             yield blk, n, flat
 
     out = np.empty((C, Ho, Wo), dtype=xd.dtype)
@@ -677,7 +694,7 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
                 gxf[off:off + s * n * R:s] += t
                 win = xp[:, i:i + (Ho - 1) * s + 1:s, j:j + (Wo - 1) * s + 1:s]
                 gw[blk, i, j] = np.einsum("chw,chw->c", g[blk], win)
-            gx[blk] = maps(gxf, n)[:, p:p + H, p:p + W]
+            gx[blk] = maps(gxf, n)[:, top:top + H, left:left + W]
         return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(1, 2)))
 
     return _apply("dwconv", out, inputs, vjp)
@@ -875,7 +892,10 @@ def backward(tape, loss):
     """Reverse sweep from a scalar loss; returns {leaf node id: grad Tensor}.
 
     Every leaf registered on the tape appears in the result; leaves the loss
-    does not reach map to zero tensors of the leaf's shape.
+    does not reach map to zero tensors of the leaf's shape. Each node's vjp
+    is dropped once it has run, and with it the arrays it kept, so a later
+    sweep through that node raises ``TapeError``; sweeps from losses over
+    disjoint nodes of one tape still work.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape or loss.node is None:
         raise TapeError("backward: loss is not recorded on this tape")
@@ -889,7 +909,10 @@ def backward(tape, loss):
         g = grads.pop(nid, None)
         if g is None:
             continue
-        for in_id, gin in zip(node.inputs, node.vjp(g)):
+        if node.vjp is None:
+            raise TapeError(f"backward: node {nid} ('{node.op}') was freed by an earlier backward sweep")
+        vjp, node.vjp = node.vjp, None
+        for in_id, gin in zip(node.inputs, vjp(g)):
             if in_id < 0 or gin is None:
                 continue
             acc = grads.get(in_id)

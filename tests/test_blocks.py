@@ -5,15 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import traced_peak
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sparx import nd
+from sparx import blocks, nd
 from sparx.blocks import (DpeParams, SsmParams, convffn_forward, dpe_forward, init_convffn,
                           init_ssm, init_vss_block, init_window_attn, scan_forward, scan_orders, shift_mask,
                           vss_block_forward, window_attention_forward)
-from sparx.nd import ShapeError, Tensor
+from sparx.nd import ShapeError, Tape, Tensor
 from sparx.params import Initializer, astype, bind, iter_arrays, map_arrays, stack
-from sparx.verify import dense_attention_oracle, dwconv_oracle, scan_oracle
+from sparx.verify import dense_attention_oracle, dwconv_oracle, grad_check, scan_oracle
 
 
 def scan_reference(x, p):
@@ -407,3 +407,52 @@ class TestVssBlock:
         out = convffn_forward(Tensor(rng.standard_normal((6, 3, 3))), bind(p))
         assert out.shape == (6, 3, 3)
 
+
+def bands_of(H, W, band):
+    """Row heights ``convffn_forward`` runs an H x W map in with ``_FFN_BAND = band``."""
+    n = min(H, -(-H * W // band))
+    return [H // n + (i < H % n) for i in range(n)]
+
+
+class TestConvFfnBands:
+    """A map with more than ``_FFN_BAND`` tokens runs in row bands with one halo row a side."""
+
+    @example(C=2, H=5, W=3, band=3, dtype=np.float32, seed=0)    # five 1-row bands
+    @example(C=3, H=7, W=4, band=10, dtype=np.float64, seed=0)   # 7 rows in bands of 3/2/2
+    @given(C=st.integers(1, 3), H=st.integers(1, 9), W=st.integers(1, 6), band=st.integers(1, 24),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_bands_equal_the_one_band_graph_bitwise(self, C, H, W, band, dtype, seed):
+        rng = np.random.default_rng(seed)
+        p = bind(astype(init_convffn(Initializer(seed), C, 2), dtype))
+        x = Tensor(rng.standard_normal((C, H, W)).astype(dtype))
+        whole = convffn_forward(x, p).data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "_FFN_BAND", band)
+            tape = Tape()
+            banded = convffn_forward(tape.leaf(x.data), p)
+        assert banded.dtype == dtype and np.array_equal(banded.data, whole)
+        # each band reads its rows plus one halo row on each side that lies inside the map
+        heights = bands_of(H, W, band)
+        ends = np.cumsum([0] + heights)
+        halo = [h + (r0 > 0) + (r1 < H) for h, r0, r1 in zip(heights, ends, ends[1:])]
+        assert [node.shape[1] for node in tape.nodes if node.op == "slice"] == (halo if len(heights) > 1 else [])
+
+    @pytest.mark.parametrize("shape,band", [((2, 7, 3), 6), ((2, 5, 4), 6)], ids=["7x3", "5x4"])
+    def test_multi_band_gradients_match_finite_differences(self, shape, band, monkeypatch):
+        monkeypatch.setattr(blocks, "_FFN_BAND", band)
+        C, H, W = shape
+        assert len(bands_of(H, W, band)) == 4
+        rng = np.random.default_rng(23)
+        x, probe = rng.standard_normal(shape), Tensor(rng.standard_normal(shape))
+        p = init_convffn(Initializer(23, dtype=np.float64), C, 2)
+        err = grad_check(lambda tx, tp: nd.sum_all(nd.matmul(nd.reshape(convffn_forward(tx, tp), (1, x.size)),
+                                                             nd.reshape(probe, (x.size,)))), [x, p])
+        assert err <= 1e-8
+
+    def test_stage_one_working_memory_stays_within_six_maps(self):
+        # a tiny@224 stage-1 ConvFFN (ratio 4): one band's hidden maps live at a time, not two full ones
+        p = bind(init_convffn(Initializer(24), 96, 4))
+        x = Tensor(np.random.default_rng(24).standard_normal((96, 56, 56)).astype(np.float32))
+        assert bands_of(56, 56, blocks._FFN_BAND) == [19, 19, 18]
+        _, peak = traced_peak(lambda: convffn_forward(x, p))
+        assert peak <= 6 * x.data.nbytes, peak / x.data.nbytes

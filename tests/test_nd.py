@@ -321,6 +321,17 @@ class TestBackward:
         for idx, node in enumerate(tape.nodes):
             assert all(i < idx for i in node.inputs if i >= 0)
 
+    def test_second_sweep_through_a_freed_node_raises(self):
+        tape = Tape()
+        a = tape.leaf(np.array([0.5, -1.0]))
+        shared = gelu(a)
+        first = backward(tape, sum_all(shared))[a.node].data
+        with pytest.raises(TapeError, match="freed"):
+            backward(tape, sum_all(scale(shared, 2.0)))
+        x = a.data
+        assert np.allclose(first, 0.5 * (1 + erf(x / np.sqrt(2))) + x * np.exp(-x * x / 2) / np.sqrt(2 * np.pi))
+        assert tape.nodes[shared.node].vjp is None
+
     def test_cross_entropy_gradient(self):
         tape = Tape()
         logits = tape.leaf(np.array([0.2, -0.1, 1.3]))
@@ -574,6 +585,44 @@ class TestKernelProperties:
         err = grad_check(lambda a, ww, bb: _dot(dwconv(a, ww, bb, stride=stride, pad=pad), Tensor(probe)),
                          [x, w, b])
         assert err <= 1e-4
+
+    @settings(max_examples=40)
+    @example(C=2, H=3, W=4, k=3, stride=1, pads=((1, 0), (1, 1)), dtype=np.float32, seed=0)  # a band's top
+    @example(C=2, H=4, W=5, k=3, stride=2, pads=((0, 1), (2, 0)), dtype=np.float64, seed=0)
+    @given(C=st.integers(1, 3), H=st.integers(1, 7), W=st.integers(1, 7), k=st.integers(1, 3),
+           stride=st.integers(1, 2), pads=st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 2))] * 2),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_dwconv_side_pads_equal_padding_the_input_first(self, C, H, W, k, stride, pads, dtype, seed):
+        (t, bt), (le, r) = pads
+        Hp, Wp = H + t + bt, W + le + r
+        assume(Hp >= k and Wp >= k and (stride == 1 or ((Hp - k) % stride == 0 and (Wp - k) % stride == 0)))
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in ((C, H, W), (C, k, k), (C,))]
+        results = []
+        for padded_first in (False, True):
+            tape = Tape()
+            x, w, b = (tape.leaf(a) for a in arrays)
+            if padded_first:
+                y = dwconv(nd.pad_spatial(x, (t, bt), (le, r)), w, b, stride=stride, pad=0)
+            else:
+                y = dwconv(x, w, b, stride=stride, pad=pads)
+            probe = Tensor(np.linspace(-1, 1, y.size).astype(dtype))
+            grads = backward(tape, _dot(y, probe))
+            results.append([y.data] + [grads[leaf.node].data for leaf in (x, w, b)])
+        for got, ref in zip(*results):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_dwconv_int_pad_is_the_same_pad_on_every_side(self):
+        rng = np.random.default_rng(3)
+        x, w, b = (Tensor(rng.standard_normal(s)) for s in ((2, 5, 6), (2, 3, 3), (2,)))
+        for p in (0, 1, 2):
+            assert np.array_equal(dwconv(x, w, b, pad=p).data, dwconv(x, w, b, pad=((p, p), (p, p))).data)
+
+    @pytest.mark.parametrize("pads", [((-1, 1), (1, 1)), ((1, 1), (1, -1)), (1, 1)],
+                             ids=["negative-top", "negative-right", "not-pairs"])
+    def test_dwconv_bad_side_pads_raise_shape_error(self, pads):
+        with pytest.raises(ShapeError, match="pad"):
+            dwconv(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 3, 3))), pad=pads)
 
     def test_dwconv_rejects_mixed_dtypes_and_bad_bias(self):
         x, w = np.zeros((2, 3, 3), np.float32), np.zeros((2, 3, 3))

@@ -1,0 +1,228 @@
+"""Append benchmark records to BENCH_forward.json: end-to-end runs and per-mode peak holders.
+
+    python3 tools/bench_record.py runs --workloads infer-attn-modes infer-ss2d --seeds 1 2 3 \\
+        --seconds 10 --checkout parent=../sparx-parent --checkout change=.
+    python3 tools/bench_record.py holders --workloads infer-attn-modes --checkout change=.
+    python3 tools/bench_record.py summary
+
+``runs`` runs ``perfbench/run.py --trace 0`` in each checkout for every
+workload and seed and appends one record per run: the label, the checkout's
+commit and a digest of its ``src/``, the env line and the run's last-line
+JSON. With two checkouts the runs of one (workload, seed) form a pair, and the
+order inside a pair alternates from one seed to the next, so slow drift of a
+shared host falls on both sides alike.
+
+``holders`` builds each workload's models as ``perfbench/workloads.py`` does
+and runs one op per topology mode under tracemalloc. It records the mode's
+peak bytes and the op, with its calling function, that was running when the
+peak was reached, and the highest op peaks of the next four calling functions.
+
+``summary`` prints, per workload, label and metric, the median and quartiles
+of the recorded runs and the pairs in which the second label did better.
+
+Run from the repository root. The benchmark itself (``perfbench/``) is only
+run and imported, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEFAULT_OUT = os.path.join(ROOT, "BENCH_forward.json")
+LOWER_IS_BETTER = {"latency_ms_p50": True, "latency_ms_tail": True, "images_per_s": False,
+                   "peak_bytes": True, "setup_s": True}
+
+
+def load(path: str) -> dict:
+    if not os.path.exists(path):
+        return {"about": __doc__.splitlines()[0], "records": []}
+    with open(path) as f:
+        return json.load(f)
+
+
+def save(path: str, doc: dict):
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    os.replace(tmp, path)
+
+
+def identity(checkout: str) -> dict:
+    """The commit of a checkout, whether its src/ differs from it, and a digest of src/."""
+    def git(*args):
+        return subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True).stdout.strip()
+
+    digest = hashlib.sha256()
+    src = os.path.join(checkout, "src")
+    for base, dirs, files in sorted(os.walk(src)):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(base, name)
+                digest.update(os.path.relpath(path, src).encode() + b"\0")
+                with open(path, "rb") as f:
+                    digest.update(f.read())
+    return {"commit": git("rev-parse", "HEAD") or None, "src_modified": bool(git("status", "--porcelain", "--", "src")),
+            "src_sha256": digest.hexdigest()[:16]}
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return {"env": next((ln for ln in lines if ln.startswith("env:")), None), "result": json.loads(lines[-1]),
+            "text": lines[1:-1]}
+
+
+def cmd_runs(args, doc):
+    for i, seed in enumerate(args.seeds):
+        order = args.checkout if i % 2 == 0 else args.checkout[::-1]
+        for workload in args.workloads:
+            for label, checkout in order:
+                out = run_once(checkout, workload, seed, args.seconds)
+                doc["records"].append({"kind": "run", "label": label, **identity(checkout),
+                                       "workload": workload, "seed": seed, "seconds": args.seconds, "trace": 0,
+                                       "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                                       **out})
+                save(args.out, doc)
+                m = out["result"]["metrics"]
+                print(f"{workload} seed {seed} {label}: p50 {m['latency_ms_p50']['value']:.1f} ms, "
+                      f"peak {m['peak_bytes']['value']:.0f} B, correct {out['result']['correct']}", flush=True)
+
+
+HOLDER_SCRIPT = r"""
+import gc, json, os, sys, tracemalloc
+checkout, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+import workloads
+from sparx import nd
+
+events = []
+real_apply = nd._apply
+
+def watched_apply(op, out, inputs, vjp):
+    result = real_apply(op, out, inputs, vjp)
+    frame = sys._getframe(1)
+    while frame.f_globals.get("__name__") == "sparx.nd":
+        frame = frame.f_back
+    where = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}:{frame.f_lineno}"
+    events.append((tracemalloc.get_traced_memory()[1], op, where))
+    tracemalloc.reset_peak()
+    return result
+
+wl = workloads.make(workload)
+wl.setup(seed)
+rows = []
+for mode, op in wl.peak_ops():
+    wl.prepare(op)
+    gc.collect()
+    tracemalloc.start()
+    wl.run(op)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    events.clear()
+    nd._apply = watched_apply
+    wl.prepare(op)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        wl.run(op)
+        events.append((tracemalloc.get_traced_memory()[1], "none", "after the last op (backward, updates)"))
+    finally:
+        tracemalloc.stop()
+        nd._apply = real_apply
+    seen, holders = set(), []
+    for b, o, w in sorted(events, key=lambda e: -e[0]):  # the highest peak of each calling function
+        if w.split(":")[0] not in seen:
+            seen.add(w.split(":")[0])
+            holders.append({"op": o, "at": w, "peak_bytes": b})
+        if len(holders) == 5:
+            break
+    rows.append({"mode": mode, "peak_bytes": peak, "holders": holders})
+print(json.dumps(rows))
+"""
+
+
+def cmd_holders(args, doc):
+    for label, checkout in args.checkout:
+        for workload in args.workloads:
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            proc = subprocess.run([sys.executable, "-c", HOLDER_SCRIPT, os.path.abspath(checkout), workload,
+                                   str(args.seeds[0])], capture_output=True, text=True, env=env)
+            if proc.returncode != 0:
+                raise SystemExit(f"holders {workload} in {checkout} failed: {proc.stderr.strip()[-500:]}")
+            rows = json.loads(proc.stdout.strip().splitlines()[-1])
+            doc["records"].append({"kind": "holders", "label": label, **identity(checkout), "workload": workload,
+                                   "seed": args.seeds[0], "modes": rows})
+            save(args.out, doc)
+            for r in rows:
+                h = r["holders"][0]
+                print(f"{workload} {label} {r['mode']}: peak {r['peak_bytes']} B, "
+                      f"held by {h['op']} at {h['at']} ({h['peak_bytes'] / 2**20:.2f} MiB)")
+
+
+def quartiles(values):
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+    return q[0], statistics.median(values), q[2]
+
+
+def cmd_summary(args, doc):
+    runs = [r for r in doc["records"] if r["kind"] == "run"]
+    labels = list(dict.fromkeys(r["label"] for r in runs))  # in order of first appearance in the file
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        by = {(r["label"], r["seed"]): r["result"]["metrics"] for r in mine}
+        seeds = sorted({s for _, s in by if all((lb, s) in by for lb in labels)})
+        print(f"{workload}: {len(seeds)} pairs of {' / '.join(labels)}")
+        for metric, lower in LOWER_IS_BETTER.items():
+            cols = []
+            for lb in labels:
+                q1, med, q3 = quartiles([by[(lb, s)][metric]["value"] for s in seeds])
+                cols.append(f"{lb} {med:.6g} [{q1:.6g}, {q3:.6g}]")
+            line = f"  {metric:16s} " + "; ".join(cols)
+            if len(labels) == 2 and seeds:
+                a = [by[(labels[0], s)][metric]["value"] for s in seeds]
+                b = [by[(labels[1], s)][metric]["value"] for s in seeds]
+                won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+                change = statistics.median(b) / statistics.median(a) - 1
+                line += f"; {labels[1]} better in {won}/{len(seeds)}, median {change * 100:+.1f}%"
+            print(line)
+
+
+def checkout_arg(text: str):
+    label, _, path = text.partition("=")
+    if not label or not path or not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
+        raise argparse.ArgumentTypeError(f"expected LABEL=DIR with DIR/perfbench/run.py, got {text!r}")
+    return label, path
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("command", choices=("runs", "holders", "summary"))
+    ap.add_argument("--workloads", nargs="+", default=["infer-ss2d", "infer-attn-modes", "train-reduced"])
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1])
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--checkout", action="append", type=checkout_arg,
+                    help="LABEL=DIR of a checkout to run (repeatable; default change=<this repository>)")
+    ap.add_argument("--out", default=DEFAULT_OUT)
+    args = ap.parse_args(argv)
+    args.checkout = args.checkout or [("change", ROOT)]
+    doc = load(args.out)
+    {"runs": cmd_runs, "holders": cmd_holders, "summary": cmd_summary}[args.command](args, doc)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
