@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nd
-from .nd import (Tape, Tensor, add, avgpool_stride, backward, conv2d, cross_entropy_logits,
-                 gelu, layernorm_channels, matmul, mean_axis, reshape, scale)
+from .nd import (Tape, Tensor, add, avgpool_stride, backward, concat, conv2d, cross_entropy_logits,
+                 gelu, layernorm_channels, matmul, mean_axis, reshape, scale, slice_axis)
 from .blocks import (VssBlockParams, DpeParams, dpe_forward, init_dpe, init_vss_block,
-                     mixer_macs, vss_block_forward)
+                     mixer_macs, row_bands, vss_block_forward)
 from .config import ConfigError, ModelConfig
 from .dmca import DmcaParams, dmca_forward, dmca_macs, init_dmca
 from .params import Initializer, bind, pair_leaves
@@ -153,9 +153,22 @@ class CapturedFeature:
 
 
 def _stem_forward(p: StemParams, img: Tensor) -> Tensor:
+    """Two stride-2 3x3 convolutions; the second runs in the output row bands of ``row_bands``.
+
+    Output rows [r0, r1) read input rows 2*r0 - 1 to 2*r1 - 1; a band slices
+    those inside the map and pads a zero row only where the map ends, so its
+    patch matrix is band-sized and each output cell is computed as on the
+    whole map (bit for bit where ``row_bands`` says so, as at `tiny`@224).
+    """
     h = conv2d(img, p.w1, p.b1, stride=2, pad=1)
     h = gelu(layernorm_channels(h, p.ln1_g, p.ln1_b))
-    h = conv2d(h, p.w2, p.b2, stride=2, pad=1)
+    H, W = h.shape[1:]
+    bands = row_bands(p.w2.shape[0], (H + 1) // 2, (W + 1) // 2)
+    if len(bands) == 1:
+        h = conv2d(h, p.w2, p.b2, stride=2, pad=1)
+    else:
+        h = concat([conv2d(slice_axis(h, 1, max(2 * r0 - 1, 0), min(2 * r1, H)), p.w2, p.b2, stride=2,
+                           pad=((int(r0 == 0), max(2 * r1 - H, 0)), (1, 1))) for r0, r1 in bands], axis=1)
     return layernorm_channels(h, p.ln2_g, p.ln2_b)
 
 
@@ -188,8 +201,10 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
         cache: dict[int, Tensor] = {}
         if stage.bridge is not None:
             cache[CROSS_STAGE_SLOT] = _bridge_forward(stage.bridge, prev_final)
+        prev_final = None  # read by the downsample and the bridge only
         for layer_plan, layer, step in zip(plan.layers, stage.layers, cache_schedule(plan).steps):
             t = dpe_forward(x, layer.dpe)
+            del x  # the cache holds it while a later layer reads it
             if layer_plan.role is Role.GANGLION:
                 ys = [cache[CROSS_STAGE_SLOT]] if layer_plan.takes_cross_stage else []
                 ys.extend(cache[j] for j in layer_plan.sources)

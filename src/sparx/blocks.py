@@ -21,7 +21,7 @@ import numpy as np
 
 from .nd import (Tensor, add, concat, dwconv, gather_rows, gelu, matmul, pad_spatial, permute,
                  reshape, roll2d, scale, selective_scan, slice_axis,
-                 softmax_lastdim, softplus, split, layernorm_channels, ShapeError)
+                 softmax_lastdim, split, layernorm_channels, ShapeError)
 from .params import Initializer, stack
 
 # Scan mixers by the number of directions they run, taken in the fixed order
@@ -68,15 +68,17 @@ class SsmParams:
     ``init_ssm`` makes one direction with the shapes below; a mixer stacks
     its k directions on a new leading axis (``params.stack``). The state
     matrix is diagonal and strictly negative, A = -exp(a_log). The step size
-    is produced from the token through a low-rank projection followed by
-    softplus, so it is strictly positive.
+    is softplus(w_dt_out @ (w_dt_in @ token + b_dt_in) + b_dt_out), so it is
+    strictly positive: the mixer runs the rank-r inner projection on the whole
+    map, and the selective scan applies the outer one and softplus chunk by
+    chunk, so no full (C, tokens) step tensor is built.
     """
     a_log: np.ndarray     # (C, state)
     d: np.ndarray         # (C,) passthrough
     w_dt_in: np.ndarray   # (rank, C)
     b_dt_in: np.ndarray   # (rank,)
-    w_dt_out: np.ndarray  # (C, rank)
-    b_dt_out: np.ndarray  # (C,)
+    w_dt_out: np.ndarray  # (C, rank), applied inside the scan
+    b_dt_out: np.ndarray  # (C,), applied inside the scan
     w_b: np.ndarray       # (state, C)
     b_b: np.ndarray       # (state,)
     w_c: np.ndarray       # (state, C)
@@ -186,37 +188,55 @@ def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
     return add(x, dwconv(x, p.w, p.b, pad=1))
 
 
-# Tokens per row band of the ConvFFN: a map with more tokens runs band by band,
-# so no full-size hidden map is live. Stage 1 of `tiny`@224 (56 x 56) runs in
-# three bands of 19/19/18 rows; stage 2 and later fit in one.
-_FFN_BAND = 1120
+# Output tokens per row band of a map that is computed band by band (the
+# ConvFFN, the stem's second convolution): a map with more tokens runs in row
+# bands, so no full-size intermediate of it is live. A 56 x 56 map (stage 1 of
+# `tiny`@224) runs in three bands of 19/19/18 rows; stage 2 and later fit in one.
+_BAND_TOKENS = 1120
+
+
+def row_bands(C: int, H: int, W: int) -> list[tuple[int, int]]:
+    """Row ranges [r0, r1) of the bands a C x H x W output map runs in, top to bottom.
+
+    n = min(H, ceil(H*W / _BAND_TOKENS)) bands of equal height, the first
+    H % n one row taller; a map of at most ``_BAND_TOKENS`` tokens is one band.
+    A band's cells are computed as on the whole map, so the joined bands
+    equal the one-band result up to the order in which BLAS sums a product.
+    numpy sends a product with one output channel, or with one token, through
+    a matrix-vector kernel that sums by a token's column, so a one-channel map
+    stays one band and a one-column map keeps two rows a band. OpenBLAS' matrix
+    kernels sum every token alike when a band's width in tokens is a multiple
+    of their column block: on the 56-column maps of `tiny`@224 the joined bands
+    are bit-identical to one band in float32 and float64, while on other
+    widths float64 results may differ in the last bits.
+    """
+    n = -(-H * W // _BAND_TOKENS) if C > 1 else 1
+    n = max(1, min(n, H if W > 1 else H // 2))
+    rows, extra = divmod(H, n)
+    ends = np.cumsum([0] + [rows + (i < extra) for i in range(n)]).tolist()
+    return list(zip(ends, ends[1:]))
 
 
 def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
-    """Expand, 3x3 depthwise, gelu, contract; a map of over ``_FFN_BAND`` tokens in row bands.
+    """Expand, 3x3 depthwise, gelu, contract; a map of over ``_BAND_TOKENS`` tokens in row bands.
 
-    A map of H*W tokens runs in n = ceil(H*W / _FFN_BAND) bands of equal
-    height (at most H bands, the first H % n one row taller). Each band
-    expands its rows plus one halo row on each side inside the map, and the
-    depthwise convolution pads zeros only at the map's real edges, so it
-    returns exactly the band's rows, each cell computed as on the whole map:
-    the bands joined along the rows equal the one-band result bit for bit.
-    Within a band each hidden map is freed after its last use, so at most
-    two band-sized hidden maps are live at once.
+    The map runs in the bands of ``row_bands``. Each band expands its rows
+    plus one halo row on each side inside the map, and the depthwise
+    convolution pads zeros only at the map's real edges, so it returns
+    exactly the band's rows, each cell computed as on the whole map (bit for
+    bit where ``row_bands`` says so). Within a band each hidden map is freed
+    after its last use, so at most two band-sized hidden maps are live at once.
     """
     def ffn(t, pad):
         return matmul(p.w2, gelu(dwconv(matmul(p.w1, t, p.b1), p.dw, p.db, pad=pad)), p.b2)
 
-    H, W = x.shape[1:]
-    n = min(H, -(-H * W // _FFN_BAND))
-    if n <= 1:
+    C, H, W = x.shape
+    bands = row_bands(C, H, W)
+    if len(bands) == 1:
         return ffn(x, 1)
-    rows, extra = divmod(H, n)
-    ends = np.cumsum([0] + [rows + (i < extra) for i in range(n)]).tolist()
     # each band with one halo row a side inside the map; zero rows only where the map ends
-    bands = [ffn(slice_axis(x, 1, max(r0 - 1, 0), min(r1 + 1, H)), ((int(r0 == 0), int(r1 == H)), (1, 1)))
-             for r0, r1 in zip(ends, ends[1:])]
-    return concat(bands, axis=1)
+    return concat([ffn(slice_axis(x, 1, max(r0 - 1, 0), min(r1 + 1, H)), ((int(r0 == 0), int(r1 == H)), (1, 1)))
+                   for r0, r1 in bands], axis=1)
 
 
 @lru_cache(maxsize=32)
@@ -233,18 +253,20 @@ def scan_forward(x: Tensor, p: SsmParams) -> Tensor:
 
     ``p`` holds k = 1 (causal scan), 2 (bidirectional scan) or 4 (2-d scan)
     stacked directions. Every projection is per token, so each runs once on
-    the flattened map for all k directions, in token order; the one
-    selective scan visits the tokens in each direction's order and returns
-    the directions summed in token order.
+    the flattened map for all k directions, in token order: B, C and the
+    rank-r step input. The one selective scan projects the step input to
+    step sizes chunk by chunk, visits the tokens in each direction's order
+    and returns the directions summed in token order.
     """
     k = p.a_log.shape[0]
     if k not in SCAN_DIRECTIONS.values():
         raise ShapeError(f"scan mixer: expected 1, 2 or 4 stacked directions, got {k}")
     C, H, W = x.shape
     seq = reshape(x, (1, C, H * W))
-    delta = softplus(matmul(p.w_dt_out, matmul(p.w_dt_in, seq, p.b_dt_in), p.b_dt_out))
+    dt = matmul(p.w_dt_in, seq, p.b_dt_in)
     b, c = matmul(p.w_b, seq, p.b_b), matmul(p.w_c, seq, p.b_c)
-    y = selective_scan(reshape(x, (C, H * W)), delta, p.a_log, b, c, p.d, scan_orders(H, W, k))
+    y = selective_scan(reshape(x, (C, H * W)), dt, p.w_dt_out, p.b_dt_out, p.a_log, b, c, p.d,
+                       scan_orders(H, W, k))
     return reshape(y, (C, H, W))
 
 

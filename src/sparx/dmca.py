@@ -129,20 +129,28 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     if p.mode == "concat":
         return matmul(p.out_w, concat([x] + list(ys), axis=0), p.out_b)
 
+    # each intermediate is dropped after its last use, so only live maps count towards the peak
     cat_ys = concat(list(ys), axis=0)
     if p.mode == "no_cgca":
         yv = matmul(p.mix_w, cat_ys, p.mix_b)
+        del cat_ys
         return matmul(p.out_w, concat([x, yv], axis=0), p.out_b)
 
     mixed = matmul(p.mix_w, cat_ys, p.mix_b)
+    del cat_ys
     yk, yv = split(mixed, 2, axis=0)
+    del mixed
     s = p.reduce_stride
     q_in = x if s == 1 else dwconv(x, p.q_red, stride=s)
     k_in = yk if s == 1 else dwconv(yk, p.k_red, stride=s)
+    del yk
     q = group_channels(matmul(p.q_w, q_in, p.q_b), p.groups)
+    del q_in
     k = group_channels(matmul(p.k_w, k_in, p.k_b), p.groups)
+    del k_in
     v = group_channels(matmul(p.v_w, yv, p.v_b), p.groups)
     z = reshape(matmul(cgca_attention(q, k, q.shape[2]), v), x.shape)
+    del q, k, v
     if p.mode == "no_skip":
         return matmul(p.out_w, z, p.out_b)
     return matmul(p.out_w, concat([x, yv, z], axis=0), p.out_b)

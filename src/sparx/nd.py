@@ -14,19 +14,20 @@ that only move values (reshape, permute, slice, concat, pad, roll) cannot
 produce one and are not scanned. The check tests ``isfinite`` one block of
 ``_CHECK_BLOCK`` elements at a time, so it stays exact and its mask is never
 larger than one block. Apart from layernorm, no op keeps output-sized
-scratch either: softmax and softplus work in their output buffer, gelu,
-softplus' relu term, dwconv and the scan's chunks run through cache-sized
-buffers, and an op's other full-size arrays are values its backward pass
-reads (layernorm's normalized input, float64 gelu's 1 + erf). Layernorm
-makes one full-size temporary, its squared deviations, to keep the
-arithmetic of ``var`` bit for bit.
+scratch either: softmax works in its output buffer, gelu, dwconv and the
+scan's chunks run through cache-sized buffers (the scan builds its step
+sizes chunk by chunk, so no (k,C,T) step tensor exists), and an op's other
+full-size arrays are values its backward pass reads (layernorm's normalized
+input, float64 gelu's 1 + erf). Layernorm makes one full-size temporary,
+its squared deviations, to keep the arithmetic of ``var`` bit for bit.
 
 The op surface is deliberately small: exactly the primitives the backbone
 needs (one linear op, ``matmul``, for every channel projection and attention
 product, plain or stacked over a leading axis; channel layernorm; channel
 concat/split, depthwise and dense convolution, pooling, softmax, a handful of
 pointwise nonlinearities, and an input-dependent selective scan over k token
-orders of one sequence). Channel ops take ``(C, *rest)`` and treat every
+orders of one sequence, which applies its step-size projection and softplus
+itself). Channel ops take ``(C, *rest)`` and treat every
 trailing axis as a token axis, so a (C,H,W) map goes in and comes out as a
 map; a reshape is needed only where the token axes themselves change.
 Broadcasting is supported only where these ops require it (bias adds,
@@ -148,8 +149,8 @@ def _wrap(data, tape=None, node=None):
 # Ops that only carry input values to new positions (or add zeros); they cannot
 # make a value non-finite, so their outputs are not scanned.
 _DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d"})
-# Elements per block of the float32 gelu and of softplus: their scratch and
-# output blocks stay in cache.
+# Elements per block of the float32 gelu: its scratch and output blocks stay
+# in cache.
 _BLOCK = 1 << 15
 # Elements per block of the finiteness check, so its boolean mask is at most
 # this many bytes: 1/37 of a stage-1 `tiny`@224 hidden map. Smaller blocks cost
@@ -377,31 +378,6 @@ def mean_axis(a, axis, keepdims=False):
 # pointwise nonlinearities
 # ---------------------------------------------------------------------------
 
-def _add_relu(out, x):
-    """out += max(x, 0), block by block through one block-sized scratch buffer."""
-    of, xf = out.reshape(-1), x.reshape(-1)
-    pos = np.empty(min(xf.size, _BLOCK), dtype=x.dtype)
-    for b0 in range(0, xf.size, _BLOCK):
-        xb, ob = xf[b0:b0 + _BLOCK], of[b0:b0 + _BLOCK]
-        ob += np.maximum(xb, 0, out=pos[:len(xb)])
-
-
-def softplus(a):
-    """log(1 + e^x), computed stably as max(x, 0) + log1p(e^-|x|)."""
-    ad = a.data
-    out = np.abs(ad)  # -|x|, exp, log1p in place: one result buffer, not one per step
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    _add_relu(out, ad)
-
-    def vjp(g):
-        e = np.exp(-np.abs(ad))
-        return (g * np.where(ad >= 0, 1, e) / (1 + e),)  # sigmoid(x), no overflow
-
-    return _apply("softplus", out, (a,), vjp)
-
-
 # Numerical Recipes' erfc fit ("erfcc"), lowest order first: for z >= 0,
 # erfc(z) = t * exp(-z*z + sum_n c_n t^n), t = 1 / (1 + z/2), with fractional
 # error below 1.2e-7 everywhere.
@@ -581,13 +557,16 @@ def extract_patches(x, kernel, stride=1, pad=0):
 
     P is the number of output positions. Every output position's receptive
     field is laid out row-major along axis 1; channels stay separate so both
-    dense and depthwise convolutions can be built on top.
+    dense and depthwise convolutions can be built on top. ``pad`` is one int
+    for every side or ((top, bottom), (left, right)), as in ``dwconv``.
     """
-    k, s, p = int(kernel), int(stride), int(pad)
-    Ho, Wo = _conv_out_hw("extract_patches", x.shape, k, s, p)
+    k, s = int(kernel), int(stride)
+    Ho, Wo = _conv_out_hw("extract_patches", x.shape, k, s, pad)
+    (top, bottom), (left, right) = _side_pads(pad)
     C, H, W = x.shape
-    Hp, Wp = H + 2 * p, W + 2 * p
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
+    Hp, Wp = H + top + bottom, W + left + right
+    padded = Hp != H or Wp != W
+    xp = np.pad(x.data, ((0, 0), (top, bottom), (left, right))) if padded else x.data
     sc, sh, sw = xp.strides
     view = as_strided(xp, shape=(C, Ho, Wo, k, k), strides=(sc, sh * s, sw * s, sh, sw))
     out = np.ascontiguousarray(view.transpose(0, 3, 4, 1, 2).reshape(C, k * k, Ho * Wo))
@@ -598,7 +577,7 @@ def extract_patches(x, kernel, stride=1, pad=0):
         for i in range(k):
             for j in range(k):
                 gp[:, i:i + Ho * s:s, j:j + Wo * s:s] += gk[:, i, j]
-        return (gp[:, p:p + H, p:p + W].copy() if p else gp,)
+        return (gp[:, top:top + H, left:left + W].copy() if padded else gp,)
 
     return _apply("extract_patches", out, (x,), vjp)
 
@@ -703,13 +682,14 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
 def conv2d(x, weight, bias=None, stride=1, pad=0):
     """Dense 2-d convolution of a (Cin,H,W) map to (Cout,Ho,Wo), weight (Cout, Cin, k, k).
 
-    One ``matmul`` of the flattened weight with the (Cin*k*k, Ho, Wo) patch map.
+    One ``matmul`` of the flattened weight with the (Cin*k*k, Ho, Wo) patch map;
+    ``pad`` is one int or per side, as in ``extract_patches``.
     """
     _check_same_dtype("conv2d", *((x, weight) if bias is None else (x, weight, bias)))
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d: weight must be (Cout,Cin,k,k), got {weight.shape}")
     Cout, Cin, k, k2 = weight.shape
-    Ho, Wo = _conv_out_hw("conv2d", x.shape, k, int(stride), int(pad))
+    Ho, Wo = _conv_out_hw("conv2d", x.shape, k, int(stride), pad)
     if k != k2 or Cin != x.shape[0]:
         raise ShapeError(f"conv2d: weight {weight.shape} does not match input {x.shape}")
     patches = reshape(extract_patches(x, k, stride, pad), (Cin * k * k, Ho, Wo))
@@ -774,49 +754,56 @@ def _scan_states(h0, dl, dx, ad, b):
     return hs, decay
 
 
-def selective_scan(x, delta, a_log, b, c, d, order):
+def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
     """Input-dependent linear state recurrence over k token orders of one sequence, summed.
 
     x (C,T) is shared by the k directions; row i of the fixed (k,T) int array
     ``order`` is a permutation of the tokens, the order in which direction i
-    visits them. delta (k,C,T), a_log (k,C,S), b and c (k,S,T) and d (k,C)
-    are given in token order. With A = -exp(a_log), direction i runs over its
-    visiting steps u = order[i, t], per channel and state,
+    visits them. The step sizes come from the low-rank step input dt (k,r,T)
+    through w_dt (k,C,r) and b_dt (k,C), as delta = softplus(w_dt @ dt + b_dt)
+    (k,C,T), strictly positive; a_log (k,C,S), b and c (k,S,T) and d (k,C).
+    Every per-token input is given in token order. With A = -exp(a_log),
+    direction i runs over its visiting steps u = order[i, t], per channel and
+    state,
         h_t = exp(delta_u * A) * h_{t-1} + delta_u * b_u * x_u,   h_0 = 0
         y_u = sum_s c_u[s] * h_t[s] + d * x_u
     so it is causal in its own order. The k outputs are summed in token order
-    as a balanced tree, (y0+y1)+(y2+y3) for k = 4. delta must be strictly
-    positive (produce it through softplus).
+    as a balanced tree, (y0+y1)+(y2+y3) for k = 4.
 
-    The loop runs time-major over chunks of ``_SCAN_CHUNK`` visiting steps; a
-    chunk gathers its inputs in visiting order as (L,k,C) and (L,k,S) rows,
-    keeps its states and decays as (L,k,S,C), and adds each direction's
-    outputs as C-rows into a time-first (T,C) pair buffer: ceil(k/2) of them,
-    filled with -0.0, buffer j taking directions 2j and 2j+1. The buffers are
-    then summed in place as the rest of the tree. Only the (k,S,C) state entering
-    each chunk is kept; the backward pass recomputes each chunk's states and
-    decays from that state.
+    The loop runs time-major over chunks of ``_SCAN_CHUNK`` visiting steps. A
+    chunk gathers dt's columns in visiting order as (L,k,r), projects them in
+    one stacked product to its (L,k,C) step sizes, adds b_dt and applies
+    softplus in place as max(z, 0) + log1p(exp(-|z|)), so no (k,C,T) delta is
+    ever built; a non-finite or non-positive step size raises ``NumericError``.
+    The chunk gathers x as (L,k,C) and B and C as (L,k,S) rows, keeps its
+    states and decays as (L,k,S,C), and adds each direction's outputs as
+    C-rows into a time-first (T,C) pair buffer: ceil(k/2) of them, filled with
+    -0.0, buffer j taking directions 2j and 2j+1. The buffers are then summed
+    in place as the rest of the tree. Only the (k,S,C) state entering each
+    chunk is kept; the backward pass recomputes each chunk's step sizes,
+    states and decays from that state, writes the step-size gradient through
+    softplus' derivative into one (k,C,T) buffer, and projects it back onto
+    dt, w_dt and b_dt after the loop.
     """
-    _check_same_dtype("selective_scan", x, delta, a_log, b, c, d)
+    _check_same_dtype("selective_scan", x, dt, w_dt, b_dt, a_log, b, c, d)
     order = np.asarray(order)
     if x.data.ndim != 2 or order.ndim != 2 or order.dtype.kind not in "iu":
         raise ShapeError(f"selective_scan: expects x (C,T) and an integer order (k,T), got {x.shape}, {order.shape}")
     (C, T), k = x.shape, order.shape[0]
     S = a_log.shape[2] if a_log.data.ndim == 3 else -1
-    if (order.shape != (k, T) or delta.shape != (k, C, T) or a_log.shape != (k, C, S)
-            or b.shape != (k, S, T) or c.shape != (k, S, T) or d.shape != (k, C)):
-        raise ShapeError(f"selective_scan: inconsistent shapes x{x.shape} delta{delta.shape} a_log{a_log.shape} "
-                         f"b{b.shape} c{c.shape} d{d.shape} order{order.shape}")
+    r = dt.shape[1] if dt.data.ndim == 3 else -1
+    if (order.shape != (k, T) or dt.shape != (k, r, T) or w_dt.shape != (k, C, r) or b_dt.shape != (k, C)
+            or a_log.shape != (k, C, S) or b.shape != (k, S, T) or c.shape != (k, S, T) or d.shape != (k, C)):
+        raise ShapeError(f"selective_scan: inconsistent shapes x{x.shape} dt{dt.shape} w_dt{w_dt.shape} "
+                         f"b_dt{b_dt.shape} a_log{a_log.shape} b{b.shape} c{c.shape} d{d.shape} order{order.shape}")
     if not np.array_equal(np.sort(order, axis=1), np.broadcast_to(np.arange(T), order.shape)):
         raise ShapeError("selective_scan: every row of order must be a permutation of the tokens")
-    if np.fmin.reduce(delta.data, axis=None, initial=np.inf) <= 0:  # any(delta <= 0) without a mask
-        raise NumericError("selective_scan: delta must be strictly positive")
     with np.errstate(over="ignore"):
         neg_a = -np.exp(a_log.data)
     if not np.isfinite(neg_a).all():
         raise NumericError("selective_scan: exp(a_log) overflows")
 
-    xd, dl, bd, cd, dd = x.data, delta.data, b.data, c.data, d.data
+    xd, dtd, wd, bdt, bd, cd, dd = x.data, dt.data, w_dt.data, b_dt.data, b.data, c.data, d.data
     ad, ar = neg_a.transpose(0, 2, 1).copy(), np.arange(k)  # A as (k,S,C)
     chunks = [slice(t0, min(T, t0 + _SCAN_CHUNK)) for t0 in range(0, T, _SCAN_CHUNK)]
 
@@ -825,9 +812,19 @@ def selective_scan(x, delta, a_log, b, c, d, order):
         return np.moveaxis(arr, 2, 0)
 
     def chunk_inputs(idx):
-        """A chunk's delta and x (L,k,C), delta * x, and B and C (L,k,S), in visiting order."""
-        dlc, xc = time_first(dl)[idx.T, ar], xd.T[idx.T]
-        return dlc, xc, dlc * xc, time_first(bd)[idx.T, ar], time_first(cd)[idx.T, ar]
+        """A chunk's step pre-activation and delta, x (L,k,C), delta * x, and B and C (L,k,S), in visiting order."""
+        pre = np.empty((idx.shape[1], k, C), dtype=xd.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step size raises below
+            np.matmul(np.swapaxes(time_first(dtd)[idx.T, ar], 0, 1), np.swapaxes(wd, 1, 2),
+                      out=np.swapaxes(pre, 0, 1))
+        pre += bdt
+        dlc = np.abs(pre)  # softplus: -|z|, exp, log1p in place, then + max(z, 0)
+        np.negative(dlc, out=dlc)
+        np.exp(dlc, out=dlc)
+        np.log1p(dlc, out=dlc)
+        dlc += np.maximum(pre, 0)
+        xc = xd.T[idx.T]
+        return pre, dlc, xc, dlc * xc, time_first(bd)[idx.T, ar], time_first(cd)[idx.T, ar]
 
     # Pair j of the k outputs in token order, time-first: directions 2j and 2j+1
     # are added onto -0, the identity of IEEE addition, so in whichever order
@@ -837,23 +834,27 @@ def selective_scan(x, delta, a_log, b, c, d, order):
     for ch in chunks:
         starts.append(h)
         idx = order[:, ch]
-        dlc, xc, dxc, bc, cc = chunk_inputs(idx)
+        dlc, xc, dxc, bc, cc = chunk_inputs(idx)[1:]  # the pre-activation is read by the backward pass only
+        if not _all_finite(dlc):
+            raise NumericError("selective_scan: non-finite step size delta")
+        if np.fmin.reduce(dlc, axis=None, initial=np.inf) <= 0:  # any(delta <= 0) without a mask
+            raise NumericError("selective_scan: delta must be strictly positive")
         hs = _scan_states(h, dlc, dxc, ad, bc)[0]
         yc = dd * xc + np.einsum("tksc,tks->tkc", hs, cc)
         for i in range(k):  # one add per direction: two directions may visit one token in a chunk
             pairs[i // 2][idx[i]] += yc[:, i]
         h = hs[-1].copy()
-    del hs, yc  # free the last chunk's buffers before the tree sum and the transposed output copy
+        del dlc, xc, dxc, bc, cc, hs, yc  # free this chunk's buffers before the next chunk's are made
 
     def vjp(g):
         gx = np.multiply(g.T, dd.sum(axis=0), out=np.empty((T, C), dtype=g.dtype))  # time-first
-        gdelta, gb, gc = np.empty_like(dl), np.empty_like(bd), np.empty_like(cd)
+        gpre, gb, gc = np.empty((k, C, T), dtype=g.dtype), np.empty_like(bd), np.empty_like(cd)
         ga = np.zeros_like(ad)
         tmp = np.empty((k, S, C), dtype=xd.dtype)
         carry = np.zeros((k, S, C), dtype=xd.dtype)  # decay_{t+1} * dL/dh_{t+1} from the later chunk
         for ch, h0 in zip(reversed(chunks), reversed(starts)):
             idx = order[:, ch]
-            dlc, xc, dxc, bc, cc = chunk_inputs(idx)
+            pre, dlc, xc, dxc, bc, cc = chunk_inputs(idx)
             hs, decay = _scan_states(h0, dlc, dxc, ad, bc)
             gl = g.T[idx.T]
             time_first(gc)[idx.T, ar] = np.einsum("tksc,tkc->tks", hs, gl)
@@ -870,18 +871,22 @@ def selective_scan(x, delta, a_log, b, c, d, order):
             decay *= gh
             ga += np.einsum("tksc,tkc->ksc", decay, dlc)
             gbs = np.einsum("tksc,tks->tkc", gh, bc)
-            time_first(gdelta)[idx.T, ar] = np.einsum("tksc,ksc->tkc", decay, ad) + gbs * xc
+            gdl = np.einsum("tksc,ksc->tkc", decay, ad) + gbs * xc
+            e = np.exp(-np.abs(pre))
+            time_first(gpre)[idx.T, ar] = gdl * np.where(pre >= 0, 1, e) / (1 + e)  # sigmoid(z), no overflow
             for j, gxi in zip(idx, np.moveaxis(gbs * dlc, 1, 0)):
                 gx[j] += gxi  # the directions share x: one add each
             time_first(gb)[idx.T, ar] = np.einsum("tksc,tkc->tks", gh, dxc)
         gd = np.tile((g * xd).sum(axis=1), (k, 1))  # d_i multiplies the same x in every direction
-        return gx.T, gdelta, ga.transpose(0, 2, 1) * neg_a, gb, gc, gd
+        # the step-size projection's gradients, as matmul's vjp forms them
+        gw, gdt = gpre @ np.swapaxes(dtd, -1, -2), np.swapaxes(wd, -1, -2) @ gpre
+        return gx.T, gdt, gw, gpre.sum(axis=-1), ga.transpose(0, 2, 1) * neg_a, gb, gc, gd
 
     while len(pairs) > 1:  # the rest of a balanced tree, in place: (y0+y1)+(y2+y3) for k = 4
         for left, right in zip(pairs[::2], pairs[1::2]):
             left += right
         pairs = pairs[::2]
-    return _apply("selective_scan", pairs.pop().T, (x, delta, a_log, b, c, d), vjp)
+    return _apply("selective_scan", pairs.pop().T, (x, dt, w_dt, b_dt, a_log, b, c, d), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sparx import backbone
+from sparx import backbone, blocks, nd
 from sparx.backbone import (build, count_flops, forward, forward_bound, make_toy_dataset,
                             memory_report, train_toy)
 from sparx.config import ConfigError, ModelConfig, get_variant
@@ -115,7 +115,7 @@ class TestForward:
         assert logits.shape == (2,)
         assert np.all(np.isfinite(logits))
 
-    @pytest.mark.parametrize("mixer,limit,op_limit", [("ss2d", 50, 240), ("window_attn", 76, 323)])
+    @pytest.mark.parametrize("mixer,limit,op_limit", [("ss2d", 50, 225), ("window_attn", 76, 323)])
     def test_taped_forward_reshapes_only_where_token_axes_change(self, mixer, limit, op_limit):
         # maps stay (C,H,W) through every channel op; reshapes remain for scan
         # sequences, window partitions, channel groups and the head's pooling,
@@ -128,6 +128,45 @@ class TestForward:
         ops = sum(not node.is_leaf for node in tape.nodes)
         assert reshapes <= limit, f"{reshapes} reshapes recorded"
         assert ops <= op_limit, f"{ops} ops recorded"
+
+
+class TestStemBands:
+    """The stem's second convolution runs in the output row bands of ``blocks.row_bands``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_banded_stem_equals_one_band_bitwise_at_tiny_224(self, dtype, monkeypatch):
+        stem = bind(build(get_variant("tiny"), 0, dtype=dtype).stem)
+        img = np.random.default_rng(40).standard_normal((3, 224, 224)).astype(dtype)
+        tape = Tape()
+        banded = backbone._stem_forward(stem, tape.leaf(img))
+        assert [n.shape[1] for n in tape.nodes if n.op == "slice"] == [38, 39, 37]  # 19/19/18 output rows
+        monkeypatch.setattr(blocks, "_BAND_TOKENS", 56 * 56)
+        whole = backbone._stem_forward(stem, Tensor(img))
+        assert banded.dtype == dtype and banded.data.tobytes() == whole.data.tobytes()
+
+    @pytest.mark.parametrize("band", [1, 20, 30])
+    @pytest.mark.parametrize("size", [(32, 32), (30, 22)], ids=["32x32", "30x22"])
+    def test_banded_stem_matches_one_band_on_small_maps(self, size, band, monkeypatch):
+        # 30 x 22 makes a 15-row map, so the last band reads the zero row below it. A band a few
+        # tokens wide sends BLAS down another kernel path, so the sums may differ in the last bits.
+        stem = bind(build(get_variant("tiny-reduced"), 0, dtype=np.float64).stem)
+        img = np.random.default_rng(40).standard_normal((3, *size))
+        whole = backbone._stem_forward(stem, Tensor(img)).data
+        monkeypatch.setattr(blocks, "_BAND_TOKENS", band)
+        tape = Tape()
+        banded = backbone._stem_forward(stem, tape.leaf(img)).data
+        assert sum(node.op == "slice" for node in tape.nodes) == len(blocks.row_bands(*whole.shape)) > 1
+        assert np.allclose(banded, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+
+    def test_banded_stem_gradients_match_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_BAND_TOKENS", 5)  # a 4 x 4 output map in four one-row bands
+        stem = build(get_variant("tiny-reduced"), 0, dtype=np.float64).stem
+        rng = np.random.default_rng(42)
+        img, probe = rng.standard_normal((3, 16, 16)), Tensor(rng.standard_normal((8, 4, 4)))
+        assert len(blocks.row_bands(8, 4, 4)) == 4
+        err = grad_check(lambda ti, tp: nd.sum_all(nd.matmul(nd.reshape(backbone._stem_forward(tp, ti), (1, 128)),
+                                                             nd.reshape(probe, (128,)))), [img, stem], h=1e-6)
+        assert err <= 1e-6  # the stem's layernorms are stiff: at h = 1e-4 the unbanded stem measures 2e-4
 
 
 class TestAccounting:

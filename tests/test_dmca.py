@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
 from sparx import dmca, nd
@@ -302,3 +303,15 @@ class TestMacCount:
         rng = np.random.default_rng(7)
         run(p, rng.standard_normal((C, H, W)), list(rng.standard_normal((L, C, H, W))))
         assert macs and sum(macs) == dmca_macs(C, L, H * W, stride, groups, mode)
+
+
+class TestWorkingMemory:
+    def test_stage_two_aggregator_keeps_no_dead_intermediate(self):
+        # a tiny@224 stage-2 ganglion layer (C 192, 28 x 28, two sources, reducer stride 4): the final
+        # (3C) concat and (2C) output next to yv and z make 7 maps; the source concat, the mixed
+        # projection, its split halves and q/k/v kept to the end took the peak to 13.5 maps
+        p = bind(make_params(192, 2, 4, dtype=np.float32))
+        rng = np.random.default_rng(41)
+        x, *ys = [Tensor(rng.standard_normal((192, 28, 28)).astype(np.float32)) for _ in range(3)]
+        _, peak = traced_peak(lambda: dmca_forward(x, ys, p))
+        assert peak <= 8 * x.data.nbytes, peak / x.data.nbytes

@@ -13,7 +13,7 @@ from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add, av
                       backward, concat, conv2d, cross_entropy_logits, dwconv,
                       gather_rows, gelu, layernorm_channels,
                       matmul, mean_axis, permute, reshape, scale, selective_scan,
-                      slice_axis, softmax_lastdim, softplus, split, sum_all)
+                      slice_axis, softmax_lastdim, split, sum_all)
 from sparx.tensor_io import TensorFormatError, read_tensor, tensor_bytes, tensor_from_bytes, write_tensor
 from sparx.verify import dwconv_oracle, grad_check, scan_oracle
 
@@ -32,7 +32,7 @@ _MULTI_INPUT_OPS = [
     ("dwconv", lambda x, w, b: dwconv(x, w, b, pad=1), [(2, 3, 3), (2, 3, 3), (2,)]),
     ("conv2d", lambda x, w, b: conv2d(x, w, b, pad=1), [(2, 4, 4), (3, 2, 3, 3), (3,)]),
     ("selective_scan", lambda *ts: selective_scan(*ts, np.arange(4)[None]),
-     [(2, 4), (1, 2, 4), (1, 2, 3), (1, 3, 4), (1, 3, 4), (1, 2)]),
+     [(2, 4), (1, 1, 4), (1, 2, 1), (1, 2), (1, 2, 3), (1, 3, 4), (1, 3, 4), (1, 2)]),
 ]
 
 
@@ -239,7 +239,11 @@ class TestNonlinearOps:
     def test_gelu_softplus_values(self):
         x = np.array([0.0])
         assert abs(gelu(Tensor(x)).data[0]) < 1e-12
-        assert abs(softplus(Tensor(x)).data[0] - np.log(2)) < 1e-12
+        # one scan step with unit x, b, c and d = 0 returns its step size, softplus(0) = log 2
+        one = Tensor(np.ones((1, 1, 1)))
+        y = selective_scan(Tensor(np.ones((1, 1))), Tensor(np.zeros((1, 1, 1))), one, Tensor(np.zeros((1, 1))),
+                           Tensor(np.zeros((1, 1, 1))), one, one, Tensor(np.zeros((1, 1))), np.arange(1)[None])
+        assert abs(y.data[0, 0] - np.log(2)) < 1e-12
 
     def test_gelu_float32_runs_in_float32(self):
         x = np.random.default_rng(11).standard_normal((256, 1024)).astype(np.float32) * 2
@@ -248,12 +252,6 @@ class TestNonlinearOps:
         assert y.dtype == np.float32
         assert np.abs(y.data - gelu(Tensor(x.astype(np.float64))).data).max() <= 1e-6
         assert peak < 3.5 * x.nbytes, peak / x.nbytes  # no float64 intermediate
-
-    def test_softplus_adds_its_relu_through_one_block_of_scratch(self):
-        # a tiny@224 stage-1 step size, (k,C,T): a full-size max(x, 0) makes the peak 2x the input
-        d = Tensor(np.random.default_rng(32).standard_normal((4, 96, 56 * 56)).astype(np.float32))
-        _, peak = traced_peak(lambda: softplus(d))
-        assert peak <= 1.1 * d.data.nbytes, peak / d.data.nbytes
 
     def test_gelu_float32_fit_against_float64_on_a_dense_grid(self):
         # the float32 forward is a Chebyshev erfc fit, the float64 one scipy's erf
@@ -387,20 +385,22 @@ class TestGradCheck:
 
     def test_selective_scan_against_finite_differences(self):
         rng = np.random.default_rng(7)
-        k, C, T, S = 2, 2, 4, 2
+        k, C, T, S, r = 2, 2, 4, 2, 3
         order = np.stack([np.arange(T), np.arange(T)[::-1]])
         for trial in range(5):
             x = rng.standard_normal((C, T))
-            dl = rng.standard_normal((k, C, T))
+            dt = rng.standard_normal((k, r, T))
+            w_dt = rng.standard_normal((k, C, r))
+            b_dt = rng.standard_normal((k, C))
             a_log = rng.standard_normal((k, C, S))
             b = rng.standard_normal((k, S, T))
             c = rng.standard_normal((k, S, T))
             d = rng.standard_normal((k, C))
 
-            def f(tx, tdl, ta, tb, tc, td):
-                return sum_all(selective_scan(tx, softplus(tdl), ta, tb, tc, td, order))
+            def f(*ts):
+                return sum_all(selective_scan(*ts, order))
 
-            assert grad_check(f, [x, dl, a_log, b, c, d]) <= 1e-4
+            assert grad_check(f, [x, dt, w_dt, b_dt, a_log, b, c, d]) <= 1e-4
 
 
 def _op_cases():
@@ -425,7 +425,6 @@ def _op_cases():
                                     slice_axis(nd.pad_spatial(a, (1, 1), (0, 2)), (1, 2), (0, 0), (3, 3))),
          [(2, 3, 3)]),
         ("mean_axis", lambda a: _dot(mean_axis(a, 1), mean_axis(a, 1)), [(3, 4)]),
-        ("softplus", lambda a: sum_all(softplus(a)), [(2, 3)]),
         ("gelu", lambda a: sum_all(gelu(a)), [(2, 3)]),
         ("softmax", lambda a: _dot(softmax_lastdim(a), a), [(3, 4)]),
         ("layernorm", lambda a, g, b: _dot(layernorm_channels(a, g, b), layernorm_channels(a, g, b)),
@@ -453,12 +452,21 @@ class TestEveryOpGradient:
             assert err <= 1e-4, f"{name} trial {trial}: {err}"
 
 
+def _identity_step(pre):
+    """Step-size inputs (dt, w_dt, b_dt) whose projection is exactly ``pre`` (k,C,T): w_dt = I, b_dt = 0."""
+    k, C, _ = pre.shape
+    return [pre, np.tile(np.eye(C, dtype=pre.dtype), (k, 1, 1)), np.zeros((k, C), dtype=pre.dtype)]
+
+
+_SCAN_INPUTS = ("x", "dt", "w_dt", "b_dt", "a_log", "b", "c", "d")
+
+
 class TestScanSemantics:
     @staticmethod
     def _args(rng, k, C, S, T):
-        return [Tensor(np.full((k, C, T), 0.7)), Tensor(rng.standard_normal((k, C, S))),
-                Tensor(rng.standard_normal((k, S, T))), Tensor(rng.standard_normal((k, S, T))),
-                Tensor(rng.standard_normal((k, C)))]
+        return [Tensor(a) for a in _identity_step(np.full((k, C, T), 0.7))] + [
+            Tensor(rng.standard_normal((k, C, S))), Tensor(rng.standard_normal((k, S, T))),
+            Tensor(rng.standard_normal((k, S, T))), Tensor(rng.standard_normal((k, C)))]
 
     def test_causality_bitwise(self):
         # one direction in a shuffled order: changing its last-visited token leaves the others bitwise
@@ -480,16 +488,16 @@ class TestScanSemantics:
         x = rng.standard_normal((C, T))
         args = self._args(rng, 1, C, S, T)
         backward = selective_scan(Tensor(x), *args, np.arange(T)[None, ::-1]).data
-        flipped = [args[0].data[..., ::-1], args[1].data, args[2].data[..., ::-1], args[3].data[..., ::-1],
-                   args[4].data]
+        per_token = (0, 4, 5)  # dt, b and c are in token order; the rest is per channel
+        flipped = [a.data[..., ::-1] if i in per_token else a.data for i, a in enumerate(args)]
         forward = selective_scan(Tensor(x[:, ::-1].copy()), *(Tensor(v.copy()) for v in flipped),
                                  np.arange(T)[None]).data
         assert np.allclose(backward, forward[:, ::-1], rtol=0, atol=1e-12)
 
     @staticmethod
     def _random_scan(rng, k, C, S, T, dtype=np.float64):
-        """Scan inputs (delta already positive) and k random token orders."""
-        arrays = [rng.standard_normal((C, T)), np.logaddexp(0, rng.standard_normal((k, C, T))),
+        """Scan inputs (random step-size pre-activations through the identity projection) and k random token orders."""
+        arrays = [rng.standard_normal((C, T)), *_identity_step(rng.standard_normal((k, C, T))),
                   rng.standard_normal((k, C, S)), rng.standard_normal((k, S, T)),
                   rng.standard_normal((k, S, T)), rng.standard_normal((k, C))]
         return [a.astype(dtype) for a in arrays], np.stack([rng.permutation(T) for _ in range(k)])
@@ -513,7 +521,7 @@ class TestScanSemantics:
         for chunk in (1, 7):
             monkeypatch.setattr(nd, "_SCAN_CHUNK", chunk)
             got = self._output_and_grads(arrays, order, probe)
-            for name, r, v in zip(("y", "x", "delta", "a_log", "b", "c", "d"), ref, got):
+            for name, r, v in zip(("y",) + _SCAN_INPUTS, ref, got):
                 assert np.abs(v - r).max() <= 1e-13 * max(1.0, np.abs(r).max()), (chunk, name)
 
     def test_kernel_never_writes_its_inputs(self):
@@ -522,29 +530,38 @@ class TestScanSemantics:
         arrays, order = self._random_scan(rng, 4, C, S, T)
         before = [a.copy() for a in arrays] + [order.copy()]
         self._output_and_grads(arrays, order, rng.standard_normal((C, T)))
-        for name, b, a in zip(("x", "delta", "a_log", "b", "c", "d", "order"), before, arrays + [order]):
+        for name, b, a in zip(_SCAN_INPUTS + ("order",), before, arrays + [order]):
             assert np.array_equal(a, b), name
 
+    @staticmethod
+    def _stage_one_scan(seed):
+        """A tiny@224 stage-1 call (C 96, 56 x 56, k 4, S 4, step rank 12) in float32, and k C T * 4 bytes."""
+        C, T, k, S, r = 96, 56 * 56, 4, 4, 12
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(shape).astype(np.float32) * scale for shape, scale in (
+            ((C, T), 1), ((k, r, T), 1), ((k, C, r), 0.3), ((k, C), 1), ((k, C, S), 1), ((k, S, T), 1),
+            ((k, S, T), 1), ((k, C), 1))]
+        order = np.stack([rng.permutation(T) for _ in range(k)])
+        return [Tensor(a) for a in arrays], order, k * C * T * 4
+
     def test_working_memory_stays_within_twice_delta_at_stage_one(self):
-        # a tiny@224 stage-1 call: a full-size reordered copy of delta or x would pass 2x delta
-        C, H, k, S = 96, 56, 4, 4
-        arrays, order = self._random_scan(np.random.default_rng(13), k, C, S, H * H, np.float32)
-        ts = [Tensor(a) for a in arrays]
+        # a full-size reordered copy of x, or a (k,C,T) delta, pre-activation or output buffer passes the bound
+        ts, order, delta_bytes = self._stage_one_scan(13)
         _, peak = traced_peak(lambda: selective_scan(*ts, order))
-        assert peak <= 2.0 * arrays[1].nbytes, peak / arrays[1].nbytes
+        assert peak <= 9_633_792 == 2 * delta_bytes, peak / delta_bytes
 
     def test_outputs_accumulate_in_pair_buffers_at_stage_one(self):
-        # ceil(k/2) time-first (T,C) sums and one chunk's buffers: a (T,k,C) output buffer passes 1.3x delta
-        C, H, k, S = 96, 56, 4, 4
-        arrays, order = self._random_scan(np.random.default_rng(14), k, C, S, H * H, np.float32)
-        ts = [Tensor(a) for a in arrays]
+        # ceil(k/2) time-first (T,C) sums and one chunk's buffers: a (T,k,C) output buffer passes the bound
+        ts, order, delta_bytes = self._stage_one_scan(14)
         _, peak = traced_peak(lambda: selective_scan(*ts, order))
-        assert peak <= 1.3 * arrays[1].nbytes, peak / arrays[1].nbytes
+        assert peak <= 6_261_964 < 1.3 * delta_bytes, peak / delta_bytes
 
     def test_nonpositive_delta_rejected(self):
+        # softplus(-1000) underflows to 0 in float64
+        one = Tensor(np.ones((1, 1, 1)))
         with pytest.raises(NumericError, match="delta"):
-            selective_scan(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 1, 2))),
-                           Tensor(np.zeros((1, 1, 1))), Tensor(np.ones((1, 1, 2))),
+            selective_scan(Tensor(np.ones((1, 2))), Tensor(np.full((1, 1, 2), -1000.0)), one,
+                           Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1, 1))), Tensor(np.ones((1, 1, 2))),
                            Tensor(np.ones((1, 1, 2))), Tensor(np.ones((1, 1))), np.arange(2)[None])
 
 
@@ -642,24 +659,26 @@ class TestKernelProperties:
     def test_scan_over_token_orders_matches_loop_oracle_and_finite_differences(self, k, C, S, T, dtype, seed):
         rng = np.random.default_rng(seed)
         order = np.stack([rng.permutation(T) for _ in range(k)])
-        x, dl, a_log = rng.standard_normal((C, T)), rng.standard_normal((k, C, T)), rng.standard_normal((k, C, S))
+        r = int(rng.integers(1, 4))
+        x, dt, w_dt = rng.standard_normal((C, T)), rng.standard_normal((k, r, T)), rng.standard_normal((k, C, r))
+        b_dt, a_log = rng.standard_normal((k, C)), rng.standard_normal((k, C, S))
         b, c, d = rng.standard_normal((k, S, T)), rng.standard_normal((k, S, T)), rng.standard_normal((k, C))
-        delta = np.logaddexp(0, dl)
+        delta = np.logaddexp(0, w_dt @ dt + b_dt[..., None])
         ref = np.zeros((C, T))
         for i, idx in enumerate(order):  # direction i on its visiting-order sequence, scattered back
             ref[:, idx] += scan_oracle(x[:, idx], delta[i][:, idx], -np.exp(a_log[i]),
                                        b[i][:, idx], c[i][:, idx], d[i])
-        got = selective_scan(*(Tensor(v.astype(dtype)) for v in (x, delta, a_log, b, c, d)), order).data
+        inputs = [x, dt, w_dt, b_dt, a_log, b, c, d]
+        got = selective_scan(*(Tensor(v.astype(dtype)) for v in inputs), order).data
         tol = 1e-12 if dtype == np.float64 else 1e-5 * max(1.0, np.abs(ref).max())
         assert got.dtype == dtype and np.allclose(got, ref, rtol=0, atol=tol)
         probe = Tensor(rng.standard_normal((C, T)))
-        inputs = [x, dl, a_log, b, c, d]
         for i in range(len(inputs)):  # every input, each on its own sampled elements
 
             def f(t, i=i):
                 ts = [Tensor(v) for v in inputs]
                 ts[i] = t
-                return _dot(selective_scan(ts[0], softplus(ts[1]), *ts[2:], order), probe)
+                return _dot(selective_scan(*ts, order), probe)
 
             assert grad_check(f, [inputs[i]], max_elements=8, rng=np.random.default_rng(seed)) <= 1e-4
 
@@ -701,9 +720,9 @@ class TestKernelProperties:
             assert got[name].dtype == dtype and got[name].tobytes() == ref[name].tobytes(), name
 
     def test_scan_rejects_bad_orders_shapes_and_delta(self):
-        k, C, S, T = 2, 2, 1, 3
-        args = [np.ones((C, T)), np.ones((k, C, T)), np.zeros((k, C, S)), np.ones((k, S, T)),
-                np.ones((k, S, T)), np.ones((k, C))]
+        k, C, S, T, r = 2, 2, 1, 3, 1
+        args = [np.ones((C, T)), np.ones((k, r, T)), np.ones((k, C, r)), np.zeros((k, C)), np.zeros((k, C, S)),
+                np.ones((k, S, T)), np.ones((k, S, T)), np.ones((k, C))]
         good = np.stack([np.arange(T), np.arange(T)[::-1]])
 
         def run(arrays, order):
@@ -714,14 +733,17 @@ class TestKernelProperties:
                       good[:1], good[0], good.astype(np.float64)):
             with pytest.raises(ShapeError, match="order|inconsistent"):
                 run(args, order)
-        for i, shape in ((0, (C, T + 1)), (1, (k, C + 1, T)), (2, (k, C, S, 1)), (3, (k, S + 1, T)),
-                         (4, (k + 1, S, T)), (5, (C,))):
+        for i, shape in ((0, (C, T + 1)), (1, (k, r, T + 1)), (2, (k, C + 1, r)), (2, (k, C, r + 1)), (3, (k, C + 1)),
+                         (4, (k, C, S, 1)), (5, (k, S + 1, T)), (6, (k + 1, S, T)), (7, (C,))):
             with pytest.raises(ShapeError):
                 run(args[:i] + [np.ones(shape)] + args[i + 1:], good)
-        with pytest.raises(NumericError, match="delta"):
-            run(args[:1] + [np.zeros((k, C, T))] + args[2:], good)
+        with pytest.raises(NumericError, match="delta"):  # softplus(-1000) underflows to 0
+            run(args[:3] + [np.full((k, C), -1000.0)] + args[4:], good)
+        for step in (np.full((k, r, T), 1e200), np.full((k, r, T), np.nan)):  # the product overflows, or is NaN
+            with pytest.raises(NumericError, match="non-finite step size"):
+                run(args[:1] + [step, np.full((k, C, r), 1e200)] + args[3:], good)
         with pytest.raises(NumericError, match="a_log"):
-            run(args[:2] + [np.full((k, C, S), 1000.0)] + args[3:], good)
+            run(args[:4] + [np.full((k, C, S), 1000.0)] + args[5:], good)
 
     # (a, b) shapes of every call form in the backbone: a 2-d product, a projected (C,H,W) map, k stacked
     # projections of k maps, one map shared by k stacked projections, and a same-batch attention product
@@ -822,17 +844,43 @@ class TestKernelProperties:
         assert grad_check(lambda a: _dot(nd.extract_patches(a, k, stride, pad), probe), [x]) <= 1e-4
 
     @given(dtype=st.sampled_from([np.float32, np.float64]),
-           values=st.lists(st.floats(-200, 200), min_size=1, max_size=40))
-    def test_softplus_matches_logaddexp_and_sigmoid(self, dtype, values):
-        x = np.array(values + [-60.0, -31.0, 31.0, 60.0], dtype=dtype)
-        got = softplus(Tensor(x)).data
-        eps = np.finfo(dtype).eps
-        assert got.dtype == dtype
-        assert np.allclose(got, np.logaddexp(dtype(0), x), rtol=4 * eps, atol=4 * eps)
+           values=st.lists(st.floats(-80, 200), min_size=1, max_size=40), seed=st.integers(0, 2**16))
+    def test_scan_step_softplus_matches_logaddexp_and_sigmoid(self, dtype, values, seed):
+        # one step of one direction with one state, pre-activations through the identity projection:
+        # y = (delta b c + d) x with delta = softplus(pre), so the output and every gradient have a closed form
+        pre = np.array(values + [-80.0, -60.0, -31.0, 31.0, 60.0, 200.0], dtype=dtype)
+        C, rng, eps = len(pre), np.random.default_rng(seed), np.finfo(dtype).eps
+        x, d, probe = (rng.standard_normal(C).astype(dtype) for _ in range(3))
+        b, c = rng.standard_normal(2).astype(dtype)
+        arrays = [x[:, None], *_identity_step(pre[None, :, None]), rng.standard_normal((1, C, 1)).astype(dtype),
+                  np.full((1, 1, 1), b), np.full((1, 1, 1), c), d[None]]
         tape = Tape()
-        leaf = tape.leaf(x)
-        grad = backward(tape, sum_all(softplus(leaf)))[leaf.node].data
-        assert np.allclose(grad, expit(x.astype(np.float64)), rtol=4 * eps, atol=4 * eps)
+        leaves = [tape.leaf(a) for a in arrays]
+        y = selective_scan(*leaves, np.zeros((1, 1), dtype=np.int64))
+        grads = backward(tape, _dot(y, Tensor(probe[:, None])))
+        got = {"y": y.data} | {n: grads[t.node].data for n, t in zip(_SCAN_INPUTS, leaves)}
+        pre, x, d, probe, b, c = (np.float64(v) for v in (pre, x, d, probe, b, c))  # float64 oracle
+        delta, sig = np.logaddexp(0, pre), expit(pre)
+        gpre = probe * x * b * c * sig
+        terms = {"y": (delta * b * c * x, d * x), "x": (probe * delta * b * c, probe * d), "dt": (gpre,),
+                 "w_dt": (np.outer(gpre, pre),), "b_dt": (gpre,), "a_log": (0 * pre,),  # h_0 = 0: A is not reached
+                 "b": (probe * c * delta * x,), "c": (probe * b * delta * x,), "d": (probe * x,)}
+        for name, parts in terms.items():
+            ref, mag = sum(parts), sum(np.abs(p) for p in parts)
+            if name in ("b", "c"):  # one state shared by the channels
+                ref, mag = ref.sum(), mag.sum()
+            v = got[name].reshape(np.shape(ref))
+            tol = 16 * eps * mag + 16 * np.finfo(dtype).smallest_normal
+            assert got[name].dtype == dtype and np.all(np.abs(v - ref) <= tol), name
+        # with unit x, b and c and d = 0 the output is the step size itself, and dL/dpre is sigmoid(pre)
+        unit = [np.ones((C, 1)), *_identity_step(pre[None, :, None]), np.zeros((1, C, 1)), np.ones((1, 1, 1)),
+                np.ones((1, 1, 1)), np.zeros((1, C))]
+        tape = Tape()
+        leaves = [tape.leaf(a.astype(dtype)) for a in unit]
+        y = selective_scan(*leaves, np.zeros((1, 1), dtype=np.int64))
+        g = backward(tape, sum_all(y))[leaves[1].node].data.reshape(-1)
+        assert np.allclose(y.data.reshape(-1), delta, rtol=4 * eps, atol=4 * eps)
+        assert np.allclose(g, sig, rtol=4 * eps, atol=4 * eps)
 
 
 class TestTensorFormat:

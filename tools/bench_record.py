@@ -17,8 +17,11 @@ and runs one op per topology mode under tracemalloc. It records the mode's
 peak bytes and the op, with its calling function, that was running when the
 peak was reached, and the highest op peaks of the next four calling functions.
 
-``summary`` prints, per workload, label and metric, the median and quartiles
-of the recorded runs and the pairs in which the second label did better.
+``summary`` prints, per commit the runs were recorded at, workload, label and
+metric, the median and quartiles of the recorded runs and the pairs in which
+the second label did better. A before/after comparison runs both checkouts at
+one commit (the change as uncommitted edits on top of it), so each commit's
+runs form one comparison, apart from those of earlier changes in the file.
 
 Run from the repository root. The benchmark itself (``perfbench/``) is only
 run and imported, never changed.
@@ -179,13 +182,17 @@ def quartiles(values):
 
 
 def cmd_summary(args, doc):
-    runs = [r for r in doc["records"] if r["kind"] == "run"]
+    for commit in dict.fromkeys(r["commit"] for r in doc["records"] if r["kind"] == "run"):
+        summarize([r for r in doc["records"] if r["kind"] == "run" and r["commit"] == commit], commit)
+
+
+def summarize(runs, commit):
     labels = list(dict.fromkeys(r["label"] for r in runs))  # in order of first appearance in the file
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         by = {(r["label"], r["seed"]): r["result"]["metrics"] for r in mine}
         seeds = sorted({s for _, s in by if all((lb, s) in by for lb in labels)})
-        print(f"{workload}: {len(seeds)} pairs of {' / '.join(labels)}")
+        print(f"{workload} at {(commit or 'no commit')[:7]}: {len(seeds)} pairs of {' / '.join(labels)}")
         for metric, lower in LOWER_IS_BETTER.items():
             cols = []
             for lb in labels:
