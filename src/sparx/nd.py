@@ -16,10 +16,14 @@ produce one and are not scanned. The check tests ``isfinite`` one block of
 larger than one block. Apart from layernorm, no op keeps output-sized
 scratch either: softmax works in its output buffer, gelu, dwconv and the
 scan's chunks run through cache-sized buffers (the scan builds its step
-sizes chunk by chunk, so no (k,C,T) step tensor exists), and an op's other
-full-size arrays are values its backward pass reads (layernorm's normalized
-input, float64 gelu's 1 + erf). Layernorm makes one full-size temporary,
-its squared deviations, to keep the arithmetic of ``var`` bit for bit.
+sizes chunk by chunk, so no (k,C,T) step tensor exists), and the dense
+convolution frees its patch matrix before it returns. An op's other
+full-size arrays are values its backward pass reads and cannot rebuild
+cheaply (layernorm's normalized input); what it can rebuild from its
+inputs it does not keep: gelu recomputes erf, the dense convolution its
+patch matrix, and the scan its chunks' states. Layernorm makes one
+full-size temporary, its squared deviations, to keep the arithmetic of
+``var`` bit for bit.
 
 The op surface is deliberately small: exactly the primitives the backbone
 needs (one linear op, ``matmul``, for every channel projection and attention
@@ -40,7 +44,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _np_erf
 
 
@@ -427,8 +430,9 @@ def gelu(a):
 
     float64 calls scipy's ``erf``. float32 evaluates the same function through
     a Chebyshev fit of erfc (``_gelu_f32``), in cache-sized blocks of SIMD
-    ufuncs; its error against float64 is below 1e-6 absolute. The float32
-    backward pass recomputes Phi with ``erf`` instead of keeping it.
+    ufuncs; its error against float64 is below 1e-6 absolute. In either dtype
+    the node keeps only its input: the backward pass recomputes Phi with
+    ``erf`` instead of keeping it.
     """
     ad = a.data
 
@@ -439,17 +443,15 @@ def gelu(a):
         return inner
 
     if ad.dtype == np.float32:
-        out, kept = _gelu_f32(ad), None
+        out = _gelu_f32(ad)
     else:
-        kept = one_plus_erf()
-        out = ad * kept
+        out = ad * one_plus_erf()
         out *= 0.5
     inv_sqrt2pi = ad.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
 
     def vjp(g):
-        inner = one_plus_erf() if kept is None else kept
         pdf = np.exp(-0.5 * ad * ad) * inv_sqrt2pi
-        return (g * (0.5 * inner + ad * pdf),)
+        return (g * (0.5 * one_plus_erf() + ad * pdf),)
 
     return _apply("gelu", out, (a,), vjp)
 
@@ -552,34 +554,50 @@ def _conv_out_hw(op, shape, kernel, stride, pad):
     return (Hp - kernel) // stride + 1, (Wp - kernel) // stride + 1
 
 
+def _im2col(xd, k, s, pads, Ho, Wo):
+    """(C, k*k, Ho*Wo) patch columns of the (C,H,W) array ``xd`` zero-padded by ``pads``.
+
+    The columns are one copy of a strided (C, k, k, Ho, Wo) view of the padded
+    map. The padding is a zeroed buffer with ``xd`` copied in, not ``np.pad``,
+    whose per-call cost is several times the whole copy on small maps.
+    """
+    (top, bottom), (left, right) = pads
+    C, H, W = xd.shape
+    xp = xd
+    if top or bottom or left or right:
+        xp = np.zeros((C, H + top + bottom, W + left + right), dtype=xd.dtype)
+        xp[:, top:top + H, left:left + W] = xd
+    sc, sh, sw = xp.strides
+    view = np.ndarray((C, k, k, Ho, Wo), xp.dtype, xp, 0, (sc, sh, sw, sh * s, sw * s))
+    return view.reshape(C, k * k, Ho * Wo)
+
+
+def _col2im(g, shape, k, s, pads, Ho, Wo):
+    """The (C,H,W) gradient of ``_im2col`` from ``g``, its columns' gradient: each tap scatter-added."""
+    (top, bottom), (left, right) = pads
+    C, H, W = shape
+    gp = np.zeros((C, H + top + bottom, W + left + right), dtype=g.dtype)
+    gk = g.reshape(C, k, k, Ho, Wo)
+    for i in range(k):
+        for j in range(k):
+            gp[:, i:i + Ho * s:s, j:j + Wo * s:s] += gk[:, i, j]
+    return gp if gp.shape == shape else gp[:, top:top + H, left:left + W].copy()
+
+
 def extract_patches(x, kernel, stride=1, pad=0):
     """im2col for (C,H,W): returns (C, kernel*kernel, P) patch columns.
 
     P is the number of output positions. Every output position's receptive
-    field is laid out row-major along axis 1; channels stay separate so both
-    dense and depthwise convolutions can be built on top. ``pad`` is one int
-    for every side or ((top, bottom), (left, right)), as in ``dwconv``.
+    field is laid out row-major along axis 1; channels stay separate, so
+    pooling can reduce over axis 1. ``pad`` is one int for every side or
+    ((top, bottom), (left, right)), as in ``dwconv``. The backward pass
+    scatter-adds each tap of the gradient into a zero-padded map.
     """
     k, s = int(kernel), int(stride)
     Ho, Wo = _conv_out_hw("extract_patches", x.shape, k, s, pad)
-    (top, bottom), (left, right) = _side_pads(pad)
-    C, H, W = x.shape
-    Hp, Wp = H + top + bottom, W + left + right
-    padded = Hp != H or Wp != W
-    xp = np.pad(x.data, ((0, 0), (top, bottom), (left, right))) if padded else x.data
-    sc, sh, sw = xp.strides
-    view = as_strided(xp, shape=(C, Ho, Wo, k, k), strides=(sc, sh * s, sw * s, sh, sw))
-    out = np.ascontiguousarray(view.transpose(0, 3, 4, 1, 2).reshape(C, k * k, Ho * Wo))
-
-    def vjp(g):
-        gp = np.zeros((C, Hp, Wp), dtype=g.dtype)
-        gk = g.reshape(C, k, k, Ho, Wo)
-        for i in range(k):
-            for j in range(k):
-                gp[:, i:i + Ho * s:s, j:j + Wo * s:s] += gk[:, i, j]
-        return (gp[:, top:top + H, left:left + W].copy() if padded else gp,)
-
-    return _apply("extract_patches", out, (x,), vjp)
+    pads, shape = _side_pads(pad), x.shape
+    return _apply("extract_patches", _im2col(x.data, k, s, pads, Ho, Wo), (x,),
+                  lambda g: (_col2im(g, shape, k, s, pads, Ho, Wo),))
 
 
 # Output-grid cells per channel block of the depthwise convolution: a block's
@@ -623,10 +641,13 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
     if s > 1 and ((Hp - k) % s or (Wp - k) % s):
         raise ShapeError(f"dwconv: stride {s} does not evenly reduce {x.shape} with kernel {k}")
     R = max(Ho * Wp, -(-Hp * Wp // s))  # grid cells per channel: the (Ho, Wp) grid, and s*R hold the map
-    taps = [(i, j, i * Wp + j) for i in range(k) for j in range(k)]
     cb = max(1, min(C, _DWCONV_BLOCK // R))
-    size = s * cb * R + max(0, taps[-1][2] - s + 1)  # a tail so the last tap's slice fits
+    size = s * cb * R + max(0, (k - 1) * (Wp + 1) - s + 1)  # a tail so the last tap's slice fits
     xd, wd = x.data, weight.data
+
+    def taps():
+        """Each tap (i, j) with its offset i * Wp + j in the flat buffer, made as a loop asks for it."""
+        return ((i, j, i * Wp + j) for i in range(k) for j in range(k))
 
     def maps(flat, n):
         """The (n, Hp, Wp) padded maps in a flat block buffer."""
@@ -649,7 +670,7 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
     grid, tmp = np.empty((2, cb * R), dtype=xd.dtype)
     for blk, n, xf in blocks():
         o, t = grid[:n * R], tmp[:n * R]
-        for m, (i, j, off) in enumerate(taps):
+        for m, (i, j, off) in enumerate(taps()):
             np.multiply(xf[off:off + s * n * R:s].reshape(n, R), wd[blk, i, j, None],
                         out=(t if m else o).reshape(n, R))
             if m:
@@ -668,7 +689,7 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
             gf, t = gq[:n * R].reshape(n, R), tmp[:n * R]
             gxf.fill(0)
             xp = maps(xf, n)
-            for i, j, off in taps:
+            for i, j, off in taps():
                 np.multiply(gf, wd[blk, i, j, None], out=t.reshape(n, R))
                 gxf[off:off + s * n * R:s] += t
                 win = xp[:, i:i + (Ho - 1) * s + 1:s, j:j + (Wo - 1) * s + 1:s]
@@ -682,18 +703,37 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
 def conv2d(x, weight, bias=None, stride=1, pad=0):
     """Dense 2-d convolution of a (Cin,H,W) map to (Cout,Ho,Wo), weight (Cout, Cin, k, k).
 
-    One ``matmul`` of the flattened weight with the (Cin*k*k, Ho, Wo) patch map;
-    ``pad`` is one int or per side, as in ``extract_patches``.
+    One op: the flattened weight times the (Cin*k*k, Ho*Wo) patch matrix of
+    ``x`` (im2col, as in ``extract_patches``), plus ``bias`` (Cout,). ``pad``
+    is one int or per side, as in ``extract_patches``. The patch matrix is
+    freed inside the op; the backward pass keeps only ``x`` and the weight,
+    rebuilds the patches, and forms the products and the col2im scatter that
+    ``matmul`` and ``extract_patches`` would, so its gradients are the
+    composition's bit for bit.
     """
-    _check_same_dtype("conv2d", *((x, weight) if bias is None else (x, weight, bias)))
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    _check_same_dtype("conv2d", *inputs)
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d: weight must be (Cout,Cin,k,k), got {weight.shape}")
     Cout, Cin, k, k2 = weight.shape
-    Ho, Wo = _conv_out_hw("conv2d", x.shape, k, int(stride), pad)
+    s = int(stride)
+    Ho, Wo = _conv_out_hw("conv2d", x.shape, k, s, pad)
     if k != k2 or Cin != x.shape[0]:
         raise ShapeError(f"conv2d: weight {weight.shape} does not match input {x.shape}")
-    patches = reshape(extract_patches(x, k, stride, pad), (Cin * k * k, Ho, Wo))
-    return matmul(reshape(weight, (Cout, Cin * k * k)), patches, bias)
+    if bias is not None and bias.shape != (Cout,):
+        raise ShapeError(f"conv2d: bias {bias.shape} does not match fan-out {Cout}")
+    pads, xd, wd, n_in = _side_pads(pad), x.data, weight.data, len(inputs)
+    out = wd.reshape(Cout, -1) @ _im2col(xd, k, s, pads, Ho, Wo).reshape(Cin * k * k, -1)
+    if bias is not None:
+        out += bias.data[:, None]
+
+    def vjp(g):
+        g = g.reshape(Cout, -1)
+        gw = (g @ _im2col(xd, k, s, pads, Ho, Wo).reshape(Cin * k * k, -1).T).reshape(wd.shape)
+        gx = _col2im(wd.reshape(Cout, -1).T @ g, xd.shape, k, s, pads, Ho, Wo)
+        return (gx, gw, g.sum(axis=-1))[:n_in]
+
+    return _apply("conv2d", out.reshape(Cout, Ho, Wo), inputs, vjp)
 
 
 def avgpool_stride(x, stride):
@@ -880,7 +920,7 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
         gd = np.tile((g * xd).sum(axis=1), (k, 1))  # d_i multiplies the same x in every direction
         # the step-size projection's gradients, as matmul's vjp forms them
         gw, gdt = gpre @ np.swapaxes(dtd, -1, -2), np.swapaxes(wd, -1, -2) @ gpre
-        return gx.T, gdt, gw, gpre.sum(axis=-1), ga.transpose(0, 2, 1) * neg_a, gb, gc, gd
+        return gx.T, gdt, gw, gpre.sum(axis=-1), (ga * ad).transpose(0, 2, 1), gb, gc, gd
 
     while len(pairs) > 1:  # the rest of a balanced tree, in place: (y0+y1)+(y2+y3) for k = 4
         for left, right in zip(pairs[::2], pairs[1::2]):

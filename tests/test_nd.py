@@ -203,6 +203,36 @@ class TestConvOps:
         assert got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
+    @example(dtype=np.float32, cin=3, cout=4, H=8, W=8, k=3, stride=2, pads=((1, 1), (1, 1)), bias=True, seed=0)
+    @example(dtype=np.float64, cin=2, cout=3, H=5, W=7, k=3, stride=2, pads=((0, 1), (1, 1)), bias=False, seed=0)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), cin=st.integers(1, 3), cout=st.integers(1, 3),
+           H=st.integers(1, 7), W=st.integers(1, 7), k=st.integers(1, 3), stride=st.integers(1, 2),
+           pads=st.one_of(st.integers(0, 2), st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 2))] * 2)),
+           bias=st.booleans(), seed=st.integers(0, 2**16))
+    def test_conv2d_equals_the_patch_matmul_composition_bit_for_bit(self, dtype, cin, cout, H, W, k, stride, pads,
+                                                                   bias, seed):
+        # the composition conv2d replaced stays the independent reference, forward and every gradient
+        (top, bottom), (left, right) = pads if isinstance(pads, tuple) else ((pads, pads), (pads, pads))
+        assume(H + top + bottom >= k and W + left + right >= k)
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in [(cin, H, W), (cout, cin, k, k), (cout,)][:2 + bias]]
+        Ho, Wo = (H + top + bottom - k) // stride + 1, (W + left + right - k) // stride + 1
+
+        def composition(x, w, b=None):
+            patches = reshape(nd.extract_patches(x, k, stride, pads), (cin * k * k, Ho, Wo))
+            return matmul(reshape(w, (cout, cin * k * k)), patches, b)
+
+        results = []
+        for op in (lambda *ts: conv2d(*ts, stride=stride, pad=pads), composition):
+            tape = Tape()
+            leaves = [tape.leaf(a) for a in arrays]
+            out = op(*leaves)
+            probe = Tensor(np.random.default_rng(seed + 1).standard_normal(out.shape).astype(dtype))
+            grads = backward(tape, _dot(out, probe))
+            results.append([out.data] + [grads[t.node].data for t in leaves])
+        for got, ref in zip(*results):
+            assert got.dtype == ref.dtype == dtype and np.array_equal(got, ref)
+
 
 class TestNonlinearOps:
     def test_softmax_uniform_logits(self):
@@ -341,6 +371,63 @@ class TestBackward:
         assert np.allclose(grads[logits.node].data, probs, atol=1e-12)
 
 
+def _kept_arrays(vjp):
+    """The distinct ndarrays a vjp reaches through its closure cells, nested closures, containers and Tensors."""
+    seen, found, todo = set(), {}, [vjp]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found[id(obj)] = obj
+        elif isinstance(obj, Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return list(found.values())
+
+
+class TestTapeKeeps:
+    """A node keeps for backward only the arrays its vjp cannot rebuild cheaply."""
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_conv2d_is_one_node_that_keeps_its_operands_only(self, bias):
+        rng = np.random.default_rng(21)
+        tape = Tape()
+        x = tape.leaf(rng.standard_normal((3, 9, 9)))
+        w = tape.leaf(rng.standard_normal((4, 3, 3, 3)))
+        b = tape.leaf(rng.standard_normal(4)) if bias else None
+        out = conv2d(x, w, b, stride=2, pad=1)
+        nodes = [n for n in tape.nodes if not n.is_leaf]
+        assert [n.op for n in nodes] == ["conv2d"]
+        kept = sum(a.nbytes for a in _kept_arrays(nodes[0].vjp))
+        # the (27, 25) patch matrix would add 5400 bytes
+        assert kept <= x.data.nbytes + w.data.nbytes + (b.data.nbytes if bias else 0), kept
+        assert out.shape == (4, 5, 5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_node_keeps_only_its_input(self, dtype):
+        tape = Tape()
+        a = tape.leaf(np.linspace(-3, 3, 12, dtype=dtype).reshape(3, 4))
+        out = gelu(a)
+        assert [id(arr) for arr in _kept_arrays(tape.nodes[out.node].vjp)] == [id(a.data)]
+
+    def test_scan_node_holds_a_once(self):
+        rng = np.random.default_rng(22)
+        k, C, S, T, r = 2, 3, 4, 5, 2
+        shapes = [(C, T), (k, r, T), (k, C, r), (k, C), (k, C, S), (k, S, T), (k, S, T), (k, C)]
+        tape = Tape()
+        leaves = [tape.leaf(rng.standard_normal(s)) for s in shapes]
+        out = selective_scan(*leaves, np.stack([np.arange(T), np.arange(T)[::-1]]))
+        a_sorted = np.sort(-np.exp(leaves[4].data), axis=None)
+        copies = [arr for arr in _kept_arrays(tape.nodes[out.node].vjp)
+                  if arr.size == a_sorted.size and np.array_equal(np.sort(arr, axis=None), a_sorted)]
+        assert len(copies) == 1, [c.shape for c in copies]
+
+
 class TestGradCheck:
     def test_quadratic_at_three(self):
         err = grad_check(lambda w: _dot(w, w), [np.array([3.0])], h=1e-4)
@@ -436,6 +523,8 @@ def _op_cases():
          [(2, 3, 3), (2, 3, 3), (2,)]),
         ("conv2d", lambda a, w, b: _dot(conv2d(a, w, b, stride=2, pad=1), conv2d(a, w, b, stride=2, pad=1)),
          [(2, 4, 4), (3, 2, 3, 3), (3,)]),
+        ("conv2d_sides", lambda a, w: _dot(conv2d(a, w, pad=((1, 0), (0, 2))), conv2d(a, w, pad=((1, 0), (0, 2)))),
+         [(2, 3, 4), (2, 2, 2, 2)]),
         ("avgpool", lambda a: _dot(avgpool_stride(a, 2), avgpool_stride(a, 2)), [(2, 4, 4)]),
     ]
 

@@ -1,8 +1,9 @@
-"""Append benchmark records to BENCH_forward.json: end-to-end runs and per-mode peak holders.
+"""Append benchmark records to BENCH_forward.json: end-to-end runs, per-mode peak holders, training peaks.
 
     python3 tools/bench_record.py runs --workloads infer-attn-modes infer-ss2d --seeds 1 2 3 \\
         --seconds 10 --checkout parent=../sparx-parent --checkout change=.
     python3 tools/bench_record.py holders --workloads infer-attn-modes --checkout change=.
+    python3 tools/bench_record.py train-peaks --checkout parent=../sparx-parent --checkout change=.
     python3 tools/bench_record.py summary
 
 ``runs`` runs ``perfbench/run.py --trace 0`` in each checkout for every
@@ -16,6 +17,12 @@ shared host falls on both sides alike.
 and runs one op per topology mode under tracemalloc. It records the mode's
 peak bytes and the op, with its calling function, that was running when the
 peak was reached, and the highest op peaks of the next four calling functions.
+
+``train-peaks`` runs one taped float32 ``tiny``@224 forward and backward of
+one image per model, window attention in each topology mode and ss2d in
+``sparx``, under tracemalloc. It records the bytes still allocated after the
+forward (the tape's saved arrays and the live outputs) and the peak over the
+forward and backward.
 
 ``summary`` prints, per commit the runs were recorded at, workload, label and
 metric, the median and quartiles of the recorded runs and the pairs in which
@@ -40,6 +47,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(ROOT, "BENCH_forward.json")
+BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 LOWER_IS_BETTER = {"latency_ms_p50": True, "latency_ms_tail": True, "images_per_s": False,
                    "peak_bytes": True, "setup_s": True}
 
@@ -161,7 +169,7 @@ print(json.dumps(rows))
 def cmd_holders(args, doc):
     for label, checkout in args.checkout:
         for workload in args.workloads:
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            env = dict(os.environ, **BLAS_ONE_THREAD)
             proc = subprocess.run([sys.executable, "-c", HOLDER_SCRIPT, os.path.abspath(checkout), workload,
                                    str(args.seeds[0])], capture_output=True, text=True, env=env)
             if proc.returncode != 0:
@@ -174,6 +182,46 @@ def cmd_holders(args, doc):
                 h = r["holders"][0]
                 print(f"{workload} {label} {r['mode']}: peak {r['peak_bytes']} B, "
                       f"held by {h['op']} at {h['at']} ({h['peak_bytes'] / 2**20:.2f} MiB)")
+
+
+TRAIN_PEAK_SCRIPT = r"""
+import json, os, sys, tracemalloc
+checkout, seed = sys.argv[1], int(sys.argv[2])
+sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+import workloads
+from sparx import backbone, config, nd, params
+
+img = workloads.seeded_image(seed, "seeded", 224)
+rows = []
+for mixer, mode in [("window_attn", m) for m in ("plain", "sparx", "dgc", "dsn")] + [("ss2d", "sparx")]:
+    model = backbone.build(config.get_variant("tiny", mixer=mixer, topology_mode=mode), workloads.MODEL_SEED)
+    tracemalloc.start()
+    tape = nd.Tape()
+    logits, _ = backbone.forward_bound(params.bind(model, tape), nd.Tensor(img))
+    loss = nd.cross_entropy_logits(logits, 0)
+    retained = tracemalloc.get_traced_memory()[0]
+    nd.backward(tape, loss)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    del tape, logits, loss
+    rows.append({"mixer": mixer, "mode": mode, "retained_bytes": retained, "peak_bytes": peak})
+print(json.dumps(rows))
+"""
+
+
+def cmd_train_peaks(args, doc):
+    for label, checkout in args.checkout:
+        proc = subprocess.run([sys.executable, "-c", TRAIN_PEAK_SCRIPT, os.path.abspath(checkout), str(args.seeds[0])],
+                              capture_output=True, text=True, env=dict(os.environ, **BLAS_ONE_THREAD))
+        if proc.returncode != 0:
+            raise SystemExit(f"train-peaks in {checkout} failed: {proc.stderr.strip()[-500:]}")
+        rows = json.loads(proc.stdout.strip().splitlines()[-1])
+        doc["records"].append({"kind": "train-peaks", "label": label, **identity(checkout), "variant": "tiny",
+                               "dtype": "float32", "seed": args.seeds[0], "models": rows})
+        save(args.out, doc)
+        for r in rows:
+            print(f"train-peaks {label} {r['mixer']} {r['mode']}: retained after forward "
+                  f"{r['retained_bytes'] / 2**20:.1f} MiB, fwd+bwd peak {r['peak_bytes'] / 2**20:.1f} MiB")
 
 
 def quartiles(values):
@@ -217,7 +265,7 @@ def checkout_arg(text: str):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("command", choices=("runs", "holders", "summary"))
+    ap.add_argument("command", choices=("runs", "holders", "train-peaks", "summary"))
     ap.add_argument("--workloads", nargs="+", default=["infer-ss2d", "infer-attn-modes", "train-reduced"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--seconds", type=float, default=10.0)
@@ -227,7 +275,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     args.checkout = args.checkout or [("change", ROOT)]
     doc = load(args.out)
-    {"runs": cmd_runs, "holders": cmd_holders, "summary": cmd_summary}[args.command](args, doc)
+    {"runs": cmd_runs, "holders": cmd_holders, "train-peaks": cmd_train_peaks,
+     "summary": cmd_summary}[args.command](args, doc)
     return 0
 
 
