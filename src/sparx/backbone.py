@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nd
-from .nd import (Tape, Tensor, add, avgpool_stride, backward, concat, conv2d, cross_entropy_logits,
-                 gelu, layernorm_channels, matmul, mean_axis, reshape, scale, slice_axis)
-from .blocks import (VssBlockParams, DpeParams, dpe_forward, init_dpe, init_vss_block,
-                     mixer_macs, row_bands, vss_block_forward)
+from .nd import (Tape, Tensor, add, backward, conv2d, cross_entropy_logits, gelu,
+                 layernorm_channels, matmul, mean_axis, reshape, scale, window_reduce)
+from .blocks import (VssBlockParams, DpeParams, banded, dpe_forward, init_dpe, init_vss_block,
+                     mixer_macs, vss_block_forward)
 from .config import ConfigError, ModelConfig
 from .dmca import DmcaParams, dmca_forward, dmca_macs, init_dmca
 from .params import Initializer, bind, pair_leaves
@@ -153,27 +153,16 @@ class CapturedFeature:
 
 
 def _stem_forward(p: StemParams, img: Tensor) -> Tensor:
-    """Two stride-2 3x3 convolutions; the second runs in the output row bands of ``row_bands``.
-
-    Output rows [r0, r1) read input rows 2*r0 - 1 to 2*r1 - 1; a band slices
-    those inside the map and pads a zero row only where the map ends, so its
-    patch matrix is band-sized and each output cell is computed as on the
-    whole map (bit for bit where ``row_bands`` says so, as at `tiny`@224).
-    """
+    """Two stride-2 3x3 convolutions, the second in row bands (``banded``), so its patch matrix is band-sized."""
     h = conv2d(img, p.w1, p.b1, stride=2, pad=1)
     h = gelu(layernorm_channels(h, p.ln1_g, p.ln1_b))
-    H, W = h.shape[1:]
-    bands = row_bands(p.w2.shape[0], (H + 1) // 2, (W + 1) // 2)
-    if len(bands) == 1:
-        h = conv2d(h, p.w2, p.b2, stride=2, pad=1)
-    else:
-        h = concat([conv2d(slice_axis(h, 1, max(2 * r0 - 1, 0), min(2 * r1, H)), p.w2, p.b2, stride=2,
-                           pad=((int(r0 == 0), max(2 * r1 - H, 0)), (1, 1))) for r0, r1 in bands], axis=1)
+    h = banded(lambda t, pad: conv2d(t, p.w2, p.b2, stride=2, pad=pad), h, p.w2.shape[0], stride=2)
     return layernorm_channels(h, p.ln2_g, p.ln2_b)
 
 
 def _bridge_forward(p: BridgeParams, prev_final: Tensor) -> Tensor:
-    return matmul(p.w, avgpool_stride(prev_final, 2), p.b)
+    quarter = Tensor(np.full((prev_final.shape[0], 2, 2), 0.25, dtype=prev_final.dtype))
+    return matmul(p.w, window_reduce(prev_final, quarter), p.b)
 
 
 def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,

@@ -217,26 +217,31 @@ def row_bands(C: int, H: int, W: int) -> list[tuple[int, int]]:
     return list(zip(ends, ends[1:]))
 
 
+def banded(f, x: Tensor, c_out: int, stride: int = 1) -> Tensor:
+    """``f(band, pad)``, a 3x3 convolution with padding 1 and ``stride``, run over the ``row_bands`` of its output.
+
+    Output rows [r0, r1) read input rows stride*r0 - 1 to stride*(r1 - 1) + 1: a band slices those inside
+    the map, and its pad ((top, bottom), (1, 1)) has a zero row only where the map ends, so each output
+    cell is computed as on the whole map (bit for bit where ``row_bands`` says so). One band is ``f(x, 1)``.
+    """
+    H, W = x.shape[1:]
+    bands = row_bands(c_out, (H - 1) // stride + 1, (W - 1) // stride + 1)
+    if len(bands) == 1:
+        return f(x, 1)
+    return concat([f(slice_axis(x, 1, max(stride * r0 - 1, 0), min(stride * (r1 - 1) + 2, H)),
+                     ((int(r0 == 0), max(stride * (r1 - 1) + 2 - H, 0)), (1, 1))) for r0, r1 in bands], axis=1)
+
+
 def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     """Expand, 3x3 depthwise, gelu, contract; a map of over ``_BAND_TOKENS`` tokens in row bands.
 
-    The map runs in the bands of ``row_bands``. Each band expands its rows
-    plus one halo row on each side inside the map, and the depthwise
-    convolution pads zeros only at the map's real edges, so it returns
-    exactly the band's rows, each cell computed as on the whole map (bit for
-    bit where ``row_bands`` says so). Within a band each hidden map is freed
+    Each band of ``banded`` expands its rows and halo rows. Within a band each hidden map is freed
     after its last use, so at most two band-sized hidden maps are live at once.
     """
     def ffn(t, pad):
         return matmul(p.w2, gelu(dwconv(matmul(p.w1, t, p.b1), p.dw, p.db, pad=pad)), p.b2)
 
-    C, H, W = x.shape
-    bands = row_bands(C, H, W)
-    if len(bands) == 1:
-        return ffn(x, 1)
-    # each band with one halo row a side inside the map; zero rows only where the map ends
-    return concat([ffn(slice_axis(x, 1, max(r0 - 1, 0), min(r1 + 1, H)), ((int(r0 == 0), int(r1 == H)), (1, 1)))
-                   for r0, r1 in bands], axis=1)
+    return banded(ffn, x, x.shape[0])
 
 
 @lru_cache(maxsize=32)

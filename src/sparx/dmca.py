@@ -9,9 +9,9 @@ attention map is (G, C/G, C/G) regardless of how many tokens the map has;
 the value keeps full resolution. The output concatenates x, the value
 source, and the attended feature, projected to a (2C,H,W) map.
 
-Spatial reduction uses strided depthwise convolutions whose stride s
-satisfies s*s = r, chosen so N/r (N = H*W) matches the token count of the
-network's final stage.
+Spatial reduction is a learned depthwise filter over non-overlapping s x s
+windows (``nd.window_reduce``) with s*s = r, chosen so N/r (N = H*W) matches
+the token count of the network's final stage.
 
 Ablation modes:
 * ``concat``: single linear over cat(x, ys...), no attention.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nd import (Tensor, concat, dwconv, matmul, permute, reshape,
-                 scale, softmax_lastdim, split, ShapeError)
+from .nd import (Tensor, concat, matmul, permute, reshape, scale,
+                 softmax_lastdim, split, window_reduce, ShapeError)
 from .params import Initializer
 
 DMCA_MODES = ("full", "concat", "no_cgca", "no_sr", "no_skip")
@@ -115,8 +115,8 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
 
     ``ys`` holds maps shaped like ``x``, ordered the way the mixing
     projection was built (the caller owns that ordering and keeps it fixed).
-    The strided reducers need H and W divisible by the reduction stride;
-    ``dwconv`` checks that.
+    The window reducers need H and W divisible by the reduction stride;
+    ``window_reduce`` checks that.
     """
     if len(ys) != p.l_count:
         raise ShapeError(f"expected {p.l_count} source features, got {len(ys)}")
@@ -141,8 +141,8 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     yk, yv = split(mixed, 2, axis=0)
     del mixed
     s = p.reduce_stride
-    q_in = x if s == 1 else dwconv(x, p.q_red, stride=s)
-    k_in = yk if s == 1 else dwconv(yk, p.k_red, stride=s)
+    q_in = x if s == 1 else window_reduce(x, p.q_red)
+    k_in = yk if s == 1 else window_reduce(yk, p.k_red)
     del yk
     q = group_channels(matmul(p.q_w, q_in, p.q_b), p.groups)
     del q_in
@@ -178,7 +178,7 @@ def dmca_macs(channels: int, l_count: int, tokens: int, reduce_stride: int, grou
               mode: str = "full") -> int:
     """Closed-form multiply-accumulates of one ``dmca_forward`` on N = ``tokens``.
 
-    Counts the projections, the strided reducers and both attention products;
+    Counts the projections, the window reducers and both attention products;
     ``no_sr`` runs at stride 1 whatever ``reduce_stride`` says.
     """
     C, L, N = channels, l_count, tokens
@@ -191,7 +191,7 @@ def dmca_macs(channels: int, l_count: int, tokens: int, reduce_stride: int, grou
     macs = N * (L * C) * 2 * C                 # mixing projection
     macs += 2 * (N // r) * C * C + N * C * C   # q, k, v projections
     if s > 1:
-        macs += 2 * (N // r) * C * s * s       # strided depthwise reducers
+        macs += 2 * (N // r) * C * s * s       # depthwise window reducers
     macs += (C * C // groups) * (N // r)       # channel attention logits
     macs += (C * C // groups) * N              # attention applied to value
     fan_in = C if mode == "no_skip" else 3 * C

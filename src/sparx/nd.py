@@ -14,26 +14,28 @@ that only move values (reshape, permute, slice, concat, pad, roll) cannot
 produce one and are not scanned. The check tests ``isfinite`` one block of
 ``_CHECK_BLOCK`` elements at a time, so it stays exact and its mask is never
 larger than one block. Apart from layernorm, no op keeps output-sized
-scratch either: softmax works in its output buffer, gelu, dwconv and the
-scan's chunks run through cache-sized buffers (the scan builds its step
-sizes chunk by chunk, so no (k,C,T) step tensor exists), and the dense
-convolution frees its patch matrix before it returns. An op's other
-full-size arrays are values its backward pass reads and cannot rebuild
-cheaply (layernorm's normalized input); what it can rebuild from its
-inputs it does not keep: gelu recomputes erf, the dense convolution its
-patch matrix, and the scan its chunks' states. Layernorm makes one
+scratch either: softmax works in its output buffer, gelu, dwconv,
+window_reduce and the scan's chunks run through cache-sized buffers (the
+scan builds its step sizes chunk by chunk, so no (k,C,T) step tensor
+exists), and the dense convolution frees its patch matrix before it
+returns. An op's other full-size arrays are values its backward pass reads
+and cannot rebuild cheaply (layernorm's normalized input); what it can
+rebuild from its inputs it does not keep: gelu recomputes erf, the dense
+convolution its patch matrix, and the scan its chunks' states. Layernorm makes one
 full-size temporary, its squared deviations, to keep the arithmetic of
 ``var`` bit for bit.
 
 The op surface is deliberately small: exactly the primitives the backbone
 needs (one linear op, ``matmul``, for every channel projection and attention
 product, plain or stacked over a leading axis; channel layernorm; channel
-concat/split, depthwise and dense convolution, pooling, softmax, a handful of
-pointwise nonlinearities, and an input-dependent selective scan over k token
-orders of one sequence, which applies its step-size projection and softplus
-itself). Channel ops take ``(C, *rest)`` and treat every
-trailing axis as a token axis, so a (C,H,W) map goes in and comes out as a
-map; a reshape is needed only where the token axes themselves change.
+concat/split, depthwise and dense convolution, one weighted reduction over
+non-overlapping windows (the aggregator's strided reducers and the bridge's
+2x2 average), softmax, a handful of pointwise nonlinearities, and an
+input-dependent selective scan over k token orders of one sequence, which
+applies its step-size projection and softplus itself). Channel ops take
+``(C, *rest)`` and treat every trailing axis as a token axis, so a (C,H,W)
+map goes in and comes out as a map; a reshape is needed only where the
+token axes themselves change.
 Broadcasting is supported only where these ops require it (bias adds,
 attention-bias adds, one right operand shared by a stack of left ones);
 there is no general-rank broadcasting.
@@ -152,8 +154,9 @@ def _wrap(data, tape=None, node=None):
 # Ops that only carry input values to new positions (or add zeros); they cannot
 # make a value non-finite, so their outputs are not scanned.
 _DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d"})
-# Elements per block of the float32 gelu: its scratch and output blocks stay
-# in cache.
+# Elements per cache-sized block: the float32 gelu's scratch and output
+# blocks, and the channel blocks of dwconv's output grid and window_reduce's
+# output, stay in cache across their passes.
 _BLOCK = 1 << 15
 # Elements per block of the finiteness check, so its boolean mask is at most
 # this many bytes: 1/37 of a stage-1 `tiny`@224 hidden map. Smaller blocks cost
@@ -342,7 +345,9 @@ def pad_spatial(a, pad_h, pad_w):
     if a.data.ndim != 3:
         raise ShapeError(f"pad_spatial: expects (C,H,W), got {a.shape}")
     (ht, hb), (wl, wr) = pad_h, pad_w
-    out = np.pad(a.data, ((0, 0), (ht, hb), (wl, wr)))
+    if min(ht, hb, wl, wr) < 0:
+        raise ShapeError(f"pad_spatial: pads must be >= 0, got {pad_h}, {pad_w}")
+    out = _zero_pad(a.data, (pad_h, pad_w))
     H, W = a.shape[1], a.shape[2]
 
     def vjp(g):
@@ -554,19 +559,22 @@ def _conv_out_hw(op, shape, kernel, stride, pad):
     return (Hp - kernel) // stride + 1, (Wp - kernel) // stride + 1
 
 
-def _im2col(xd, k, s, pads, Ho, Wo):
-    """(C, k*k, Ho*Wo) patch columns of the (C,H,W) array ``xd`` zero-padded by ``pads``.
+def _zero_pad(xd, pads):
+    """(C,H,W) ``xd`` copied into a zeroed buffer padded by ((top, bottom), (left, right)), or ``xd`` without pads.
 
-    The columns are one copy of a strided (C, k, k, Ho, Wo) view of the padded
-    map. The padding is a zeroed buffer with ``xd`` copied in, not ``np.pad``,
-    whose per-call cost is several times the whole copy on small maps.
-    """
+    Not ``numpy.pad``, whose per-call cost is several times the copy on small maps."""
     (top, bottom), (left, right) = pads
+    if not (top or bottom or left or right):
+        return xd
     C, H, W = xd.shape
-    xp = xd
-    if top or bottom or left or right:
-        xp = np.zeros((C, H + top + bottom, W + left + right), dtype=xd.dtype)
-        xp[:, top:top + H, left:left + W] = xd
+    xp = np.zeros((C, H + top + bottom, W + left + right), dtype=xd.dtype)
+    xp[:, top:top + H, left:left + W] = xd
+    return xp
+
+
+def _im2col(xd, k, s, pads, Ho, Wo):
+    """(C, k*k, Ho*Wo) patch columns of (C,H,W) ``xd`` padded by ``pads``: one copy of a strided view."""
+    C, xp = xd.shape[0], _zero_pad(xd, pads)
     sc, sh, sw = xp.strides
     view = np.ndarray((C, k, k, Ho, Wo), xp.dtype, xp, 0, (sc, sh, sw, sh * s, sw * s))
     return view.reshape(C, k * k, Ho * Wo)
@@ -584,46 +592,20 @@ def _col2im(g, shape, k, s, pads, Ho, Wo):
     return gp if gp.shape == shape else gp[:, top:top + H, left:left + W].copy()
 
 
-def extract_patches(x, kernel, stride=1, pad=0):
-    """im2col for (C,H,W): returns (C, kernel*kernel, P) patch columns.
-
-    P is the number of output positions. Every output position's receptive
-    field is laid out row-major along axis 1; channels stay separate, so
-    pooling can reduce over axis 1. ``pad`` is one int for every side or
-    ((top, bottom), (left, right)), as in ``dwconv``. The backward pass
-    scatter-adds each tap of the gradient into a zero-padded map.
-    """
-    k, s = int(kernel), int(stride)
-    Ho, Wo = _conv_out_hw("extract_patches", x.shape, k, s, pad)
-    pads, shape = _side_pads(pad), x.shape
-    return _apply("extract_patches", _im2col(x.data, k, s, pads, Ho, Wo), (x,),
-                  lambda g: (_col2im(g, shape, k, s, pads, Ho, Wo),))
-
-
-# Output-grid cells per channel block of the depthwise convolution: a block's
-# buffers stay in cache across the k*k taps.
-_DWCONV_BLOCK = 1 << 15
-
-
-def dwconv(x, weight, bias=None, stride=1, pad=0):
-    """Depthwise 2-d convolution of a (C,H,W) map with a (C,k,k) kernel.
+def dwconv(x, weight, bias=None, pad=0):
+    """Depthwise 2-d convolution of a (C,H,W) map with a (C,k,k) kernel, stride 1.
 
     Channel i of the output sees only channel i. ``pad`` is one int for every
     side or ((top, bottom), (left, right)), so a band of rows can be padded
-    with zeros only at the map's real edges. A stride must reduce both
-    spatial axes evenly. The map is processed in cache-sized channel blocks,
-    each copied into a flat zero-padded buffer. Channel c of a block owns
-    ``R`` cells of a flat output grid with rows of the padded width Wp, and
-    ``stride * R`` cells of the buffer, which start with its (Hp, Wp) map.
-    Grid cell q of every channel then reads buffer cell
-    ``stride * q + i * Wp + j`` at tap (i, j), so each tap is one 1-d slice of
-    the whole block: one long multiply-add instead of one per output row.
-    Only the Ho x Wo valid cells are copied out; with a stride the grid is as
-    wide as the padded map, about ``stride`` times the kept columns. The taps
-    are summed in row-major order and the bias is added last, the arithmetic
-    of a loop over windows, in either dtype. The backward pass scatter-adds
-    each tap into a flat padded gradient the same way and re-pads ``x``
-    block by block instead of keeping a padded copy.
+    with zeros only at the map's real edges. The map runs in cache-sized
+    channel blocks, each copied into a flat buffer of zero-padded (Hp, Wp)
+    maps; cell q of a channel's output grid reads buffer cell
+    ``q + i * Wp + j`` at tap (i, j), so each tap is one long 1-d multiply-add
+    over the block, and only the Ho x Wo valid cells are copied out. The taps
+    are summed in row-major order and the bias is added last, a loop's
+    arithmetic in either dtype. The backward pass scatter-adds each tap into
+    a flat padded gradient the same way, re-padding ``x`` block by block.
+    Non-overlapping strided windows are ``window_reduce``.
     """
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("dwconv", *inputs)
@@ -634,15 +616,13 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
         raise ShapeError(f"dwconv: kernel {weight.shape} does not match input channels {x.shape}")
     if bias is not None and bias.shape != (C,):
         raise ShapeError(f"dwconv: bias {bias.shape} does not match input channels {x.shape}")
-    k, s = weight.shape[1], int(stride)
-    Ho, Wo = _conv_out_hw("dwconv", x.shape, k, s, pad)
+    k = weight.shape[1]
+    Ho, Wo = _conv_out_hw("dwconv", x.shape, k, 1, pad)
     (top, bottom), (left, right) = _side_pads(pad)
     Hp, Wp = H + top + bottom, W + left + right
-    if s > 1 and ((Hp - k) % s or (Wp - k) % s):
-        raise ShapeError(f"dwconv: stride {s} does not evenly reduce {x.shape} with kernel {k}")
-    R = max(Ho * Wp, -(-Hp * Wp // s))  # grid cells per channel: the (Ho, Wp) grid, and s*R hold the map
-    cb = max(1, min(C, _DWCONV_BLOCK // R))
-    size = s * cb * R + max(0, (k - 1) * (Wp + 1) - s + 1)  # a tail so the last tap's slice fits
+    R = Hp * Wp
+    cb = max(1, min(C, _BLOCK // R))
+    size = cb * R + (k - 1) * (Wp + 1)  # a tail so the last tap's slice fits
     xd, wd = x.data, weight.data
 
     def taps():
@@ -650,12 +630,8 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
         return ((i, j, i * Wp + j) for i in range(k) for j in range(k))
 
     def maps(flat, n):
-        """The (n, Hp, Wp) padded maps in a flat block buffer."""
-        return flat[:s * n * R].reshape(n, s * R)[:, :Hp * Wp].reshape(n, Hp, Wp)
-
-    def valid(grid, n):
-        """The (n, Ho, Wo) output cells of a flat block grid."""
-        return grid[:n * R].reshape(n, R)[:, :Ho * Wp].reshape(n, Ho, Wp)[:, :, :Wo]
+        """The (n, Hp, Wp) padded maps, or output grids, in a flat block buffer."""
+        return flat[:n * R].reshape(n, Hp, Wp)
 
     def blocks():
         """Each channel block: its slice, its size and its input in a flat zero-padded buffer."""
@@ -671,45 +647,84 @@ def dwconv(x, weight, bias=None, stride=1, pad=0):
     for blk, n, xf in blocks():
         o, t = grid[:n * R], tmp[:n * R]
         for m, (i, j, off) in enumerate(taps()):
-            np.multiply(xf[off:off + s * n * R:s].reshape(n, R), wd[blk, i, j, None],
-                        out=(t if m else o).reshape(n, R))
+            np.multiply(xf[off:off + n * R].reshape(n, R), wd[blk, i, j, None], out=(t if m else o).reshape(n, R))
             if m:
                 o += t
         if bias is None:
-            out[blk] = valid(o, n)
+            out[blk] = maps(o, n)[:, :Ho, :Wo]
         else:
-            np.add(valid(o, n), bias.data[blk, None, None], out=out[blk])
+            np.add(maps(o, n)[:, :Ho, :Wo], bias.data[blk, None, None], out=out[blk])
 
     def vjp(g):
         gx, gw = np.empty_like(xd), np.empty_like(wd)
         gq = np.zeros(cb * R, dtype=g.dtype)  # g on the output grid, zero on every other cell
         gxf, tmp = np.empty(size, dtype=g.dtype), np.empty(cb * R, dtype=g.dtype)
         for blk, n, xf in blocks():
-            valid(gq, n)[:] = g[blk]
+            maps(gq, n)[:, :Ho, :Wo] = g[blk]
             gf, t = gq[:n * R].reshape(n, R), tmp[:n * R]
             gxf.fill(0)
             xp = maps(xf, n)
             for i, j, off in taps():
                 np.multiply(gf, wd[blk, i, j, None], out=t.reshape(n, R))
-                gxf[off:off + s * n * R:s] += t
-                win = xp[:, i:i + (Ho - 1) * s + 1:s, j:j + (Wo - 1) * s + 1:s]
-                gw[blk, i, j] = np.einsum("chw,chw->c", g[blk], win)
+                gxf[off:off + n * R] += t
+                gw[blk, i, j] = np.einsum("chw,chw->c", g[blk], xp[:, i:i + Ho, j:j + Wo])
             gx[blk] = maps(gxf, n)[:, top:top + H, left:left + W]
         return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(1, 2)))
 
     return _apply("dwconv", out, inputs, vjp)
 
 
+def window_reduce(x, weight):
+    """Depthwise (C,s,s) ``weight`` over the non-overlapping s x s windows of a (C,H,W) map: (C, H/s, W/s).
+
+    A depthwise convolution whose stride is its kernel, unpadded; s must divide H and W. Tap (i, j) is
+    the strided view ``x.reshape(C, H/s, s, W/s, s)[:, :, i, :, j]`` times its weight, and the taps are
+    summed in row-major order (a loop's arithmetic) one cache-sized channel block at a time. A constant
+    1/(s*s) kernel averages each window. The backward pass writes each tap's input gradient into the same
+    view of ``gx`` (each cell is in one window) and forms its weight gradient with one ``einsum``.
+    """
+    _check_same_dtype("window_reduce", x, weight)
+    if x.data.ndim != 3 or weight.shape != x.shape[:1] + weight.shape[-1:] * 2 or weight.shape[-1] < 1:
+        raise ShapeError(f"window_reduce: weight {weight.shape} does not match a (C,H,W) input {x.shape}")
+    (C, H, W), s = x.shape, weight.shape[1]
+    if H < s or W < s or H % s or W % s:
+        raise ShapeError(f"window_reduce: {s}x{s} windows do not tile {x.shape}")
+    Ho, Wo = H // s, W // s
+    xd, wd = x.data, weight.data
+
+    def taps(a):
+        """Each tap (i, j) of the (n,H,W) array ``a`` as a strided (n, Ho, Wo) view, in row-major order."""
+        v = a.reshape(len(a), Ho, s, Wo, s)
+        return ((i, j, v[:, :, i, :, j]) for i in range(s) for j in range(s))
+
+    out, cb = np.empty((C, Ho, Wo), dtype=xd.dtype), max(1, _BLOCK // (Ho * Wo))
+    tmp = np.empty((min(cb, C), Ho, Wo), dtype=xd.dtype)
+    for c0 in range(0, C, cb):
+        o, t = out[c0:c0 + cb], tmp[:C - c0]
+        for m, (i, j, xv) in enumerate(taps(xd[c0:c0 + cb])):
+            np.multiply(xv, wd[c0:c0 + cb, i, j, None, None], out=t if m else o)
+            if m:
+                o += t
+
+    def vjp(g):
+        gx, gw = np.empty_like(xd), np.empty_like(wd)
+        for (i, j, gv), (_, _, xv) in zip(taps(gx), taps(xd)):
+            np.multiply(g, wd[:, i, j, None, None], out=gv)
+            gw[:, i, j] = np.einsum("chw,chw->c", g, xv)
+        return gx, gw
+
+    return _apply("window_reduce", out, (x, weight), vjp)
+
+
 def conv2d(x, weight, bias=None, stride=1, pad=0):
     """Dense 2-d convolution of a (Cin,H,W) map to (Cout,Ho,Wo), weight (Cout, Cin, k, k).
 
-    One op: the flattened weight times the (Cin*k*k, Ho*Wo) patch matrix of
-    ``x`` (im2col, as in ``extract_patches``), plus ``bias`` (Cout,). ``pad``
-    is one int or per side, as in ``extract_patches``. The patch matrix is
+    One op: the flattened weight times the (Cin*k*k, Ho*Wo) im2col patch
+    matrix of ``x``, plus ``bias`` (Cout,). ``pad`` is one int for every side
+    or ((top, bottom), (left, right)), as in ``dwconv``. The patch matrix is
     freed inside the op; the backward pass keeps only ``x`` and the weight,
-    rebuilds the patches, and forms the products and the col2im scatter that
-    ``matmul`` and ``extract_patches`` would, so its gradients are the
-    composition's bit for bit.
+    rebuilds the patches for the weight gradient, and scatter-adds each tap
+    of the patches' gradient into a zero-padded map for the input gradient.
     """
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("conv2d", *inputs)
@@ -734,17 +749,6 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         return (gx, gw, g.sum(axis=-1))[:n_in]
 
     return _apply("conv2d", out.reshape(Cout, Ho, Wo), inputs, vjp)
-
-
-def avgpool_stride(x, stride):
-    """Non-overlapping average pooling; stride must divide both spatial dims."""
-    s = int(stride)
-    Ho, Wo = _conv_out_hw("avgpool_stride", x.shape, s, s, 0)
-    C, H, W = x.shape
-    if H % s or W % s:
-        raise ShapeError(f"avgpool_stride: stride {s} does not divide spatial dims of {x.shape}")
-    patches = extract_patches(x, s, s, 0)
-    return reshape(mean_axis(patches, axis=1), (C, Ho, Wo))
 
 
 def gather_rows(table, index):

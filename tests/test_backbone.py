@@ -116,19 +116,18 @@ class TestForward:
         assert logits.shape == (2,)
         assert np.all(np.isfinite(logits))
 
-    @pytest.mark.parametrize("mixer,limit,op_limit", [("ss2d", 39, 212), ("window_attn", 63, 310)])
-    def test_taped_forward_reshapes_only_where_token_axes_change(self, mixer, limit, op_limit):
+    @pytest.mark.parametrize("mixer,reshapes,ops", [("ss2d", 36, 206), ("window_attn", 60, 304)])
+    def test_taped_forward_reshapes_only_where_token_axes_change(self, mixer, reshapes, ops):
         # maps stay (C,H,W) through every channel op; reshapes remain for scan
         # sequences, window partitions, channel groups and the head's pooling,
-        # and a scan mixer's token orders live inside the one selective scan
+        # a scan mixer's token orders live inside the one selective scan, and
+        # each bridge's 2 x 2 mean is one window_reduce
         cfg = get_variant("tiny-reduced", mixer=mixer)
         tape = Tape()
         img = np.random.default_rng(0).standard_normal((3, 32, 32)).astype(np.float32)
         forward_bound(bind(build(cfg, 0), tape), Tensor(img))
-        reshapes = sum(node.op == "reshape" for node in tape.nodes)
-        ops = sum(not node.is_leaf for node in tape.nodes)
-        assert reshapes <= limit, f"{reshapes} reshapes recorded"
-        assert ops <= op_limit, f"{ops} ops recorded"
+        assert sum(node.op == "reshape" for node in tape.nodes) == reshapes
+        assert sum(not node.is_leaf for node in tape.nodes) == ops
 
 
 class TestStemBands:

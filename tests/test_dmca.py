@@ -68,7 +68,7 @@ class TestShapes:
         p = make_params(8, 1, stride=2)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 2, 3))
-        with pytest.raises(ShapeError, match="stride 2"):
+        with pytest.raises(ShapeError, match=r"window_reduce: 2x2 windows do not tile \(8, 2, 3\)"):
             run(p, x, [x])
 
     def test_channels_must_divide_groups(self):
@@ -212,7 +212,7 @@ class TestParamCount:
 def dmca_oracle(x, ys, p):
     """Float64 loop reference of ``dmca_forward`` on a (C,H,W) map and L source maps.
 
-    Projections are ``w @ a + b`` on (C, N) token matrices; the strided
+    Projections are ``w @ a + b`` on (C, N) token matrices; the window
     reducers run through the nested-loop ``dwconv_oracle``; channel attention
     is a softmax over explicit per-group channel dot products.
     """
@@ -295,8 +295,8 @@ class TestMacCount:
 
         monkeypatch.setattr(dmca, "matmul", counting(
             nd.matmul, lambda a, b, bias=None: math.prod(a.shape) * math.prod(b.shape[a.data.ndim - 1:])))
-        monkeypatch.setattr(dmca, "dwconv", counting(
-            nd.dwconv, lambda x, w: x.shape[0] * (x.shape[1] // stride) * (x.shape[2] // stride)
+        monkeypatch.setattr(dmca, "window_reduce", counting(
+            nd.window_reduce, lambda x, w: x.shape[0] * (x.shape[1] // stride) * (x.shape[2] // stride)
             * w.shape[1] * w.shape[2]))
         C, L, H, W = 8, 3, 8, 4
         p = make_params(C, L, stride, mode=mode, groups=groups)
