@@ -14,6 +14,7 @@ synthetic training loop demonstrating end-to-end differentiability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,10 +154,17 @@ class CapturedFeature:
 
 
 def _stem_forward(p: StemParams, img: Tensor) -> Tensor:
-    """Two stride-2 3x3 convolutions, the second in row bands (``banded``), so its patch matrix is band-sized."""
-    h = conv2d(img, p.w1, p.b1, stride=2, pad=1)
-    h = gelu(layernorm_channels(h, p.ln1_g, p.ln1_b))
-    h = banded(lambda t, pad: conv2d(t, p.w2, p.b2, stride=2, pad=pad), h, p.w2.shape[0], stride=2)
+    """Two stride-2 3x3 convolutions with a layernorm and gelu between them, in row bands of the output.
+
+    ``banded`` runs the chain over the row bands of the second convolution's output, sized by its patch
+    matrix; each band recomputes the rows of the first convolution it reads, halo rows included, so
+    neither the first convolution's full map nor the second one's full patch matrix is ever live.
+    """
+    def stem(t, pad1, pad2):
+        h = gelu(layernorm_channels(conv2d(t, p.w1, p.b1, stride=2, pad=pad1), p.ln1_g, p.ln1_b))
+        return conv2d(h, p.w2, p.b2, stride=2, pad=pad2)
+
+    h = banded(stem, img, p.w1.shape[0], math.prod(p.w2.shape[1:]), strides=(2, 2))
     return layernorm_channels(h, p.ln2_g, p.ln2_b)
 
 

@@ -188,52 +188,68 @@ def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
     return add(x, dwconv(x, p.w, p.b, pad=1))
 
 
-# Output tokens per row band of a map that is computed band by band (the
-# ConvFFN, the stem's second convolution): a map with more tokens runs in row
-# bands, so no full-size intermediate of it is live. A 56 x 56 map (stage 1 of
-# `tiny`@224) runs in three bands of 19/19/18 rows; stage 2 and later fit in one.
-_BAND_TOKENS = 1120
+# Elements per row band of the widest intermediate a banded computation makes: the ConvFFN's hidden
+# map, window attention's q/k/v, the stem's patch matrix. A computation whose widest intermediate is
+# larger runs in row bands, so none of its intermediates is much larger than one stage-1 `tiny`@224
+# map (96 x 56 x 56). At `tiny`@224 the stage-1 ConvFFN runs in four bands of 14 rows and the stage-2
+# one in two, window attention's stage 1 in 3/3/2 and stage 2 in 2/2 window rows, and the stem in
+# 12/11/11/11/11 rows; later stages and every `tiny-reduced` map run in one band.
+_BAND_ELEMS = 96 * 56 * 56
 
 
-def row_bands(C: int, H: int, W: int) -> list[tuple[int, int]]:
-    """Row ranges [r0, r1) of the bands a C x H x W output map runs in, top to bottom.
+def row_bands(C: int, H: int, W: int, width: int) -> list[tuple[int, int]]:
+    """Row ranges [r0, r1) of the bands an H x W output map of C channels runs in, top to bottom.
 
-    n = min(H, ceil(H*W / _BAND_TOKENS)) bands of equal height, the first
-    H % n one row taller; a map of at most ``_BAND_TOKENS`` tokens is one band.
-    A band's cells are computed as on the whole map, so the joined bands
-    equal the one-band result up to the order in which BLAS sums a product.
-    numpy sends a product with one output channel, or with one token, through
-    a matrix-vector kernel that sums by a token's column, so a one-channel map
-    stays one band and a one-column map keeps two rows a band. OpenBLAS' matrix
-    kernels sum every token alike when a band's width in tokens is a multiple
-    of their column block: on the 56-column maps of `tiny`@224 the joined bands
-    are bit-identical to one band in float32 and float64, while on other
-    widths float64 results may differ in the last bits.
+    ``width`` is the number of elements the widest intermediate holds per output token, so a band of
+    h rows makes h*W*width of them. n = min(H, ceil(H*W*width / _BAND_ELEMS)) bands of equal height,
+    the first H % n one row taller; a map whose widest intermediate holds at most ``_BAND_ELEMS``
+    elements is one band. A band's cells are computed as on the whole map, so the joined bands equal
+    the one-band result up to the order in which BLAS sums a product. numpy sends a product with one
+    output channel, or with one token, through a matrix-vector kernel that sums by a token's column,
+    so a one-channel map (C is the fewest output channels of the banded products) stays one band and
+    a one-column map keeps two rows a band. Whether OpenBLAS' matrix kernels then sum every token
+    alike depends on a band's width in tokens and the product's inner size. On `tiny`@224 every
+    banded computation is bit-identical to one band in float32, and in float64 all but one: the
+    stage-1 ConvFFN (784-token bands), window attention (1176- and 392-token bands) and the stem
+    keep their bits, while the stage-2 ConvFFN's 392-token bands, whose contraction is 768 wide,
+    move float64 results by up to 5e-16 relative. Other maps may differ in the last bits of float64.
     """
-    n = -(-H * W // _BAND_TOKENS) if C > 1 else 1
+    n = -(-H * W * width // _BAND_ELEMS) if C > 1 else 1
     n = max(1, min(n, H if W > 1 else H // 2))
     rows, extra = divmod(H, n)
     ends = np.cumsum([0] + [rows + (i < extra) for i in range(n)]).tolist()
     return list(zip(ends, ends[1:]))
 
 
-def banded(f, x: Tensor, c_out: int, stride: int = 1) -> Tensor:
-    """``f(band, pad)``, a 3x3 convolution with padding 1 and ``stride``, run over the ``row_bands`` of its output.
+def banded(f, x: Tensor, c_out: int, width: int, strides: tuple[int, ...] = (1,)) -> Tensor:
+    """``f(band, *pads)``, a chain of 3x3 convolutions with padding 1 and ``strides``, run over the ``row_bands`` of its output.
 
-    Output rows [r0, r1) read input rows stride*r0 - 1 to stride*(r1 - 1) + 1: a band slices those inside
-    the map, and its pad ((top, bottom), (1, 1)) has a zero row only where the map ends, so each output
-    cell is computed as on the whole map (bit for bit where ``row_bands`` says so). One band is ``f(x, 1)``.
+    ``c_out`` and ``width`` are ``row_bands``' C and width. Output rows [r0, r1) of a convolution with
+    stride s read its input rows s*r0 - 1 to s*(r1 - 1) + 1. Walking that back from the last
+    convolution to the first, a band slices the rows of ``x`` it needs, and each convolution gets the
+    pad ((top, bottom), (1, 1)) with a zero row only where its map ends, so every cell of every level
+    is computed as on the whole map (bit for bit where ``row_bands`` says so): a band recomputes the
+    halo rows of the levels before the last. One band is ``f(x, 1, ...)``.
     """
-    H, W = x.shape[1:]
-    bands = row_bands(c_out, (H - 1) // stride + 1, (W - 1) // stride + 1)
+    sizes = [x.shape[1:]]
+    for s in strides:
+        sizes.append(tuple((n - 1) // s + 1 for n in sizes[-1]))
+    bands = row_bands(c_out, *sizes[-1], width)
     if len(bands) == 1:
-        return f(x, 1)
-    return concat([f(slice_axis(x, 1, max(stride * r0 - 1, 0), min(stride * (r1 - 1) + 2, H)),
-                     ((int(r0 == 0), max(stride * (r1 - 1) + 2 - H, 0)), (1, 1))) for r0, r1 in bands], axis=1)
+        return f(x, *[1] * len(strides))
+    outs = []
+    for r0, r1 in bands:
+        pads = []
+        for s, (H, _) in zip(strides[::-1], sizes[-2::-1]):
+            lo, hi = s * r0 - 1, s * (r1 - 1) + 2
+            pads.insert(0, ((int(lo < 0), max(hi - H, 0)), (1, 1)))
+            r0, r1 = max(lo, 0), min(hi, H)
+        outs.append(f(slice_axis(x, 1, r0, r1), *pads))
+    return concat(outs, axis=1)
 
 
 def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
-    """Expand, 3x3 depthwise, gelu, contract; a map of over ``_BAND_TOKENS`` tokens in row bands.
+    """Expand, 3x3 depthwise, gelu, contract; in row bands when a hidden map exceeds ``_BAND_ELEMS``.
 
     Each band of ``banded`` expands its rows and halo rows. Within a band each hidden map is freed
     after its last use, so at most two band-sized hidden maps are live at once.
@@ -241,7 +257,7 @@ def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     def ffn(t, pad):
         return matmul(p.w2, gelu(dwconv(matmul(p.w1, t, p.b1), p.dw, p.db, pad=pad)), p.b2)
 
-    return banded(ffn, x, x.shape[0])
+    return banded(ffn, x, x.shape[0], p.w1.shape[0])
 
 
 @lru_cache(maxsize=32)
@@ -303,12 +319,13 @@ def shift_mask(hp: int, wp: int, window: int, shift: int) -> np.ndarray:
 def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
     """Multi-head attention inside non-overlapping windows, shifted when ``p.shifted``.
 
-    The map is zero-padded to a window multiple, cyclically shifted by half a
-    window when shifted, projected to q/k/v on the map, partitioned once into
-    (window x head) batches, attended (with learned relative position bias
-    and, for the shifted case, a cross-boundary mask), reassembled once, rolled
-    back and cropped. The output projection runs on the cropped map: a
-    per-token projection commutes with the roll and the crop.
+    The map is zero-padded to a window multiple and cyclically shifted by half a window when shifted.
+    Windows are independent, so the attention then runs in ``row_bands`` of whole window rows, sized
+    by their q/k/v: a band is projected to q/k/v, partitioned once into (window x head) batches,
+    attended (with learned relative position bias and, for the shifted case, its windows' rows of the
+    cross-boundary mask) and reassembled once; the joined bands are rolled back and cropped. One band
+    is the whole map. The output projection runs on the cropped map: a per-token projection commutes
+    with the roll and the crop.
     """
     C, H, W = x.shape
     ws, heads = p.window, p.heads
@@ -322,31 +339,38 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
     if shift:
         h = roll2d(h, -shift, -shift)
 
-    nh, nw = hp // ws, wp // ws
-    B, T = nh * nw, ws * ws
-    # (3C,hp,wp) -> (3,nh,nw,heads,ws,ws,dh) -> q, k, v of (B*heads,T,dh). Each
-    # intermediate is dropped after its last use: at most two copies of q/k/v
-    # are live at once.
-    qkv = reshape(matmul(p.w_qkv, h, p.b_qkv), (3, heads, dh, nh, ws, nw, ws))
-    del h
-    qkv = permute(qkv, (0, 3, 5, 1, 4, 6, 2))
-    q, k, v = split(reshape(qkv, (3 * B * heads, T, dh)), 3)
-    del qkv
-
-    attn = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    del q, k
+    nh, nw, T = hp // ws, wp // ws, ws * ws
     bias = gather_rows(p.bias_table, relative_index(ws).reshape(-1))   # (T*T, heads)
     bias = reshape(permute(bias, (1, 0)), (1, heads, T, T))
-    attn = add(reshape(attn, (B, heads, T, T)), bias)
-    if shift:
-        mask = shift_mask(hp, wp, ws, shift).astype(x.dtype)
-        attn = add(attn, Tensor(mask.reshape(B, 1, T, T)))
-    attn = softmax_lastdim(reshape(attn, (B * heads, T, T)))
+    mask = shift_mask(hp, wp, ws, shift) if shift else None  # (nh*nw, T, T), cast band by band
 
-    # (B*heads,T,dh) -> (nh,nw,heads,ws,ws,dh) -> (C,hp,wp)
-    out = reshape(matmul(attn, v), (nh, nw, heads, ws, ws, dh))
-    del attn, v
-    out = reshape(permute(out, (2, 5, 0, 3, 1, 4)), (C, hp, wp))
+    def attend(band, w0, w1):
+        """Attention over window rows [w0, w1), whose (C, (w1-w0)*ws, wp) map is ``band``."""
+        n, B = w1 - w0, (w1 - w0) * nw
+        # (3C,n*ws,wp) -> (3,n,nw,heads,ws,ws,dh) -> q, k, v of (B*heads,T,dh). Each intermediate is
+        # dropped after its last use: at most two copies of q/k/v are live at once.
+        qkv = reshape(matmul(p.w_qkv, band, p.b_qkv), (3, heads, dh, n, ws, nw, ws))
+        del band
+        qkv = permute(qkv, (0, 3, 5, 1, 4, 6, 2))
+        q, k, v = split(reshape(qkv, (3 * B * heads, T, dh)), 3)
+        del qkv
+        attn = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+        del q, k
+        attn = add(reshape(attn, (B, heads, T, T)), bias)
+        if shift:
+            attn = add(attn, Tensor(mask[w0 * nw:w1 * nw].astype(x.dtype).reshape(B, 1, T, T)))
+        attn = softmax_lastdim(reshape(attn, (B * heads, T, T)))
+        # (B*heads,T,dh) -> (n,nw,heads,ws,ws,dh) -> (C,n*ws,wp)
+        out = reshape(matmul(attn, v), (n, nw, heads, ws, ws, dh))
+        del attn, v
+        return reshape(permute(out, (2, 5, 0, 3, 1, 4)), (C, n * ws, wp))
+
+    bands = row_bands(3 * C, nh, ws * wp, 3 * C)
+    if len(bands) == 1:
+        out = attend(h, 0, nh)
+    else:
+        out = concat([attend(slice_axis(h, 1, w0 * ws, w1 * ws), w0, w1) for w0, w1 in bands], axis=1)
+    del h
     if shift:
         out = roll2d(out, shift, shift)
     if hp != H or wp != W:

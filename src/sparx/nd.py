@@ -681,7 +681,9 @@ def window_reduce(x, weight):
     the strided view ``x.reshape(C, H/s, s, W/s, s)[:, :, i, :, j]`` times its weight, and the taps are
     summed in row-major order (a loop's arithmetic) one cache-sized channel block at a time. A constant
     1/(s*s) kernel averages each window. The backward pass writes each tap's input gradient into the same
-    view of ``gx`` (each cell is in one window) and forms its weight gradient with one ``einsum``.
+    view of ``gx`` (each cell is in one window) and forms its weight gradient with one ``einsum``. It
+    forms neither for an operand that is not on the tape (the bridge's constant kernel), returns None for
+    it, and keeps only the arrays the other gradient reads.
     """
     _check_same_dtype("window_reduce", x, weight)
     if x.data.ndim != 3 or weight.shape != x.shape[:1] + weight.shape[-1:] * 2 or weight.shape[-1] < 1:
@@ -706,11 +708,19 @@ def window_reduce(x, weight):
             if m:
                 o += t
 
+    x_read = xd if weight.tape is not None else None  # read by the weight gradient only
+    w_read = wd if x.tape is not None else None  # read by the input gradient only
+
     def vjp(g):
-        gx, gw = np.empty_like(xd), np.empty_like(wd)
-        for (i, j, gv), (_, _, xv) in zip(taps(gx), taps(xd)):
-            np.multiply(g, wd[:, i, j, None, None], out=gv)
-            gw[:, i, j] = np.einsum("chw,chw->c", g, xv)
+        gx = gw = None
+        if w_read is not None:
+            gx = np.empty((len(g), Ho * s, Wo * s), dtype=g.dtype)
+            for i, j, gv in taps(gx):
+                np.multiply(g, w_read[:, i, j, None, None], out=gv)
+        if x_read is not None:
+            gw = np.empty((len(g), s, s), dtype=g.dtype)
+            for i, j, xv in taps(x_read):
+                gw[:, i, j] = np.einsum("chw,chw->c", g, xv)
         return gx, gw
 
     return _apply("window_reduce", out, (x, weight), vjp)
@@ -725,6 +735,8 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     freed inside the op; the backward pass keeps only ``x`` and the weight,
     rebuilds the patches for the weight gradient, and scatter-adds each tap
     of the patches' gradient into a zero-padded map for the input gradient.
+    An input that is not on the tape (the stem's image) gets no gradient,
+    only None, and then the node does not keep the weight.
     """
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("conv2d", *inputs)
@@ -742,10 +754,12 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     if bias is not None:
         out += bias.data[:, None]
 
+    w_read = wd if x.tape is not None else None  # read by the input gradient only
+
     def vjp(g):
         g = g.reshape(Cout, -1)
-        gw = (g @ _im2col(xd, k, s, pads, Ho, Wo).reshape(Cin * k * k, -1).T).reshape(wd.shape)
-        gx = _col2im(wd.reshape(Cout, -1).T @ g, xd.shape, k, s, pads, Ho, Wo)
+        gw = (g @ _im2col(xd, k, s, pads, Ho, Wo).reshape(Cin * k * k, -1).T).reshape(Cout, Cin, k, k)
+        gx = None if w_read is None else _col2im(w_read.reshape(Cout, -1).T @ g, xd.shape, k, s, pads, Ho, Wo)
         return (gx, gw, g.sum(axis=-1))[:n_in]
 
     return _apply("conv2d", out.reshape(Cout, Ho, Wo), inputs, vjp)
@@ -774,9 +788,10 @@ def gather_rows(table, index):
 # selective scan
 # ---------------------------------------------------------------------------
 
-# Time steps per chunk of state and decay buffers: the scan's working memory
-# is O(_SCAN_CHUNK * k * C * S) whatever the sequence length.
-_SCAN_CHUNK = 128
+# Elements per (L,k,S,C) state or decay buffer of one scan chunk: a chunk holds
+# as many time steps as fit, so the scan's working memory is O(_SCAN_ELEMS)
+# whatever the sequence length and width.
+_SCAN_ELEMS = 1 << 17
 
 
 def _scan_states(h0, dl, dx, ad, b):
@@ -814,7 +829,12 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
     so it is causal in its own order. The k outputs are summed in token order
     as a balanced tree, (y0+y1)+(y2+y3) for k = 4.
 
-    The loop runs time-major over chunks of ``_SCAN_CHUNK`` visiting steps. A
+    The loop runs time-major over chunks of visiting steps: the fewest chunks
+    whose (L,k,S,C) buffers hold at most ``_SCAN_ELEMS`` elements each, of
+    equal length up to one step (on `tiny`@224 ss2d 84-85 steps at stage 1,
+    41-42 at stage 2, 24-25 at stage 3 and 12-13 at stage 4). The state is
+    carried exactly from chunk to chunk, and on those four shapes the outputs
+    are bit-identical to fixed 128-step chunks in float32 and float64. A
     chunk gathers dt's columns in visiting order as (L,k,r), projects them in
     one stacked product to its (L,k,C) step sizes, adds b_dt and applies
     softplus in place as max(z, 0) + log1p(exp(-|z|)), so no (k,C,T) delta is
@@ -849,7 +869,8 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
 
     xd, dtd, wd, bdt, bd, cd, dd = x.data, dt.data, w_dt.data, b_dt.data, b.data, c.data, d.data
     ad, ar = neg_a.transpose(0, 2, 1).copy(), np.arange(k)  # A as (k,S,C)
-    chunks = [slice(t0, min(T, t0 + _SCAN_CHUNK)) for t0 in range(0, T, _SCAN_CHUNK)]
+    n = -(-T // max(1, _SCAN_ELEMS // max(1, k * S * C)))
+    chunks = [slice(T * i // n, T * (i + 1) // n) for i in range(n)]
 
     def time_first(arr):
         """A (k,R,T) array viewed as (T,k,R): row [u, i] is token u of direction i."""

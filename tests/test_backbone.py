@@ -1,5 +1,7 @@
 """Model assembly, forward, accounting, memory model, toy training."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -130,8 +132,13 @@ class TestForward:
         assert sum(not node.is_leaf for node in tape.nodes) == ops
 
 
+def stem_width(stem):
+    """Elements per output token of the stem's widest intermediate, its second convolution's patch matrix."""
+    return math.prod(stem.w2.shape[1:])
+
+
 class TestStemBands:
-    """The stem's second convolution runs in the output row bands of ``blocks.row_bands``."""
+    """The whole stem runs in the output row bands of ``blocks.row_bands``, each recomputing its rows of the first convolution."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_banded_stem_equals_one_band_bitwise_at_tiny_224(self, dtype, monkeypatch):
@@ -139,8 +146,10 @@ class TestStemBands:
         img = np.random.default_rng(40).standard_normal((3, 224, 224)).astype(dtype)
         tape = Tape()
         banded = backbone._stem_forward(stem, tape.leaf(img))
-        assert [n.shape[1] for n in tape.nodes if n.op == "slice"] == [38, 39, 37]  # 19/19/18 output rows
-        monkeypatch.setattr(blocks, "_BAND_TOKENS", 56 * 56)
+        # 12/11/11/11/11 output rows read 24/23/23/23/23 rows of the first convolution, which read these image rows
+        assert [n.shape[1] for n in tape.nodes if n.op == "slice"] == [48, 47, 47, 47, 47]
+        assert [n.shape[1] for n in tape.nodes if n.op == "conv2d"] == [24, 12] + [23, 11] * 4
+        monkeypatch.setattr(blocks, "_BAND_ELEMS", 56 * 56 * stem_width(stem))
         whole = backbone._stem_forward(stem, Tensor(img))
         assert banded.dtype == dtype and banded.data.tobytes() == whole.data.tobytes()
 
@@ -152,18 +161,27 @@ class TestStemBands:
         stem = bind(build(get_variant("tiny-reduced"), 0, dtype=np.float64).stem)
         img = np.random.default_rng(40).standard_normal((3, *size))
         whole = backbone._stem_forward(stem, Tensor(img)).data
-        monkeypatch.setattr(blocks, "_BAND_TOKENS", band)
+        monkeypatch.setattr(blocks, "_BAND_ELEMS", band * stem_width(stem))
         tape = Tape()
         banded = backbone._stem_forward(stem, tape.leaf(img)).data
-        assert sum(node.op == "slice" for node in tape.nodes) == len(blocks.row_bands(*whole.shape)) > 1
+        bands = blocks.row_bands(stem.w1.shape[0], *whole.shape[1:], stem_width(stem))
+        assert sum(node.op == "slice" for node in tape.nodes) == len(bands) > 1
         assert np.allclose(banded, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
 
+    def test_stage_one_working_memory_holds_no_full_first_map(self):
+        # tiny@224 float32: the bands' outputs, their join and one band's maps measure 3.13 output maps;
+        # a full (48,112,112) first map with its layernorm and gelu, as before the whole stem was banded, 6.33
+        stem = bind(build(get_variant("tiny"), 0).stem)
+        img = Tensor(np.random.default_rng(41).standard_normal((3, 224, 224)).astype(np.float32))
+        out, peak = traced_peak(lambda: backbone._stem_forward(stem, img))
+        assert peak <= 3.2 * out.data.nbytes, peak / out.data.nbytes
+
     def test_banded_stem_gradients_match_finite_differences(self, monkeypatch):
-        monkeypatch.setattr(blocks, "_BAND_TOKENS", 5)  # a 4 x 4 output map in four one-row bands
         stem = build(get_variant("tiny-reduced"), 0, dtype=np.float64).stem
+        monkeypatch.setattr(blocks, "_BAND_ELEMS", 5 * stem_width(stem))  # a 4 x 4 output map in four one-row bands
         rng = np.random.default_rng(42)
         img, probe = rng.standard_normal((3, 16, 16)), Tensor(rng.standard_normal((8, 4, 4)))
-        assert len(blocks.row_bands(8, 4, 4)) == 4
+        assert len(blocks.row_bands(4, 4, 4, stem_width(stem))) == 4
         err = grad_check(lambda ti, tp: nd.sum_all(nd.matmul(nd.reshape(backbone._stem_forward(tp, ti), (1, 128)),
                                                              nd.reshape(probe, (128,)))), [img, stem], h=1e-6)
         assert err <= 1e-6  # the stem's layernorms are stiff: at h = 1e-4 the unbanded stem measures 2e-4

@@ -422,6 +422,33 @@ class TestTapeKeeps:
         assert kept <= x.data.nbytes + w.data.nbytes + (b.data.nbytes if bias else 0), kept
         assert out.shape == (4, 5, 5)
 
+    @pytest.mark.parametrize("op,constant", [("window_reduce", "w"), ("window_reduce", "x"), ("conv2d", "x")])
+    def test_no_gradient_is_formed_for_an_operand_off_the_tape(self, op, constant):
+        # the bridge's constant 1/4 kernel and the stem's image: the vjp returns None in the constant's slot,
+        # the taped operand's gradient bit for bit as when both are taped, and keeps no array only the
+        # constant's gradient would read
+        rng = np.random.default_rng(27)
+        if op == "window_reduce":
+            x, w, call = rng.standard_normal((3, 4, 6)), np.full((3, 2, 2), 0.25), window_reduce
+        else:
+            x, w = rng.standard_normal((3, 7, 7)), rng.standard_normal((4, 3, 3, 3))
+
+            def call(a, b):
+                return conv2d(a, b, stride=2, pad=1)
+
+        probe = rng.standard_normal(call(Tensor(x), Tensor(w)).shape)
+        tape = Tape()
+        both = tape.nodes[call(tape.leaf(x), tape.leaf(w)).node].vjp(probe)
+        tape = Tape()
+        y = call(Tensor(x) if constant == "x" else tape.leaf(x), Tensor(w) if constant == "w" else tape.leaf(w))
+        node = tape.nodes[y.node]
+        kept = {id(a) for a in _kept_arrays(node.vjp)}
+        got = node.vjp(probe)
+        i = "xw".index(constant)
+        assert got[i] is None and got[1 - i].tobytes() == both[1 - i].tobytes()
+        read_only_for_the_constant = x if constant == "w" else w
+        assert id(read_only_for_the_constant) not in kept
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_node_keeps_only_its_input(self, dtype):
         tape = Tape()
@@ -562,6 +589,12 @@ def _identity_step(pre):
 
 
 _SCAN_INPUTS = ("x", "dt", "w_dt", "b_dt", "a_log", "b", "c", "d")
+CHUNK = 128  # chunk steps the small scans below run in, so their sequences span several chunks
+
+
+def chunk_budget(steps, k, S, C):
+    """The ``_SCAN_ELEMS`` with which a (k directions, S states, C channels) scan runs chunks of at most ``steps``."""
+    return steps * k * S * C
 
 
 class TestScanSemantics:
@@ -585,9 +618,10 @@ class TestScanSemantics:
         rest = order[0, :-1]
         assert np.array_equal(y1[:, rest], y2[:, rest])
 
-    def test_reversed_order_is_the_forward_scan_of_the_flipped_sequence(self):
+    def test_reversed_order_is_the_forward_scan_of_the_flipped_sequence(self, monkeypatch):
         rng = np.random.default_rng(11)
-        C, T, S = 2, 2 * nd._SCAN_CHUNK + 5, 3
+        C, T, S = 2, 2 * CHUNK + 5, 3
+        monkeypatch.setattr(nd, "_SCAN_ELEMS", chunk_budget(CHUNK, 1, S, C))
         x = rng.standard_normal((C, T))
         args = self._args(rng, 1, C, S, T)
         backward = selective_scan(Tensor(x), *args, np.arange(T)[None, ::-1]).data
@@ -615,21 +649,44 @@ class TestScanSemantics:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_chunk_length_does_not_change_outputs_or_gradients(self, k, monkeypatch):
-        # chunks of 1 and 7 steps carry the state across every step and end on a partial chunk
+        # chunks of 1 step carry the state across every step; chunks of at most 10 steps run 26
+        # chunks of 9 and 10, and a budget below one step still runs one step a chunk
         rng = np.random.default_rng(20 + k)
         C, S, T = 3, 2, 259
         arrays, order = self._random_scan(rng, k, C, S, T)
         probe = rng.standard_normal((C, T))
         ref = self._output_and_grads(arrays, order, probe)
-        for chunk in (1, 7):
-            monkeypatch.setattr(nd, "_SCAN_CHUNK", chunk)
+        for budget in (chunk_budget(1, k, S, C), chunk_budget(10, k, S, C), 1):
+            monkeypatch.setattr(nd, "_SCAN_ELEMS", budget)
             got = self._output_and_grads(arrays, order, probe)
             for name, r, v in zip(("y",) + _SCAN_INPUTS, ref, got):
-                assert np.abs(v - r).max() <= 1e-13 * max(1.0, np.abs(r).max()), (chunk, name)
+                assert np.abs(v - r).max() <= 1e-13 * max(1.0, np.abs(r).max()), (budget, name)
 
-    def test_kernel_never_writes_its_inputs(self):
+    def test_chunks_are_the_fewest_within_the_budget_and_of_equal_length(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        lengths = []
+        real = nd._scan_states
+
+        def spy(h0, dl, *rest):
+            lengths.append(len(dl))
+            return real(h0, dl, *rest)
+
+        monkeypatch.setattr(nd, "_scan_states", spy)
+        # at most 10 steps: 26 chunks; a tiny@224 stage-3 ss2d call at the real budget: at most 25 steps,
+        # 8 chunks; a budget below one step: one step a chunk; a sequence within the budget: one chunk
+        for k, S, C, T, budget, expect in ((1, 2, 3, 259, 60, [9] + [10] * 25),
+                                           (4, 4, 320, 196, nd._SCAN_ELEMS, [24, 25] * 4),
+                                           (2, 1, 1, 5, 1, [1] * 5), (1, 1, 1, 7, 100, [7])):
+            monkeypatch.setattr(nd, "_SCAN_ELEMS", budget)
+            lengths.clear()
+            arrays, order = self._random_scan(rng, k, C, S, T, np.float32)
+            selective_scan(*(Tensor(a) for a in arrays), order)
+            assert sorted(lengths) == sorted(expect), (k, S, C, T, lengths)
+
+    def test_kernel_never_writes_its_inputs(self, monkeypatch):
         rng = np.random.default_rng(12)
-        C, S, T = 3, 2, nd._SCAN_CHUNK + 9
+        C, S, T = 3, 2, CHUNK + 9
+        monkeypatch.setattr(nd, "_SCAN_ELEMS", chunk_budget(CHUNK, 4, S, C))
         arrays, order = self._random_scan(rng, 4, C, S, T)
         before = [a.copy() for a in arrays] + [order.copy()]
         self._output_and_grads(arrays, order, rng.standard_normal((C, T)))
@@ -637,9 +694,9 @@ class TestScanSemantics:
             assert np.array_equal(a, b), name
 
     @staticmethod
-    def _stage_one_scan(seed):
-        """A tiny@224 stage-1 call (C 96, 56 x 56, k 4, S 4, step rank 12) in float32, and k C T * 4 bytes."""
-        C, T, k, S, r = 96, 56 * 56, 4, 4, 12
+    def _tiny_scan(seed, C=96, T=56 * 56):
+        """A tiny@224 ss2d call (stage 1: C 96, 56 x 56; k 4, S 4, step rank C/8) in float32, and k C T * 4 bytes."""
+        k, S, r = 4, 4, C // 8
         rng = np.random.default_rng(seed)
         arrays = [rng.standard_normal(shape).astype(np.float32) * scale for shape, scale in (
             ((C, T), 1), ((k, r, T), 1), ((k, C, r), 0.3), ((k, C), 1), ((k, C, S), 1), ((k, S, T), 1),
@@ -649,15 +706,23 @@ class TestScanSemantics:
 
     def test_working_memory_stays_within_twice_delta_at_stage_one(self):
         # a full-size reordered copy of x, or a (k,C,T) delta, pre-activation or output buffer passes the bound
-        ts, order, delta_bytes = self._stage_one_scan(13)
+        ts, order, delta_bytes = self._tiny_scan(13)
         _, peak = traced_peak(lambda: selective_scan(*ts, order))
         assert peak <= 9_633_792 == 2 * delta_bytes, peak / delta_bytes
 
     def test_outputs_accumulate_in_pair_buffers_at_stage_one(self):
-        # ceil(k/2) time-first (T,C) sums and one chunk's buffers: a (T,k,C) output buffer passes the bound
-        ts, order, delta_bytes = self._stage_one_scan(14)
+        # ceil(k/2) time-first (T,C) sums and one chunk's buffers (0.857 delta): a (T,k,C) output buffer
+        # passes the bound, and so did fixed 128-step chunks (0.99 delta)
+        ts, order, delta_bytes = self._tiny_scan(14)
         _, peak = traced_peak(lambda: selective_scan(*ts, order))
-        assert peak <= 6_261_964 < 1.3 * delta_bytes, peak / delta_bytes
+        assert peak <= 4_214_784 == 0.875 * delta_bytes, peak / delta_bytes
+
+    def test_chunk_buffers_follow_the_element_budget_at_stage_three(self):
+        # C 320, 14 x 14: chunks of 24-25 steps keep each (L,k,S,C) buffer within 2^17 elements (2.14 delta);
+        # fixed 128-step chunks made two (128,4,4,320) buffers next to the pair buffers (7.79 delta)
+        ts, order, delta_bytes = self._tiny_scan(15, C=320, T=14 * 14)
+        _, peak = traced_peak(lambda: selective_scan(*ts, order))
+        assert peak <= 2_207_744 == 2.2 * delta_bytes, peak / delta_bytes
 
     def test_nonpositive_delta_rejected(self):
         # softplus(-1000) underflows to 0 in float64
@@ -778,10 +843,10 @@ class TestKernelProperties:
             dwconv(Tensor(x), Tensor(w.astype(np.float32)), Tensor(np.zeros(3, np.float32)), pad=1)
 
     @settings(max_examples=10, deadline=None)
-    @example(k=4, C=2, S=2, T=2 * nd._SCAN_CHUNK + 3, dtype=np.float64, seed=0)
-    @example(k=3, C=2, S=1, T=nd._SCAN_CHUNK + 1, dtype=np.float32, seed=1)
+    @example(k=4, C=2, S=2, T=2 * CHUNK + 3, dtype=np.float64, seed=0)
+    @example(k=3, C=2, S=1, T=CHUNK + 1, dtype=np.float32, seed=1)
     @given(k=st.sampled_from([1, 2, 3, 4]), C=st.integers(1, 3), S=st.integers(1, 3),
-           T=st.sampled_from([1, nd._SCAN_CHUNK - 1, nd._SCAN_CHUNK + 1, 2 * nd._SCAN_CHUNK + 3]),
+           T=st.sampled_from([1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3]),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
     def test_scan_over_token_orders_matches_loop_oracle_and_finite_differences(self, k, C, S, T, dtype, seed):
         rng = np.random.default_rng(seed)
@@ -796,33 +861,38 @@ class TestKernelProperties:
             ref[:, idx] += scan_oracle(x[:, idx], delta[i][:, idx], -np.exp(a_log[i]),
                                        b[i][:, idx], c[i][:, idx], d[i])
         inputs = [x, dt, w_dt, b_dt, a_log, b, c, d]
-        got = selective_scan(*(Tensor(v.astype(dtype)) for v in inputs), order).data
-        tol = 1e-12 if dtype == np.float64 else 1e-5 * max(1.0, np.abs(ref).max())
-        assert got.dtype == dtype and np.allclose(got, ref, rtol=0, atol=tol)
-        probe = Tensor(rng.standard_normal((C, T)))
-        for i in range(len(inputs)):  # every input, each on its own sampled elements
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nd, "_SCAN_ELEMS", chunk_budget(CHUNK, k, S, C))
+            got = selective_scan(*(Tensor(v.astype(dtype)) for v in inputs), order).data
+            tol = 1e-12 if dtype == np.float64 else 1e-5 * max(1.0, np.abs(ref).max())
+            assert got.dtype == dtype and np.allclose(got, ref, rtol=0, atol=tol)
+            probe = Tensor(rng.standard_normal((C, T)))
+            for i in range(len(inputs)):  # every input, each on its own sampled elements
 
-            def f(t, i=i):
-                ts = [Tensor(v) for v in inputs]
-                ts[i] = t
-                return _dot(selective_scan(*ts, order), probe)
+                def f(t, i=i):
+                    ts = [Tensor(v) for v in inputs]
+                    ts[i] = t
+                    return _dot(selective_scan(*ts, order), probe)
 
-            assert grad_check(f, [inputs[i]], max_elements=8, rng=np.random.default_rng(seed)) <= 1e-4
+                assert grad_check(f, [inputs[i]], max_elements=8, rng=np.random.default_rng(seed)) <= 1e-4
 
     @settings(max_examples=12)
-    @example(k=4, C=2, S=2, T=2 * nd._SCAN_CHUNK + 3, dtype=np.float32, seed=0)
+    @example(k=4, C=2, S=2, T=2 * CHUNK + 3, dtype=np.float32, seed=0)
     @given(k=st.sampled_from([1, 2, 3, 4]), C=st.integers(1, 3), S=st.integers(1, 3),
-           T=st.sampled_from([1, 5, nd._SCAN_CHUNK + 1, 2 * nd._SCAN_CHUNK + 3]),
+           T=st.sampled_from([1, 5, CHUNK + 1, 2 * CHUNK + 3]),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
     def test_k_direction_scan_is_the_balanced_tree_sum_of_one_direction_scans_bit_for_bit(self, k, C, S, T,
                                                                                          dtype, seed):
         arrays, order = TestScanSemantics._random_scan(np.random.default_rng(seed), k, C, S, T, dtype)
         x, per_direction = Tensor(arrays[0]), arrays[1:]
-        parts = [selective_scan(x, *(Tensor(a[i:i + 1].copy()) for a in per_direction), order[i:i + 1]).data
-                 for i in range(k)]
+        with pytest.MonkeyPatch.context() as mp:  # every scan below runs the same chunks of at most CHUNK steps
+            mp.setattr(nd, "_SCAN_ELEMS", chunk_budget(CHUNK, 1, S, C))
+            parts = [selective_scan(x, *(Tensor(a[i:i + 1].copy()) for a in per_direction), order[i:i + 1]).data
+                     for i in range(k)]
+            mp.setattr(nd, "_SCAN_ELEMS", chunk_budget(CHUNK, k, S, C))
+            got = selective_scan(*(Tensor(a) for a in arrays), order).data
         while len(parts) > 1:  # (y0+y1)+(y2+y3) for k = 4, (y0+y1)+y2 for k = 3
             parts = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
-        got = selective_scan(*(Tensor(a) for a in arrays), order).data
         assert got.dtype == dtype and got.tobytes() == parts[0].tobytes()
 
     @given(dtype=st.sampled_from([np.float32, np.float64]), C=st.integers(1, 9), n=st.integers(1, 40),

@@ -15,8 +15,9 @@ shared host falls on both sides alike.
 
 ``holders`` builds each workload's models as ``perfbench/workloads.py`` does
 and runs one op per topology mode under tracemalloc. It records the mode's
-peak bytes and the op, with its calling function, that was running when the
-peak was reached, and the highest op peaks of the next four calling functions.
+peak bytes and the op, with its calling function and output shape (which
+shows the stage), that was running when the peak was reached, and the highest
+op peaks of the next four calling functions.
 
 ``train-peaks`` runs one taped float32 ``tiny``@224 forward and backward of
 one image per model, window attention in each topology mode and ss2d in
@@ -129,7 +130,7 @@ def watched_apply(op, out, inputs, vjp):
     while frame.f_globals.get("__name__") == "sparx.nd":
         frame = frame.f_back
     where = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}:{frame.f_lineno}"
-    events.append((tracemalloc.get_traced_memory()[1], op, where))
+    events.append((tracemalloc.get_traced_memory()[1], op, where, list(result.shape)))
     tracemalloc.reset_peak()
     return result
 
@@ -150,15 +151,15 @@ for mode, op in wl.peak_ops():
     tracemalloc.start()
     try:
         wl.run(op)
-        events.append((tracemalloc.get_traced_memory()[1], "none", "after the last op (backward, updates)"))
+        events.append((tracemalloc.get_traced_memory()[1], "none", "after the last op (backward, updates)", None))
     finally:
         tracemalloc.stop()
         nd._apply = real_apply
     seen, holders = set(), []
-    for b, o, w in sorted(events, key=lambda e: -e[0]):  # the highest peak of each calling function
+    for b, o, w, shape in sorted(events, key=lambda e: -e[0]):  # the highest peak of each calling function
         if w.split(":")[0] not in seen:
             seen.add(w.split(":")[0])
-            holders.append({"op": o, "at": w, "peak_bytes": b})
+            holders.append({"op": o, "at": w, "shape": shape, "peak_bytes": b})
         if len(holders) == 5:
             break
     rows.append({"mode": mode, "peak_bytes": peak, "holders": holders})
@@ -180,8 +181,8 @@ def cmd_holders(args, doc):
             save(args.out, doc)
             for r in rows:
                 h = r["holders"][0]
-                print(f"{workload} {label} {r['mode']}: peak {r['peak_bytes']} B, "
-                      f"held by {h['op']} at {h['at']} ({h['peak_bytes'] / 2**20:.2f} MiB)")
+                print(f"{workload} {label} {r['mode']}: peak {r['peak_bytes']} B, held by {h['op']} "
+                      f"{tuple(h['shape'] or ())} at {h['at']} ({h['peak_bytes'] / 2**20:.2f} MiB)")
 
 
 TRAIN_PEAK_SCRIPT = r"""
