@@ -14,11 +14,12 @@ that only move values (reshape, permute, slice, concat, pad, roll) cannot
 produce one and are not scanned. The check tests ``isfinite`` one block of
 ``_CHECK_BLOCK`` elements at a time, so it stays exact and its mask is never
 larger than one block. Apart from layernorm, no op keeps output-sized
-scratch either: softmax works in its output buffer, gelu, dwconv,
-window_reduce and the scan's chunks run through cache-sized buffers (the
-scan builds its step sizes chunk by chunk, so no (k,C,T) step tensor
-exists), and the dense convolution frees its patch matrix before it
-returns. An op's other full-size arrays are values its backward pass reads
+scratch either: softmax works in its output buffer, gelu and the scan's
+chunks run through cache-sized buffers (the scan builds its step sizes
+chunk by chunk, so no (k,C,T) step tensor exists), dwconv and
+window_reduce build their patch columns one channel block of at most
+``_BLOCK`` elements at a time, and the dense convolution frees its patch
+matrix before it returns. An op's other full-size arrays are values its backward pass reads
 and cannot rebuild cheaply (layernorm's normalized input); what it can
 rebuild from its inputs it does not keep: gelu recomputes erf, the dense
 convolution its patch matrix, and the scan its chunks' states. Layernorm makes one
@@ -155,8 +156,8 @@ def _wrap(data, tape=None, node=None):
 # make a value non-finite, so their outputs are not scanned.
 _DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d"})
 # Elements per cache-sized block: the float32 gelu's scratch and output
-# blocks, and the channel blocks of dwconv's output grid and window_reduce's
-# output, stay in cache across their passes.
+# blocks, and the patch columns of one channel block of dwconv and
+# window_reduce (one channel at least), stay in cache across their passes.
 _BLOCK = 1 << 15
 # Elements per block of the finiteness check, so its boolean mask is at most
 # this many bytes: 1/37 of a stage-1 `tiny`@224 hidden map. Smaller blocks cost
@@ -592,19 +593,42 @@ def _col2im(g, shape, k, s, pads, Ho, Wo):
     return gp if gp.shape == shape else gp[:, top:top + H, left:left + W].copy()
 
 
+def _channel_blocks(C, cells):
+    """Slices of consecutive channels whose patch columns, ``cells`` elements a channel, hold at most ``_BLOCK``
+    elements (one channel at least); made anew for each pass, so a vjp keeps one int instead of a list."""
+    cb = max(1, _BLOCK // cells)
+    return (slice(c0, c0 + cb) for c0 in range(0, C, cb))
+
+
+def _tap_sum(w, cols, out):
+    """``out`` (n, r) = the taps of ``cols`` (n, t, r) weighted by ``w`` (n, t), summed over t per cell.
+
+    On contiguous columns with two or more cells, ``einsum`` runs this as one multiply and one add
+    per tap, in tap order: a loop's arithmetic, except that an all-zero sum is +0. Wherever the taps
+    are innermost in memory it runs a dot kernel that reorders the sum instead, so a strided view
+    (an ``_im2col`` one column wide) is copied first, and one cell gets a real zero column (a
+    broadcast view of zeros does not keep the order).
+    """
+    cols = np.ascontiguousarray(cols)
+    if cols.shape[2] > 1:
+        np.einsum("nt,ntr->nr", w, cols, out=out)
+    else:
+        out[:] = np.einsum("nt,ntr->nr", w, np.concatenate((cols, np.zeros_like(cols)), axis=2))[:, :1]
+
+
 def dwconv(x, weight, bias=None, pad=0):
     """Depthwise 2-d convolution of a (C,H,W) map with a (C,k,k) kernel, stride 1.
 
     Channel i of the output sees only channel i. ``pad`` is one int for every
     side or ((top, bottom), (left, right)), so a band of rows can be padded
-    with zeros only at the map's real edges. The map runs in cache-sized
-    channel blocks, each copied into a flat buffer of zero-padded (Hp, Wp)
-    maps; cell q of a channel's output grid reads buffer cell
-    ``q + i * Wp + j`` at tap (i, j), so each tap is one long 1-d multiply-add
-    over the block, and only the Ho x Wo valid cells are copied out. The taps
-    are summed in row-major order and the bias is added last, a loop's
-    arithmetic in either dtype. The backward pass scatter-adds each tap into
-    a flat padded gradient the same way, re-padding ``x`` block by block.
+    with zeros only at the map's real edges. The map runs in channel blocks
+    whose patch columns (``_im2col``) hold at most ``_BLOCK`` elements; each
+    block is one contraction of its columns with its taps (``_tap_sum``), the
+    taps summed in row-major order, and the bias is added last: a loop's
+    arithmetic in either dtype. The backward pass rebuilds each block's
+    columns for the weight gradient, and reads the zero-padded output
+    gradient through the taps flipped for the input gradient, so each input
+    cell still sums its taps in row-major order.
     Non-overlapping strided windows are ``window_reduce``.
     """
     inputs = (x, weight) if bias is None else (x, weight, bias)
@@ -618,57 +642,28 @@ def dwconv(x, weight, bias=None, pad=0):
         raise ShapeError(f"dwconv: bias {bias.shape} does not match input channels {x.shape}")
     k = weight.shape[1]
     Ho, Wo = _conv_out_hw("dwconv", x.shape, k, 1, pad)
-    (top, bottom), (left, right) = _side_pads(pad)
-    Hp, Wp = H + top + bottom, W + left + right
-    R = Hp * Wp
-    cb = max(1, min(C, _BLOCK // R))
-    size = cb * R + (k - 1) * (Wp + 1)  # a tail so the last tap's slice fits
+    (top, bottom), (left, right) = pads = _side_pads(pad)
     xd, wd = x.data, weight.data
-
-    def taps():
-        """Each tap (i, j) with its offset i * Wp + j in the flat buffer, made as a loop asks for it."""
-        return ((i, j, i * Wp + j) for i in range(k) for j in range(k))
-
-    def maps(flat, n):
-        """The (n, Hp, Wp) padded maps, or output grids, in a flat block buffer."""
-        return flat[:n * R].reshape(n, Hp, Wp)
-
-    def blocks():
-        """Each channel block: its slice, its size and its input in a flat zero-padded buffer."""
-        flat = np.zeros(size, dtype=xd.dtype)
-        for c0 in range(0, C, cb):
-            n = min(cb, C - c0)
-            blk = slice(c0, c0 + n)
-            maps(flat, n)[:, top:top + H, left:left + W] = xd[blk]
-            yield blk, n, flat
+    wt, cells = wd.reshape(C, k * k), k * k * max(H * W, Ho * Wo)  # the backward's flipped columns read H x W
 
     out = np.empty((C, Ho, Wo), dtype=xd.dtype)
-    grid, tmp = np.empty((2, cb * R), dtype=xd.dtype)
-    for blk, n, xf in blocks():
-        o, t = grid[:n * R], tmp[:n * R]
-        for m, (i, j, off) in enumerate(taps()):
-            np.multiply(xf[off:off + n * R].reshape(n, R), wd[blk, i, j, None], out=(t if m else o).reshape(n, R))
-            if m:
-                o += t
-        if bias is None:
-            out[blk] = maps(o, n)[:, :Ho, :Wo]
-        else:
-            np.add(maps(o, n)[:, :Ho, :Wo], bias.data[blk, None, None], out=out[blk])
+    for blk in _channel_blocks(C, cells):
+        _tap_sum(wt[blk], _im2col(xd[blk], k, 1, pads, Ho, Wo), out[blk].reshape(-1, Ho * Wo))
+    if bias is not None:
+        out += bias.data[:, None, None]
 
     def vjp(g):
         gx, gw = np.empty_like(xd), np.empty_like(wd)
-        gq = np.zeros(cb * R, dtype=g.dtype)  # g on the output grid, zero on every other cell
-        gxf, tmp = np.empty(size, dtype=g.dtype), np.empty(cb * R, dtype=g.dtype)
-        for blk, n, xf in blocks():
-            maps(gq, n)[:, :Ho, :Wo] = g[blk]
-            gf, t = gq[:n * R].reshape(n, R), tmp[:n * R]
-            gxf.fill(0)
-            xp = maps(xf, n)
-            for i, j, off in taps():
-                np.multiply(gf, wd[blk, i, j, None], out=t.reshape(n, R))
-                gxf[off:off + n * R] += t
-                gw[blk, i, j] = np.einsum("chw,chw->c", g[blk], xp[:, i:i + Ho, j:j + Wo])
-            gx[blk] = maps(gxf, n)[:, top:top + H, left:left + W]
+        for blk in _channel_blocks(C, cells):
+            np.einsum("nr,ntr->nt", g[blk].reshape(-1, Ho * Wo), _im2col(xd[blk], k, 1, pads, Ho, Wo),
+                      out=gw[blk].reshape(-1, k * k))
+            # input cell (y, x) at tap (i, j) reads output cell (y + top - i, x + left - j): flipped
+            # taps over g padded by k - 1 on every side, which covers every pad
+            gp = _zero_pad(g[blk], ((k - 1, k - 1), (k - 1, k - 1)))
+            sc, sh, sw = gp.strides
+            flipped = np.ndarray((len(gp), k, k, H, W), gp.dtype, gp, (top + k - 1) * sh + (left + k - 1) * sw,
+                                 (sc, -sh, -sw, sh, sw))
+            _tap_sum(wt[blk], flipped.reshape(len(gp), k * k, H * W), gx[blk].reshape(-1, H * W))
         return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(1, 2)))
 
     return _apply("dwconv", out, inputs, vjp)
@@ -677,13 +672,13 @@ def dwconv(x, weight, bias=None, pad=0):
 def window_reduce(x, weight):
     """Depthwise (C,s,s) ``weight`` over the non-overlapping s x s windows of a (C,H,W) map: (C, H/s, W/s).
 
-    A depthwise convolution whose stride is its kernel, unpadded; s must divide H and W. Tap (i, j) is
-    the strided view ``x.reshape(C, H/s, s, W/s, s)[:, :, i, :, j]`` times its weight, and the taps are
-    summed in row-major order (a loop's arithmetic) one cache-sized channel block at a time. A constant
-    1/(s*s) kernel averages each window. The backward pass writes each tap's input gradient into the same
-    view of ``gx`` (each cell is in one window) and forms its weight gradient with one ``einsum``. It
-    forms neither for an operand that is not on the tape (the bridge's constant kernel), returns None for
-    it, and keeps only the arrays the other gradient reads.
+    A depthwise convolution whose stride is its kernel, unpadded; s must divide H and W. It runs as
+    ``dwconv`` does: per channel block, the ``_im2col`` columns of its windows contracted with its taps,
+    summed in row-major order (a loop's arithmetic). A constant 1/(s*s) kernel averages each window. The
+    backward pass writes the input gradient with one broadcast multiply into the (C,s,s,H/s,W/s) strided
+    view of ``gx`` (each cell is in one window) and contracts the rebuilt columns with ``g`` for the weight
+    gradient. It forms neither for an operand that is not on the tape (the bridge's constant kernel),
+    returns None for it, and keeps only the arrays the other gradient reads.
     """
     _check_same_dtype("window_reduce", x, weight)
     if x.data.ndim != 3 or weight.shape != x.shape[:1] + weight.shape[-1:] * 2 or weight.shape[-1] < 1:
@@ -692,21 +687,11 @@ def window_reduce(x, weight):
     if H < s or W < s or H % s or W % s:
         raise ShapeError(f"window_reduce: {s}x{s} windows do not tile {x.shape}")
     Ho, Wo = H // s, W // s
-    xd, wd = x.data, weight.data
+    xd, wd, no_pad = x.data, weight.data, ((0, 0), (0, 0))
 
-    def taps(a):
-        """Each tap (i, j) of the (n,H,W) array ``a`` as a strided (n, Ho, Wo) view, in row-major order."""
-        v = a.reshape(len(a), Ho, s, Wo, s)
-        return ((i, j, v[:, :, i, :, j]) for i in range(s) for j in range(s))
-
-    out, cb = np.empty((C, Ho, Wo), dtype=xd.dtype), max(1, _BLOCK // (Ho * Wo))
-    tmp = np.empty((min(cb, C), Ho, Wo), dtype=xd.dtype)
-    for c0 in range(0, C, cb):
-        o, t = out[c0:c0 + cb], tmp[:C - c0]
-        for m, (i, j, xv) in enumerate(taps(xd[c0:c0 + cb])):
-            np.multiply(xv, wd[c0:c0 + cb, i, j, None, None], out=t if m else o)
-            if m:
-                o += t
+    out = np.empty((C, Ho, Wo), dtype=xd.dtype)
+    for blk in _channel_blocks(C, H * W):
+        _tap_sum(wd[blk].reshape(-1, s * s), _im2col(xd[blk], s, s, no_pad, Ho, Wo), out[blk].reshape(-1, Ho * Wo))
 
     x_read = xd if weight.tape is not None else None  # read by the weight gradient only
     w_read = wd if x.tape is not None else None  # read by the input gradient only
@@ -714,13 +699,14 @@ def window_reduce(x, weight):
     def vjp(g):
         gx = gw = None
         if w_read is not None:
-            gx = np.empty((len(g), Ho * s, Wo * s), dtype=g.dtype)
-            for i, j, gv in taps(gx):
-                np.multiply(g, w_read[:, i, j, None, None], out=gv)
+            gx = np.empty((C, H, W), dtype=g.dtype)
+            np.multiply(g[:, None, None], w_read[..., None, None],
+                        out=gx.reshape(C, Ho, s, Wo, s).transpose(0, 2, 4, 1, 3))
         if x_read is not None:
-            gw = np.empty((len(g), s, s), dtype=g.dtype)
-            for i, j, xv in taps(x_read):
-                gw[:, i, j] = np.einsum("chw,chw->c", g, xv)
+            gw = np.empty((C, s, s), dtype=g.dtype)
+            for blk in _channel_blocks(C, H * W):
+                np.einsum("nr,ntr->nt", g[blk].reshape(-1, Ho * Wo), _im2col(x_read[blk], s, s, no_pad, Ho, Wo),
+                          out=gw[blk].reshape(-1, s * s))
         return gx, gw
 
     return _apply("window_reduce", out, (x, weight), vjp)
@@ -874,7 +860,7 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
 
     def time_first(arr):
         """A (k,R,T) array viewed as (T,k,R): row [u, i] is token u of direction i."""
-        return np.moveaxis(arr, 2, 0)
+        return arr.transpose(2, 0, 1)
 
     def chunk_inputs(idx):
         """A chunk's step pre-activation and delta, x (L,k,C), delta * x, and B and C (L,k,S), in visiting order."""

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import zlib
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
-from sparx import nd
+from sparx import blocks, nd
 from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add,
                       backward, concat, conv2d, cross_entropy_logits, dwconv,
                       gather_rows, gelu, layernorm_channels,
@@ -170,6 +171,17 @@ class TestConvOps:
         w = rng.standard_normal((4, 3, 3))
         out = dwconv(Tensor(x), Tensor(w), pad=1)
         assert np.all(out.data[1] == 0.0)
+
+    # Patch columns run in channel blocks of at most _BLOCK elements, so one call's working memory is
+    # its output plus about one block (1.04 blocks for dwconv and 0.98 for window_reduce here)
+    @pytest.mark.parametrize("op,shape,k", [("dwconv", (384, 14, 56), 3),  # a tiny@224 stage-1 FFN band
+                                            ("window_reduce", (96, 56, 56), 4)])  # a stage-1 aggregator reducer
+    def test_working_memory_is_the_output_and_one_block(self, op, shape, k):
+        rng = np.random.default_rng(17)
+        x, w = (Tensor(rng.standard_normal(s).astype(np.float32)) for s in (shape, (shape[0], k, k)))
+        call = (lambda: dwconv(x, w, pad=1)) if op == "dwconv" else (lambda: window_reduce(x, w))
+        y, peak = traced_peak(call)
+        assert peak <= y.data.nbytes + 1.25 * nd._BLOCK * 4, (peak - y.data.nbytes) / (nd._BLOCK * 4)
 
     @pytest.mark.parametrize("call", [
         lambda: window_reduce(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 0, 0)))),
@@ -739,6 +751,11 @@ class TestKernelProperties:
     @settings(max_examples=60)  # pad -1 or a map smaller than the kernel make about 3 draws in 10 invalid
     @example(C=3, H=7, W=9, k=3, pad=1, seed=0)
     @example(C=2, H=4, W=4, k=3, pad=-1, seed=0)
+    @example(C=1, H=1, W=1, k=3, pad=1, seed=0)  # a 1 x 1 map, as at stage 4 of tiny-reduced
+    @example(C=3, H=1, W=1, k=3, pad=1, seed=0)
+    @example(C=2, H=2, W=2, k=2, pad=0, seed=0)  # one output cell, which einsum would sum as a dot
+    @example(C=2, H=3, W=3, k=3, pad=0, seed=0)
+    @example(C=2, H=5, W=1, k=3, pad=1, seed=0)  # one column: the patch columns are a strided view
     @given(C=st.integers(1, 4), H=st.integers(1, 9), W=st.integers(1, 9), k=st.integers(1, 4),
            pad=st.integers(-1, 2), seed=st.integers(0, 2**16))
     def test_dwconv_matches_loop_oracle_and_finite_differences(self, C, H, W, k, pad, seed):
@@ -770,6 +787,7 @@ class TestKernelProperties:
     @settings(max_examples=40)
     @example(C=2, H=3, W=4, k=3, pads=((1, 0), (1, 1)), dtype=np.float32, seed=0)  # a band's top
     @example(C=2, H=4, W=5, k=3, pads=((0, 1), (2, 0)), dtype=np.float64, seed=0)
+    @example(C=2, H=3, W=4, k=1, pads=((0, 0), (0, 1)), dtype=np.float64, seed=0)  # a side pad above k - 1
     @given(C=st.integers(1, 3), H=st.integers(1, 7), W=st.integers(1, 7), k=st.integers(1, 3),
            pads=st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 2))] * 2),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
@@ -807,6 +825,9 @@ class TestKernelProperties:
     @settings(max_examples=40)
     @example(C=2, hq=2, wq=3, s=4, dtype=np.float32, seed=0)  # an aggregator reducer's stride
     @example(C=3, hq=2, wq=2, s=2, dtype=np.float64, seed=0)  # the bridge's 2 x 2 windows
+    @example(C=2, hq=1, wq=1, s=2, dtype=np.float64, seed=0)  # one output cell, and the 1/4 mean of one window
+    @example(C=2, hq=1, wq=1, s=4, dtype=np.float32, seed=0)
+    @example(C=2, hq=3, wq=1, s=2, dtype=np.float64, seed=0)  # one column of windows: a strided view
     @given(C=st.integers(1, 3), hq=st.integers(1, 3), wq=st.integers(1, 3), s=st.integers(1, 4),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
     def test_window_reduce_matches_loop_oracle_and_finite_differences(self, C, hq, wq, s, dtype, seed):
@@ -1060,6 +1081,29 @@ def test_every_public_nd_function_is_used_outside_nd():
     named = {n.id if isinstance(n, ast.Name) else n.attr for stem, tree in trees.items() if stem != "nd"
              for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
     assert public and sorted(public - named) == []
+
+
+def _stated_value(expr):
+    """The integer a doc writes as a product of factors, each ``a``, ``a^b``, ``a**b`` or ``a << b``."""
+    value = 1
+    for factor in re.split(r"[·×]|(?<!\*)\*(?!\*)", expr):
+        base, op, exp = re.fullmatch(r"\s*(\d+)\s*(?:(\^|\*\*|<<)\s*(\d+))?\s*", factor).groups()
+        value *= int(base) if op is None else int(base) << int(exp) if op == "<<" else int(base) ** int(exp)
+    return value
+
+
+def test_docs_state_the_budget_constants_the_code_has():
+    # README and nd/blocks (docstrings, comments and the assignments themselves) may write
+    # `NAME = value` for a budget constant; every such value must be the code's, and README states each
+    constants = {"_SCAN_ELEMS": nd._SCAN_ELEMS, "_BAND_ELEMS": blocks._BAND_ELEMS, "_BLOCK": nd._BLOCK,
+                 "_CHECK_BLOCK": nd._CHECK_BLOCK}
+    factor = r"\d+(?:\s*(?:\^|\*\*|<<)\s*\d+)?"
+    pattern = re.compile(rf"(?<!\w)({'|'.join(constants)})`*\s*=\s*({factor}(?:\s*[·×*]\s*{factor})*)")
+    readme = pathlib.Path(nd.__file__).parents[2] / "README.md"
+    stated = [(path.name, name, expr) for path in (readme, pathlib.Path(nd.__file__), pathlib.Path(blocks.__file__))
+              for name, expr in pattern.findall(path.read_text())]
+    assert [s for s in stated if _stated_value(s[2]) != constants[s[1]]] == []
+    assert {name for where, name, _ in stated if where == "README.md"} == set(constants)
 
 
 class TestTensorFormat:
