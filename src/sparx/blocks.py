@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nd import (Tensor, add, concat, dwconv, gather_rows, gelu, matmul, pad_spatial, permute,
+from .nd import (Tensor, add, concat, dwconv, gather_rows, gelu, matmul, pad_spatial, permute, pieces,
                  reshape, roll2d, scale, selective_scan, slice_axis,
                  softmax_lastdim, split, layernorm_channels, ShapeError)
 from .params import Initializer, stack
@@ -188,11 +188,10 @@ def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
     return add(x, dwconv(x, p.w, p.b, pad=1))
 
 
-# Elements per row band of the widest intermediate a banded computation makes: the ConvFFN's hidden
-# map, window attention's q/k/v, the stem's patch matrix. A computation whose widest intermediate is
-# larger runs in row bands, so none of its intermediates is much larger than one stage-1 `tiny`@224
-# map (96 x 56 x 56). At `tiny`@224 the stage-1 ConvFFN runs in four bands of 14 rows and the stage-2
-# one in two, window attention's stage 1 in 3/3/2 and stage 2 in 2/2 window rows, and the stem in
+# Elements per row band (``row_bands``) of the widest intermediate a banded computation makes (the
+# ConvFFN's hidden map, window attention's q/k/v, the stem's patch matrix): one stage-1 `tiny`@224 map,
+# 96 x 56 x 56. At `tiny`@224 the stage-1 ConvFFN runs in four bands of 14 rows and the stage-2 one in
+# two, window attention's stage 1 in 2/2/2/2 and stage 2 in 2/2 window rows, and the stem in
 # 12/11/11/11/11 rows; later stages and every `tiny-reduced` map run in one band.
 _BAND_ELEMS = 96 * 56 * 56
 
@@ -200,25 +199,21 @@ _BAND_ELEMS = 96 * 56 * 56
 def row_bands(C: int, H: int, W: int, width: int) -> list[tuple[int, int]]:
     """Row ranges [r0, r1) of the bands an H x W output map of C channels runs in, top to bottom.
 
-    ``width`` is the number of elements the widest intermediate holds per output token, so a band of
-    h rows makes h*W*width of them. n = min(H, ceil(H*W*width / _BAND_ELEMS)) bands of equal height,
-    the first H % n one row taller; a map whose widest intermediate holds at most ``_BAND_ELEMS``
-    elements is one band. A band's cells are computed as on the whole map, so the joined bands equal
-    the one-band result up to the order in which BLAS sums a product. numpy sends a product with one
-    output channel, or with one token, through a matrix-vector kernel that sums by a token's column,
-    so a one-channel map (C is the fewest output channels of the banded products) stays one band and
-    a one-column map keeps two rows a band. Whether OpenBLAS' matrix kernels then sum every token
-    alike depends on a band's width in tokens and the product's inner size. On `tiny`@224 every
-    banded computation is bit-identical to one band in float32, and in float64 all but one: the
-    stage-1 ConvFFN (784-token bands), window attention (1176- and 392-token bands) and the stem
-    keep their bits, while the stage-2 ConvFFN's 392-token bands, whose contraction is 768 wide,
-    move float64 results by up to 5e-16 relative. Other maps may differ in the last bits of float64.
+    The bands are ``nd.pieces(H, W * width, _BAND_ELEMS)``, ``width`` being the elements the widest
+    intermediate holds per output token. A band's cells are computed as on the whole map, so the joined
+    bands equal the one-band result up to the order in which BLAS sums a product. numpy sends a product
+    with one output channel, or with one token, through a matrix-vector kernel that sums by a token's
+    column, so a one-channel map (C is the fewest output channels of the banded products) and a
+    one-column map are one band. Whether OpenBLAS' matrix kernels then sum every token alike depends on
+    a band's width in tokens and the product's inner size. On `tiny`@224 every banded computation is
+    bit-identical to one band in float32, and in float64 all but one: the stage-1 ConvFFN (784-token
+    bands), window attention (784- and 392-token bands) and the stem keep their bits, while the stage-2
+    ConvFFN's 392-token bands, whose contraction is 768 wide, move float64 results by up to 5e-16
+    relative. Other maps may differ in the last bits of float64.
     """
-    n = -(-H * W * width // _BAND_ELEMS) if C > 1 else 1
-    n = max(1, min(n, H if W > 1 else H // 2))
-    rows, extra = divmod(H, n)
-    ends = np.cumsum([0] + [rows + (i < extra) for i in range(n)]).tolist()
-    return list(zip(ends, ends[1:]))
+    if C == 1 or W == 1:
+        return [(0, H)]
+    return [(b.start, b.stop) for b in pieces(H, W * width, _BAND_ELEMS)]
 
 
 def banded(f, x: Tensor, c_out: int, width: int, strides: tuple[int, ...] = (1,)) -> Tensor:

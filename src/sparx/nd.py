@@ -17,9 +17,10 @@ larger than one block. Apart from layernorm, no op keeps output-sized
 scratch either: softmax works in its output buffer, gelu and the scan's
 chunks run through cache-sized buffers (the scan builds its step sizes
 chunk by chunk, so no (k,C,T) step tensor exists), dwconv and
-window_reduce build their patch columns one channel block of at most
-``_BLOCK`` elements at a time, and the dense convolution frees its patch
-matrix before it returns. An op's other full-size arrays are values its backward pass reads
+window_reduce build their patch columns one channel block at a time, and
+the dense convolution frees its patch matrix before it returns. Scan chunks,
+channel blocks and ``blocks.row_bands`` are all the ``pieces`` of an element
+budget. An op's other full-size arrays are values its backward pass reads
 and cannot rebuild cheaply (layernorm's normalized input); what it can
 rebuild from its inputs it does not keep: gelu recomputes erf, the dense
 convolution its patch matrix, and the scan its chunks' states. Layernorm makes one
@@ -157,12 +158,23 @@ def _wrap(data, tape=None, node=None):
 _DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d"})
 # Elements per cache-sized block: the float32 gelu's scratch and output
 # blocks, and the patch columns of one channel block of dwconv and
-# window_reduce (one channel at least), stay in cache across their passes.
+# window_reduce (the ``pieces`` of the channels), stay in cache across their passes.
 _BLOCK = 1 << 15
 # Elements per block of the finiteness check, so its boolean mask is at most
 # this many bytes: 1/37 of a stage-1 `tiny`@224 hidden map. Smaller blocks cost
 # more in per-block calls than the check itself on stage-sized maps.
 _CHECK_BLOCK = 1 << 17
+
+
+def pieces(n, each, budget):
+    """Slices that cut ``n`` units of ``each`` elements into the fewest pieces of at most ``budget`` elements.
+
+    One unit at least a piece, the first n % k of k pieces one unit longer, none for n = 0; cheap
+    enough that a vjp calls it again instead of keeping the list.
+    """
+    k = -(-n // max(1, budget // max(1, each)))
+    q, extra = divmod(n, max(1, k))
+    return [slice(i * q + min(i, extra), (i + 1) * q + min(i + 1, extra)) for i in range(k)]
 
 
 def _all_finite(out):
@@ -593,13 +605,6 @@ def _col2im(g, shape, k, s, pads, Ho, Wo):
     return gp if gp.shape == shape else gp[:, top:top + H, left:left + W].copy()
 
 
-def _channel_blocks(C, cells):
-    """Slices of consecutive channels whose patch columns, ``cells`` elements a channel, hold at most ``_BLOCK``
-    elements (one channel at least); made anew for each pass, so a vjp keeps one int instead of a list."""
-    cb = max(1, _BLOCK // cells)
-    return (slice(c0, c0 + cb) for c0 in range(0, C, cb))
-
-
 def _tap_sum(w, cols, out):
     """``out`` (n, r) = the taps of ``cols`` (n, t, r) weighted by ``w`` (n, t), summed over t per cell.
 
@@ -621,8 +626,8 @@ def dwconv(x, weight, bias=None, pad=0):
 
     Channel i of the output sees only channel i. ``pad`` is one int for every
     side or ((top, bottom), (left, right)), so a band of rows can be padded
-    with zeros only at the map's real edges. The map runs in channel blocks
-    whose patch columns (``_im2col``) hold at most ``_BLOCK`` elements; each
+    with zeros only at the map's real edges. The map runs in the ``pieces`` of
+    its channels whose patch columns (``_im2col``) hold at most ``_BLOCK`` elements; each
     block is one contraction of its columns with its taps (``_tap_sum``), the
     taps summed in row-major order, and the bias is added last: a loop's
     arithmetic in either dtype. The backward pass rebuilds each block's
@@ -647,14 +652,14 @@ def dwconv(x, weight, bias=None, pad=0):
     wt, cells = wd.reshape(C, k * k), k * k * max(H * W, Ho * Wo)  # the backward's flipped columns read H x W
 
     out = np.empty((C, Ho, Wo), dtype=xd.dtype)
-    for blk in _channel_blocks(C, cells):
+    for blk in pieces(C, cells, _BLOCK):
         _tap_sum(wt[blk], _im2col(xd[blk], k, 1, pads, Ho, Wo), out[blk].reshape(-1, Ho * Wo))
     if bias is not None:
         out += bias.data[:, None, None]
 
     def vjp(g):
         gx, gw = np.empty_like(xd), np.empty_like(wd)
-        for blk in _channel_blocks(C, cells):
+        for blk in pieces(C, cells, _BLOCK):
             np.einsum("nr,ntr->nt", g[blk].reshape(-1, Ho * Wo), _im2col(xd[blk], k, 1, pads, Ho, Wo),
                       out=gw[blk].reshape(-1, k * k))
             # input cell (y, x) at tap (i, j) reads output cell (y + top - i, x + left - j): flipped
@@ -690,7 +695,7 @@ def window_reduce(x, weight):
     xd, wd, no_pad = x.data, weight.data, ((0, 0), (0, 0))
 
     out = np.empty((C, Ho, Wo), dtype=xd.dtype)
-    for blk in _channel_blocks(C, H * W):
+    for blk in pieces(C, H * W, _BLOCK):
         _tap_sum(wd[blk].reshape(-1, s * s), _im2col(xd[blk], s, s, no_pad, Ho, Wo), out[blk].reshape(-1, Ho * Wo))
 
     x_read = xd if weight.tape is not None else None  # read by the weight gradient only
@@ -704,7 +709,7 @@ def window_reduce(x, weight):
                         out=gx.reshape(C, Ho, s, Wo, s).transpose(0, 2, 4, 1, 3))
         if x_read is not None:
             gw = np.empty((C, s, s), dtype=g.dtype)
-            for blk in _channel_blocks(C, H * W):
+            for blk in pieces(C, H * W, _BLOCK):
                 np.einsum("nr,ntr->nt", g[blk].reshape(-1, Ho * Wo), _im2col(x_read[blk], s, s, no_pad, Ho, Wo),
                           out=gw[blk].reshape(-1, s * s))
         return gx, gw
@@ -774,9 +779,8 @@ def gather_rows(table, index):
 # selective scan
 # ---------------------------------------------------------------------------
 
-# Elements per (L,k,S,C) state or decay buffer of one scan chunk: a chunk holds
-# as many time steps as fit, so the scan's working memory is O(_SCAN_ELEMS)
-# whatever the sequence length and width.
+# Elements per (L,k,S,C) state or decay buffer of one scan chunk (the ``pieces``
+# of the steps), so its working memory is O(_SCAN_ELEMS) whatever T and C are.
 _SCAN_ELEMS = 1 << 17
 
 
@@ -815,10 +819,10 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
     so it is causal in its own order. The k outputs are summed in token order
     as a balanced tree, (y0+y1)+(y2+y3) for k = 4.
 
-    The loop runs time-major over chunks of visiting steps: the fewest chunks
-    whose (L,k,S,C) buffers hold at most ``_SCAN_ELEMS`` elements each, of
-    equal length up to one step (on `tiny`@224 ss2d 84-85 steps at stage 1,
-    41-42 at stage 2, 24-25 at stage 3 and 12-13 at stage 4). The state is
+    The loop runs time-major over chunks of visiting steps, the ``pieces`` of
+    the T steps whose (L,k,S,C) buffers hold at most ``_SCAN_ELEMS`` elements
+    each (on `tiny`@224 ss2d 85 and 84 steps at stage 1, 42 and 41 at stage 2,
+    25 and 24 at stage 3, 13 and 12 at stage 4). The state is
     carried exactly from chunk to chunk, and on those four shapes the outputs
     are bit-identical to fixed 128-step chunks in float32 and float64. A
     chunk gathers dt's columns in visiting order as (L,k,r), projects them in
@@ -829,8 +833,8 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
     states and decays as (L,k,S,C), and adds each direction's outputs as
     C-rows into a time-first (T,C) pair buffer: ceil(k/2) of them, filled with
     -0.0, buffer j taking directions 2j and 2j+1. The buffers are then summed
-    in place as the rest of the tree. Only the (k,S,C) state entering each
-    chunk is kept; the backward pass recomputes each chunk's step sizes,
+    in place as the rest of the tree. Only each chunk's slice and the (k,S,C)
+    state entering it are kept; the backward pass recomputes each chunk's step sizes,
     states and decays from that state, writes the step-size gradient through
     softplus' derivative into one (k,C,T) buffer, and projects it back onto
     dt, w_dt and b_dt after the loop.
@@ -855,8 +859,6 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
 
     xd, dtd, wd, bdt, bd, cd, dd = x.data, dt.data, w_dt.data, b_dt.data, b.data, c.data, d.data
     ad, ar = neg_a.transpose(0, 2, 1).copy(), np.arange(k)  # A as (k,S,C)
-    n = -(-T // max(1, _SCAN_ELEMS // max(1, k * S * C)))
-    chunks = [slice(T * i // n, T * (i + 1) // n) for i in range(n)]
 
     def time_first(arr):
         """A (k,R,T) array viewed as (T,k,R): row [u, i] is token u of direction i."""
@@ -881,9 +883,9 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
     # are added onto -0, the identity of IEEE addition, so in whichever order
     # they arrive the pair holds y_2j + y_2j+1 bit for bit.
     pairs = [np.full((T, C), -0.0, dtype=xd.dtype) for _ in range(0, k, 2)]
-    starts, h = [], np.zeros((k, S, C), dtype=xd.dtype)  # state entering each chunk, kept for backward
-    for ch in chunks:
-        starts.append(h)
+    starts, h = [], np.zeros((k, S, C), dtype=xd.dtype)  # each chunk and the state entering it, kept for backward
+    for ch in pieces(T, k * S * C, _SCAN_ELEMS):
+        starts.append((ch, h))
         idx = order[:, ch]
         dlc, xc, dxc, bc, cc = chunk_inputs(idx)[1:]  # the pre-activation is read by the backward pass only
         if not _all_finite(dlc):
@@ -903,7 +905,7 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
         ga = np.zeros_like(ad)
         tmp = np.empty((k, S, C), dtype=xd.dtype)
         carry = np.zeros((k, S, C), dtype=xd.dtype)  # decay_{t+1} * dL/dh_{t+1} from the later chunk
-        for ch, h0 in zip(reversed(chunks), reversed(starts)):
+        for ch, h0 in reversed(starts):
             idx = order[:, ch]
             pre, dlc, xc, dxc, bc, cc = chunk_inputs(idx)
             hs, decay = _scan_states(h0, dlc, dxc, ad, bc)

@@ -104,9 +104,12 @@ class Initializer:
         return np.random.Generator(np.random.Philox(ss))
 
     def trunc_normal(self, shape):
-        """Normal(0, 0.02) truncated to two standard deviations by resampling."""
+        """Normal(0, 0.02) truncated to two standard deviations by resampling; MemoryError if numpy cannot hold it."""
         rng, std = self._rng(), 0.02
-        out = rng.standard_normal(shape) * std
+        try:
+            out = rng.standard_normal(shape) * std
+        except ValueError as e:  # numpy's "array is too big": beyond the address space
+            raise MemoryError(f"cannot allocate a parameter of shape {tuple(shape)}: {e}") from e
         lim = 2.0 * std
         bad = np.abs(out) > lim
         while bad.any():

@@ -39,13 +39,13 @@ def test_c01_topology_oracle_exact_and_fast():
     t0 = time.time()
     mismatches = 0
     total = 0
-    for mode in ("sparx", "dgc", "dsn"):
+    for mode in Mode:
         for depth in range(1, 13):
             for stride in range(1, 5):
                 for window in range(1, 5):
                     total += 1
-                    plan = plan_stage(StageTopologyConfig(depth, stride, window, Mode(mode)))
-                    if plan_as_tuples(plan) != oracle_stage_plan(depth, stride, window, mode):
+                    plan = plan_stage(StageTopologyConfig(depth, stride, window, mode))
+                    if plan_as_tuples(plan) != oracle_stage_plan(depth, stride, window, mode.value):
                         mismatches += 1
     elapsed = time.time() - t0
     report(1, "topology oracle sweep", mismatches == 0 and elapsed < 1.0,

@@ -7,6 +7,7 @@ import pytest
 from conftest import traced_peak
 
 from sparx import backbone, blocks, nd
+from sparx.blocks import MIXERS
 from sparx.backbone import (build, count_flops, forward, forward_bound, make_toy_dataset,
                             memory_report, train_toy)
 from sparx.config import ConfigError, ModelConfig, get_variant
@@ -109,7 +110,7 @@ class TestForward:
             sides.setdefault(c.stage, c.data.shape[1] * c.data.shape[2])
         assert sides == {1: 3136, 2: 784, 3: 196, 4: 49}
 
-    @pytest.mark.parametrize("mixer", ["ss2d", "ssm", "bissm", "window_attn"])
+    @pytest.mark.parametrize("mixer", MIXERS)
     def test_every_mixer_runs_end_to_end(self, mixer):
         cfg = get_variant("tiny-reduced", mixer=mixer)
         model = build(cfg, 0)

@@ -344,6 +344,16 @@ class TestNumericInputs:
         assert err.startswith("runtime error: non-finite values produced by op ")
         assert err.count("\n") == 1
 
+    def test_impossible_parameter_shape_prints_one_runtime_error_line(self, tmp_path, capsys):
+        # a head of 10**18 classes is beyond the address space: it fails when its weight is drawn
+        raw = {"name": "x", "channels": [8, 16, 24, 32], "blocks": [1, 1, 3, 1], "stride": 2,
+               "window": 3, "input_size": 32, "num_classes": 10**18, "head_dim": 4, "window_size": 4}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert run(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: cannot allocate") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("argv", [
         ["capture", "--variant", "tiny-reduced", "--images", "100000000000"],
         ["forward", "--variant", "tiny-reduced", "--input", "3200000000"]])

@@ -183,6 +183,33 @@ class TestConvOps:
         y, peak = traced_peak(call)
         assert peak <= y.data.nbytes + 1.25 * nd._BLOCK * 4, (peak - y.data.nbytes) / (nd._BLOCK * 4)
 
+    @pytest.mark.parametrize("op", ["dwconv", "window_reduce"])
+    @pytest.mark.parametrize("C,budget", [(37, 200), (5, 1), (6, 1 << 20)], ids=["37-channels", "one-each", "one-block"])
+    def test_channel_blocks_cover_the_channels_within_the_block_budget(self, op, C, budget, monkeypatch):
+        # the forward pass and the weight gradient each build their patch columns block by block: the
+        # blocks cover the channels in order, hold at most _BLOCK elements (one channel at least), and
+        # differ by one channel at most, the longer first
+        rng = np.random.default_rng(18)
+        tape = Tape()
+        x, w = tape.leaf(rng.standard_normal((C, 4, 4))), tape.leaf(rng.standard_normal((C, 2, 2)))
+        sizes, real = [], nd._im2col
+
+        def spy(xd, *rest):
+            cols = real(xd, *rest)
+            sizes.append((len(xd), cols.size))
+            return cols
+
+        monkeypatch.setattr(nd, "_BLOCK", budget)
+        monkeypatch.setattr(nd, "_im2col", spy)
+        y = dwconv(x, w, pad=((0, 1), (1, 0))) if op == "dwconv" else window_reduce(x, w)
+        forward = len(sizes)
+        backward(tape, sum_all(y))
+        for one_pass in (sizes[:forward], sizes[forward:]):
+            channels = [n for n, _ in one_pass]
+            assert sum(channels) == C and channels == sorted(channels, reverse=True), channels
+            assert channels[0] - channels[-1] <= 1 and all(n == 1 or size <= budget for n, size in one_pass)
+        assert len(sizes) > forward
+
     @pytest.mark.parametrize("call", [
         lambda: window_reduce(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 0, 0)))),
         lambda: window_reduce(Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 2, 2)))),
@@ -684,16 +711,16 @@ class TestScanSemantics:
             return real(h0, dl, *rest)
 
         monkeypatch.setattr(nd, "_scan_states", spy)
-        # at most 10 steps: 26 chunks; a tiny@224 stage-3 ss2d call at the real budget: at most 25 steps,
-        # 8 chunks; a budget below one step: one step a chunk; a sequence within the budget: one chunk
-        for k, S, C, T, budget, expect in ((1, 2, 3, 259, 60, [9] + [10] * 25),
-                                           (4, 4, 320, 196, nd._SCAN_ELEMS, [24, 25] * 4),
-                                           (2, 1, 1, 5, 1, [1] * 5), (1, 1, 1, 7, 100, [7])):
+        # at most 10 steps: 26 chunks; a budget below one step: one step a chunk; a sequence within the
+        # budget: one chunk; a tiny@224 stage-3 ss2d call runs the ``pieces`` of its steps at the real budget
+        for k, S, C, T, budget, expect in ((1, 2, 3, 259, 60, [10] * 25 + [9]), (2, 1, 1, 5, 1, [1] * 5),
+                                           (1, 1, 1, 7, 100, [7]), (4, 4, 320, 196, nd._SCAN_ELEMS, None)):
             monkeypatch.setattr(nd, "_SCAN_ELEMS", budget)
             lengths.clear()
             arrays, order = self._random_scan(rng, k, C, S, T, np.float32)
             selective_scan(*(Tensor(a) for a in arrays), order)
-            assert sorted(lengths) == sorted(expect), (k, S, C, T, lengths)
+            expect = expect or [len(range(T)[p]) for p in nd.pieces(T, k * S * C, budget)]
+            assert lengths == expect, (k, S, C, T, lengths)
 
     def test_kernel_never_writes_its_inputs(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -1071,6 +1098,27 @@ class TestKernelProperties:
         g = backward(tape, sum_all(y))[leaves[1].node].data.reshape(-1)
         assert np.allclose(y.data.reshape(-1), delta, rtol=4 * eps, atol=4 * eps)
         assert np.allclose(g, sig, rtol=4 * eps, atol=4 * eps)
+
+
+class TestPieces:
+    @example(n=0, each=3, budget=10)  # nothing to cut: no piece
+    @example(n=7, each=5, budget=4)  # a unit above the budget: one unit a piece
+    @example(n=259, each=6, budget=60)  # 26 pieces, the first 25 of 10 units
+    @given(n=st.integers(0, 300), each=st.integers(1, 50), budget=st.integers(0, 3000))
+    def test_fewest_near_equal_pieces_within_the_budget(self, n, each, budget):
+        got = nd.pieces(n, each, budget)
+        lengths = [len(range(n)[p]) for p in got]
+        # the pieces cover [0, n) in order, one unit at least each
+        assert [i for p in got for i in range(n)[p]] == list(range(n))
+        assert all(length >= 1 for length in lengths)
+        # within the budget whenever one unit fits it
+        fit = budget // each
+        if fit:
+            assert all(length <= fit for length in lengths), lengths
+        # the fewest: one piece less could not hold the n units
+        assert len(got) == 0 or (len(got) - 1) * max(1, fit) < n
+        # near-equal, the longer first
+        assert lengths == sorted(lengths, reverse=True) and (not lengths or lengths[0] - lengths[-1] <= 1)
 
 
 def test_every_public_nd_function_is_used_outside_nd():

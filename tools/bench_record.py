@@ -190,11 +190,11 @@ import json, os, sys, tracemalloc
 checkout, seed = sys.argv[1], int(sys.argv[2])
 sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
 import workloads
-from sparx import backbone, config, nd, params
+from sparx import backbone, config, nd, params, topology
 
 img = workloads.seeded_image(seed, "seeded", 224)
 rows = []
-for mixer, mode in [("window_attn", m) for m in ("plain", "sparx", "dgc", "dsn")] + [("ss2d", "sparx")]:
+for mixer, mode in [("window_attn", m.value) for m in topology.Mode] + [("ss2d", "sparx")]:
     model = backbone.build(config.get_variant("tiny", mixer=mixer, topology_mode=mode), workloads.MODEL_SEED)
     tracemalloc.start()
     tape = nd.Tape()
