@@ -190,46 +190,51 @@ def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
 
 # Elements per row band (``row_bands``) of the widest intermediate a banded computation makes (the
 # ConvFFN's hidden map, window attention's q/k/v, the stem's patch matrix): one stage-1 `tiny`@224 map,
-# 96 x 56 x 56. At `tiny`@224 the stage-1 ConvFFN runs in four bands of 14 rows and the stage-2 one in
-# two, window attention's stage 1 in 2/2/2/2 and stage 2 in 2/2 window rows, and the stem in
-# 12/11/11/11/11 rows; later stages and every `tiny-reduced` map run in one band.
+# 96 x 56 x 56. At `tiny`@224 the stage-1 ConvFFN runs in bands of 12/11/11/11/11 rows and the stage-2
+# one in 10/9/9 (each with its halo rows within the budget), window attention's stage 1 in 2/2/2/2 and
+# stage 2 in 2/2 window rows, and the stem in 12/11/11/11/11 rows; later stages and every `tiny-reduced`
+# map run in one band.
 _BAND_ELEMS = 96 * 56 * 56
 
 
-def row_bands(C: int, H: int, W: int, width: int) -> list[tuple[int, int]]:
+def row_bands(C: int, H: int, W: int, width: int, halo: int = 0) -> list[tuple[int, int]]:
     """Row ranges [r0, r1) of the bands an H x W output map of C channels runs in, top to bottom.
 
-    The bands are ``nd.pieces(H, W * width, _BAND_ELEMS)``, ``width`` being the elements the widest
-    intermediate holds per output token. A band's cells are computed as on the whole map, so the joined
-    bands equal the one-band result up to the order in which BLAS sums a product. numpy sends a product
-    with one output channel, or with one token, through a matrix-vector kernel that sums by a token's
-    column, so a one-channel map (C is the fewest output channels of the banded products) and a
-    one-column map are one band. Whether OpenBLAS' matrix kernels then sum every token alike depends on
-    a band's width in tokens and the product's inner size. On `tiny`@224 every banded computation is
-    bit-identical to one band in float32, and in float64 all but one: the stage-1 ConvFFN (784-token
-    bands), window attention (784- and 392-token bands) and the stem keep their bits, while the stage-2
-    ConvFFN's 392-token bands, whose contraction is 768 wide, move float64 results by up to 5e-16
-    relative. Other maps may differ in the last bits of float64.
+    The bands are ``nd.pieces(H, W * width, _BAND_ELEMS - halo * W * width)``, ``width`` being the
+    elements the widest intermediate holds per token and ``halo`` the extra rows it holds per band, so a
+    band's rows and its halo rows fit the budget together. A band's cells are computed as on the whole
+    map, so the joined bands equal the one-band result up to the order in which BLAS sums a product.
+    numpy sends a product with one output channel, or with one token, through a matrix-vector kernel
+    that sums by a token's column, so a one-channel map (C is the fewest output channels of the banded
+    products) and a one-column map are one band. Whether OpenBLAS' matrix kernels then sum every token
+    alike depends on a band's width in tokens and the product's inner size. On `tiny`@224 every banded
+    computation is bit-identical to one band in float32, and in float64 all but one: the stage-1 ConvFFN
+    (672- and 616-token bands), window attention (784- and 392-token bands) and the stem keep their
+    bits, while the stage-2 ConvFFN's 280- and 252-token bands, whose contraction is 768 wide, move the
+    last row of each band by up to 9e-16 relative in float64. Other maps may differ in the last bits of
+    float64.
     """
     if C == 1 or W == 1:
         return [(0, H)]
-    return [(b.start, b.stop) for b in pieces(H, W * width, _BAND_ELEMS)]
+    return [(b.start, b.stop) for b in pieces(H, W * width, _BAND_ELEMS - halo * W * width)]
 
 
 def banded(f, x: Tensor, c_out: int, width: int, strides: tuple[int, ...] = (1,)) -> Tensor:
     """``f(band, *pads)``, a chain of 3x3 convolutions with padding 1 and ``strides``, run over the ``row_bands`` of its output.
 
-    ``c_out`` and ``width`` are ``row_bands``' C and width. Output rows [r0, r1) of a convolution with
-    stride s read its input rows s*r0 - 1 to s*(r1 - 1) + 1. Walking that back from the last
-    convolution to the first, a band slices the rows of ``x`` it needs, and each convolution gets the
-    pad ((top, bottom), (1, 1)) with a zero row only where its map ends, so every cell of every level
-    is computed as on the whole map (bit for bit where ``row_bands`` says so): a band recomputes the
-    halo rows of the levels before the last. One band is ``f(x, 1, ...)``.
+    ``c_out`` and ``width`` are ``row_bands``' C and width. A one-level stride-1 chain (the ConvFFN)
+    makes its widest map on the rows it slices, so its bands leave room for two halo rows; the stem's
+    widest map is its last convolution's patch matrix, which has no halo. Output rows [r0, r1) of a
+    convolution with stride s read its input rows s*r0 - 1 to s*(r1 - 1) + 1. Walking that back from
+    the last convolution to the first, a band slices the rows of ``x`` it needs, and each convolution
+    gets the pad ((top, bottom), (1, 1)) with a zero row only where its map ends, so every cell of
+    every level is computed as on the whole map (bit for bit where ``row_bands`` says so): a band
+    recomputes the halo rows of the levels before the last. One band is ``f(x, 1, ...)``.
     """
     sizes = [x.shape[1:]]
     for s in strides:
         sizes.append(tuple((n - 1) // s + 1 for n in sizes[-1]))
-    bands = row_bands(c_out, *sizes[-1], width)
+    bands = row_bands(c_out, *sizes[-1], width, 2 if strides == (1,) else 0)
     if len(bands) == 1:
         return f(x, *[1] * len(strides))
     outs = []

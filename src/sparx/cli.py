@@ -6,8 +6,11 @@ and ``capture`` (seeded inference, optionally dumping per-layer features),
 ``cka`` (similarity matrix over a feature dump), ``erf`` (effective receptive
 field maps), and ``train-toy`` (synthetic two-class training run).
 
+``main`` makes the output directory, runs the command, which writes its
+artifacts there and returns them with its exit code, and then writes
+``manifest.json``: the command, its arguments and each artifact's sha256.
 Every command is deterministic given its arguments and seed; artifacts are
-re-emitted byte-identically, and run manifests isolate the only
+re-emitted byte-identically, and the manifest isolates the only
 non-deterministic value (wall-clock time) in the ``created_at`` key. Exit
 codes: 0 success, 1 runtime or check failure, 2 configuration error.
 """
@@ -40,18 +43,11 @@ from .verify import run_checks
 CONFIG_ERRORS = (ConfigError, PlanError, TensorFormatError, AnalysisError, nd.ShapeError)
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("SPARX_OUT") or "sparx-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_manifest(out: Path, command: str, args, files: list[Path]):
+def _write_manifest(out: Path, args, files: list[Path]):
     arg_dict = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "func")}
     checksums = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(files)}
     manifest = {
-        "command": command,
+        "command": args.command,
         "args": arg_dict,
         "seed": getattr(args, "seed", None),
         "versions": {
@@ -96,8 +92,7 @@ def _seeded_images(seed: int, count: int, size: int, dtype=np.float32):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_plan(args) -> int:
-    out = _out_dir(args)
+def cmd_plan(args, out: Path) -> tuple[int, list[Path]]:
     files = []
     if args.variant:
         for flag, value in (("--layers", args.layers), ("--stride", args.stride),
@@ -127,12 +122,10 @@ def cmd_plan(args) -> int:
         pd.write_text(to_dot(plan))
         files += [pj, pd]
         print(f"ganglion layers: {list(plan.ganglion_indices)}")
-    _write_manifest(out, "plan", args, files)
-    return 0
+    return 0, files
 
 
-def cmd_stats(args) -> int:
-    out = _out_dir(args)
+def cmd_stats(args, out: Path) -> tuple[int, list[Path]]:
     variants = args.variant.split(",")
     modes = (args.modes if args.modes is not None else "sparx").split(",")
     rows = []
@@ -162,12 +155,10 @@ def cmd_stats(args) -> int:
     print("  ".join(h.ljust(widths[h]) for h in header))
     for r in rows:
         print("  ".join(str(r[h]).ljust(widths[h]) for h in header))
-    _write_manifest(out, "stats", args, [csv_path])
-    return 0
+    return 0, [csv_path]
 
 
-def cmd_verify(args) -> int:
-    out = _out_dir(args)
+def cmd_verify(args, out: Path) -> tuple[int, list[Path]]:
     results = run_checks()
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: measured {r.measured} "
@@ -180,13 +171,11 @@ def cmd_verify(args) -> int:
     }
     rp = out / "verify_report.json"
     rp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "verify", args, [rp])
     print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 1 if failed else 0
+    return (1 if failed else 0), [rp]
 
 
-def cmd_forward(args) -> int:
-    out = _out_dir(args)
+def cmd_forward(args, out: Path) -> tuple[int, list[Path]]:
     cfg = _resolve_config(args)
     model = build(cfg, args.seed)
     img = _seeded_images(args.seed, 1, cfg.input_size)[0]
@@ -194,12 +183,10 @@ def cmd_forward(args) -> int:
     lp = out / "logits.spxt"
     write_tensor(lp, logits)
     print("logits:", np.array2string(logits, precision=6))
-    _write_manifest(out, "forward", args, [lp])
-    return 0
+    return 0, [lp]
 
 
-def cmd_capture(args) -> int:
-    out = _out_dir(args)
+def cmd_capture(args, out: Path) -> tuple[int, list[Path]]:
     cfg = _resolve_config(args)
     model = build(cfg, args.seed)
     images = _seeded_images(args.seed, args.images, cfg.input_size)
@@ -225,12 +212,10 @@ def cmd_capture(args) -> int:
     cm.write_text(json.dumps({"layers": records, "images": args.images}, indent=2, sort_keys=True) + "\n")
     files.append(cm)
     print(f"captured {len(records)} layers x {args.images} images")
-    _write_manifest(out, "capture", args, files)
-    return 0
+    return 0, files
 
 
-def cmd_cka(args) -> int:
-    out = _out_dir(args)
+def cmd_cka(args, out: Path) -> tuple[int, list[Path]]:
     dump = Path(args.dump_dir)
     manifest_path = dump / "capture_manifest.json"
     if manifest_path.exists():
@@ -250,12 +235,10 @@ def cmd_cka(args) -> int:
     cp.write_text(cka_matrix_csv(matrix, labels))
     print(f"cka matrix {matrix.shape[0]}x{matrix.shape[0]}; "
           f"mean off-diagonal {float((matrix.sum() - len(labels)) / max(1, len(labels)**2 - len(labels))):.4f}")
-    _write_manifest(out, "cka", args, [cp])
-    return 0
+    return 0, [cp]
 
 
-def cmd_erf(args) -> int:
-    out = _out_dir(args)
+def cmd_erf(args, out: Path) -> tuple[int, list[Path]]:
     if not args.config and not args.variant:
         args.variant = "tiny-reduced"
     cfg = _resolve_config(args)
@@ -266,12 +249,10 @@ def cmd_erf(args) -> int:
     write_tensor(ep, emap.values)
     pp.write_text(emap.to_pgm())
     print(f"erf stage {args.stage}: support {int(emap.support().sum())} cells, argmax {emap.argmax}")
-    _write_manifest(out, "erf", args, [ep, pp])
-    return 0
+    return 0, [ep, pp]
 
 
-def cmd_train_toy(args) -> int:
-    out = _out_dir(args)
+def cmd_train_toy(args, out: Path) -> tuple[int, list[Path]]:
     cfg = get_variant(args.variant)
     result = train_toy(cfg, steps=args.steps, lr=args.lr, seed=args.seed,
                        batch_size=args.batch, target_acc=args.target_acc)
@@ -283,8 +264,7 @@ def cmd_train_toy(args) -> int:
     rp = out / "result.json"
     rp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"train-toy: accuracy {result.accuracy:.3f} after {result.steps_run} steps")
-    _write_manifest(out, "train-toy", args, [lp, rp])
-    return 0
+    return 0, [lp, rp]
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +347,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        out = Path(args.out or os.environ.get("SPARX_OUT") or "sparx-out")
+        out.mkdir(parents=True, exist_ok=True)
         # Overflow shows as the op's NumericError, not as numpy RuntimeWarnings.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            code, files = args.func(args, out)
+        _write_manifest(out, args, files)
+        return code
     except CONFIG_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ per the placement and wiring rules, sharing no code with the planner. The
 dense-attention oracle recomputes multi-head attention directly in numpy;
 the depthwise-convolution and selective-scan oracles are plain loops.
 ``grad_check`` compares tape gradients with central differences over arrays
-or parameter structures. ``run_checks`` executes every registered invariant
-and returns structured results.
+or parameter structures. ``CHECKS`` holds every ``check_*`` function in the
+order they are defined; ``run_checks`` runs them and returns structured results.
 """
 
 from __future__ import annotations
@@ -658,47 +658,6 @@ def check_erf_footprints():
                    "9 and 25 cells")
 
 
-CHECKS = [
-    check_topology_oracle,
-    check_worked_example,
-    check_window_locality,
-    check_window_monotonicity,
-    check_stride_monotonicity,
-    check_reachability,
-    check_cache_ordering,
-    check_cost_model_agreement,
-    check_concat_split,
-    check_softmax_rowsum,
-    check_softmax_shift,
-    check_layernorm_moments,
-    check_dwconv_independence,
-    check_scan_causality,
-    check_scan_recurrence,
-    check_ss2d_equivariance,
-    check_window_attn_oracle,
-    check_grad_dpe,
-    check_grad_convffn,
-    check_grad_scan,
-    check_grad_ss2d,
-    check_grad_bissm,
-    check_grad_window_attn,
-    check_grad_dmca,
-    check_grad_vss_block,
-    check_grad_reduced_model,
-    check_dmca_shape_independence,
-    check_dmca_rowsum,
-    check_dmca_zero_sources,
-    check_dmca_param_formula,
-    check_accounting_bands,
-    check_flops_resolution,
-    check_build_determinism,
-    check_forward_determinism,
-    check_memory_ordering,
-    check_mixer_interchangeability,
-    check_cka_identities,
-    check_erf_footprints,
-]
-
 def run_checks() -> list[CheckResult]:
     """Run every registered check; failures never abort the suite early."""
     results = []
@@ -709,3 +668,6 @@ def run_checks() -> list[CheckResult]:
             results.append(_result(fn.__name__.removeprefix("check_"), False,
                                    f"exception: {type(e).__name__}: {e}", "no exception"))
     return results
+
+
+CHECKS = [fn for name, fn in list(globals().items()) if name.startswith("check_")]

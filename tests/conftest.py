@@ -19,12 +19,12 @@ settings.load_profile("sparx")
 
 @pytest.fixture(scope="session")
 def verify_run(tmp_path_factory):
-    """(exit code, parsed verify_report.json) of one `sparx verify` run."""
+    """(exit code, parsed verify_report.json, output directory) of one `sparx verify` run."""
     from sparx.cli import main
 
     out = tmp_path_factory.mktemp("verify")
     code = main(["verify", "--out", str(out)])
-    return code, json.loads((out / "verify_report.json").read_text())
+    return code, json.loads((out / "verify_report.json").read_text()), out
 
 
 def traced_peak(fn):

@@ -395,24 +395,26 @@ def attention_params(C, ws, heads, shifted, dtype, seed):
 
 
 class TestRowBands:
-    @example(C=96, H=56, W=56, width=384, budget=96 * 56 * 56)  # a tiny@224 stage-1 ConvFFN: 4 bands of 14
-    @example(C=4, H=9, W=1, width=8, budget=8)  # one column: one band
+    # a tiny@224 stage-1 ConvFFN, as ``banded`` asks: 12/11/11/11/11 rows, each with its two halo rows within
+    @example(C=96, H=56, W=56, width=384, halo=2, budget=96 * 56 * 56)
+    @example(C=4, H=9, W=1, width=8, halo=0, budget=8)  # one column: one band
     @given(C=st.integers(1, 4), H=st.integers(1, 40), W=st.integers(1, 40), width=st.integers(1, 64),
-           budget=st.integers(1, 20000))
-    def test_fewest_near_equal_bands_within_the_budget(self, C, H, W, width, budget):
+           halo=st.sampled_from([0, 2]), budget=st.integers(1, 20000))
+    def test_fewest_near_equal_bands_within_the_budget(self, C, H, W, width, halo, budget):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(blocks, "_BAND_ELEMS", budget)
-            bands = blocks.row_bands(C, H, W, width)
+            bands = blocks.row_bands(C, H, W, width, halo)
         heights = [r1 - r0 for r0, r1 in bands]
         # the bands cover the rows in order, one row at least each
         assert [r for r0, r1 in bands for r in range(r0, r1)] == list(range(H)) and min(heights) >= 1
         if C == 1 or W == 1:  # products BLAS runs as matrix-vector: one band
             assert bands == [(0, H)]
             return
-        # each band's widest intermediate fits the budget whenever one row does, and one band less could not
-        rows = budget // (W * width)
-        if rows:
-            assert max(heights) * W * width <= budget
+        # each band's widest intermediate, halo rows included, fits the budget whenever one row and the
+        # halo do, and one band less could not
+        rows = budget // (W * width) - halo
+        if rows > 0:
+            assert (max(heights) + halo) * W * width <= budget
         assert (len(bands) - 1) * max(1, rows) < H
         # heights differ by one at most, the taller first
         assert heights == sorted(heights, reverse=True) and heights[0] - heights[-1] <= 1
@@ -535,7 +537,7 @@ class TestConvFfnBands:
     """A map whose hidden map has more than ``_BAND_ELEMS`` elements runs in row bands with one halo row a side."""
 
     @example(C=2, H=5, W=3, band=3, dtype=np.float32, seed=0)    # five 1-row bands
-    @example(C=3, H=7, W=4, band=10, dtype=np.float64, seed=0)   # 7 rows in bands of 2/2/2/1
+    @example(C=3, H=7, W=4, band=20, dtype=np.float64, seed=0)   # a 5-row budget: 7 rows in bands of 3/2/2
     @given(C=st.integers(1, 3), H=st.integers(1, 9), W=st.integers(1, 6), band=st.integers(1, 24),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
     def test_bands_equal_the_one_band_graph_bitwise(self, C, H, W, band, dtype, seed):
@@ -547,7 +549,7 @@ class TestConvFfnBands:
             mp.setattr(blocks, "_BAND_ELEMS", band * 2 * C)  # bands of ``band`` tokens of the 2C-wide hidden map
             tape = Tape()
             banded = convffn_forward(tape.leaf(x.data), p)
-            bands = blocks.row_bands(C, H, W, 2 * C)
+            bands = blocks.row_bands(C, H, W, 2 * C, 2)
         assert banded.dtype == dtype and np.array_equal(banded.data, whole)
         # each band reads its rows plus one halo row on each side that lies inside the map
         halo = [r1 - r0 + (r0 > 0) + (r1 < H) for r0, r1 in bands]
@@ -557,7 +559,7 @@ class TestConvFfnBands:
     def test_multi_band_gradients_match_finite_differences(self, shape, band, monkeypatch):
         C, H, W = shape
         monkeypatch.setattr(blocks, "_BAND_ELEMS", band * 2 * C)
-        assert len(blocks.row_bands(C, H, W, 2 * C)) > 1
+        assert len(blocks.row_bands(C, H, W, 2 * C, 2)) > 1
         rng = np.random.default_rng(23)
         x, probe = rng.standard_normal(shape), Tensor(rng.standard_normal(shape))
         p = init_convffn(Initializer(23, dtype=np.float64), C, 2)
@@ -565,11 +567,21 @@ class TestConvFfnBands:
                                                              nd.reshape(probe, (x.size,)))), [x, p])
         assert err <= 1e-8
 
-    def test_stage_one_working_memory_stays_within_three_and_a_half_maps(self):
+    @pytest.mark.parametrize("C,side", [(96, 56), (192, 28)], ids=["stage1", "stage2"])
+    def test_tiny_224_hidden_maps_fit_the_band_budget(self, C, side):
+        # each band expands its rows and its halo rows, and every expanded map fits the budget
+        tape = Tape()
+        p = bind(init_convffn(Initializer(25), C, 4), tape)
+        x = tape.leaf(np.random.default_rng(25).standard_normal((C, side, side)).astype(np.float32))
+        convffn_forward(x, p)
+        hidden = [node.shape for node in tape.nodes if node.op == "matmul" and node.shape[0] == 4 * C]
+        assert len(hidden) > 1 and max(math.prod(s) for s in hidden) <= blocks._BAND_ELEMS, hidden
+
+    def test_stage_one_working_memory_stays_within_three_point_one_maps(self):
         # a tiny@224 stage-1 ConvFFN (ratio 4): one band's hidden maps live at a time, not two full ones;
-        # four bands measure 3.53 maps, the three bands of 19/19/18 rows of a 1120-token budget 4.10
+        # five bands of 12/11/11/11/11 rows measure 2.92 maps, four of 14 rows 3.35
         p = bind(init_convffn(Initializer(24), 96, 4))
         x = Tensor(np.random.default_rng(24).standard_normal((96, 56, 56)).astype(np.float32))
-        assert len(blocks.row_bands(96, 56, 56, 384)) > 1
+        assert len(blocks.row_bands(96, 56, 56, 384, 2)) > 1
         _, peak = traced_peak(lambda: convffn_forward(x, p))
-        assert peak <= 3.6 * x.data.nbytes, peak / x.data.nbytes
+        assert peak <= 3.1 * x.data.nbytes, peak / x.data.nbytes

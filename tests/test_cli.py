@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism, manifests."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -106,20 +107,22 @@ def check_raising():
 
 class TestVerifyCommand:
     def test_fresh_checkout_passes_and_reports_enough_checks(self, verify_run):
-        code, report = verify_run
+        code, report, _ = verify_run
         failing = [f"{c['name']}: measured {c['measured']} (tolerance {c['tolerance']})"
                    for c in report["checks"] if not c["passed"]]
         assert code == 0 and report["failed"] == 0, "; ".join(failing)
         assert report["total"] >= 20
         assert all(set(c) >= {"name", "passed", "measured", "tolerance"}
                    for c in report["checks"])
+        names = [c["name"] for c in report["checks"]]
+        assert len(set(names)) == len(names), names
 
     # One test id per registered invariant, read from the shared run: a failing
     # check is reported under its own name without running the registry twice.
     @pytest.mark.parametrize("index", range(len(verify.CHECKS)),
                              ids=[fn.__name__ for fn in verify.CHECKS])
     def test_registered_check_passes(self, index, verify_run):
-        _, report = verify_run
+        _, report, _ = verify_run
         assert report["total"] == len(verify.CHECKS)
         c = report["checks"][index]
         assert c["passed"], f"{c['name']}: measured {c['measured']} (tolerance {c['tolerance']})"
@@ -250,15 +253,36 @@ class TestErfAndTraining:
         assert losses[0] == "step,loss" and len(losses) == 4
 
 
+# Cheap arguments for each subcommand but verify, whose manifest the shared run provides; cka reads
+# the two-image capture made in the DUMP directory.
+_CHEAP_ARGV = {
+    "plan": ["--layers", "4"],
+    "stats": ["--variant", "tiny-reduced"],
+    "forward": ["--variant", "tiny-reduced"],
+    "capture": ["--variant", "tiny-reduced", "--images", "2"],
+    "cka": ["--dump-dir", "DUMP"],
+    "erf": ["--variant", "tiny-reduced", "--stage", "2", "--images", "2"],
+    "train-toy": ["--steps", "2"],
+}
+
+
 class TestManifests:
-    def test_manifest_checksums_cover_artifacts(self, tmp_path):
-        out = tmp_path / "m"
-        run(["forward", "--variant", "tiny-reduced", "--out", str(out)])
+    @pytest.mark.parametrize("command", ["verify", *_CHEAP_ARGV])
+    def test_manifest_names_the_command_and_checksums_every_artifact(self, command, tmp_path, request):
+        if command == "verify":
+            out = request.getfixturevalue("verify_run")[2]
+        else:
+            dump, out = tmp_path / "dump", tmp_path / "out"
+            if command == "cka":
+                assert run(["capture", *_CHEAP_ARGV["capture"], "--out", str(dump)]) == 0
+            argv = [str(dump) if a == "DUMP" else a for a in _CHEAP_ARGV[command]]
+            assert run([command, *argv, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "logits.spxt" in manifest["checksums"]
-        assert manifest["command"] == "forward"
-        assert "created_at" in manifest
-        assert manifest["versions"]["numpy"]
+        assert manifest["command"] == command
+        artifacts = sorted(f for f in out.iterdir() if f.name != "manifest.json")
+        assert manifest["checksums"] == {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in artifacts}
+        assert not {"out", "func"} & set(manifest["args"])
+        assert "created_at" in manifest and manifest["versions"]["numpy"]
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

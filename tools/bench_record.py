@@ -1,10 +1,13 @@
 """Append benchmark records to BENCH_forward.json: end-to-end runs, per-mode peak holders, training peaks.
 
-    python3 tools/bench_record.py runs --workloads infer-attn-modes infer-ss2d --seeds 1 2 3 \\
-        --seconds 10 --checkout parent=../sparx-parent --checkout change=.
-    python3 tools/bench_record.py holders --workloads infer-attn-modes --checkout change=.
+    python3 tools/bench_record.py runs --seeds 1 2 3 --seconds 10 \\
+        --checkout parent=../sparx-parent --checkout change=.
+    python3 tools/bench_record.py holders --workloads WORKLOAD --checkout change=.
     python3 tools/bench_record.py train-peaks --checkout parent=../sparx-parent --checkout change=.
     python3 tools/bench_record.py summary
+
+``--workloads`` defaults to every workload BENCHMARK.json declares, and the
+end-to-end metrics and their directions are read from it too.
 
 ``runs`` runs ``perfbench/run.py --trace 0`` in each checkout for every
 workload and seed and appends one record per run: the label, the checkout's
@@ -49,8 +52,6 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(ROOT, "BENCH_forward.json")
 BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-LOWER_IS_BETTER = {"latency_ms_p50": True, "latency_ms_tail": True, "images_per_s": False,
-                   "peak_bytes": True, "setup_s": True}
 
 
 def load(path: str) -> dict:
@@ -110,8 +111,8 @@ def cmd_runs(args, doc):
                                        **out})
                 save(args.out, doc)
                 m = out["result"]["metrics"]
-                print(f"{workload} seed {seed} {label}: p50 {m['latency_ms_p50']['value']:.1f} ms, "
-                      f"peak {m['peak_bytes']['value']:.0f} B, correct {out['result']['correct']}", flush=True)
+                shown = ", ".join(f"{k} {m[k]['value']:.6g}" for k in args.lower_is_better)
+                print(f"{workload} seed {seed} {label}: {shown}, correct {out['result']['correct']}", flush=True)
 
 
 HOLDER_SCRIPT = r"""
@@ -167,15 +168,20 @@ print(json.dumps(rows))
 """
 
 
+def run_script(script: str, checkout: str, *argv) -> list:
+    """The last-line JSON of ``script`` run on one BLAS thread with the checkout and ``argv`` as arguments."""
+    proc = subprocess.run([sys.executable, "-c", script, os.path.abspath(checkout), *map(str, argv)],
+                          capture_output=True, text=True, env=dict(os.environ, **BLAS_ONE_THREAD))
+    if proc.returncode != 0:
+        raise SystemExit(f"embedded script ({' '.join(map(str, argv))}) in {checkout} failed: "
+                         f"{proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def cmd_holders(args, doc):
     for label, checkout in args.checkout:
         for workload in args.workloads:
-            env = dict(os.environ, **BLAS_ONE_THREAD)
-            proc = subprocess.run([sys.executable, "-c", HOLDER_SCRIPT, os.path.abspath(checkout), workload,
-                                   str(args.seeds[0])], capture_output=True, text=True, env=env)
-            if proc.returncode != 0:
-                raise SystemExit(f"holders {workload} in {checkout} failed: {proc.stderr.strip()[-500:]}")
-            rows = json.loads(proc.stdout.strip().splitlines()[-1])
+            rows = run_script(HOLDER_SCRIPT, checkout, workload, args.seeds[0])
             doc["records"].append({"kind": "holders", "label": label, **identity(checkout), "workload": workload,
                                    "seed": args.seeds[0], "modes": rows})
             save(args.out, doc)
@@ -212,11 +218,7 @@ print(json.dumps(rows))
 
 def cmd_train_peaks(args, doc):
     for label, checkout in args.checkout:
-        proc = subprocess.run([sys.executable, "-c", TRAIN_PEAK_SCRIPT, os.path.abspath(checkout), str(args.seeds[0])],
-                              capture_output=True, text=True, env=dict(os.environ, **BLAS_ONE_THREAD))
-        if proc.returncode != 0:
-            raise SystemExit(f"train-peaks in {checkout} failed: {proc.stderr.strip()[-500:]}")
-        rows = json.loads(proc.stdout.strip().splitlines()[-1])
+        rows = run_script(TRAIN_PEAK_SCRIPT, checkout, args.seeds[0])
         doc["records"].append({"kind": "train-peaks", "label": label, **identity(checkout), "variant": "tiny",
                                "dtype": "float32", "seed": args.seeds[0], "models": rows})
         save(args.out, doc)
@@ -232,17 +234,18 @@ def quartiles(values):
 
 def cmd_summary(args, doc):
     for commit in dict.fromkeys(r["commit"] for r in doc["records"] if r["kind"] == "run"):
-        summarize([r for r in doc["records"] if r["kind"] == "run" and r["commit"] == commit], commit)
+        summarize([r for r in doc["records"] if r["kind"] == "run" and r["commit"] == commit], commit,
+                  args.lower_is_better)
 
 
-def summarize(runs, commit):
+def summarize(runs, commit, lower_is_better):
     labels = list(dict.fromkeys(r["label"] for r in runs))  # in order of first appearance in the file
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         by = {(r["label"], r["seed"]): r["result"]["metrics"] for r in mine}
         seeds = sorted({s for _, s in by if all((lb, s) in by for lb in labels)})
         print(f"{workload} at {(commit or 'no commit')[:7]}: {len(seeds)} pairs of {' / '.join(labels)}")
-        for metric, lower in LOWER_IS_BETTER.items():
+        for metric, lower in lower_is_better.items():
             cols = []
             for lb in labels:
                 q1, med, q3 = quartiles([by[(lb, s)][metric]["value"] for s in seeds])
@@ -265,9 +268,11 @@ def checkout_arg(text: str):
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("command", choices=("runs", "holders", "train-peaks", "summary"))
-    ap.add_argument("--workloads", nargs="+", default=["infer-ss2d", "infer-attn-modes", "train-reduced"])
+    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in benchmark["workloads"]])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--checkout", action="append", type=checkout_arg,
@@ -275,6 +280,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=DEFAULT_OUT)
     args = ap.parse_args(argv)
     args.checkout = args.checkout or [("change", ROOT)]
+    args.lower_is_better = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
     doc = load(args.out)
     {"runs": cmd_runs, "holders": cmd_holders, "train-peaks": cmd_train_peaks,
      "summary": cmd_summary}[args.command](args, doc)
