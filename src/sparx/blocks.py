@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nd import (Tensor, add, concat, dwconv, gather_rows, gelu, matmul, pad_spatial, permute, pieces,
+from .nd import (Tensor, add, checkpoint, concat, dwconv, gather_rows, gelu, matmul, pad_spatial, permute, pieces,
                  reshape, roll2d, scale, selective_scan, slice_axis,
                  softmax_lastdim, split, layernorm_channels, ShapeError)
 from .params import Initializer, stack
@@ -252,12 +252,17 @@ def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     """Expand, 3x3 depthwise, gelu, contract; in row bands when a hidden map exceeds ``_BAND_ELEMS``.
 
     Each band of ``banded`` expands its rows and halo rows. Within a band each hidden map is freed
-    after its last use, so at most two band-sized hidden maps are live at once.
+    after its last use, so at most two band-sized hidden maps are live at once. Each band is one
+    ``nd.checkpoint`` of the band and the six parameters: on a tape it keeps its band input instead
+    of its three hidden maps, and backward re-records one band at a time.
     """
-    def ffn(t, pad):
-        return matmul(p.w2, gelu(dwconv(matmul(p.w1, t, p.b1), p.dw, p.db, pad=pad)), p.b2)
+    def band(t, pad):
+        def ffn(t, w1, b1, dw, db, w2, b2):
+            return matmul(w2, gelu(dwconv(matmul(w1, t, b1), dw, db, pad=pad)), b2)
 
-    return banded(ffn, x, x.shape[0], p.w1.shape[0])
+        return checkpoint(ffn, t, p.w1, p.b1, p.dw, p.db, p.w2, p.b2)
+
+    return banded(band, x, x.shape[0], p.w1.shape[0])
 
 
 @lru_cache(maxsize=32)

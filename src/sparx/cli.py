@@ -344,10 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    made = []  # the directories this run creates, innermost first
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         out = Path(args.out or os.environ.get("SPARX_OUT") or "sparx-out")
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         # Overflow shows as the op's NumericError, not as numpy RuntimeWarnings.
         with np.errstate(all="ignore"):
@@ -355,6 +357,10 @@ def main(argv=None) -> int:
         _write_manifest(out, args, files)
         return code
     except CONFIG_ERRORS as e:
+        for d in made:  # a rejected configuration leaves no empty directory behind
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (nd.NumericError, nd.TapeError, OSError, MemoryError) as e:

@@ -11,7 +11,8 @@ several tensor inputs requires one dtype for all of them, and every op that
 computes values checks its output for NaN/Inf, so non-finite values surface
 as errors at the op that produced them instead of propagating silently. Ops
 that only move values (reshape, permute, slice, concat, pad, roll) cannot
-produce one and are not scanned. The check tests ``isfinite`` one block of
+produce one and are not scanned, nor is a ``checkpoint``'s output, which its
+function's ops have checked. The check tests ``isfinite`` one block of
 ``_CHECK_BLOCK`` elements at a time, so it stays exact and its mask is never
 larger than one block. Apart from layernorm, no op keeps output-sized
 scratch either: softmax works in its output buffer, gelu and the scan's
@@ -153,9 +154,9 @@ def _wrap(data, tape=None, node=None):
     return t
 
 
-# Ops that only carry input values to new positions (or add zeros); they cannot
-# make a value non-finite, so their outputs are not scanned.
-_DATA_MOVEMENT = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d"})
+# Ops whose outputs are not scanned: those that only carry input values to new positions (or add
+# zeros), which cannot make a value non-finite, and a checkpoint, whose function's ops scanned theirs.
+_UNSCANNED = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d", "checkpoint"})
 # Elements per cache-sized block: the float32 gelu's scratch and output
 # blocks, and the patch columns of one channel block of dwconv and
 # window_reduce (the ``pieces`` of the channels), stay in cache across their passes.
@@ -179,6 +180,8 @@ def pieces(n, each, budget):
 
 def _all_finite(out):
     """No NaN or Inf anywhere in ``out``, tested one block at a time: each block's mask is freed before the next."""
+    if out.size <= _CHECK_BLOCK:  # one block: one call, without the per-block slicing
+        return np.isfinite(out).all()
     flat = out.reshape(-1)
     for b0 in range(0, flat.size, _CHECK_BLOCK):
         if not np.isfinite(flat[b0:b0 + _CHECK_BLOCK]).all():
@@ -190,7 +193,7 @@ def _apply(op, out, inputs, vjp):
     """Finalize an op: finiteness check, tape wiring, output wrapping."""
     if not (out.flags["C_CONTIGUOUS"] if isinstance(out, np.ndarray) else False):
         out = np.asarray(out, order="C")
-    if op not in _DATA_MOVEMENT and not _all_finite(out):
+    if op not in _UNSCANNED and not _all_finite(out):
         raise NumericError(f"non-finite values produced by op '{op}'")
     tape = None
     for t in inputs:
@@ -946,21 +949,38 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
 # differentiation
 # ---------------------------------------------------------------------------
 
-def backward(tape, loss):
-    """Reverse sweep from a scalar loss; returns {leaf node id: grad Tensor}.
+def checkpoint(f, *inputs):
+    """``f(*inputs)`` as one recompute boundary: on a tape, one node that keeps only its inputs.
 
-    Every leaf registered on the tape appears in the result; leaves the loss
-    does not reach map to zero tensors of the leaf's shape. Each node's vjp
-    is dropped once it has run, and with it the arrays it kept, so a later
-    sweep through that node raises ``TapeError``; sweeps from losses over
-    disjoint nodes of one tape still work.
+    ``f`` maps Tensors to one Tensor. With no taped input the call is exactly ``f(*inputs)``.
+    Otherwise ``f`` runs once without recording, and the node's vjp runs it again on a fresh
+    sub-tape, whose leaves are the taped inputs, and sweeps that sub-tape from the incoming
+    cotangent: backward holds one boundary's intermediates at a time, and the gradients are the
+    ones ``f`` recorded directly would give wherever ``f`` reads each input once (ops are pure,
+    so the re-run computes the same values). Inputs that are not on the tape stay constants and
+    get no gradient.
     """
-    if not isinstance(loss, Tensor) or loss.tape is not tape or loss.node is None:
-        raise TapeError("backward: loss is not recorded on this tape")
-    if loss.size != 1:
-        raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {loss.node: np.ones(loss.shape, dtype=loss.dtype)}
-    for nid in range(loss.node, -1, -1):
+    if all(t.tape is None for t in inputs):
+        return f(*inputs)
+    out = f(*[_wrap(t.data) for t in inputs])
+
+    def vjp(g):
+        sub = Tape()
+        ins = [t if t.tape is None else sub.leaf(t.data) for t in inputs]
+        y = f(*ins)
+        grads = _sweep(sub, y.node, g) if y.tape is sub else {}
+        return tuple(None if t.tape is None else grads.get(t.node) for t in ins)
+
+    return _apply("checkpoint", out.data, inputs, vjp)
+
+
+def _sweep(tape, start, g):
+    """Run the vjps from node ``start``, whose cotangent is ``g``, down to the first node; returns {node id: grad}.
+
+    Each node's vjp is dropped once it has run, and with it the arrays it kept.
+    """
+    grads: dict[int, np.ndarray] = {start: g}
+    for nid in range(start, -1, -1):
         node = tape.nodes[nid]
         if node.is_leaf:
             continue
@@ -975,6 +995,24 @@ def backward(tape, loss):
                 continue
             acc = grads.get(in_id)
             grads[in_id] = gin if acc is None else acc + gin
+    return grads
+
+
+def backward(tape, loss):
+    """Reverse sweep from a scalar loss; returns {leaf node id: grad Tensor}.
+
+    Every leaf registered on the tape appears in the result; leaves the loss
+    does not reach map to zero tensors of the leaf's shape. Each node's vjp
+    is dropped once it has run, and with it the arrays it kept, so a later
+    sweep through that node raises ``TapeError``; sweeps from losses over
+    disjoint nodes of one tape still work. A ``checkpoint`` node's vjp runs
+    its own sweep over a sub-tape.
+    """
+    if not isinstance(loss, Tensor) or loss.tape is not tape or loss.node is None:
+        raise TapeError("backward: loss is not recorded on this tape")
+    if loss.size != 1:
+        raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    grads = _sweep(tape, loss.node, np.ones(loss.shape, dtype=loss.dtype))
     out = {}
     for nid, node in enumerate(tape.nodes):
         if node.is_leaf:

@@ -104,17 +104,21 @@ class Initializer:
         return np.random.Generator(np.random.Philox(ss))
 
     def trunc_normal(self, shape):
-        """Normal(0, 0.02) truncated to two standard deviations by resampling; MemoryError if numpy cannot hold it."""
+        """Normal(0, 0.02) truncated to two standard deviations by resampling; MemoryError if numpy cannot hold it.
+
+        Each round redraws only the entries still out of range, in index order, and checks only those.
+        """
         rng, std = self._rng(), 0.02
         try:
             out = rng.standard_normal(shape) * std
         except ValueError as e:  # numpy's "array is too big": beyond the address space
             raise MemoryError(f"cannot allocate a parameter of shape {tuple(shape)}: {e}") from e
-        lim = 2.0 * std
-        bad = np.abs(out) > lim
-        while bad.any():
-            out[bad] = rng.standard_normal(int(bad.sum())) * std
-            bad = np.abs(out) > lim
+        lim, flat = 2.0 * std, out.reshape(-1)
+        bad = np.flatnonzero(np.abs(flat) > lim)
+        while bad.size:
+            redrawn = rng.standard_normal(bad.size) * std
+            flat[bad] = redrawn
+            bad = bad[np.abs(redrawn) > lim]
         return out.astype(self.dtype)
 
     def zeros(self, shape):

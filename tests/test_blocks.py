@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 from conftest import traced_peak
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sparx import blocks, nd
 from sparx.blocks import (MIXERS, DpeParams, SsmParams, convffn_forward, dpe_forward, init_convffn,
                           init_ssm, init_vss_block, init_window_attn, scan_forward, scan_orders, shift_mask,
                           vss_block_forward, window_attention_forward)
 from sparx.nd import ShapeError, Tape, Tensor
-from sparx.params import Initializer, astype, bind, iter_arrays, map_arrays, stack
+from sparx.params import Initializer, astype, bind, iter_arrays, map_arrays, pair_leaves, stack
 from sparx.verify import dense_attention_oracle, dwconv_oracle, grad_check, scan_oracle
 
 
@@ -555,6 +555,31 @@ class TestConvFfnBands:
         halo = [r1 - r0 + (r0 > 0) + (r1 < H) for r0, r1 in bands]
         assert [node.shape[1] for node in tape.nodes if node.op == "slice"] == (halo if len(bands) > 1 else [])
 
+    @example(C=2, H=7, W=3, band=6, dtype=np.float32, seed=0)    # three bands of 3/2/2 rows
+    @given(C=st.integers(2, 3), H=st.integers(2, 9), W=st.integers(2, 6), band=st.integers(1, 12),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_band_boundaries_give_the_gradients_of_direct_recording_bitwise(self, C, H, W, band, dtype, seed):
+        # each band is one nd.checkpoint; the reference records the same band function on the tape itself
+        # (a one-channel or one-column map is one band)
+        rng = np.random.default_rng(seed)
+        x, probe = (rng.standard_normal((C, H, W)).astype(dtype) for _ in range(2))
+        arrays = astype(init_convffn(Initializer(seed), C, 2), dtype)
+
+        def output_and_grads():
+            tape = Tape()
+            tx, p = tape.leaf(x), bind(arrays, tape)
+            y = convffn_forward(tx, p)
+            g = nd.backward(tape, nd.sum_all(nd.matmul(nd.reshape(y, (1, y.size)), Tensor(probe.reshape(-1)))))
+            return [y.data, g[tx.node].data] + [g[leaf.node].data for _, leaf in pair_leaves(arrays, p)]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "_BAND_ELEMS", band * 2 * C)
+            assume(len(blocks.row_bands(C, H, W, 2 * C, 2)) > 1)
+            boundary = output_and_grads()
+            mp.setattr(blocks, "checkpoint", lambda f, *ts: f(*ts))
+            direct = output_and_grads()
+        assert all(a.dtype == dtype and a.tobytes() == b.tobytes() for a, b in zip(boundary, direct, strict=True))
+
     @pytest.mark.parametrize("shape,band", [((2, 7, 3), 6), ((2, 5, 4), 6)], ids=["7x3", "5x4"])
     def test_multi_band_gradients_match_finite_differences(self, shape, band, monkeypatch):
         C, H, W = shape
@@ -568,13 +593,19 @@ class TestConvFfnBands:
         assert err <= 1e-8
 
     @pytest.mark.parametrize("C,side", [(96, 56), (192, 28)], ids=["stage1", "stage2"])
-    def test_tiny_224_hidden_maps_fit_the_band_budget(self, C, side):
-        # each band expands its rows and its halo rows, and every expanded map fits the budget
-        tape = Tape()
-        p = bind(init_convffn(Initializer(25), C, 4), tape)
-        x = tape.leaf(np.random.default_rng(25).standard_normal((C, side, side)).astype(np.float32))
-        convffn_forward(x, p)
-        hidden = [node.shape for node in tape.nodes if node.op == "matmul" and node.shape[0] == 4 * C]
+    def test_tiny_224_hidden_maps_fit_the_band_budget(self, C, side, monkeypatch):
+        # each band expands its rows and its halo rows, and every expanded map fits the budget; the
+        # expand outputs are read as each op finishes, since a taped band keeps none of them
+        shapes, apply = [], nd._apply
+
+        def watched(op, out, inputs, vjp):
+            shapes.append((op, out.shape))
+            return apply(op, out, inputs, vjp)
+
+        monkeypatch.setattr(nd, "_apply", watched)
+        p = bind(init_convffn(Initializer(25), C, 4))
+        convffn_forward(Tensor(np.random.default_rng(25).standard_normal((C, side, side)).astype(np.float32)), p)
+        hidden = [shape for op, shape in shapes if op == "matmul" and shape[0] == 4 * C]
         assert len(hidden) > 1 and max(math.prod(s) for s in hidden) <= blocks._BAND_ELEMS, hidden
 
     def test_stage_one_working_memory_stays_within_three_point_one_maps(self):

@@ -55,6 +55,13 @@ class TestPlanCommand:
         err = capsys.readouterr().err
         assert err == "error: --variant or --layers, not both\n"
 
+    def test_config_error_removes_the_directories_it_made_and_no_other(self, tmp_path):
+        made, existing = tmp_path / "new" / "out", tmp_path / "old"
+        existing.mkdir()
+        for out in (made, existing):
+            assert run(["plan", "--variant", "tiny", "--layers", "3", "--out", str(out)]) == 2
+        assert not (tmp_path / "new").exists() and existing.is_dir()
+
     def test_plan_outputs_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["plan", "--variant", "tiny", "--out", str(a)])

@@ -424,6 +424,47 @@ class TestBackward:
         assert np.allclose(grads[logits.node].data, probs, atol=1e-12)
 
 
+class TestCheckpoint:
+    """``nd.checkpoint``: one node that keeps its inputs and re-runs its function on a sub-tape in backward."""
+
+    def test_untaped_call_is_one_plain_call_of_the_function(self):
+        made = []
+
+        def f(*ts):
+            made.append(_expand_gelu(*ts))
+            return made[-1]
+
+        rng = np.random.default_rng(30)
+        out = nd.checkpoint(f, *(Tensor(rng.standard_normal(s)) for s in [(3, 4), (3, 3), (3,)]))
+        assert out is made[0] and len(made) == 1 and out.tape is None
+
+    def test_constant_inputs_get_no_gradient_and_the_taped_ones_match_direct_recording(self):
+        rng = np.random.default_rng(31)
+        x, w, b = (rng.standard_normal(s) for s in [(3, 4), (3, 3), (3,)])
+        probe = Tensor(rng.standard_normal((3, 4)))
+        grads = []
+        for record in (_expand_gelu, lambda *ts: nd.checkpoint(_expand_gelu, *ts)):
+            tape = Tape()
+            tx, tb = tape.leaf(x), tape.leaf(b)
+            y = record(tx, Tensor(w), tb)
+            g = backward(tape, _dot(y, probe))
+            grads.append([g[tx.node].data, g[tb.node].data])
+        assert [n.op for n in tape.nodes if not n.is_leaf] == ["checkpoint", "reshape", "matmul", "sum_all"]
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(*grads))
+        tape = Tape()
+        y = nd.checkpoint(_expand_gelu, tape.leaf(x), Tensor(w), tape.leaf(b))
+        assert tape.nodes[y.node].vjp(probe.data)[1] is None
+
+    def test_second_sweep_through_a_freed_boundary_raises(self):
+        rng = np.random.default_rng(32)
+        tape = Tape()
+        ins = [tape.leaf(rng.standard_normal(s)) for s in [(3, 4), (3, 3), (3,)]]
+        y = nd.checkpoint(_expand_gelu, *ins)
+        backward(tape, sum_all(y))
+        with pytest.raises(TapeError, match="freed"):
+            backward(tape, sum_all(scale(y, 2.0)))
+
+
 def _kept_arrays(vjp):
     """The distinct ndarrays a vjp reaches through its closure cells, nested closures, containers and Tensors."""
     seen, found, todo = set(), {}, [vjp]
@@ -606,7 +647,13 @@ def _op_cases():
         ("conv2d_sides", lambda a, w: _dot(conv2d(a, w, pad=((1, 0), (0, 2))), conv2d(a, w, pad=((1, 0), (0, 2)))),
          [(2, 3, 4), (2, 2, 2, 2)]),
         ("window_reduce", lambda a, w: _dot(window_reduce(a, w), window_reduce(a, w)), [(2, 4, 6), (2, 2, 2)]),
+        ("checkpoint", lambda a, w, b: _dot(nd.checkpoint(_expand_gelu, a, w, b), a), [(3, 4), (3, 3), (3,)]),
     ]
+
+
+def _expand_gelu(x, w, b):
+    """gelu(w @ x + b): a function with a few recorded ops, for the recompute boundary's tests."""
+    return gelu(matmul(w, x, b))
 
 
 class TestEveryOpGradient:

@@ -20,7 +20,9 @@ shared host falls on both sides alike.
 and runs one op per topology mode under tracemalloc. It records the mode's
 peak bytes and the op, with its calling function and output shape (which
 shows the stage), that was running when the peak was reached, and the highest
-op peaks of the next four calling functions.
+op peaks of the next four calling functions. A recorded op's backward step
+is an event of its own, ``vjp:<op>``, with the calling function and output
+shape of the op that recorded it.
 
 ``train-peaks`` runs one taped float32 ``tiny``@224 forward and backward of
 one image per model, window attention in each topology mode and ss2d in
@@ -126,12 +128,19 @@ events = []
 real_apply = nd._apply
 
 def watched_apply(op, out, inputs, vjp):
-    result = real_apply(op, out, inputs, vjp)
     frame = sys._getframe(1)
     while frame.f_globals.get("__name__") == "sparx.nd":
         frame = frame.f_back
-    where = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}:{frame.f_lineno}"
-    events.append((tracemalloc.get_traced_memory()[1], op, where, list(result.shape)))
+    where, shape = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}:{frame.f_lineno}", list(out.shape)
+
+    def watched_vjp(g):  # a backward step is an event too, named after the op that recorded it
+        grads = vjp(g)
+        events.append((tracemalloc.get_traced_memory()[1], "vjp:" + op, where, shape))
+        tracemalloc.reset_peak()
+        return grads
+
+    result = real_apply(op, out, inputs, watched_vjp)
+    events.append((tracemalloc.get_traced_memory()[1], op, where, shape))
     tracemalloc.reset_peak()
     return result
 
