@@ -35,7 +35,7 @@ from .blocks import MIXERS
 from .config import ConfigError, ModelConfig, VARIANT_NAMES, get_variant
 from .dmca import DMCA_MODES
 from .params import count_arrays
-from .tensor_io import TensorFormatError, read_tensor, write_tensor
+from .tensor_io import TensorFormatError, read_regular, read_tensor, write_tensor
 from .topology import (Mode, PlanError, StageTopologyConfig, plan_model, plan_stage,
                        plan_to_json, to_dot)
 from .verify import run_checks
@@ -220,11 +220,11 @@ def cmd_cka(args, out: Path) -> tuple[int, list[Path]]:
     manifest_path = dump / "capture_manifest.json"
     if manifest_path.exists():
         try:
-            names = [r["file"] for r in json.loads(manifest_path.read_text())["layers"]]
+            names = [r["file"] for r in json.loads(read_regular(manifest_path))["layers"]]
         except (ValueError, KeyError, TypeError) as e:
             raise ConfigError(f"malformed {manifest_path}: {type(e).__name__}: {e}") from None
-        if not all(isinstance(n, str) for n in names):
-            raise ConfigError(f"malformed {manifest_path}: every layer record needs a string 'file'")
+        if not all(isinstance(n, str) and n == Path(n).name and n not in ("", "..") for n in names):
+            raise ConfigError(f"malformed {manifest_path}: every layer record needs a 'file' naming a file in {dump}")
     else:
         names = sorted(p.name for p in dump.glob("*.spxt"))
     if not names:

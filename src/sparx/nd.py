@@ -165,6 +165,10 @@ _BLOCK = 1 << 15
 # this many bytes: 1/37 of a stage-1 `tiny`@224 hidden map. Smaller blocks cost
 # more in per-block calls than the check itself on stage-sized maps.
 _CHECK_BLOCK = 1 << 17
+# The one way to watch what runs, None unless a tool or test watches: ``observer(op, out, inputs, node)``
+# after every op (``node`` None when untaped) and ``observer("vjp", grads, (g,), node)`` after every vjp a
+# sweep runs, a checkpoint's untaped first run and its sub-tape included.
+observer = None
 
 
 def pieces(n, each, budget):
@@ -203,9 +207,13 @@ def _apply(op, out, inputs, vjp):
             elif t.tape is not tape:
                 raise TapeError(f"{op}: inputs come from different tapes")
     if tape is None:
-        return _wrap(out)
-    ids = tuple(t.node if t.tape is tape else -1 for t in inputs)
-    return _wrap(out, tape, tape._record(op, ids, vjp, out.shape, out.dtype))
+        y = _wrap(out)
+    else:
+        ids = tuple(t.node if t.tape is tape else -1 for t in inputs)
+        y = _wrap(out, tape, tape._record(op, ids, vjp, out.shape, out.dtype))
+    if observer is not None:
+        observer(op, y, inputs, None if tape is None else tape.nodes[y.node])
+    return y
 
 
 def _unbroadcast(g, shape):
@@ -990,7 +998,10 @@ def _sweep(tape, start, g):
         if node.vjp is None:
             raise TapeError(f"backward: node {nid} ('{node.op}') was freed by an earlier backward sweep")
         vjp, node.vjp = node.vjp, None
-        for in_id, gin in zip(node.inputs, vjp(g)):
+        gins = vjp(g)
+        if observer is not None:
+            observer("vjp", gins, (g,), node)
+        for in_id, gin in zip(node.inputs, gins):
             if in_id < 0 or gin is None:
                 continue
             acc = grads.get(in_id)

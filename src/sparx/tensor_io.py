@@ -9,6 +9,8 @@ no array can have, and payloads whose length does not match the shape.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -62,6 +64,15 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
     return arr.astype(dtype.newbyteorder("="), order="C")
 
 
+def read_regular(path) -> bytes:
+    """The bytes of the regular file ``path``; a FIFO, device or directory is refused without being read."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))  # opening a FIFO does not wait for a writer
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise TensorFormatError(f"{path} is not a regular file")
+    with os.fdopen(fd, "rb") as fh:
+        return fh.read()
+
+
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+    return tensor_from_bytes(read_regular(path))

@@ -4,6 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -235,6 +240,32 @@ class TestForwardCaptureCka:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda d: os.mkfifo(d / "x.spxt"),
+        lambda d: (d / "x.spxt").mkdir(),
+        lambda d: (d / "x.spxt").symlink_to("/dev/zero"),
+        lambda d: os.mkfifo(d / "capture_manifest.json"),
+        lambda d: (d / "capture_manifest.json").write_text('{"layers": [{"file": "/dev/null"}]}'),
+        lambda d: (d / "capture_manifest.json").write_text('{"layers": [{"file": "../x.spxt"}]}'),
+        lambda d: (d / "capture_manifest.json").write_text('{"layers": [{"file": "sub/x.spxt"}]}'),
+    ], ids=["fifo", "directory", "symlink_to_dev_zero", "fifo_manifest", "absolute", "parent", "subdirectory"])
+    def test_cka_reads_only_regular_files_in_the_dump_directory(self, make, tmp_path):
+        # run in a process of its own with a timeout and 2 GiB of address space, so a read that blocks
+        # or never ends fails the test instead of hanging it or filling memory
+        dump = tmp_path / "d"
+        (dump / "sub").mkdir(parents=True)
+        for path in (dump / "a.spxt", tmp_path / "x.spxt", dump / "sub" / "x.spxt"):
+            write_tensor(path, np.ones((2, 3), np.float32))
+        make(dump)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "sparx.cli", "cka", "--dump-dir", str(dump),
+                               "--out", str(tmp_path / "k")], capture_output=True, text=True, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "not a regular file" in proc.stderr or "naming a file in" in proc.stderr, proc.stderr
 
 
 class TestErfAndTraining:

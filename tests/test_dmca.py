@@ -7,7 +7,7 @@ import pytest
 from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
-from sparx import dmca, nd
+from sparx import nd
 from sparx.dmca import (DMCA_MODES, cgca_attention, dmca_forward, dmca_macs, dmca_param_count,
                         group_channels, init_dmca)
 from sparx.nd import ShapeError, Tensor
@@ -285,19 +285,16 @@ class TestMacCount:
     def test_closed_form_matches_counted_calls(self, mode, stride, groups, monkeypatch):
         # every multiply-accumulate of dmca_forward goes through one of these
         # two ops; each counter charges its call from the operand shapes
-        macs = []
+        macs, count = [], {
+            "matmul": lambda a, b, bias=None: math.prod(a.shape) * math.prod(b.shape[a.data.ndim - 1:]),
+            "window_reduce": lambda x, w: x.shape[0] * (x.shape[1] // stride) * (x.shape[2] // stride)
+            * w.shape[1] * w.shape[2]}
 
-        def counting(op, count):
-            def counted(*args, **kwargs):
-                macs.append(count(*args))
-                return op(*args, **kwargs)
-            return counted
+        def watch(op, out, inputs, node):
+            if op in count:
+                macs.append(count[op](*inputs))
 
-        monkeypatch.setattr(dmca, "matmul", counting(
-            nd.matmul, lambda a, b, bias=None: math.prod(a.shape) * math.prod(b.shape[a.data.ndim - 1:])))
-        monkeypatch.setattr(dmca, "window_reduce", counting(
-            nd.window_reduce, lambda x, w: x.shape[0] * (x.shape[1] // stride) * (x.shape[2] // stride)
-            * w.shape[1] * w.shape[2]))
+        monkeypatch.setattr(nd, "observer", watch)
         C, L, H, W = 8, 3, 8, 4
         p = make_params(C, L, stride, mode=mode, groups=groups)
         rng = np.random.default_rng(7)

@@ -13,11 +13,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
 from sparx import blocks, nd
+from sparx.backbone import build, forward_bound
+from sparx.config import get_variant
 from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add,
                       backward, concat, conv2d, cross_entropy_logits, dwconv,
                       gather_rows, gelu, layernorm_channels,
                       matmul, mean_axis, permute, reshape, scale, selective_scan,
                       slice_axis, softmax_lastdim, split, sum_all, window_reduce)
+from sparx.params import bind
 from sparx.tensor_io import TensorFormatError, read_tensor, tensor_bytes, tensor_from_bytes, write_tensor
 from sparx.verify import dwconv_oracle, grad_check, scan_oracle
 
@@ -463,6 +466,64 @@ class TestCheckpoint:
         backward(tape, sum_all(y))
         with pytest.raises(TapeError, match="freed"):
             backward(tape, sum_all(scale(y, 2.0)))
+
+
+class TestObserver:
+    """``nd.observer`` sees every op and every vjp once, in the order they run, and changes no value."""
+
+    @staticmethod
+    def taped_step(observer):
+        """(tape, logits, gradients) of a taped float64 ``tiny-reduced`` forward and backward under ``observer``."""
+        cfg = get_variant("tiny-reduced")
+        image = Tensor(np.random.default_rng(33).standard_normal((3, cfg.input_size, cfg.input_size)))
+        tape = Tape()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nd, "observer", observer)
+            logits, _ = forward_bound(bind(build(cfg, 33, dtype=np.float64), tape), image)
+            grads = backward(tape, cross_entropy_logits(logits, 1))
+        return tape, logits, grads
+
+    def test_sees_every_op_and_vjp_once_in_order_including_checkpoints_and_changes_nothing(self):
+        events = []  # (op or "vjp", output Tensor or the vjp's gradients, node)
+        tape, logits, grads = self.taped_step(lambda op, out, inputs, node: events.append((op, out, node)))
+        _, logits0, grads0 = self.taped_step(None)
+        assert logits.data.tobytes() == logits0.data.tobytes() and grads.keys() == grads0.keys()
+        assert all(grads[k].data.tobytes() == grads0[k].data.tobytes() for k in grads)
+
+        def recorded(t):  # the non-leaf nodes of a tape, in the order they were recorded
+            return [id(n) for n in t.nodes if not n.is_leaf]
+
+        # the main tape: every recorded op once in order, then every vjp once in reverse order
+        assert [id(n) for op, out, n in events if op != "vjp" and out.tape is tape] == recorded(tape)
+        main = {id(n) for n in tape.nodes}
+        assert [id(n) for op, _, n in events if op == "vjp" and id(n) in main] == recorded(tape)[::-1]
+        assert all(n.vjp is None for n in tape.nodes)  # every node's vjp ran
+        # a checkpoint's function runs untaped right before its node, and again on a sub-tape in its vjp:
+        # that sub-tape's ops in order, then its vjps in reverse order, then the checkpoint's own vjp
+        boundaries = [i for i, (op, out, _) in enumerate(events) if op == "checkpoint" and out.tape is tape]
+        first_runs = []
+        for i in boundaries:
+            j = i
+            while events[j - 1][2] is None:
+                j -= 1
+            first_runs.append(events[j:i])
+        untaped = [e for e in events if e[0] != "vjp" and e[2] is None]
+        assert boundaries and sum(map(len, first_runs)) == len(untaped)
+        re_runs = []
+        for i, (op, _, n) in enumerate(events):
+            if op == "vjp" and n.op == "checkpoint":
+                j = i
+                while id(events[j - 1][2]) not in main:
+                    j -= 1
+                re_runs.append(events[j:i])
+        assert len(re_runs) == len(boundaries)
+        for first, again in zip(first_runs, re_runs[::-1]):
+            sub = again[0][1].tape
+            ops = [e for e in again if e[0] != "vjp"]
+            assert sub is not None and sub is not tape and [id(n) for _, _, n in ops] == recorded(sub)
+            assert [id(n) for op, _, n in again[len(ops):]] == recorded(sub)[::-1]
+            assert all(n.vjp is None for n in sub.nodes)
+            assert [(op, out.data.tobytes()) for op, out, _ in first] == [(op, y.data.tobytes()) for op, y, _ in ops]
 
 
 def _kept_arrays(vjp):

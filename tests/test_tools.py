@@ -1,6 +1,7 @@
-"""Repository tools: ``tools/bench_record.py`` runs on the committed benchmark records."""
+"""Repository tools: ``tools/bench_record.py`` runs on the committed benchmark records and measures holders."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +33,23 @@ def test_checkout_without_the_benchmark_exits_2_with_one_error_line(tmp_path):
         f"bench_record.py: error: argument --checkout: expected LABEL=DIR with DIR/perfbench/run.py, "
         f"got 'change={tmp_path}'"]
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_top_holder_reads_the_unwatched_peak(tmp_path):
+    # the watcher leaves out the bytes it keeps itself, so the op running at the peak reads the peak
+    out = tmp_path / "bench.json"
+    proc = bench_record("holders", "--workloads", "train-reduced", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    [record] = json.loads(out.read_text())["records"]
+    assert record["kind"] == "holders" and record["modes"]
+    for mode in record["modes"]:
+        top, peak = mode["holders"][0]["peak_bytes"], mode["peak_bytes"]
+        assert abs(top - peak) <= 0.01 * peak, mode
+
+
+def test_no_tool_or_test_names_the_op_finalizer():
+    # tools and tests watch ops through nd.observer, never through nd's private op finalizer
+    name = re.compile(rb"\b_" rb"apply\b")  # in two parts, so that this guard does not name it itself
+    files = [p for d in ("tools", "tests") for p in sorted((ROOT / d).rglob("*"))
+             if p.is_file() and "__pycache__" not in p.parts]
+    assert files and [str(p.relative_to(ROOT)) for p in files if name.search(p.read_bytes())] == []

@@ -6,35 +6,13 @@
     python3 tools/bench_record.py train-peaks --checkout parent=../sparx-parent --checkout change=.
     python3 tools/bench_record.py summary
 
-``--workloads`` defaults to every workload BENCHMARK.json declares, and the
-end-to-end metrics and their directions are read from it too.
-
-``runs`` runs ``perfbench/run.py --trace 0`` in each checkout for every
-workload and seed and appends one record per run: the label, the checkout's
-commit and a digest of its ``src/``, the env line and the run's last-line
-JSON. With two checkouts the runs of one (workload, seed) form a pair, and the
-order inside a pair alternates from one seed to the next, so slow drift of a
-shared host falls on both sides alike.
-
-``holders`` builds each workload's models as ``perfbench/workloads.py`` does
-and runs one op per topology mode under tracemalloc. It records the mode's
-peak bytes and the op, with its calling function and output shape (which
-shows the stage), that was running when the peak was reached, and the highest
-op peaks of the next four calling functions. A recorded op's backward step
-is an event of its own, ``vjp:<op>``, with the calling function and output
-shape of the op that recorded it.
-
-``train-peaks`` runs one taped float32 ``tiny``@224 forward and backward of
-one image per model, window attention in each topology mode and ss2d in
-``sparx``, under tracemalloc. It records the bytes still allocated after the
-forward (the tape's saved arrays and the live outputs) and the peak over the
-forward and backward.
-
-``summary`` prints, per commit the runs were recorded at, workload, label and
-metric, the median and quartiles of the recorded runs and the pairs in which
-the second label did better. A before/after comparison runs both checkouts at
-one commit (the change as uncommitted edits on top of it), so each commit's
-runs form one comparison, apart from those of earlier changes in the file.
+README ("Benchmark records") says what each command records. ``--workloads``
+defaults to every workload BENCHMARK.json declares, and the end-to-end metrics
+and their directions are read from it too. With two checkouts the runs of one
+(workload, seed) form a pair whose order alternates from one seed to the next,
+so slow drift of a shared host falls on both sides alike. ``summary`` groups
+runs by the commit they were recorded at: a before/after comparison runs both
+checkouts at one commit, the change as uncommitted edits on top of it.
 
 Run from the repository root. The benchmark itself (``perfbench/``) is only
 run and imported, never changed.
@@ -117,123 +95,120 @@ def cmd_runs(args, doc):
                 print(f"{workload} seed {seed} {label}: {shown}, correct {out['result']['correct']}", flush=True)
 
 
-HOLDER_SCRIPT = r"""
+MEASURE_SCRIPT = r"""
 import gc, json, os, sys, tracemalloc
-checkout, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
-sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
-import workloads
-from sparx import nd
-
-events = []
-real_apply = nd._apply
-
-def watched_apply(op, out, inputs, vjp):
-    frame = sys._getframe(1)
-    while frame.f_globals.get("__name__") == "sparx.nd":
-        frame = frame.f_back
-    where, shape = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}:{frame.f_lineno}", list(out.shape)
-
-    def watched_vjp(g):  # a backward step is an event too, named after the op that recorded it
-        grads = vjp(g)
-        events.append((tracemalloc.get_traced_memory()[1], "vjp:" + op, where, shape))
-        tracemalloc.reset_peak()
-        return grads
-
-    result = real_apply(op, out, inputs, watched_vjp)
-    events.append((tracemalloc.get_traced_memory()[1], op, where, shape))
-    tracemalloc.reset_peak()
-    return result
-
-wl = workloads.make(workload)
-wl.setup(seed)
-rows = []
-for mode, op in wl.peak_ops():
-    wl.prepare(op)
-    gc.collect()
-    tracemalloc.start()
-    wl.run(op)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    events.clear()
-    nd._apply = watched_apply
-    wl.prepare(op)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        wl.run(op)
-        events.append((tracemalloc.get_traced_memory()[1], "none", "after the last op (backward, updates)", None))
-    finally:
-        tracemalloc.stop()
-        nd._apply = real_apply
-    seen, holders = set(), []
-    for b, o, w, shape in sorted(events, key=lambda e: -e[0]):  # the highest peak of each calling function
-        if w.split(":")[0] not in seen:
-            seen.add(w.split(":")[0])
-            holders.append({"op": o, "at": w, "shape": shape, "peak_bytes": b})
-        if len(holders) == 5:
-            break
-    rows.append({"mode": mode, "peak_bytes": peak, "holders": holders})
-print(json.dumps(rows))
-"""
-
-
-def run_script(script: str, checkout: str, *argv) -> list:
-    """The last-line JSON of ``script`` run on one BLAS thread with the checkout and ``argv`` as arguments."""
-    proc = subprocess.run([sys.executable, "-c", script, os.path.abspath(checkout), *map(str, argv)],
-                          capture_output=True, text=True, env=dict(os.environ, **BLAS_ONE_THREAD))
-    if proc.returncode != 0:
-        raise SystemExit(f"embedded script ({' '.join(map(str, argv))}) in {checkout} failed: "
-                         f"{proc.stderr.strip()[-500:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def cmd_holders(args, doc):
-    for label, checkout in args.checkout:
-        for workload in args.workloads:
-            rows = run_script(HOLDER_SCRIPT, checkout, workload, args.seeds[0])
-            doc["records"].append({"kind": "holders", "label": label, **identity(checkout), "workload": workload,
-                                   "seed": args.seeds[0], "modes": rows})
-            save(args.out, doc)
-            for r in rows:
-                h = r["holders"][0]
-                print(f"{workload} {label} {r['mode']}: peak {r['peak_bytes']} B, held by {h['op']} "
-                      f"{tuple(h['shape'] or ())} at {h['at']} ({h['peak_bytes'] / 2**20:.2f} MiB)")
-
-
-TRAIN_PEAK_SCRIPT = r"""
-import json, os, sys, tracemalloc
-checkout, seed = sys.argv[1], int(sys.argv[2])
+checkout, command, seed, name = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
 import workloads
 from sparx import backbone, config, nd, params, topology
 
-img = workloads.seeded_image(seed, "seeded", 224)
-rows = []
-for mixer, mode in [("window_attn", m.value) for m in topology.Mode] + [("ss2d", "sparx")]:
-    model = backbone.build(config.get_variant("tiny", mixer=mixer, topology_mode=mode), workloads.MODEL_SEED)
+kept = []  # the bytes still allocated after a taped forward
+
+
+class Watcher:
+    # An nd.observer: each op's and vjp's peak since the one before, less ``own``, the bytes traced between
+    # two readings around each update. So all it keeps is made there and nothing made there is freed later:
+    # ints and strings in lists and a dict (a tuple could come off a free list, untraced), ``start`` replaced
+    # and ``i`` deleted. The caller's frames are found before: they are the program's, freed on return.
+    def __init__(self):
+        self.peaks, self.ops, self.wheres, self.shapes, self.callers, self.own, self.start = [], [], [], [], {}, 0, 0
+
+    def __call__(self, op, out, inputs, node):
+        peak = tracemalloc.get_traced_memory()[1]
+        if op != "vjp":
+            frame, shape = sys._getframe(1), out.shape
+            while frame.f_globals.get("__name__") == "sparx.nd":
+                frame = frame.f_back
+        self.start = tracemalloc.get_traced_memory()[0]
+        if op == "vjp":  # a backward step, named after the op that recorded it and shown where that ran
+            i = self.callers.pop(id(node))
+            op, where, shape = "vjp:" + node.op, self.wheres[i], self.shapes[i]
+            del i
+        else:
+            where, shape = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}:{frame.f_lineno}", str(shape)
+            if node is not None:
+                self.callers[id(node)] = len(self.ops)
+        self.peaks.append(peak - self.own)
+        self.ops.append(op)
+        self.wheres.append(where)
+        self.shapes.append(shape)
+        self.own += tracemalloc.get_traced_memory()[0] - self.start
+        tracemalloc.reset_peak()
+
+
+def traced(prepare, run, observer=None):
+    kept.clear()
+    prepare()
+    gc.collect()
+    nd.observer = observer
     tracemalloc.start()
-    tape = nd.Tape()
-    logits, _ = backbone.forward_bound(params.bind(model, tape), nd.Tensor(img))
-    loss = nd.cross_entropy_logits(logits, 0)
-    retained = tracemalloc.get_traced_memory()[0]
-    nd.backward(tape, loss)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    del tape, logits, loss
-    rows.append({"mixer": mixer, "mode": mode, "retained_bytes": retained, "peak_bytes": peak})
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        nd.observer = None
+
+
+def measure(prepare, run):
+    # BENCH's figures from an unwatched run; from a watched one the top op peak of the five highest callers
+    row = {"peak_bytes": traced(prepare, run), **({"retained_bytes": kept[0]} if kept else {})}
+    w = Watcher()
+    w.peaks.append(traced(prepare, run, w) - w.own)
+    w.ops.append("none")
+    w.wheres.append("after the last op (backward, updates)")
+    seen, row["holders"] = set(), []
+    for i in sorted(range(len(w.peaks)), key=lambda i: -w.peaks[i]):
+        if w.wheres[i].split(":")[0] not in seen and len(seen) < 5:
+            seen.add(w.wheres[i].split(":")[0])
+            shape = [int(n) for n in w.shapes[i][1:-1].split(",") if n] if i < len(w.shapes) else None
+            row["holders"].append({"op": w.ops[i], "at": w.wheres[i], "shape": shape, "peak_bytes": w.peaks[i]})
+    return row
+
+
+if command == "holders":
+    wl = workloads.make(name)
+    wl.setup(seed)
+    rows = [{"mode": mode, **measure(lambda: wl.prepare(op), lambda: wl.run(op))} for mode, op in wl.peak_ops()]
+else:
+    rows, img = [], workloads.seeded_image(seed, "seeded", 224)
+    for mixer, mode in [("window_attn", m.value) for m in topology.Mode] + [("ss2d", "sparx")]:
+        model = backbone.build(config.get_variant(name, mixer=mixer, topology_mode=mode), workloads.MODEL_SEED)
+        backbone.forward(model, img)  # what a first call caches (shift masks, scan orders) is no step's memory
+
+        def step():
+            tape = nd.Tape()
+            logits, _ = backbone.forward_bound(params.bind(model, tape), nd.Tensor(img))
+            loss = nd.cross_entropy_logits(logits, 0)
+            kept.append(tracemalloc.get_traced_memory()[0])
+            nd.backward(tape, loss)
+
+        rows.append({"mixer": mixer, "mode": mode, **measure(lambda: None, step)})
 print(json.dumps(rows))
 """
 
 
-def cmd_train_peaks(args, doc):
+def cmd_measure(args, doc):
+    """``holders``: one record per workload; ``train-peaks``: one record of the ``tiny``@224 models."""
+    holders = args.command == "holders"
     for label, checkout in args.checkout:
-        rows = run_script(TRAIN_PEAK_SCRIPT, checkout, args.seeds[0])
-        doc["records"].append({"kind": "train-peaks", "label": label, **identity(checkout), "variant": "tiny",
-                               "dtype": "float32", "seed": args.seeds[0], "models": rows})
-        save(args.out, doc)
-        for r in rows:
-            print(f"train-peaks {label} {r['mixer']} {r['mode']}: retained after forward "
-                  f"{r['retained_bytes'] / 2**20:.1f} MiB, fwd+bwd peak {r['peak_bytes'] / 2**20:.1f} MiB")
+        for name in args.workloads if holders else ["tiny"]:
+            argv = [os.path.abspath(checkout), args.command, str(args.seeds[0]), name]
+            proc = subprocess.run([sys.executable, "-c", MEASURE_SCRIPT, *argv], capture_output=True, text=True,
+                                  env=dict(os.environ, **BLAS_ONE_THREAD))
+            if proc.returncode != 0:
+                raise SystemExit(f"{args.command} {name} in {checkout} failed: {proc.stderr.strip()[-500:]}")
+            rows = json.loads(proc.stdout.strip().splitlines()[-1])
+            case = ({"workload": name, "seed": args.seeds[0], "modes": rows} if holders else
+                    {"variant": name, "dtype": "float32", "seed": args.seeds[0], "models": rows})
+            doc["records"].append({"kind": args.command, "label": label, **identity(checkout), **case})
+            save(args.out, doc)
+            for r in rows:
+                h = r["holders"][0]
+                kept = f", retained after forward {r['retained_bytes']} B" if "retained_bytes" in r else ""
+                who = " ".join([name, label, *(r[k] for k in ("mixer", "mode") if k in r)])
+                print(f"{who}: peak {r['peak_bytes']} B{kept}, held by {h['op']} {tuple(h['shape'] or ())} "
+                      f"at {h['at']} ({h['peak_bytes'] / 2**20:.2f} MiB)")
 
 
 def quartiles(values):
@@ -291,7 +266,7 @@ def main(argv=None) -> int:
     args.checkout = args.checkout or [("change", ROOT)]
     args.lower_is_better = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
     doc = load(args.out)
-    {"runs": cmd_runs, "holders": cmd_holders, "train-peaks": cmd_train_peaks,
+    {"runs": cmd_runs, "holders": cmd_measure, "train-peaks": cmd_measure,
      "summary": cmd_summary}[args.command](args, doc)
     return 0
 
