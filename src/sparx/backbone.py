@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nd
 from .nd import (Tape, Tensor, add, backward, conv2d, cross_entropy_logits, gelu,
-                 layernorm_channels, matmul, mean_axis, reshape, scale, window_reduce)
+                 layernorm_channels, matmul, mean_axis, reshape, scale, scope, window_reduce)
 from .blocks import (VssBlockParams, DpeParams, banded, dpe_forward, init_dpe, init_vss_block,
                      mixer_macs, vss_block_forward)
 from .config import ConfigError, ModelConfig
@@ -182,45 +182,54 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
     throughout: the feature cache holds maps and the aggregator takes and
     returns them. Returns (logits Tensor, captured list). With ``to_stage``
     in 1..4 the walk stops after that stage and returns its final feature
-    instead of logits.
+    instead of logits. Ops run in the ``nd.scope`` of their stage x component
+    (``s2.l3.ffn``); a layer's norms and residual adds in the layer's (``s2.l3``).
     """
     cfg = bound.cfg
     _, H, W = image.shape
     if H % 32 or W % 32:
         raise ConfigError(f"input size ({H},{W}) must be divisible by 32")
     captured: list[CapturedFeature] = []
-    x = _stem_forward(bound.stem, image)
+    with scope("stem"):
+        x = _stem_forward(bound.stem, image)
     prev_final = None
     for i, (stage, plan) in enumerate(zip(bound.stages, bound.plans)):
-        if i > 0:
-            x = conv2d(prev_final, stage.downsample.w, stage.downsample.b, stride=2, pad=1)
-            x = layernorm_channels(x, stage.downsample.ln_g, stage.downsample.ln_b)
-        cache: dict[int, Tensor] = {}
-        if stage.bridge is not None:
-            cache[CROSS_STAGE_SLOT] = _bridge_forward(stage.bridge, prev_final)
-        prev_final = None  # read by the downsample and the bridge only
-        for layer_plan, layer, step in zip(plan.layers, stage.layers, cache_schedule(plan).steps):
-            t = dpe_forward(x, layer.dpe)
-            del x  # the cache holds it while a later layer reads it
-            if layer_plan.role is Role.GANGLION:
-                ys = [cache[CROSS_STAGE_SLOT]] if layer_plan.takes_cross_stage else []
-                ys.extend(cache[j] for j in layer_plan.sources)
-                t = matmul(layer.fuse_w, dmca_forward(t, ys, layer.dmca), layer.fuse_b)
-            x = vss_block_forward(t, layer.block)
-            cache[step.step] = x
-            for j in step.evictions:
-                del cache[j]
-            if capture:
-                captured.append(CapturedFeature(i + 1, step.step, layer_plan.role.value,
-                                                np.array(x.data)))
+        with scope(f"s{i + 1}"):
+            if i > 0:
+                with scope("downsample"):
+                    x = conv2d(prev_final, stage.downsample.w, stage.downsample.b, stride=2, pad=1)
+                    x = layernorm_channels(x, stage.downsample.ln_g, stage.downsample.ln_b)
+            cache: dict[int, Tensor] = {}
+            if stage.bridge is not None:
+                with scope("bridge"):
+                    cache[CROSS_STAGE_SLOT] = _bridge_forward(stage.bridge, prev_final)
+            prev_final = None  # read by the downsample and the bridge only
+            for layer_plan, layer, step in zip(plan.layers, stage.layers, cache_schedule(plan).steps):
+                with scope(f"l{layer_plan.index}"):
+                    with scope("dpe"):
+                        t = dpe_forward(x, layer.dpe)
+                    del x  # the cache holds it while a later layer reads it
+                    if layer_plan.role is Role.GANGLION:
+                        ys = [cache[CROSS_STAGE_SLOT]] if layer_plan.takes_cross_stage else []
+                        ys.extend(cache[j] for j in layer_plan.sources)
+                        with scope("aggregation"):
+                            t = matmul(layer.fuse_w, dmca_forward(t, ys, layer.dmca), layer.fuse_b)
+                    x = vss_block_forward(t, layer.block)
+                cache[step.step] = x
+                for j in step.evictions:
+                    del cache[j]
+                if capture:
+                    captured.append(CapturedFeature(i + 1, step.step, layer_plan.role.value,
+                                                    np.array(x.data)))
         prev_final = x
         if to_stage is not None and i + 1 == to_stage:
             return x, captured
-    c4 = prev_final.shape[0]
-    pooled = mean_axis(reshape(prev_final, (c4, prev_final.shape[1] * prev_final.shape[2])),
-                       axis=1, keepdims=True)
-    normed = layernorm_channels(pooled, bound.head.ln_g, bound.head.ln_b)
-    logits = reshape(matmul(bound.head.w, normed, bound.head.b), (cfg.num_classes,))
+    with scope("head"):
+        c4 = prev_final.shape[0]
+        pooled = mean_axis(reshape(prev_final, (c4, prev_final.shape[1] * prev_final.shape[2])),
+                           axis=1, keepdims=True)
+        normed = layernorm_channels(pooled, bound.head.ln_g, bound.head.ln_b)
+        logits = reshape(matmul(bound.head.w, normed, bound.head.b), (cfg.num_classes,))
     return logits, captured
 
 

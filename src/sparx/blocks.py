@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .nd import (Tensor, add, checkpoint, concat, dwconv, gather_rows, gelu, matmul, pad_spatial, permute, pieces,
-                 reshape, roll2d, scale, selective_scan, slice_axis,
+                 reshape, roll2d, scale, scope, selective_scan, slice_axis,
                  softmax_lastdim, split, layernorm_channels, ShapeError)
 from .params import Initializer, stack
 
@@ -254,7 +254,7 @@ def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
     Each band of ``banded`` expands its rows and halo rows. Within a band each hidden map is freed
     after its last use, so at most two band-sized hidden maps are live at once. Each band is one
     ``nd.checkpoint`` of the band and the six parameters: on a tape it keeps its band input instead
-    of its three hidden maps, and backward re-records one band at a time.
+    of its three hidden maps, and backward re-records one band at a time. Runs in scope ``ffn``.
     """
     def band(t, pad):
         def ffn(t, w1, b1, dw, db, w2, b2):
@@ -262,7 +262,8 @@ def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
 
         return checkpoint(ffn, t, p.w1, p.b1, p.dw, p.db, p.w2, p.b2)
 
-    return banded(band, x, x.shape[0], p.w1.shape[0])
+    with scope("ffn"):
+        return banded(band, x, x.shape[0], p.w1.shape[0])
 
 
 @lru_cache(maxsize=32)
@@ -307,8 +308,8 @@ def relative_index(window: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def shift_mask(hp: int, wp: int, window: int, shift: int) -> np.ndarray:
-    """Additive attention mask hiding cross-boundary pairs after a cyclic shift."""
+def shift_mask(hp: int, wp: int, window: int, shift: int, dtype: np.dtype) -> np.ndarray:
+    """Additive attention mask hiding cross-boundary pairs after a cyclic shift, read-only in ``dtype``."""
     img = np.zeros((hp, wp))
     cnt = 0
     for hs in (slice(0, -window), slice(-window, -shift), slice(-shift, None)):
@@ -317,7 +318,8 @@ def shift_mask(hp: int, wp: int, window: int, shift: int) -> np.ndarray:
             cnt += 1
     nh, nw = hp // window, wp // window
     wins = img.reshape(nh, window, nw, window).transpose(0, 2, 1, 3).reshape(-1, window * window)
-    mask = np.where(wins[:, None, :] != wins[:, :, None], -1e4, 0.0)
+    mask = np.where(wins[:, None, :] != wins[:, :, None], -1e4, 0.0).astype(dtype)  # both exact in float32
+    mask.flags.writeable = False
     return mask  # (num_windows, T, T)
 
 
@@ -347,7 +349,7 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
     nh, nw, T = hp // ws, wp // ws, ws * ws
     bias = gather_rows(p.bias_table, relative_index(ws).reshape(-1))   # (T*T, heads)
     bias = reshape(permute(bias, (1, 0)), (1, heads, T, T))
-    mask = shift_mask(hp, wp, ws, shift) if shift else None  # (nh*nw, T, T), cast band by band
+    mask = shift_mask(hp, wp, ws, shift, x.dtype) if shift else None  # (nh*nw, T, T): a band's rows are a view
 
     def attend(band, w0, w1):
         """Attention over window rows [w0, w1), whose (C, (w1-w0)*ws, wp) map is ``band``."""
@@ -363,7 +365,7 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
         del q, k
         attn = add(reshape(attn, (B, heads, T, T)), bias)
         if shift:
-            attn = add(attn, Tensor(mask[w0 * nw:w1 * nw].astype(x.dtype).reshape(B, 1, T, T)))
+            attn = add(attn, Tensor(mask[w0 * nw:w1 * nw].reshape(B, 1, T, T)))
         attn = softmax_lastdim(reshape(attn, (B * heads, T, T)))
         # (B*heads,T,dh) -> (n,nw,heads,ws,ws,dh) -> (C,n*ws,wp)
         out = reshape(matmul(attn, v), (n, nw, heads, ws, ws, dh))
@@ -384,13 +386,14 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
 
 
 def mixer_forward(x: Tensor, params) -> Tensor:
-    """Window attention for ``WindowAttnParams``, otherwise the scan over stacked ``SsmParams``."""
-    if isinstance(params, WindowAttnParams):
-        return window_attention_forward(x, params)
-    return scan_forward(x, params)
+    """Window attention for ``WindowAttnParams``, otherwise the scan over stacked ``SsmParams``; in scope ``mixer``."""
+    with scope("mixer"):
+        if isinstance(params, WindowAttnParams):
+            return window_attention_forward(x, params)
+        return scan_forward(x, params)
 
 
 def vss_block_forward(x: Tensor, p: VssBlockParams) -> Tensor:
-    """Pre-norm residual token mixer followed by a pre-norm residual ConvFFN."""
+    """Pre-norm residual token mixer followed by a pre-norm residual ConvFFN; norms and adds in the caller's scope."""
     x1 = add(x, mixer_forward(layernorm_channels(x, p.ln1_g, p.ln1_b), p.mixer))
     return add(x1, convffn_forward(layernorm_channels(x1, p.ln2_g, p.ln2_b), p.ffn))

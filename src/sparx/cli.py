@@ -364,7 +364,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (nd.NumericError, nd.TapeError, OSError, MemoryError) as e:
-        print(f"runtime error: {e}", file=sys.stderr)
+        print(f"runtime error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

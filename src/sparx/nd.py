@@ -42,6 +42,8 @@ token axes themselves change.
 Broadcasting is supported only where these ops require it (bias adds,
 attention-bias adds, one right operand shared by a stack of left ones);
 there is no general-rank broadcasting.
+``scope`` names the stage x component an op runs in, and ``macs`` counts
+an op's multiply-accumulates from its operand shapes.
 """
 
 from __future__ import annotations
@@ -167,8 +169,37 @@ _BLOCK = 1 << 15
 _CHECK_BLOCK = 1 << 17
 # The one way to watch what runs, None unless a tool or test watches: ``observer(op, out, inputs, node)``
 # after every op (``node`` None when untaped) and ``observer("vjp", grads, (g,), node)`` after every vjp a
-# sweep runs, a checkpoint's untaped first run and its sub-tape included.
+# sweep runs, a checkpoint's untaped first run and its sub-tape included. ``scopes[-1]`` is where it ran:
 observer = None
+scopes = []  # the dotted paths of the open ``scope``s, outermost first: ``["s1", "s1.l2", "s1.l2.ffn"]``
+
+
+class scope:
+    """``with scope(name):`` runs ops under ``name`` in the innermost open scope: ``scopes[-1]`` is their path,
+    which a ``NumericError`` names. A class, so that a tracer that wraps nd's functions sees no call."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __enter__(self):
+        scopes.append(f"{scopes[-1]}.{self.name}" if scopes else self.name)
+
+    def __exit__(self, *exc):
+        scopes.pop()
+
+
+def macs(op, out, inputs):
+    """Multiply-accumulates of one op by ``count_flops``' conventions, from the shapes an observer sees: for ``matmul``
+    a's elements times out's token cells, for ``conv2d``, ``dwconv`` and ``window_reduce`` kernel times out's cells,
+    for ``selective_scan`` 9 per channel-state-step plus its step projection and skip; 0 for any other op, a
+    checkpoint included (each op inside one is observed itself)."""
+    if op == "matmul":
+        return math.prod(inputs[0].shape) * math.prod(out.shape[len(inputs[0].shape) - 1:])
+    if op in ("conv2d", "dwconv", "window_reduce"):
+        return math.prod(inputs[1].shape) * math.prod(out.shape[1:])
+    if op == "selective_scan":  # x (C,T), dt (k,r,T), a_log (k,C,S)
+        return math.prod(inputs[0].shape) * inputs[1].shape[0] * (inputs[1].shape[1] + 9 * inputs[4].shape[2] + 1)
+    return 0
 
 
 def pieces(n, each, budget):
@@ -198,7 +229,7 @@ def _apply(op, out, inputs, vjp):
     if not (out.flags["C_CONTIGUOUS"] if isinstance(out, np.ndarray) else False):
         out = np.asarray(out, order="C")
     if op not in _UNSCANNED and not _all_finite(out):
-        raise NumericError(f"non-finite values produced by op '{op}'")
+        raise NumericError(f"non-finite values produced by op '{op}'" + (f" in {scopes[-1]}" if scopes else ""))
     tape = None
     for t in inputs:
         if t.tape is not None:
@@ -500,8 +531,8 @@ def softmax_lastdim(a):
     return _apply("softmax", out, (a,), vjp)
 
 
-def layernorm_channels(x, gamma, beta, eps=1e-6):
-    """Normalize (C, *rest) over the channel axis at every token, then affine.
+def layernorm_channels(x, gamma, beta):
+    """Normalize (C, *rest) over the channel axis at every token, with eps 1e-6, then affine.
 
     The tokens are flattened with a view, so the statistics are one
     reduction over axis 0 whatever the rank of ``rest``.
@@ -515,7 +546,7 @@ def layernorm_channels(x, gamma, beta, eps=1e-6):
     x_shape, xd = x.shape, x.data.reshape(C, -1)
     xhat = xd - xd.mean(axis=0)  # centered here, normalized in place below
     var = (xhat * xhat).sum(axis=0) / C  # the arithmetic of ``xd.var(axis=0)``, bit for bit
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(1e-6))
     xhat *= inv
     gd = gamma.data
     out = gd[:, None] * xhat
@@ -965,19 +996,24 @@ def checkpoint(f, *inputs):
     sub-tape, whose leaves are the taped inputs, and sweeps that sub-tape from the incoming
     cotangent: backward holds one boundary's intermediates at a time, and the gradients are the
     ones ``f`` recorded directly would give wherever ``f`` reads each input once (ops are pure,
-    so the re-run computes the same values). Inputs that are not on the tape stay constants and
-    get no gradient.
+    so the re-run computes the same values). The re-run and its sweep re-enter the ``scope`` path
+    ``f`` first ran under. Inputs that are not on the tape stay constants and get no gradient.
     """
     if all(t.tape is None for t in inputs):
         return f(*inputs)
     out = f(*[_wrap(t.data) for t in inputs])
+    at = scopes[-1:]  # the path ``f`` ran under, if any, which its re-run re-enters
 
     def vjp(g):
-        sub = Tape()
-        ins = [t if t.tape is None else sub.leaf(t.data) for t in inputs]
-        y = f(*ins)
-        grads = _sweep(sub, y.node, g) if y.tape is sub else {}
-        return tuple(None if t.tape is None else grads.get(t.node) for t in ins)
+        scopes.extend(at)
+        try:
+            sub = Tape()
+            ins = [t if t.tape is None else sub.leaf(t.data) for t in inputs]
+            y = f(*ins)
+            grads = _sweep(sub, y.node, g) if y.tape is sub else {}
+            return tuple(None if t.tape is None else grads.get(t.node) for t in ins)
+        finally:
+            del scopes[len(scopes) - len(at):]
 
     return _apply("checkpoint", out.data, inputs, vjp)
 

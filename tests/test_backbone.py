@@ -1,6 +1,8 @@
-"""Model assembly, forward, accounting, memory model, toy training."""
+"""Model assembly, forward, scopes, accounting, memory model, toy training."""
 
+import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sparx.backbone import (build, count_flops, forward, forward_bound, make_toy
 from sparx.config import ConfigError, ModelConfig, get_variant
 from sparx.nd import NumericError, Tape, Tensor, add, backward, cross_entropy_logits, scale, sum_all
 from sparx.params import Initializer, bind, count_arrays, iter_arrays
+from sparx.topology import Mode, plan_model
 from sparx.verify import grad_check
 
 
@@ -154,6 +157,97 @@ class TestForward:
         forward_bound(bind(build(cfg, 0), tape), Tensor(img))
         assert sum(node.op == "reshape" for node in tape.nodes) == reshapes
         assert sum(not node.is_leaf for node in tape.nodes) == ops
+
+
+def recomputed_macs(cfg) -> dict:
+    """The MACs a forward runs beyond ``count_flops``, per component, from the band layout and the widths alone.
+
+    Each stem band recomputes the first convolution's rows it shares with the band before it, each ConvFFN
+    band expands its halo rows (``blocks.row_bands``, as ``blocks.banded`` cuts them), and a bridge averages
+    the previous stage's final map over 2 x 2 windows with ``window_reduce``, 4 MACs per output cell.
+    """
+    size, half = cfg.input_size, cfg.channels[0] // 2
+    first = sum(min(2 * r1, size // 2) - max(2 * r0 - 1, 0)
+                for r0, r1 in blocks.row_bands(half, size // 4, size // 4, 9 * half))
+    extra = {"stem": (first - size // 2) * (size // 2) * half * 3 * 9, "ffn": 0, "bridge": 0}
+    for i, plan in enumerate(plan_model(cfg)):
+        C, side = cfg.channels[i], size // (4 * 2 ** i)
+        hidden = cfg.ffn_ratio * C
+        rows = sum(min(r1 + 1, side) - max(r0 - 1, 0) for r0, r1 in blocks.row_bands(C, side, side, hidden, 2))
+        extra["ffn"] += plan.num_layers * (rows - side) * side * hidden * C
+        if any(layer.takes_cross_stage for layer in plan.layers):
+            extra["bridge"] += 4 * cfg.channels[i - 1] * side * side
+    return extra
+
+
+def scope_events(mixer):
+    """(op or "vjp:" + op, the scope it was recorded in, the scope open as it ran, on the main tape) of every
+    event a taped float64 ``tiny-reduced`` forward, its loss (in the scope ``loss``) and backward show."""
+    cfg, tape, events, recorded = get_variant("tiny-reduced", mixer=mixer), Tape(), [], {}
+
+    def watch(op, out, inputs, node):
+        now = nd.scopes[-1] if nd.scopes else ""
+        if op == "vjp":
+            events.append(("vjp:" + node.op, recorded.pop(id(node)), now, id(node)))
+        else:
+            events.append((op, now, now, None if node is None else id(node)))
+            if node is not None:
+                recorded[id(node)] = now
+
+    image = Tensor(np.random.default_rng(8).standard_normal((3, cfg.input_size, cfg.input_size)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nd, "observer", watch)
+        logits, _ = forward_bound(bind(build(cfg, 8, dtype=np.float64), tape), image)
+        with nd.scope("loss"):
+            loss = cross_entropy_logits(logits, 1)
+        backward(tape, loss)
+    main = {id(n) for n in tape.nodes}
+    return [(op, at, now, node in main) for op, at, now, node in events]
+
+
+class TestScopes:
+    """Every op runs in an ``nd.scope`` named after its stage x component, and ``nd.macs`` counts it."""
+
+    @pytest.mark.parametrize("mixer,mode", [("window_attn", m.value) for m in Mode] + [("ss2d", "sparx")])
+    def test_counted_macs_per_component_are_count_flops_plus_the_recomputed_rows_and_the_bridge_mean(
+            self, mixer, mode, monkeypatch):
+        cfg = get_variant("tiny", mixer=mixer, topology_mode=mode)
+        counted = collections.Counter()
+        monkeypatch.setattr(nd, "observer", lambda op, out, inputs, node: counted.update(
+            {nd.scopes[-1].rsplit(".", 1)[-1]: nd.macs(op, out, inputs)}))
+        forward(build(cfg, 9), np.random.default_rng(9).standard_normal((3, 224, 224)).astype(np.float32))
+        expected, extra = count_flops(cfg), recomputed_macs(cfg)
+        del expected["total"]
+        assert extra["stem"] > 0 and extra["ffn"] > 0 and (extra["bridge"] > 0) == (mode != "plain")
+        for component, n in extra.items():
+            expected[component] += n
+        assert {k: n for k, n in counted.items() if n} == {k: n for k, n in expected.items() if n}
+
+    @pytest.mark.parametrize("mixer", ["ss2d", "window_attn"])
+    def test_every_op_and_vjp_is_scoped_by_component_or_layer(self, mixer):
+        events = scope_events(mixer)
+        assert nd.scopes == []
+        assert [e[:3] for e in events if e[1] == "loss"] == [("cross_entropy", "loss", "loss"),
+                                                             ("vjp:cross_entropy", "loss", "")]
+        components = set(count_flops(get_variant("tiny-reduced"))) - {"total"}
+        for op, at, now, on_main in events:
+            if at != "loss":
+                assert at.split(".")[-1] in components or re.fullmatch(r"s\d\.l\d+", at), (op, at)
+            # main-tape vjps run after the forward's scopes have closed; a checkpoint re-runs its band,
+            # and sweeps the band's sub-tape, in the scope the band ran in
+            assert now == ("" if op.startswith("vjp:") and on_main else at), (op, at, now)
+        # off the main tape: the bands' untaped first runs, their re-runs on sub-tapes and those vjps
+        off_main = [(op.startswith("vjp:"), at.split(".")[-1]) for op, at, _, on_main in events if not on_main]
+        assert set(off_main) == {(False, "ffn"), (True, "ffn")}
+
+    def test_a_non_finite_op_names_its_scope_and_leaves_none_open(self):
+        model = build(get_variant("tiny-reduced"), 10)
+        model.stages[2].layers[1].block.ffn.w1[:] = np.finfo(np.float32).max
+        image = np.random.default_rng(10).standard_normal((3, 32, 32)).astype(np.float32)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match=r"^non-finite values produced by op 'matmul' in s3\.l2\.ffn$"):
+            forward(model, image)
+        assert nd.scopes == []
 
 
 def stem_width(stem):

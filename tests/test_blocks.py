@@ -229,7 +229,14 @@ class TestBissm:
 
 class TestWindowAttention:
     def test_partition_arithmetic_14x14_window7(self):
-        assert shift_mask(14, 14, 7, 3).shape == (4, 49, 49)
+        assert shift_mask(14, 14, 7, 3, np.dtype(np.float64)).shape == (4, 49, 49)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shift_mask_is_cached_read_only_in_the_model_dtype(self, dtype):
+        mask = shift_mask(14, 14, 7, 3, np.dtype(dtype))
+        assert mask.dtype == dtype and not mask.flags.writeable
+        assert shift_mask(14, 14, 7, 3, np.dtype(dtype)) is mask
+        assert set(np.unique(mask)) == {dtype(-1e4), dtype(0)}
 
     def test_windows_do_not_leak_unshifted(self):
         init = Initializer(15, dtype=np.float64)
@@ -271,7 +278,7 @@ class TestWindowAttention:
         # band, with the whole map's q/k/v and attention map, 6.17
         p = bind(init_window_attn(Initializer(19), 96, 7, heads=3, shifted=shifted))
         x = Tensor(np.random.default_rng(19).standard_normal((96, 56, 56)).astype(np.float32))
-        shift_mask(56, 56, 7, 3)  # cached per map size, so made once outside the measurement
+        shift_mask(56, 56, 7, 3, x.dtype)  # cached per map size and dtype, so made once outside the measurement
         qkv = qkv_shapes(x, p)
         assert len(qkv) > 1 and max(math.prod(s) for s in qkv) <= blocks._BAND_ELEMS, qkv
         _, peak = traced_peak(lambda: window_attention_forward(x, p))

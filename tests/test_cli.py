@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparx import nd, verify
+from sparx import cli, nd, verify
 from sparx.blocks import MIXERS
 from sparx.config import get_variant
 from sparx.cli import main
@@ -415,6 +415,14 @@ class TestNumericInputs:
         assert run(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("runtime error: cannot allocate") and err.count("\n") == 1, err
+
+    def test_memory_error_without_a_message_prints_its_type(self, tmp_path, capsys, monkeypatch):
+        def bare_memory_error(args, out):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_plan", bare_memory_error)
+        assert run(["plan", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
 
     @pytest.mark.parametrize("argv", [
         ["capture", "--variant", "tiny-reduced", "--images", "100000000000"],

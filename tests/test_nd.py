@@ -468,6 +468,37 @@ class TestCheckpoint:
             backward(tape, sum_all(scale(y, 2.0)))
 
 
+class TestScope:
+    """``nd.scope`` pushes a dotted path on ``nd.scopes`` and pops it however its block ends."""
+
+    def test_an_op_that_raises_in_nested_scopes_names_the_innermost_and_leaves_the_entry_state(self):
+        entry, big = list(nd.scopes), Tensor(np.array([1e308]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=r"^non-finite values produced by op 'scale' in outer\.inner$"):
+                with nd.scope("outer"), nd.scope("inner"):
+                    assert nd.scopes == [*entry, "outer", "outer.inner"]
+                    scale(big, 10.0)
+            assert nd.scopes == entry
+            with pytest.raises(NumericError, match=r"^non-finite values produced by op 'scale'$"):
+                scale(big, 10.0)
+
+    def test_a_checkpoint_re_runs_under_the_path_it_ran_under_and_its_backward_leaves_the_entry_state(self):
+        rng = np.random.default_rng(34)
+        tape, paths = Tape(), []
+        ins = [tape.leaf(rng.standard_normal(s)) for s in [(3, 4), (3, 3), (3,)]]
+
+        def f(*ts):
+            paths.append(list(nd.scopes))
+            return _expand_gelu(*ts)
+
+        with nd.scope("s1"), nd.scope("band"):
+            y = nd.checkpoint(f, *ins)
+        with nd.scope("train"):
+            backward(tape, sum_all(y))
+            assert nd.scopes == ["train"]
+        assert paths == [["s1", "s1.band"], ["train", "s1.band"]] and nd.scopes == []
+
+
 class TestObserver:
     """``nd.observer`` sees every op and every vjp once, in the order they run, and changes no value."""
 

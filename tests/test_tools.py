@@ -47,9 +47,20 @@ def test_top_holder_reads_the_unwatched_peak(tmp_path):
         assert abs(top - peak) <= 0.01 * peak, mode
 
 
+def tool_and_test_files():
+    return [p for d in ("tools", "tests") for p in sorted((ROOT / d).rglob("*"))
+            if p.is_file() and "__pycache__" not in p.parts]
+
+
 def test_no_tool_or_test_names_the_op_finalizer():
     # tools and tests watch ops through nd.observer, never through nd's private op finalizer
     name = re.compile(rb"\b_" rb"apply\b")  # in two parts, so that this guard does not name it itself
-    files = [p for d in ("tools", "tests") for p in sorted((ROOT / d).rglob("*"))
-             if p.is_file() and "__pycache__" not in p.parts]
+    files = tool_and_test_files()
+    assert files and [str(p.relative_to(ROOT)) for p in files if name.search(p.read_bytes())] == []
+
+
+def test_no_tool_or_test_walks_python_frames():
+    # where an op ran is its nd.scope path: no tool or test finds it by walking the caller's frames
+    name = re.compile(rb"\b_" rb"getframe\b")  # in two parts, so that this guard does not name it itself
+    files = tool_and_test_files()
     assert files and [str(p.relative_to(ROOT)) for p in files if name.search(p.read_bytes())] == []

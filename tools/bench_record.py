@@ -108,24 +108,22 @@ kept = []  # the bytes still allocated after a taped forward
 class Watcher:
     # An nd.observer: each op's and vjp's peak since the one before, less ``own``, the bytes traced between
     # two readings around each update. So all it keeps is made there and nothing made there is freed later:
-    # ints and strings in lists and a dict (a tuple could come off a free list, untraced), ``start`` replaced
-    # and ``i`` deleted. The caller's frames are found before: they are the program's, freed on return.
+    # ints, strings and bytes in lists and a dict (a tuple could come off a free list, untraced), ``start``
+    # replaced and ``i`` deleted. Its op's scope path is kept as a bytes copy: the program's string, kept
+    # itself, would outlive the scope.
     def __init__(self):
         self.peaks, self.ops, self.wheres, self.shapes, self.callers, self.own, self.start = [], [], [], [], {}, 0, 0
 
     def __call__(self, op, out, inputs, node):
         peak = tracemalloc.get_traced_memory()[1]
-        if op != "vjp":
-            frame, shape = sys._getframe(1), out.shape
-            while frame.f_globals.get("__name__") == "sparx.nd":
-                frame = frame.f_back
+        shape = None if op == "vjp" else out.shape
         self.start = tracemalloc.get_traced_memory()[0]
         if op == "vjp":  # a backward step, named after the op that recorded it and shown where that ran
             i = self.callers.pop(id(node))
             op, where, shape = "vjp:" + node.op, self.wheres[i], self.shapes[i]
             del i
         else:
-            where, shape = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}:{frame.f_lineno}", str(shape)
+            where, shape = nd.scopes[-1].encode() if nd.scopes else b"", str(shape)
             if node is not None:
                 self.callers[id(node)] = len(self.ops)
         self.peaks.append(peak - self.own)
@@ -151,18 +149,19 @@ def traced(prepare, run, observer=None):
 
 
 def measure(prepare, run):
-    # BENCH's figures from an unwatched run; from a watched one the top op peak of the five highest callers
+    # BENCH's figures from an unwatched run; from a watched one the top op peak of the five highest scopes
     row = {"peak_bytes": traced(prepare, run), **({"retained_bytes": kept[0]} if kept else {})}
     w = Watcher()
     w.peaks.append(traced(prepare, run, w) - w.own)
     w.ops.append("none")
-    w.wheres.append("after the last op (backward, updates)")
+    w.wheres.append(b"after the last op (backward, updates)")
     seen, row["holders"] = set(), []
     for i in sorted(range(len(w.peaks)), key=lambda i: -w.peaks[i]):
-        if w.wheres[i].split(":")[0] not in seen and len(seen) < 5:
-            seen.add(w.wheres[i].split(":")[0])
+        if w.wheres[i] not in seen and len(seen) < 5:
+            seen.add(w.wheres[i])
             shape = [int(n) for n in w.shapes[i][1:-1].split(",") if n] if i < len(w.shapes) else None
-            row["holders"].append({"op": w.ops[i], "at": w.wheres[i], "shape": shape, "peak_bytes": w.peaks[i]})
+            row["holders"].append({"op": w.ops[i], "at": w.wheres[i].decode(), "shape": shape,
+                                   "peak_bytes": w.peaks[i]})
     return row
 
 
