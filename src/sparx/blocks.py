@@ -67,22 +67,19 @@ class SsmParams:
 
     ``init_ssm`` makes one direction with the shapes below; a mixer stacks
     its k directions on a new leading axis (``params.stack``). The state
-    matrix is diagonal and strictly negative, A = -exp(a_log). The step size
-    is softplus(w_dt_out @ (w_dt_in @ token + b_dt_in) + b_dt_out), so it is
-    strictly positive: the mixer runs the rank-r inner projection on the whole
-    map, and the selective scan applies the outer one and softplus chunk by
-    chunk, so no full (C, tokens) step tensor is built.
+    matrix is diagonal and strictly negative, A = -exp(a_log). Each token is
+    projected by ``x_proj`` (VMamba's name) to its rank-r step input, its B
+    and its C, and the step size is softplus(w_dt @ step input + b_dt), so it
+    is strictly positive. The selective scan applies every projection and
+    softplus itself, chunk by chunk, so no (rows, tokens) projection and no
+    full (C, tokens) step tensor is built.
     """
-    a_log: np.ndarray     # (C, state)
-    d: np.ndarray         # (C,) passthrough
-    w_dt_in: np.ndarray   # (rank, C)
-    b_dt_in: np.ndarray   # (rank,)
-    w_dt_out: np.ndarray  # (C, rank), applied inside the scan
-    b_dt_out: np.ndarray  # (C,), applied inside the scan
-    w_b: np.ndarray       # (state, C)
-    b_b: np.ndarray       # (state,)
-    w_c: np.ndarray       # (state, C)
-    b_c: np.ndarray       # (state,)
+    a_log: np.ndarray   # (C, state)
+    d: np.ndarray       # (C,) passthrough
+    x_proj: np.ndarray  # (rank + 2 state, C): step input, B and C rows
+    b_proj: np.ndarray  # (rank + 2 state,)
+    w_dt: np.ndarray    # (C, rank)
+    b_dt: np.ndarray    # (C,)
 
 
 @dataclass
@@ -128,18 +125,13 @@ def init_dpe(init: Initializer, channels: int) -> DpeParams:
 def init_ssm(init: Initializer, channels: int, state_dim: int) -> SsmParams:
     rank = delta_rank(channels)
     a_log = np.log(np.arange(1, state_dim + 1, dtype=np.float64))
-    return SsmParams(
-        a_log=init.constant(np.tile(a_log, (channels, 1))),
-        d=init.ones((channels,)),
-        w_dt_in=init.trunc_normal((rank, channels)),
-        b_dt_in=init.zeros((rank,)),
-        w_dt_out=init.trunc_normal((channels, rank)),
-        b_dt_out=init.zeros((channels,)),
-        w_b=init.trunc_normal((state_dim, channels)),
-        b_b=init.zeros((state_dim,)),
-        w_c=init.trunc_normal((state_dim, channels)),
-        b_c=init.zeros((state_dim,)),
-    )
+    a_log, d = init.constant(np.tile(a_log, (channels, 1))), init.ones((channels,))
+    w_dt_in, b_dt_in = init.trunc_normal((rank, channels)), init.zeros((rank,))
+    w_dt, b_dt = init.trunc_normal((channels, rank)), init.zeros((channels,))
+    w_b, b_b = init.trunc_normal((state_dim, channels)), init.zeros((state_dim,))
+    w_c, b_c = init.trunc_normal((state_dim, channels)), init.zeros((state_dim,))
+    return SsmParams(a_log=a_log, d=d, x_proj=np.concatenate([w_dt_in, w_b, w_c]),
+                     b_proj=np.concatenate([b_dt_in, b_b, b_c]), w_dt=w_dt, b_dt=b_dt)
 
 
 def init_window_attn(init: Initializer, channels: int, window: int, heads: int,
@@ -279,20 +271,17 @@ def scan_forward(x: Tensor, p: SsmParams) -> Tensor:
     """Selective scan over the first k directions of ``SCAN_DIRECTIONS``, summed.
 
     ``p`` holds k = 1 (causal scan), 2 (bidirectional scan) or 4 (2-d scan)
-    stacked directions. Every projection is per token, so each runs once on
-    the flattened map for all k directions, in token order: B, C and the
-    rank-r step input. The one selective scan projects the step input to
-    step sizes chunk by chunk, visits the tokens in each direction's order
-    and returns the directions summed in token order.
+    stacked directions. The one selective scan takes the flattened map and
+    every projection: chunk by chunk it projects the tokens it visits to
+    their step inputs, B and C and the step inputs to step sizes, visits the
+    tokens in each direction's order and returns the directions summed in
+    token order.
     """
     k = p.a_log.shape[0]
     if k not in SCAN_DIRECTIONS.values():
         raise ShapeError(f"scan mixer: expected 1, 2 or 4 stacked directions, got {k}")
     C, H, W = x.shape
-    seq = reshape(x, (1, C, H * W))
-    dt = matmul(p.w_dt_in, seq, p.b_dt_in)
-    b, c = matmul(p.w_b, seq, p.b_b), matmul(p.w_c, seq, p.b_c)
-    y = selective_scan(reshape(x, (C, H * W)), dt, p.w_dt_out, p.b_dt_out, p.a_log, b, c, p.d,
+    y = selective_scan(reshape(x, (C, H * W)), p.x_proj, p.b_proj, p.w_dt, p.b_dt, p.a_log, p.d,
                        scan_orders(H, W, k))
     return reshape(y, (C, H, W))
 

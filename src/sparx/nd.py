@@ -16,29 +16,31 @@ function's ops have checked. The check tests ``isfinite`` one block of
 ``_CHECK_BLOCK`` elements at a time, so it stays exact and its mask is never
 larger than one block. Apart from layernorm, no op keeps output-sized
 scratch either: softmax works in its output buffer, gelu and the scan's
-chunks run through cache-sized buffers (the scan builds its step sizes
-chunk by chunk, so no (k,C,T) step tensor exists), dwconv and
+chunks run through cache-sized buffers (the scan projects each chunk's
+tokens to their step inputs, B, C and step sizes itself, so no (k,r,T),
+(k,S,T) or (k,C,T) tensor exists, forward or backward), dwconv and
 window_reduce build their patch columns one channel block at a time, and
 the dense convolution frees its patch matrix before it returns. Scan chunks,
 channel blocks and ``blocks.row_bands`` are all the ``pieces`` of an element
 budget. An op's other full-size arrays are values its backward pass reads
 and cannot rebuild cheaply (layernorm's normalized input); what it can
 rebuild from its inputs it does not keep: gelu recomputes erf, the dense
-convolution its patch matrix, and the scan its chunks' states. Layernorm makes one
-full-size temporary, its squared deviations, to keep the arithmetic of
-``var`` bit for bit.
+convolution its patch matrix, and the scan its chunks' projections and
+states. Layernorm makes one full-size temporary, its squared deviations, to
+keep the arithmetic of ``var`` bit for bit.
 
 The op surface is deliberately small: exactly the primitives the backbone
-needs (one linear op, ``matmul``, for every channel projection and attention
-product, plain or stacked over a leading axis; channel layernorm; channel
+needs (one linear op, ``matmul``, for every channel projection outside the
+scan and every attention product, plain or stacked over a leading axis;
+channel layernorm; channel
 concat/split, depthwise and dense convolution, one weighted reduction over
 non-overlapping windows (the aggregator's strided reducers and the bridge's
 2x2 average), softmax, a handful of pointwise nonlinearities, and an
 input-dependent selective scan over k token orders of one sequence, which
-applies its step-size projection and softplus itself). Channel ops take
-``(C, *rest)`` and treat every trailing axis as a token axis, so a (C,H,W)
-map goes in and comes out as a map; a reshape is needed only where the
-token axes themselves change.
+applies its token projection, step-size projection and softplus itself).
+Channel ops take ``(C, *rest)`` and treat every trailing axis as a token
+axis, so a (C,H,W) map goes in and comes out as a map; a reshape is needed
+only where the token axes themselves change.
 Broadcasting is supported only where these ops require it (bias adds,
 attention-bias adds, one right operand shared by a stack of left ones);
 there is no general-rank broadcasting.
@@ -172,6 +174,7 @@ _CHECK_BLOCK = 1 << 17
 # sweep runs, a checkpoint's untaped first run and its sub-tape included. ``scopes[-1]`` is where it ran:
 observer = None
 scopes = []  # the dotted paths of the open ``scope``s, outermost first: ``["s1", "s1.l2", "s1.l2.ffn"]``
+_paths = {}  # (enclosing path or None, name) -> path: one string per path, shared by every entry into it
 
 
 class scope:
@@ -182,7 +185,11 @@ class scope:
         self.name = name
 
     def __enter__(self):
-        scopes.append(f"{scopes[-1]}.{self.name}" if scopes else self.name)
+        outer = scopes[-1] if scopes else None
+        path = _paths.get((outer, self.name))
+        if path is None:
+            path = _paths[outer, self.name] = self.name if outer is None else f"{outer}.{self.name}"
+        scopes.append(path)
 
     def __exit__(self, *exc):
         scopes.pop()
@@ -191,14 +198,15 @@ class scope:
 def macs(op, out, inputs):
     """Multiply-accumulates of one op by ``count_flops``' conventions, from the shapes an observer sees: for ``matmul``
     a's elements times out's token cells, for ``conv2d``, ``dwconv`` and ``window_reduce`` kernel times out's cells,
-    for ``selective_scan`` 9 per channel-state-step plus its step projection and skip; 0 for any other op, a
-    checkpoint included (each op inside one is observed itself)."""
+    for ``selective_scan`` 9 per channel-state-step plus its token and step-size projections and skip; 0 for any
+    other op, a checkpoint included (each op inside one is observed itself)."""
     if op == "matmul":
         return math.prod(inputs[0].shape) * math.prod(out.shape[len(inputs[0].shape) - 1:])
     if op in ("conv2d", "dwconv", "window_reduce"):
         return math.prod(inputs[1].shape) * math.prod(out.shape[1:])
-    if op == "selective_scan":  # x (C,T), dt (k,r,T), a_log (k,C,S)
-        return math.prod(inputs[0].shape) * inputs[1].shape[0] * (inputs[1].shape[1] + 9 * inputs[4].shape[2] + 1)
+    if op == "selective_scan":  # x (C,T), x_proj (k,r+2S,C), w_dt (k,C,r), a_log (k,C,S)
+        (k, rows, _), r, S = inputs[1].shape, inputs[3].shape[2], inputs[5].shape[2]
+        return math.prod(inputs[0].shape) * k * (rows + r + 9 * S + 1)
     return 0
 
 
@@ -441,45 +449,42 @@ def mean_axis(a, axis, keepdims=False):
 # pointwise nonlinearities
 # ---------------------------------------------------------------------------
 
-# Numerical Recipes' erfc fit ("erfcc"), lowest order first: for z >= 0,
-# erfc(z) = t * exp(-z*z + sum_n c_n t^n), t = 1 / (1 + z/2), with fractional
-# error below 1.2e-7 everywhere.
-_ERFCC = np.array([-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
-                   0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277], dtype=np.float32)
+# Abramowitz & Stegun 7.1.26, lowest order first and halved: for z >= 0,
+# erfc(z) / 2 = t * sum_n a_n t^n * exp(-z*z), t = 1 / (1 + p z), with an absolute
+# error in erfc of at most 1.5e-7 everywhere.
+_ERFC_P = 0.3275911
+_ERFC_A = (np.array([0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429]) / 2).astype(np.float32)
 
 
 def _gelu_f32(x):
-    """float32 gelu as max(x, 0) - |x| erfc(|x|/sqrt2) / 2, from the erfcc fit.
+    """float32 gelu as max(x, 0) - |x| erfc(|x|/sqrt2) / 2, from the A&S 7.1.26 fit.
 
     Branch-free: both signs share the one erfc of |x|. Runs block by block on
-    three cache-sized scratch buffers with in-place SIMD ufuncs, so the output
-    is the only full-size allocation.
+    three cache-sized scratch buffers with in-place SIMD ufuncs, 20 passes a
+    block, so the output is the only full-size allocation.
     """
     out = np.empty_like(x)
     xf, of = x.reshape(-1), out.reshape(-1)
-    half_abs, t, e = np.empty((3, min(xf.size, _BLOCK)), dtype=np.float32)
-    rsqrt2, c = np.float32(np.sqrt(0.5)), _ERFCC
-    with np.errstate(over="ignore"):  # z*z is inf for |x| above ~3.7e19, where erfc is 0
+    abs_x, t, e = np.empty((3, min(xf.size, _BLOCK)), dtype=np.float32)
+    p_over_sqrt2, a = np.float32(_ERFC_P * np.sqrt(0.5)), _ERFC_A
+    with np.errstate(over="ignore"):  # x*x is inf for |x| above ~1.8e19, where erfc is 0
         for b0 in range(0, xf.size, _BLOCK):
             xb, ob = xf[b0:b0 + _BLOCK], of[b0:b0 + _BLOCK]
             n = len(xb)
-            hb, tb, eb = half_abs[:n], t[:n], e[:n]
-            np.abs(xb, out=hb)
-            hb *= np.float32(0.5)                    # |x|/2
-            np.multiply(hb, rsqrt2, out=tb)          # z/2 with z = |x|/sqrt2
+            ab, tb, eb = abs_x[:n], t[:n], e[:n]
+            np.abs(xb, out=ab)
+            np.multiply(ab, p_over_sqrt2, out=tb)    # p z with z = |x|/sqrt2
             tb += np.float32(1)
-            np.reciprocal(tb, out=tb)                # t = 1/(1 + z/2)
-            np.multiply(tb, c[9], out=eb)
-            for cn in c[8:0:-1]:                     # Horner from the top coefficient down
-                eb += cn
+            np.reciprocal(tb, out=tb)                # t = 1/(1 + p z)
+            np.multiply(tb, a[4], out=eb)
+            for an in a[3::-1]:                      # Horner from the top coefficient down
+                eb += an
                 eb *= tb
-            eb += c[0]
-            np.multiply(hb, hb, out=ob)              # z*z = 2 (|x|/2)^2
-            eb -= ob
-            eb -= ob
-            np.exp(eb, out=eb)
-            eb *= tb                                 # erfc(z)
-            eb *= hb                                 # |x| erfc(z) / 2
+            np.multiply(xb, xb, out=ob)
+            ob *= np.float32(-0.5)                   # -z*z
+            np.exp(ob, out=ob)
+            eb *= ob                                 # erfc(z) / 2
+            eb *= ab                                 # |x| erfc(z) / 2
             np.maximum(xb, np.float32(0), out=ob)
             ob -= eb
     return out
@@ -489,8 +494,8 @@ def gelu(a):
     """Exact (erf-based) Gaussian error linear unit, x * Phi(x).
 
     float64 calls scipy's ``erf``. float32 evaluates the same function through
-    a Chebyshev fit of erfc (``_gelu_f32``), in cache-sized blocks of SIMD
-    ufuncs; its error against float64 is below 1e-6 absolute. In either dtype
+    Abramowitz & Stegun's 7.1.26 fit of erfc (``_gelu_f32``), in cache-sized
+    blocks of SIMD ufuncs; its error against float64 is below 1e-6 absolute. In either dtype
     the node keeps only its input: the backward pass recomputes Phi with
     ``erf`` instead of keeping it.
     """
@@ -845,17 +850,18 @@ def _scan_states(h0, dl, dx, ad, b):
     return hs, decay
 
 
-def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
+def selective_scan(x, x_proj, b_proj, w_dt, b_dt, a_log, d, order):
     """Input-dependent linear state recurrence over k token orders of one sequence, summed.
 
     x (C,T) is shared by the k directions; row i of the fixed (k,T) int array
     ``order`` is a permutation of the tokens, the order in which direction i
-    visits them. The step sizes come from the low-rank step input dt (k,r,T)
-    through w_dt (k,C,r) and b_dt (k,C), as delta = softplus(w_dt @ dt + b_dt)
-    (k,C,T), strictly positive; a_log (k,C,S), b and c (k,S,T) and d (k,C).
-    Every per-token input is given in token order. With A = -exp(a_log),
-    direction i runs over its visiting steps u = order[i, t], per channel and
-    state,
+    visits them. Each direction projects every token, as VMamba's ``x_proj``
+    does, through x_proj (k,r+2S,C) and b_proj (k,r+2S): rows [0,r) are its
+    low-rank step input, rows [r,r+S) its B and rows [r+S,r+2S) its C. The
+    step sizes are delta = softplus(w_dt @ step input + b_dt) with w_dt
+    (k,C,r) and b_dt (k,C), strictly positive; a_log (k,C,S) and d (k,C).
+    With A = -exp(a_log), direction i runs over its visiting steps
+    u = order[i, t], per channel and state,
         h_t = exp(delta_u * A) * h_{t-1} + delta_u * b_u * x_u,   h_0 = 0
         y_u = sum_s c_u[s] * h_t[s] + d * x_u
     so it is causal in its own order. The k outputs are summed in token order
@@ -867,31 +873,35 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
     25 and 24 at stage 3, 13 and 12 at stage 4). The state is
     carried exactly from chunk to chunk, and on those four shapes the outputs
     are bit-identical to fixed 128-step chunks in float32 and float64. A
-    chunk gathers dt's columns in visiting order as (L,k,r), projects them in
-    one stacked product to its (L,k,C) step sizes, adds b_dt and applies
-    softplus in place as max(z, 0) + log1p(exp(-|z|)), so no (k,C,T) delta is
-    ever built; a non-finite or non-positive step size raises ``NumericError``.
-    The chunk gathers x as (L,k,C) and B and C as (L,k,S) rows, keeps its
-    states and decays as (L,k,S,C), and adds each direction's outputs as
-    C-rows into a time-first (T,C) pair buffer: ceil(k/2) of them, filled with
-    -0.0, buffer j taking directions 2j and 2j+1. The buffers are then summed
-    in place as the rest of the tree. Only each chunk's slice and the (k,S,C)
-    state entering it are kept; the backward pass recomputes each chunk's step sizes,
-    states and decays from that state, writes the step-size gradient through
-    softplus' derivative into one (k,C,T) buffer, and projects it back onto
-    dt, w_dt and b_dt after the loop.
+    chunk gathers x's columns in visiting order as (L,k,C) and projects them
+    in one stacked product, through a transposed view of x_proj, to its
+    (L,k,r+2S) step inputs, B and C, adding b_proj; B and C are then copied to
+    contiguous (L,k,S) rows. A second stacked product takes the step inputs to
+    the (L,k,C) step sizes, adds b_dt and applies softplus in place as
+    max(z, 0) + log1p(exp(-|z|)), so no (k,r,T) or (k,S,T) projection and no
+    (k,C,T) delta is ever built; a non-finite or non-positive step size raises
+    ``NumericError``. The chunk keeps its states and decays as (L,k,S,C), and
+    adds each direction's outputs as C-rows into a time-first (T,C) pair
+    buffer: ceil(k/2) of them, filled with -0.0, buffer j taking directions 2j
+    and 2j+1. The buffers are then summed in place as the rest of the tree.
+    The node keeps each chunk's slice and the (k,S,C) state entering it, one
+    (k,S,C) copy of A, and references to x and the parameter arrays. The
+    backward pass recomputes each chunk's projections, step sizes, states and
+    decays from that state, and adds the chunk's gradients onto x_proj,
+    b_proj, w_dt, b_dt and a time-first (T,C) gradient of x as it goes, so no
+    (k,·,T) gradient buffer exists either.
     """
-    _check_same_dtype("selective_scan", x, dt, w_dt, b_dt, a_log, b, c, d)
+    _check_same_dtype("selective_scan", x, x_proj, b_proj, w_dt, b_dt, a_log, d)
     order = np.asarray(order)
     if x.data.ndim != 2 or order.ndim != 2 or order.dtype.kind not in "iu":
         raise ShapeError(f"selective_scan: expects x (C,T) and an integer order (k,T), got {x.shape}, {order.shape}")
     (C, T), k = x.shape, order.shape[0]
     S = a_log.shape[2] if a_log.data.ndim == 3 else -1
-    r = dt.shape[1] if dt.data.ndim == 3 else -1
-    if (order.shape != (k, T) or dt.shape != (k, r, T) or w_dt.shape != (k, C, r) or b_dt.shape != (k, C)
-            or a_log.shape != (k, C, S) or b.shape != (k, S, T) or c.shape != (k, S, T) or d.shape != (k, C)):
-        raise ShapeError(f"selective_scan: inconsistent shapes x{x.shape} dt{dt.shape} w_dt{w_dt.shape} "
-                         f"b_dt{b_dt.shape} a_log{a_log.shape} b{b.shape} c{c.shape} d{d.shape} order{order.shape}")
+    r = w_dt.shape[2] if w_dt.data.ndim == 3 else -1
+    if (order.shape != (k, T) or x_proj.shape != (k, r + 2 * S, C) or b_proj.shape != (k, r + 2 * S)
+            or w_dt.shape != (k, C, r) or b_dt.shape != (k, C) or a_log.shape != (k, C, S) or d.shape != (k, C)):
+        raise ShapeError(f"selective_scan: inconsistent shapes x{x.shape} x_proj{x_proj.shape} b_proj{b_proj.shape} "
+                         f"w_dt{w_dt.shape} b_dt{b_dt.shape} a_log{a_log.shape} d{d.shape} order{order.shape}")
     if not np.array_equal(np.sort(order, axis=1), np.broadcast_to(np.arange(T), order.shape)):
         raise ShapeError("selective_scan: every row of order must be a permutation of the tokens")
     with np.errstate(over="ignore"):
@@ -899,27 +909,25 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
     if not np.isfinite(neg_a).all():
         raise NumericError("selective_scan: exp(a_log) overflows")
 
-    xd, dtd, wd, bdt, bd, cd, dd = x.data, dt.data, w_dt.data, b_dt.data, b.data, c.data, d.data
-    ad, ar = neg_a.transpose(0, 2, 1).copy(), np.arange(k)  # A as (k,S,C)
-
-    def time_first(arr):
-        """A (k,R,T) array viewed as (T,k,R): row [u, i] is token u of direction i."""
-        return arr.transpose(2, 0, 1)
+    xd, wp, bp, wd, bdt, dd = x.data, x_proj.data, b_proj.data, w_dt.data, b_dt.data, d.data
+    ad = neg_a.transpose(0, 2, 1).copy()  # A as (k,S,C)
 
     def chunk_inputs(idx):
-        """A chunk's step pre-activation and delta, x (L,k,C), delta * x, and B and C (L,k,S), in visiting order."""
-        pre = np.empty((idx.shape[1], k, C), dtype=xd.dtype)
+        """A chunk's x (L,k,C), delta (L,k,C), delta * x, contiguous B and C (L,k,S), projections (L,k,r+2S) and
+        step pre-activation (L,k,C), in visiting order."""
+        xc = xd.T[idx.T]
+        proj, pre = np.empty((idx.shape[1], k, r + 2 * S), dtype=xd.dtype), np.empty_like(xc)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step size raises below
-            np.matmul(np.swapaxes(time_first(dtd)[idx.T, ar], 0, 1), np.swapaxes(wd, 1, 2),
-                      out=np.swapaxes(pre, 0, 1))
-        pre += bdt
+            np.matmul(np.swapaxes(xc, 0, 1), np.swapaxes(wp, 1, 2), out=np.swapaxes(proj, 0, 1))
+            proj += bp
+            np.matmul(np.swapaxes(proj[..., :r], 0, 1), np.swapaxes(wd, 1, 2), out=np.swapaxes(pre, 0, 1))
+            pre += bdt
         dlc = np.abs(pre)  # softplus: -|z|, exp, log1p in place, then + max(z, 0)
         np.negative(dlc, out=dlc)
         np.exp(dlc, out=dlc)
         np.log1p(dlc, out=dlc)
         dlc += np.maximum(pre, 0)
-        xc = xd.T[idx.T]
-        return pre, dlc, xc, dlc * xc, time_first(bd)[idx.T, ar], time_first(cd)[idx.T, ar]
+        return xc, dlc, dlc * xc, proj[..., r:r + S].copy(), proj[..., r + S:].copy(), proj, pre
 
     # Pair j of the k outputs in token order, time-first: directions 2j and 2j+1
     # are added onto -0, the identity of IEEE addition, so in whichever order
@@ -929,7 +937,7 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
     for ch in pieces(T, k * S * C, _SCAN_ELEMS):
         starts.append((ch, h))
         idx = order[:, ch]
-        dlc, xc, dxc, bc, cc = chunk_inputs(idx)[1:]  # the pre-activation is read by the backward pass only
+        xc, dlc, dxc, bc, cc = chunk_inputs(idx)[:5]  # the projections and pre-activation are for backward
         if not _all_finite(dlc):
             raise NumericError("selective_scan: non-finite step size delta")
         if np.fmin.reduce(dlc, axis=None, initial=np.inf) <= 0:  # any(delta <= 0) without a mask
@@ -943,16 +951,17 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
 
     def vjp(g):
         gx = np.multiply(g.T, dd.sum(axis=0), out=np.empty((T, C), dtype=g.dtype))  # time-first
-        gpre, gb, gc = np.empty((k, C, T), dtype=g.dtype), np.empty_like(bd), np.empty_like(cd)
+        gwp, gbp, gwd, gbdt = np.zeros_like(wp), np.zeros_like(bp), np.zeros_like(wd), np.zeros_like(bdt)
         ga = np.zeros_like(ad)
         tmp = np.empty((k, S, C), dtype=xd.dtype)
         carry = np.zeros((k, S, C), dtype=xd.dtype)  # decay_{t+1} * dL/dh_{t+1} from the later chunk
         for ch, h0 in reversed(starts):
             idx = order[:, ch]
-            pre, dlc, xc, dxc, bc, cc = chunk_inputs(idx)
+            xc, dlc, dxc, bc, cc, proj, pre = chunk_inputs(idx)
             hs, decay = _scan_states(h0, dlc, dxc, ad, bc)
             gl = g.T[idx.T]
-            time_first(gc)[idx.T, ar] = np.einsum("tksc,tkc->tks", hs, gl)
+            gproj = np.empty_like(proj)  # dL/d(step input, B, C), (L,k,r+2S)
+            gproj[..., r + S:] = np.einsum("tksc,tkc->tks", hs, gl)
             # dL/dh_t = g_t c_t + decay_{t+1} dL/dh_{t+1}, run backwards in time
             gh = np.einsum("tkc,tks->tksc", gl, cc)
             gh[-1] += carry
@@ -968,20 +977,27 @@ def selective_scan(x, dt, w_dt, b_dt, a_log, b, c, d, order):
             gbs = np.einsum("tksc,tks->tkc", gh, bc)
             gdl = np.einsum("tksc,ksc->tkc", decay, ad) + gbs * xc
             e = np.exp(-np.abs(pre))
-            time_first(gpre)[idx.T, ar] = gdl * np.where(pre >= 0, 1, e) / (1 + e)  # sigmoid(z), no overflow
-            for j, gxi in zip(idx, np.moveaxis(gbs * dlc, 1, 0)):
+            gpre = np.swapaxes(gdl * np.where(pre >= 0, 1, e) / (1 + e), 0, 1)  # sigmoid(z), no overflow; (k,L,C)
+            gproj[..., r:r + S] = np.einsum("tksc,tkc->tks", gh, dxc)
+            np.matmul(gpre, wd, out=np.swapaxes(gproj[..., :r], 0, 1))
+            gwd += np.swapaxes(gpre, 1, 2) @ np.swapaxes(proj[..., :r], 0, 1)
+            gbdt += gpre.sum(axis=1)
+            gproj = np.swapaxes(gproj, 0, 1)  # (k,L,r+2S)
+            gwp += np.swapaxes(gproj, 1, 2) @ np.swapaxes(xc, 0, 1)
+            gbp += gproj.sum(axis=1)
+            gbs *= dlc  # dL/dx through delta * x, then through the projections
+            gxs = np.swapaxes(gbs, 0, 1)
+            gxs += gproj @ wp
+            for j, gxi in zip(idx, gxs):
                 gx[j] += gxi  # the directions share x: one add each
-            time_first(gb)[idx.T, ar] = np.einsum("tksc,tkc->tks", gh, dxc)
         gd = np.tile((g * xd).sum(axis=1), (k, 1))  # d_i multiplies the same x in every direction
-        # the step-size projection's gradients, as matmul's vjp forms them
-        gw, gdt = gpre @ np.swapaxes(dtd, -1, -2), np.swapaxes(wd, -1, -2) @ gpre
-        return gx.T, gdt, gw, gpre.sum(axis=-1), (ga * ad).transpose(0, 2, 1), gb, gc, gd
+        return gx.T, gwp, gbp, gwd, gbdt, (ga * ad).transpose(0, 2, 1), gd
 
     while len(pairs) > 1:  # the rest of a balanced tree, in place: (y0+y1)+(y2+y3) for k = 4
         for left, right in zip(pairs[::2], pairs[1::2]):
             left += right
         pairs = pairs[::2]
-    return _apply("selective_scan", pairs.pop().T, (x, dt, w_dt, b_dt, a_log, b, c, d), vjp)
+    return _apply("selective_scan", pairs.pop().T, (x, x_proj, b_proj, w_dt, b_dt, a_log, d), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,10 +1018,12 @@ def checkpoint(f, *inputs):
     if all(t.tape is None for t in inputs):
         return f(*inputs)
     out = f(*[_wrap(t.data) for t in inputs])
-    at = scopes[-1:]  # the path ``f`` ran under, if any, which its re-run re-enters
+    at = scopes[-1] if scopes else None  # the path ``f`` ran under, which its re-run re-enters
 
     def vjp(g):
-        scopes.extend(at)
+        depth = len(scopes)
+        if at is not None:
+            scopes.append(at)
         try:
             sub = Tape()
             ins = [t if t.tape is None else sub.leaf(t.data) for t in inputs]
@@ -1013,7 +1031,7 @@ def checkpoint(f, *inputs):
             grads = _sweep(sub, y.node, g) if y.tape is sub else {}
             return tuple(None if t.tape is None else grads.get(t.node) for t in ins)
         finally:
-            del scopes[len(scopes) - len(at):]
+            del scopes[depth:]
 
     return _apply("checkpoint", out.data, inputs, vjp)
 

@@ -351,12 +351,12 @@ def check_scan_causality():
 
 
 def check_scan_recurrence():
-    # one direction in token order, constant delta=softplus(log(e-1))=1 (identity step
-    # projection), A=-exp(0)=-1, b=1, c=1, d=0, x=[1,0,0] -> y = [1, e^-1, e^-2]
-    ones = Tensor(np.ones((1, 1, 3)))
-    y = nd.selective_scan(Tensor([[1.0, 0.0, 0.0]]), Tensor(np.full((1, 1, 3), np.log(np.e - 1))),
-                          Tensor(np.ones((1, 1, 1))), Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1, 1))),
-                          ones, ones, Tensor(np.zeros((1, 1))), np.arange(3)[None]).data
+    # one direction in token order, constant delta=softplus(log(e-1))=1 (a zero step-input
+    # weight plus that bias, unit step projection), A=-exp(0)=-1, b=1 and c=1 (zero weights
+    # plus unit biases), d=0, x=[1,0,0] -> y = [1, e^-1, e^-2]
+    one, zero = Tensor(np.ones((1, 1, 1))), Tensor(np.zeros((1, 1)))
+    y = nd.selective_scan(Tensor([[1.0, 0.0, 0.0]]), Tensor(np.zeros((1, 3, 1))), Tensor([[np.log(np.e - 1), 1, 1]]),
+                          one, zero, Tensor(np.zeros((1, 1, 1))), zero, np.arange(3)[None]).data
     ref = np.array([1.0, np.exp(-1.0), np.exp(-2.0)])
     err = float(np.abs(y[0] - ref).max())
     return _result("scan_hand_recurrence", err <= 1e-4, f"{err:.2e}", "1e-4")

@@ -40,7 +40,7 @@ _MULTI_INPUT_OPS = [
     ("window_reduce", window_reduce, [(2, 4, 4), (2, 2, 2)]),
     ("conv2d", lambda x, w, b: conv2d(x, w, b, pad=1), [(2, 4, 4), (3, 2, 3, 3), (3,)]),
     ("selective_scan", lambda *ts: selective_scan(*ts, np.arange(4)[None]),
-     [(2, 4), (1, 1, 4), (1, 2, 1), (1, 2), (1, 2, 3), (1, 3, 4), (1, 3, 4), (1, 2)]),
+     [(2, 4), (1, 7, 2), (1, 7), (1, 2, 1), (1, 2), (1, 2, 3), (1, 2)]),
 ]
 
 
@@ -325,10 +325,11 @@ class TestNonlinearOps:
     def test_gelu_softplus_values(self):
         x = np.array([0.0])
         assert abs(gelu(Tensor(x)).data[0]) < 1e-12
-        # one scan step with unit x, b, c and d = 0 returns its step size, softplus(0) = log 2
-        one = Tensor(np.ones((1, 1, 1)))
-        y = selective_scan(Tensor(np.ones((1, 1))), Tensor(np.zeros((1, 1, 1))), one, Tensor(np.zeros((1, 1))),
-                           Tensor(np.zeros((1, 1, 1))), one, one, Tensor(np.zeros((1, 1))), np.arange(1)[None])
+        # one scan step with unit x, b and c (zero token weights plus unit biases), a zero step input
+        # and d = 0 returns its step size, softplus(0) = log 2
+        y = selective_scan(Tensor(np.ones((1, 1))), Tensor(np.zeros((1, 3, 1))), Tensor([[0.0, 1.0, 1.0]]),
+                           Tensor(np.ones((1, 1, 1))), Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1, 1))),
+                           Tensor(np.zeros((1, 1))), np.arange(1)[None])
         assert abs(y.data[0, 0] - np.log(2)) < 1e-12
 
     def test_gelu_float32_runs_in_float32(self):
@@ -340,7 +341,7 @@ class TestNonlinearOps:
         assert peak < 3.5 * x.nbytes, peak / x.nbytes  # no float64 intermediate
 
     def test_gelu_float32_fit_against_float64_on_a_dense_grid(self):
-        # the float32 forward is a Chebyshev erfc fit, the float64 one scipy's erf
+        # the float32 forward is Abramowitz & Stegun's 7.1.26 erfc fit, the float64 one scipy's erf
         x = np.concatenate([np.linspace(-12, 12, 240_001, dtype=np.float32),
                             np.array([0.0, 1e-30, -1e-30], dtype=np.float32)])
         x64 = x.astype(np.float64)
@@ -498,6 +499,18 @@ class TestScope:
             assert nd.scopes == ["train"]
         assert paths == [["s1", "s1.band"], ["train", "s1.band"]] and nd.scopes == []
 
+    def test_every_entry_into_a_path_shares_one_string_which_a_checkpoint_keeps_without_a_container(self):
+        rng = np.random.default_rng(35)
+        tape = Tape()
+        ins = [tape.leaf(rng.standard_normal(s)) for s in [(3, 4), (3, 3), (3,)]]
+        with nd.scope("s1"), nd.scope("band"):
+            first = nd.scopes[-1]
+        with nd.scope("s1"), nd.scope("band"):
+            assert nd.scopes[-1] is first
+            y = nd.checkpoint(_expand_gelu, *ins)
+        kept = [cell.cell_contents for cell in tape.nodes[y.node].vjp.__closure__]
+        assert any(v is first for v in kept) and not any(isinstance(v, (list, dict)) for v in kept)
+
 
 class TestObserver:
     """``nd.observer`` sees every op and every vjp once, in the order they run, and changes no value."""
@@ -631,11 +644,11 @@ class TestTapeKeeps:
     def test_scan_node_holds_a_once(self):
         rng = np.random.default_rng(22)
         k, C, S, T, r = 2, 3, 4, 5, 2
-        shapes = [(C, T), (k, r, T), (k, C, r), (k, C), (k, C, S), (k, S, T), (k, S, T), (k, C)]
+        shapes = [(C, T), (k, r + 2 * S, C), (k, r + 2 * S), (k, C, r), (k, C), (k, C, S), (k, C)]
         tape = Tape()
         leaves = [tape.leaf(rng.standard_normal(s)) for s in shapes]
         out = selective_scan(*leaves, np.stack([np.arange(T), np.arange(T)[::-1]]))
-        a_sorted = np.sort(-np.exp(leaves[4].data), axis=None)
+        a_sorted = np.sort(-np.exp(leaves[5].data), axis=None)
         copies = [arr for arr in _kept_arrays(tape.nodes[out.node].vjp)
                   if arr.size == a_sorted.size and np.array_equal(np.sort(arr, axis=None), a_sorted)]
         assert len(copies) == 1, [c.shape for c in copies]
@@ -691,18 +704,17 @@ class TestGradCheck:
         order = np.stack([np.arange(T), np.arange(T)[::-1]])
         for trial in range(5):
             x = rng.standard_normal((C, T))
-            dt = rng.standard_normal((k, r, T))
+            x_proj = rng.standard_normal((k, r + 2 * S, C))
+            b_proj = rng.standard_normal((k, r + 2 * S))
             w_dt = rng.standard_normal((k, C, r))
             b_dt = rng.standard_normal((k, C))
             a_log = rng.standard_normal((k, C, S))
-            b = rng.standard_normal((k, S, T))
-            c = rng.standard_normal((k, S, T))
             d = rng.standard_normal((k, C))
 
             def f(*ts):
                 return sum_all(selective_scan(*ts, order))
 
-            assert grad_check(f, [x, dt, w_dt, b_dt, a_log, b, c, d]) <= 1e-4
+            assert grad_check(f, [x, x_proj, b_proj, w_dt, b_dt, a_log, d]) <= 1e-4
 
 
 def _op_cases():
@@ -760,13 +772,31 @@ class TestEveryOpGradient:
             assert err <= 1e-4, f"{name} trial {trial}: {err}"
 
 
-def _identity_step(pre):
-    """Step-size inputs (dt, w_dt, b_dt) whose projection is exactly ``pre`` (k,C,T): w_dt = I, b_dt = 0."""
-    k, C, _ = pre.shape
-    return [pre, np.tile(np.eye(C, dtype=pre.dtype), (k, 1, 1)), np.zeros((k, C), dtype=pre.dtype)]
+def scan_projections(x, x_proj, b_proj, w_dt, b_dt):
+    """The step sizes delta (k,C,T) and B and C (k,S,T) of a scan's inputs, projected in numpy (float64)."""
+    r = w_dt.shape[2]
+    S = (x_proj.shape[1] - r) // 2
+    proj = x_proj @ x + b_proj[..., None]
+    return np.logaddexp(0, w_dt @ proj[:, :r] + b_dt[..., None]), proj[:, r:r + S], proj[:, r + S:]
 
 
-_SCAN_INPUTS = ("x", "dt", "w_dt", "b_dt", "a_log", "b", "c", "d")
+def scan_reference(x, x_proj, b_proj, w_dt, b_dt, a_log, d, order):
+    """The k directions' loop oracles on the numpy projections, each scattered back to token order and summed."""
+    delta, b, c = scan_projections(x, x_proj, b_proj, w_dt, b_dt)
+    ref = np.zeros(x.shape)
+    for i, idx in enumerate(order):  # direction i on its visiting-order sequence, scattered back
+        ref[:, idx] += scan_oracle(x[:, idx], delta[i][:, idx], -np.exp(a_log[i]), b[i][:, idx], c[i][:, idx], d[i])
+    return ref
+
+
+def random_scan_weights(rng, k, C, S, r):
+    """Random x_proj, b_proj, w_dt, b_dt, a_log and d, the projections scaled by their fan-in's root."""
+    return [rng.standard_normal((k, r + 2 * S, C)) / np.sqrt(C), rng.standard_normal((k, r + 2 * S)),
+            rng.standard_normal((k, C, r)) / np.sqrt(r), rng.standard_normal((k, C)),
+            rng.standard_normal((k, C, S)), rng.standard_normal((k, C))]
+
+
+_SCAN_INPUTS = ("x", "x_proj", "b_proj", "w_dt", "b_dt", "a_log", "d")
 CHUNK = 128  # chunk steps the small scans below run in, so their sequences span several chunks
 
 
@@ -778,9 +808,12 @@ def chunk_budget(steps, k, S, C):
 class TestScanSemantics:
     @staticmethod
     def _args(rng, k, C, S, T):
-        return [Tensor(a) for a in _identity_step(np.full((k, C, T), 0.7))] + [
-            Tensor(rng.standard_normal((k, C, S))), Tensor(rng.standard_normal((k, S, T))),
-            Tensor(rng.standard_normal((k, S, T))), Tensor(rng.standard_normal((k, C)))]
+        """Every input but x: random B and C weights and a constant step size, softplus(0.7), from a zero
+        step-input weight plus a bias."""
+        x_proj, b_proj, *rest = random_scan_weights(rng, k, C, S, 1)
+        x_proj[:, 0], b_proj[:, 0] = 0, 0.7
+        w_dt, b_dt = np.ones((k, C, 1)), np.zeros((k, C))
+        return [Tensor(a) for a in (x_proj, b_proj, w_dt, b_dt, *rest[2:])]
 
     def test_causality_bitwise(self):
         # one direction in a shuffled order: changing its last-visited token leaves the others bitwise
@@ -803,18 +836,14 @@ class TestScanSemantics:
         x = rng.standard_normal((C, T))
         args = self._args(rng, 1, C, S, T)
         backward = selective_scan(Tensor(x), *args, np.arange(T)[None, ::-1]).data
-        per_token = (0, 4, 5)  # dt, b and c are in token order; the rest is per channel
-        flipped = [a.data[..., ::-1] if i in per_token else a.data for i, a in enumerate(args)]
-        forward = selective_scan(Tensor(x[:, ::-1].copy()), *(Tensor(v.copy()) for v in flipped),
-                                 np.arange(T)[None]).data
+        # x is the only per-token input: the scan projects each token itself
+        forward = selective_scan(Tensor(x[:, ::-1].copy()), *args, np.arange(T)[None]).data
         assert np.allclose(backward, forward[:, ::-1], rtol=0, atol=1e-12)
 
     @staticmethod
     def _random_scan(rng, k, C, S, T, dtype=np.float64):
-        """Scan inputs (random step-size pre-activations through the identity projection) and k random token orders."""
-        arrays = [rng.standard_normal((C, T)), *_identity_step(rng.standard_normal((k, C, T))),
-                  rng.standard_normal((k, C, S)), rng.standard_normal((k, S, T)),
-                  rng.standard_normal((k, S, T)), rng.standard_normal((k, C))]
+        """Scan inputs (random x and weights, step rank 2) and k random token orders."""
+        arrays = [rng.standard_normal((C, T)), *random_scan_weights(rng, k, C, S, 2)]
         return [a.astype(dtype) for a in arrays], np.stack([rng.permutation(T) for _ in range(k)])
 
     @staticmethod
@@ -877,8 +906,8 @@ class TestScanSemantics:
         k, S, r = 4, 4, C // 8
         rng = np.random.default_rng(seed)
         arrays = [rng.standard_normal(shape).astype(np.float32) * scale for shape, scale in (
-            ((C, T), 1), ((k, r, T), 1), ((k, C, r), 0.3), ((k, C), 1), ((k, C, S), 1), ((k, S, T), 1),
-            ((k, S, T), 1), ((k, C), 1))]
+            ((C, T), 1), ((k, r + 2 * S, C), C ** -0.5), ((k, r + 2 * S), 1), ((k, C, r), 0.3), ((k, C), 1),
+            ((k, C, S), 1), ((k, C), 1))]
         order = np.stack([rng.permutation(T) for _ in range(k)])
         return [Tensor(a) for a in arrays], order, k * C * T * 4
 
@@ -903,12 +932,11 @@ class TestScanSemantics:
         assert peak <= 2_207_744 == 2.2 * delta_bytes, peak / delta_bytes
 
     def test_nonpositive_delta_rejected(self):
-        # softplus(-1000) underflows to 0 in float64
-        one = Tensor(np.ones((1, 1, 1)))
+        # softplus(-1000) underflows to 0 in float64: a zero step-input weight plus a bias of -1000
         with pytest.raises(NumericError, match="delta"):
-            selective_scan(Tensor(np.ones((1, 2))), Tensor(np.full((1, 1, 2), -1000.0)), one,
-                           Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1, 1))), Tensor(np.ones((1, 1, 2))),
-                           Tensor(np.ones((1, 1, 2))), Tensor(np.ones((1, 1))), np.arange(2)[None])
+            selective_scan(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 3, 1))), Tensor([[-1000.0, 1.0, 1.0]]),
+                           Tensor(np.ones((1, 1, 1))), Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1, 1))),
+                           Tensor(np.ones((1, 1))), np.arange(2)[None])
 
 
 class TestKernelProperties:
@@ -1039,15 +1067,8 @@ class TestKernelProperties:
         rng = np.random.default_rng(seed)
         order = np.stack([rng.permutation(T) for _ in range(k)])
         r = int(rng.integers(1, 4))
-        x, dt, w_dt = rng.standard_normal((C, T)), rng.standard_normal((k, r, T)), rng.standard_normal((k, C, r))
-        b_dt, a_log = rng.standard_normal((k, C)), rng.standard_normal((k, C, S))
-        b, c, d = rng.standard_normal((k, S, T)), rng.standard_normal((k, S, T)), rng.standard_normal((k, C))
-        delta = np.logaddexp(0, w_dt @ dt + b_dt[..., None])
-        ref = np.zeros((C, T))
-        for i, idx in enumerate(order):  # direction i on its visiting-order sequence, scattered back
-            ref[:, idx] += scan_oracle(x[:, idx], delta[i][:, idx], -np.exp(a_log[i]),
-                                       b[i][:, idx], c[i][:, idx], d[i])
-        inputs = [x, dt, w_dt, b_dt, a_log, b, c, d]
+        inputs = [rng.standard_normal((C, T)), *random_scan_weights(rng, k, C, S, r)]
+        ref = scan_reference(*inputs, order)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nd, "_SCAN_ELEMS", chunk_budget(CHUNK, k, S, C))
             got = selective_scan(*(Tensor(v.astype(dtype)) for v in inputs), order).data
@@ -1062,6 +1083,34 @@ class TestKernelProperties:
                     return _dot(selective_scan(*ts, order), probe)
 
                 assert grad_check(f, [inputs[i]], max_elements=8, rng=np.random.default_rng(seed)) <= 1e-4
+
+    @settings(max_examples=30, deadline=None)
+    @example(k=4, C=3, S=2, r=2, T=40, seed=0)
+    @example(k=1, C=1, S=1, r=1, T=1, seed=0)
+    @given(k=st.sampled_from([1, 2, 4]), C=st.integers(1, 4), S=st.integers(1, 3), r=st.integers(1, 3),
+           T=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_scan_projections_match_numpy_and_a_directional_derivative_matches_central_differences(self, k, C, S,
+                                                                                                   r, T, seed):
+        # float64: the output against the numpy projections and the loop oracle, and the tape's derivative of
+        # <y, probe> along one random direction through every input at once against a central difference
+        rng = np.random.default_rng(seed)
+        order = np.stack([rng.permutation(T) for _ in range(k)])
+        inputs = [rng.standard_normal((C, T)), *random_scan_weights(rng, k, C, S, r)]
+        got = selective_scan(*(Tensor(v) for v in inputs), order).data
+        assert np.allclose(got, scan_reference(*inputs, order), rtol=0, atol=1e-12)
+        probe, along = rng.standard_normal((C, T)), [rng.standard_normal(v.shape) for v in inputs]
+        tape = Tape()
+        leaves = [tape.leaf(v) for v in inputs]
+        grads = backward(tape, _dot(selective_scan(*leaves, order), Tensor(probe)))
+        analytic = sum(float((grads[t.node].data * u).sum()) for t, u in zip(leaves, along))
+
+        def loss(s):
+            return float((selective_scan(*(Tensor(v + s * u) for v, u in zip(inputs, along)), order).data
+                          * probe).sum())
+
+        h = 1e-5
+        numeric = (loss(h) - loss(-h)) / (2 * h)
+        assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(analytic), abs(numeric)), (analytic, numeric)
 
     @settings(max_examples=12)
     @example(k=4, C=2, S=2, T=2 * CHUNK + 3, dtype=np.float32, seed=0)
@@ -1105,8 +1154,9 @@ class TestKernelProperties:
 
     def test_scan_rejects_bad_orders_shapes_and_delta(self):
         k, C, S, T, r = 2, 2, 1, 3, 1
-        args = [np.ones((C, T)), np.ones((k, r, T)), np.ones((k, C, r)), np.zeros((k, C)), np.zeros((k, C, S)),
-                np.ones((k, S, T)), np.ones((k, S, T)), np.ones((k, C))]
+        P = r + 2 * S
+        args = [np.ones((C, T)), np.ones((k, P, C)), np.zeros((k, P)), np.ones((k, C, r)), np.zeros((k, C)),
+                np.zeros((k, C, S)), np.ones((k, C))]
         good = np.stack([np.arange(T), np.arange(T)[::-1]])
 
         def run(arrays, order):
@@ -1117,17 +1167,17 @@ class TestKernelProperties:
                       good[:1], good[0], good.astype(np.float64)):
             with pytest.raises(ShapeError, match="order|inconsistent"):
                 run(args, order)
-        for i, shape in ((0, (C, T + 1)), (1, (k, r, T + 1)), (2, (k, C + 1, r)), (2, (k, C, r + 1)), (3, (k, C + 1)),
-                         (4, (k, C, S, 1)), (5, (k, S + 1, T)), (6, (k + 1, S, T)), (7, (C,))):
+        for i, shape in ((0, (C, T + 1)), (1, (k, P + 1, C)), (1, (k, P, C + 1)), (2, (k, P + 1)), (3, (k, C + 1, r)),
+                         (3, (k, C, r + 1)), (4, (k, C + 1)), (5, (k, C, S, 1)), (5, (k + 1, C, S)), (6, (C,))):
             with pytest.raises(ShapeError):
                 run(args[:i] + [np.ones(shape)] + args[i + 1:], good)
         with pytest.raises(NumericError, match="delta"):  # softplus(-1000) underflows to 0
-            run(args[:3] + [np.full((k, C), -1000.0)] + args[4:], good)
-        for step in (np.full((k, r, T), 1e200), np.full((k, r, T), np.nan)):  # the product overflows, or is NaN
+            run(args[:4] + [np.full((k, C), -1000.0)] + args[5:], good)
+        for bias in (np.full((k, P), 1e200), np.full((k, P), np.nan)):  # the step product overflows, or is NaN
             with pytest.raises(NumericError, match="non-finite step size"):
-                run(args[:1] + [step, np.full((k, C, r), 1e200)] + args[3:], good)
+                run(args[:2] + [bias, np.full((k, C, r), 1e200)] + args[4:], good)
         with pytest.raises(NumericError, match="a_log"):
-            run(args[:4] + [np.full((k, C, S), 1000.0)] + args[5:], good)
+            run(args[:5] + [np.full((k, C, S), 1000.0)] + args[6:], good)
 
     # (a, b) shapes of every call form in the backbone: a 2-d product, a projected (C,H,W) map, k stacked
     # projections of k maps, one map shared by k stacked projections, and a same-batch attention product
@@ -1202,19 +1252,27 @@ class TestKernelProperties:
     @given(dtype=st.sampled_from([np.float32, np.float64]),
            values=st.lists(st.floats(-80, 200), min_size=1, max_size=40), seed=st.integers(0, 2**16))
     def test_scan_step_softplus_matches_logaddexp_and_sigmoid(self, dtype, values, seed):
-        # one step of one direction with one state, pre-activations through the identity projection:
+        # one step of one direction with one state: zero token weights, so the step input is its bias ``pre``
+        # (rank C), taken to the step pre-activations by w_dt = I, and B and C are their biases b and c.
         # y = (delta b c + d) x with delta = softplus(pre), so the output and every gradient have a closed form
         pre = np.array(values + [-80.0, -60.0, -31.0, 31.0, 60.0, 200.0], dtype=dtype)
         C, rng, eps = len(pre), np.random.default_rng(seed), np.finfo(dtype).eps
         x, d, probe = (rng.standard_normal(C).astype(dtype) for _ in range(3))
         b, c = rng.standard_normal(2).astype(dtype)
-        arrays = [x[:, None], *_identity_step(pre[None, :, None]), rng.standard_normal((1, C, 1)).astype(dtype),
-                  np.full((1, 1, 1), b), np.full((1, 1, 1), c), d[None]]
+
+        def inputs(x, b, c, d):
+            return [x[:, None].astype(dtype), np.zeros((1, C + 2, C), dtype),
+                    np.concatenate([pre, [b, c]])[None].astype(dtype), np.eye(C, dtype=dtype)[None],
+                    np.zeros((1, C), dtype), rng.standard_normal((1, C, 1)).astype(dtype), d[None].astype(dtype)]
+
         tape = Tape()
-        leaves = [tape.leaf(a) for a in arrays]
+        leaves = [tape.leaf(a) for a in inputs(x, b, c, d)]
         y = selective_scan(*leaves, np.zeros((1, 1), dtype=np.int64))
         grads = backward(tape, _dot(y, Tensor(probe[:, None])))
         got = {"y": y.data} | {n: grads[t.node].data for n, t in zip(_SCAN_INPUTS, leaves)}
+        g_in = got.pop("b_proj").reshape(-1)  # the step input's, B's and C's gradients
+        got |= {"dt": g_in[:C], "b": g_in[C], "c": g_in[C + 1]}
+        assert np.array_equal(got.pop("x_proj")[0], np.outer(g_in, x))  # x_proj's: theirs times x, one product each
         pre, x, d, probe, b, c = (np.float64(v) for v in (pre, x, d, probe, b, c))  # float64 oracle
         delta, sig = np.logaddexp(0, pre), expit(pre)
         gpre = probe * x * b * c * sig
@@ -1229,12 +1287,10 @@ class TestKernelProperties:
             tol = 16 * eps * mag + 16 * np.finfo(dtype).smallest_normal
             assert got[name].dtype == dtype and np.all(np.abs(v - ref) <= tol), name
         # with unit x, b and c and d = 0 the output is the step size itself, and dL/dpre is sigmoid(pre)
-        unit = [np.ones((C, 1)), *_identity_step(pre[None, :, None]), np.zeros((1, C, 1)), np.ones((1, 1, 1)),
-                np.ones((1, 1, 1)), np.zeros((1, C))]
         tape = Tape()
-        leaves = [tape.leaf(a.astype(dtype)) for a in unit]
+        leaves = [tape.leaf(a) for a in inputs(np.ones(C), 1.0, 1.0, np.zeros(C))]
         y = selective_scan(*leaves, np.zeros((1, 1), dtype=np.int64))
-        g = backward(tape, sum_all(y))[leaves[1].node].data.reshape(-1)
+        g = backward(tape, sum_all(y))[leaves[2].node].data.reshape(-1)[:C]
         assert np.allclose(y.data.reshape(-1), delta, rtol=4 * eps, atol=4 * eps)
         assert np.allclose(g, sig, rtol=4 * eps, atol=4 * eps)
 
