@@ -240,19 +240,22 @@ def banded(f, x: Tensor, c_out: int, width: int, strides: tuple[int, ...] = (1,)
     return concat(outs, axis=1)
 
 
-def convffn_forward(x: Tensor, p: ConvFfnParams) -> Tensor:
-    """Expand, 3x3 depthwise, gelu, contract; in row bands when a hidden map exceeds ``_BAND_ELEMS``.
+def convffn_forward(x: Tensor, ln_g: Tensor, ln_b: Tensor, p: ConvFfnParams) -> Tensor:
+    """Layernorm, expand, 3x3 depthwise, gelu, contract; in row bands when a hidden map exceeds ``_BAND_ELEMS``.
 
-    Each band of ``banded`` expands its rows and halo rows. Within a band each hidden map is freed
-    after its last use, so at most two band-sized hidden maps are live at once. Each band is one
-    ``nd.checkpoint`` of the band and the six parameters: on a tape it keeps its band input instead
-    of its three hidden maps, and backward re-records one band at a time. Runs in scope ``ffn``.
+    ``x`` is the residual stream and ``ln_g``/``ln_b`` the norm's affine parameters. Each band of ``banded`` normalizes and expands its rows and halo
+    rows: layernorm works per token, so a band normalizes as the whole map does, and no normalized
+    copy of the whole map exists. Within a band each hidden map is freed after its last use, so at
+    most two band-sized hidden maps are live at once. Each band is one ``nd.checkpoint`` of the band
+    and the eight parameters: on a tape it keeps its slice of ``x`` instead of its normalized and
+    hidden maps, and backward re-records one band at a time. Runs in scope ``ffn``.
     """
     def band(t, pad):
-        def ffn(t, w1, b1, dw, db, w2, b2):
-            return matmul(w2, gelu(dwconv(matmul(w1, t, b1), dw, db, pad=pad)), b2)
+        def ffn(t, ln_g, ln_b, w1, b1, dw, db, w2, b2):
+            return matmul(w2, gelu(dwconv(matmul(w1, layernorm_channels(t, ln_g, ln_b), b1), dw, db, pad=pad)),
+                          b2)
 
-        return checkpoint(ffn, t, p.w1, p.b1, p.dw, p.db, p.w2, p.b2)
+        return checkpoint(ffn, t, ln_g, ln_b, p.w1, p.b1, p.dw, p.db, p.w2, p.b2)
 
     with scope("ffn"):
         return banded(band, x, x.shape[0], p.w1.shape[0])
@@ -383,6 +386,9 @@ def mixer_forward(x: Tensor, params) -> Tensor:
 
 
 def vss_block_forward(x: Tensor, p: VssBlockParams) -> Tensor:
-    """Pre-norm residual token mixer followed by a pre-norm residual ConvFFN; norms and adds in the caller's scope."""
+    """Pre-norm residual token mixer followed by a pre-norm residual ConvFFN.
+
+    ``ln1`` and the adds run in the caller's scope; ``ln2`` runs in each ConvFFN band, in scope ``ffn``.
+    """
     x1 = add(x, mixer_forward(layernorm_channels(x, p.ln1_g, p.ln1_b), p.mixer))
-    return add(x1, convffn_forward(layernorm_channels(x1, p.ln2_g, p.ln2_b), p.ffn))
+    return add(x1, convffn_forward(x1, p.ln2_g, p.ln2_b, p.ffn))

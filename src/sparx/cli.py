@@ -68,10 +68,12 @@ def _resolve_config(args) -> ModelConfig:
     if args.config and args.variant:
         raise ConfigError("--variant or --config, not both")
     if args.config:
-        try:
-            text = Path(args.config).read_text()
+        try:  # a FIFO or device is refused unread; JSON is UTF-8 text
+            text = read_regular(args.config).decode()
         except OSError as e:
             raise ConfigError(f"cannot read config file {args.config}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {args.config} is not UTF-8 text: {e}") from e
         return replace(ModelConfig.from_json(text), **overrides)
     if args.variant:
         return get_variant(args.variant, **overrides)

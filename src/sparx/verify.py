@@ -2,8 +2,7 @@
 
 The topology oracle re-derives stage plans by literally walking layer lists
 per the placement and wiring rules, sharing no code with the planner. The
-dense-attention oracle recomputes multi-head attention directly in numpy;
-the depthwise-convolution and selective-scan oracles are plain loops.
+dense-attention oracle recomputes multi-head attention directly in numpy.
 ``grad_check`` compares tape gradients with central differences over arrays
 or parameter structures. ``CHECKS`` holds every ``check_*`` function in the
 order they are defined; ``run_checks`` runs them and returns structured results.
@@ -122,35 +121,6 @@ def dense_attention_oracle(tokens, w_qkv, b_qkv, w_out, b_out, heads):
         attn = e / e.sum(axis=-1, keepdims=True)
         out[:, sl] = attn @ v[:, sl]
     return out @ w_out.T + b_out
-
-
-def dwconv_oracle(x, w, b=None, stride=1, pad=1):
-    """Nested-loop depthwise convolution."""
-    C, H, W = x.shape
-    k = w.shape[1]
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    Ho = (H + 2 * pad - k) // stride + 1
-    Wo = (W + 2 * pad - k) // stride + 1
-    out = np.zeros((C, Ho, Wo))
-    for c in range(C):
-        for i in range(Ho):
-            for j in range(Wo):
-                patch = xp[c, i * stride:i * stride + k, j * stride:j * stride + k]
-                out[c, i, j] = (patch * w[c]).sum()
-    if b is not None:
-        out += b[:, None, None]
-    return out
-
-
-def scan_oracle(x, delta, a, b, c, d):
-    """Per-step loop selective scan of one direction: x, delta (C,T); a (C,S); b, c (S,T); d (C,)."""
-    C, T = x.shape
-    h = np.zeros(a.shape)
-    y = np.zeros((C, T))
-    for t in range(T):
-        h = np.exp(delta[:, t, None] * a) * h + (delta[:, t] * x[:, t])[:, None] * b[:, t]
-        y[:, t] = (h * c[:, t]).sum(axis=1) + d * x[:, t]
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +422,11 @@ def check_grad_dpe():
 def check_grad_convffn():
     rng = np.random.default_rng(9)
     init = Initializer(9, dtype=np.float64)
-    p = init_convffn(init, 2, 2)
-    x = rng.standard_normal((2, 3, 3))
-    return _grad_case("grad_convffn", lambda xx, pp: sum_all(convffn_forward(xx, pp)), [x, p])
+    p = init_convffn(init, 3, 2)
+    x = rng.standard_normal((3, 3, 3))
+    ln_g, ln_b = 1 + 0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(3)
+    return _grad_case("grad_convffn", lambda xx, gg, bb, pp: sum_all(convffn_forward(xx, gg, bb, pp)),
+                      [x, ln_g, ln_b, p])
 
 
 def _grad_scan_case(name, seed, k, shape, max_elements=None):

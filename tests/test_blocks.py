@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 from hypothesis import assume, example, given, settings, strategies as st
+from oracles import dwconv_oracle, scan_oracle
 
 from sparx import blocks, nd
 from sparx.blocks import (MIXERS, DpeParams, SsmParams, convffn_forward, dpe_forward, init_convffn,
@@ -13,7 +14,7 @@ from sparx.blocks import (MIXERS, DpeParams, SsmParams, convffn_forward, dpe_for
                           vss_block_forward, window_attention_forward)
 from sparx.nd import ShapeError, Tape, Tensor
 from sparx.params import Initializer, astype, bind, iter_arrays, map_arrays, pair_leaves, stack
-from sparx.verify import dense_attention_oracle, dwconv_oracle, grad_check, scan_oracle
+from sparx.verify import dense_attention_oracle, grad_check
 
 
 def scan_reference(x, p):
@@ -531,17 +532,45 @@ class TestVssBlock:
         assert set(shapes.values()) == {(4, 4, 4)}
         assert not np.allclose(outs["ss2d"], outs["window_attn"])
 
+    @pytest.mark.parametrize("kind,layer,maps", [("window_attn", 0, 4.1), ("window_attn", 1, 4.6), ("ss2d", 0, 4.6)],
+                             ids=["window_attn", "window_attn_shifted", "ss2d"])
+    def test_stage_one_working_memory_holds_no_normalized_whole_map(self, kind, layer, maps):
+        # a tiny@224 stage-1 block: ln2 runs inside each ConvFFN band, so beside x and x1 no normalized
+        # whole map is live while the bands run; 3.92 / 4.39 / 4.40 maps, and 4.92 with ln2 run on the
+        # whole map before the bands
+        p = bind(init_vss_block(Initializer(24), kind, 96, 4, 4, window=7, heads=3, layer_index=layer))
+        x = Tensor(np.random.default_rng(24).standard_normal((96, 56, 56)).astype(np.float32))
+        vss_block_forward(x, p)  # what a first call caches (shift masks, scan orders) is no forward's memory
+        _, peak = traced_peak(lambda: vss_block_forward(x, p))
+        assert peak <= maps * x.data.nbytes, peak / x.data.nbytes
+
     def test_convffn_expansion_shapes(self):
         init = Initializer(22, dtype=np.float64)
         p = init_convffn(init, 6, 4)
         assert p.w1.shape == (24, 6) and p.w2.shape == (6, 24) and p.dw.shape == (24, 3, 3)
         rng = np.random.default_rng(22)
-        out = convffn_forward(Tensor(rng.standard_normal((6, 3, 3))), bind(p))
+        ln_g, ln_b = (Tensor(a) for a in norm_params(6, np.float64, 22))
+        out = convffn_forward(Tensor(rng.standard_normal((6, 3, 3))), ln_g, ln_b, bind(p))
         assert out.shape == (6, 3, 3)
 
 
+def norm_params(C, dtype, seed):
+    """``ln2``'s gamma and beta drawn at random around the identity affine."""
+    rng = np.random.default_rng(seed)
+    return (1 + 0.2 * rng.standard_normal(C)).astype(dtype), (0.2 * rng.standard_normal(C)).astype(dtype)
+
+
+def layernorm_reference(x, gamma, beta):
+    """numpy layernorm of a whole (C,H,W) map over channels at every token, in ``nd``'s order of operations."""
+    xc = x - x.mean(axis=0)
+    return gamma[:, None, None] * (xc * (1 / np.sqrt(x.var(axis=0) + x.dtype.type(1e-6)))) + beta[:, None, None]
+
+
 class TestConvFfnBands:
-    """A map whose hidden map has more than ``_BAND_ELEMS`` elements runs in row bands with one halo row a side."""
+    """A map whose hidden map has more than ``_BAND_ELEMS`` elements runs in row bands with one halo row a side.
+
+    Each band normalizes its own rows and halo rows with ``ln2`` before it expands them.
+    """
 
     @example(C=2, H=5, W=3, band=3, dtype=np.float32, seed=0)    # five 1-row bands
     @example(C=3, H=7, W=4, band=20, dtype=np.float64, seed=0)   # a 5-row budget: 7 rows in bands of 3/2/2
@@ -550,17 +579,41 @@ class TestConvFfnBands:
     def test_bands_equal_the_one_band_graph_bitwise(self, C, H, W, band, dtype, seed):
         rng = np.random.default_rng(seed)
         p = bind(astype(init_convffn(Initializer(seed), C, 2), dtype))
+        ln_g, ln_b = (Tensor(a) for a in norm_params(C, dtype, seed))
         x = Tensor(rng.standard_normal((C, H, W)).astype(dtype))
-        whole = convffn_forward(x, p).data
+        whole = convffn_forward(x, ln_g, ln_b, p).data
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(blocks, "_BAND_ELEMS", band * 2 * C)  # bands of ``band`` tokens of the 2C-wide hidden map
             tape = Tape()
-            banded = convffn_forward(tape.leaf(x.data), p)
+            banded = convffn_forward(tape.leaf(x.data), ln_g, ln_b, p)
             bands = blocks.row_bands(C, H, W, 2 * C, 2)
         assert banded.dtype == dtype and np.array_equal(banded.data, whole)
         # each band reads its rows plus one halo row on each side that lies inside the map
         halo = [r1 - r0 + (r0 > 0) + (r1 < H) for r0, r1 in bands]
         assert [node.shape[1] for node in tape.nodes if node.op == "slice"] == (halo if len(bands) > 1 else [])
+
+    @example(C=3, H=7, W=3, band=6, dtype=np.float32, seed=0)    # three bands of 3/2/2 rows
+    @example(C=4, H=9, W=5, band=5, dtype=np.float64, seed=1)    # nine 1-row bands
+    @given(C=st.integers(2, 4), H=st.integers(2, 9), W=st.integers(2, 6), band=st.integers(1, 12),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_bands_normalize_as_a_whole_map_layernorm_does(self, C, H, W, band, dtype, seed):
+        # several bands, each normalizing its own rows and halo rows, against numpy's layernorm of the
+        # whole map followed by the ConvFFN's ops run on it as one band
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((C, H, W)).astype(dtype)
+        norm = norm_params(C, dtype, seed)
+        p = bind(astype(init_convffn(Initializer(seed), C, 2), dtype))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "_BAND_ELEMS", band * 2 * C)
+            assume(len(blocks.row_bands(C, H, W, 2 * C, 2)) > 1)
+            banded = convffn_forward(Tensor(x), *(Tensor(a) for a in norm), p).data
+        xn = Tensor(layernorm_reference(x, *norm))
+        ref = nd.matmul(p.w2, nd.gelu(nd.dwconv(nd.matmul(p.w1, xn, p.b1), p.dw, p.db, pad=1)), p.b2).data
+        assert banded.dtype == ref.dtype == dtype
+        if dtype == np.float32:
+            assert banded.tobytes() == ref.tobytes()
+        else:
+            np.testing.assert_allclose(banded, ref, rtol=1e-12, atol=0)
 
     @example(C=2, H=7, W=3, band=6, dtype=np.float32, seed=0)    # three bands of 3/2/2 rows
     @given(C=st.integers(2, 3), H=st.integers(2, 9), W=st.integers(2, 6), band=st.integers(1, 12),
@@ -571,13 +624,16 @@ class TestConvFfnBands:
         rng = np.random.default_rng(seed)
         x, probe = (rng.standard_normal((C, H, W)).astype(dtype) for _ in range(2))
         arrays = astype(init_convffn(Initializer(seed), C, 2), dtype)
+        norm = norm_params(C, dtype, seed)
 
         def output_and_grads():
             tape = Tape()
             tx, p = tape.leaf(x), bind(arrays, tape)
-            y = convffn_forward(tx, p)
+            ln_g, ln_b = (tape.leaf(a) for a in norm)
+            y = convffn_forward(tx, ln_g, ln_b, p)
             g = nd.backward(tape, nd.sum_all(nd.matmul(nd.reshape(y, (1, y.size)), Tensor(probe.reshape(-1)))))
-            return [y.data, g[tx.node].data] + [g[leaf.node].data for _, leaf in pair_leaves(arrays, p)]
+            return ([y.data] + [g[t.node].data for t in (tx, ln_g, ln_b)]
+                    + [g[leaf.node].data for _, leaf in pair_leaves(arrays, p)])
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(blocks, "_BAND_ELEMS", band * 2 * C)
@@ -587,16 +643,18 @@ class TestConvFfnBands:
             direct = output_and_grads()
         assert all(a.dtype == dtype and a.tobytes() == b.tobytes() for a, b in zip(boundary, direct, strict=True))
 
-    @pytest.mark.parametrize("shape,band", [((2, 7, 3), 6), ((2, 5, 4), 6)], ids=["7x3", "5x4"])
+    @pytest.mark.parametrize("shape,band", [((3, 7, 3), 6), ((3, 5, 4), 6)], ids=["7x3", "5x4"])
     def test_multi_band_gradients_match_finite_differences(self, shape, band, monkeypatch):
+        # three channels, so the normalized map depends on x (two normalize to about +-1 at every token)
         C, H, W = shape
         monkeypatch.setattr(blocks, "_BAND_ELEMS", band * 2 * C)
         assert len(blocks.row_bands(C, H, W, 2 * C, 2)) > 1
         rng = np.random.default_rng(23)
         x, probe = rng.standard_normal(shape), Tensor(rng.standard_normal(shape))
         p = init_convffn(Initializer(23, dtype=np.float64), C, 2)
-        err = grad_check(lambda tx, tp: nd.sum_all(nd.matmul(nd.reshape(convffn_forward(tx, tp), (1, x.size)),
-                                                             nd.reshape(probe, (x.size,)))), [x, p])
+        err = grad_check(lambda tx, tg, tb, tp: nd.sum_all(nd.matmul(
+            nd.reshape(convffn_forward(tx, tg, tb, tp), (1, x.size)), nd.reshape(probe, (x.size,)))),
+            [x, *norm_params(C, np.float64, 23), p])
         assert err <= 1e-8
 
     @pytest.mark.parametrize("C,side", [(96, 56), (192, 28)], ids=["stage1", "stage2"])
@@ -606,15 +664,19 @@ class TestConvFfnBands:
         shapes = []
         monkeypatch.setattr(nd, "observer", lambda op, out, inputs, node: shapes.append((op, out.shape)))
         p = bind(init_convffn(Initializer(25), C, 4))
-        convffn_forward(Tensor(np.random.default_rng(25).standard_normal((C, side, side)).astype(np.float32)), p)
+        ln_g, ln_b = (Tensor(a) for a in norm_params(C, np.float32, 25))
+        convffn_forward(Tensor(np.random.default_rng(25).standard_normal((C, side, side)).astype(np.float32)),
+                        ln_g, ln_b, p)
         hidden = [shape for op, shape in shapes if op == "matmul" and shape[0] == 4 * C]
         assert len(hidden) > 1 and max(math.prod(s) for s in hidden) <= blocks._BAND_ELEMS, hidden
 
     def test_stage_one_working_memory_stays_within_three_point_one_maps(self):
-        # a tiny@224 stage-1 ConvFFN (ratio 4): one band's hidden maps live at a time, not two full ones;
-        # five bands of 12/11/11/11/11 rows measure 2.92 maps, four of 14 rows 3.35
+        # a tiny@224 stage-1 pre-norm ConvFFN (ratio 4): one band's normalized and hidden maps live at a time,
+        # not a normalized whole map and two full hidden ones; five bands of 12/11/11/11/11 rows measure 2.92
+        # maps, four of 14 rows 3.35, and the norm run on the whole map before the bands 3.92
         p = bind(init_convffn(Initializer(24), 96, 4))
+        ln_g, ln_b = (Tensor(a) for a in norm_params(96, np.float32, 24))
         x = Tensor(np.random.default_rng(24).standard_normal((96, 56, 56)).astype(np.float32))
         assert len(blocks.row_bands(96, 56, 56, 384, 2)) > 1
-        _, peak = traced_peak(lambda: convffn_forward(x, p))
+        _, peak = traced_peak(lambda: convffn_forward(x, ln_g, ln_b, p))
         assert peak <= 3.1 * x.data.nbytes, peak / x.data.nbytes

@@ -29,6 +29,15 @@ def run(argv):
     return main(argv)
 
 
+def run_isolated(argv):
+    """``sparx argv`` in a process of its own with a 60 s timeout and 2 GiB of address space, so a read
+    that blocks or never ends fails the test instead of hanging it or filling memory."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "sparx.cli", *argv], capture_output=True, text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])))
+
+
 class TestPlanCommand:
     def test_worked_example_via_cli(self, tmp_path, capsys):
         out = tmp_path / "p"
@@ -251,18 +260,12 @@ class TestForwardCaptureCka:
         lambda d: (d / "capture_manifest.json").write_text('{"layers": [{"file": "sub/x.spxt"}]}'),
     ], ids=["fifo", "directory", "symlink_to_dev_zero", "fifo_manifest", "absolute", "parent", "subdirectory"])
     def test_cka_reads_only_regular_files_in_the_dump_directory(self, make, tmp_path):
-        # run in a process of its own with a timeout and 2 GiB of address space, so a read that blocks
-        # or never ends fails the test instead of hanging it or filling memory
         dump = tmp_path / "d"
         (dump / "sub").mkdir(parents=True)
         for path in (dump / "a.spxt", tmp_path / "x.spxt", dump / "sub" / "x.spxt"):
             write_tensor(path, np.ones((2, 3), np.float32))
         make(dump)
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run([sys.executable, "-m", "sparx.cli", "cka", "--dump-dir", str(dump),
-                               "--out", str(tmp_path / "k")], capture_output=True, text=True, timeout=60,
-                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
-                              env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])))
+        proc = run_isolated(["cka", "--dump-dir", str(dump), "--out", str(tmp_path / "k")])
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "not a regular file" in proc.stderr or "naming a file in" in proc.stderr, proc.stderr
@@ -396,6 +399,22 @@ class TestNumericInputs:
         assert run(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("make,message", [
+        (os.mkfifo, "not a regular file"),
+        (lambda p: p.symlink_to("/dev/zero"), "not a regular file"),
+        (lambda p: p.mkdir(), "not a regular file"),
+        (lambda p: p.write_bytes(get_variant("tiny-reduced").to_json().replace("tiny", "tiny\xff").encode("latin-1")),
+         "is not UTF-8 text"),
+        (lambda p: None, "cannot read config file"),
+    ], ids=["fifo", "symlink_to_dev_zero", "directory", "not_utf8", "missing"])
+    def test_config_that_is_no_readable_text_file_exits_2_with_one_line(self, make, message, tmp_path):
+        path = tmp_path / "cfg.json"
+        make(path)
+        proc = run_isolated(["forward", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert message in proc.stderr, proc.stderr
 
     def test_lr_overflow_prints_one_runtime_error_line(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
+from oracles import dwconv_oracle
 
 from sparx import nd
 from sparx.dmca import (DMCA_MODES, cgca_attention, dmca_forward, dmca_macs, dmca_param_count,
                         group_channels, init_dmca)
 from sparx.nd import ShapeError, Tensor
 from sparx.params import Initializer, bind
-from sparx.verify import dwconv_oracle
 
 
 def make_params(channels, l_count, stride, mode="full", seed=0, dtype=np.float64, groups=4):

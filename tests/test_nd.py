@@ -10,6 +10,7 @@ import pytest
 from conftest import traced_peak
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from oracles import dwconv_oracle, scan_oracle
 from scipy.special import erf, expit
 
 from sparx import blocks, nd
@@ -22,7 +23,7 @@ from sparx.nd import (NumericError, ShapeError, Tape, TapeError, Tensor, add,
                       slice_axis, softmax_lastdim, split, sum_all, window_reduce)
 from sparx.params import bind
 from sparx.tensor_io import TensorFormatError, read_tensor, tensor_bytes, tensor_from_bytes, write_tensor
-from sparx.verify import dwconv_oracle, grad_check, scan_oracle
+from sparx.verify import grad_check
 
 
 def _dot(a, b):
