@@ -5,8 +5,10 @@ planned chain of normal layers (position encoding -> token-mixer block) and
 ganglion layers (position encoding -> multi-layer aggregation -> fuse ->
 token-mixer block). The first ganglion layer of stages 2..4 additionally
 consumes a downsampled, re-projected copy of the previous stage's final
-feature. The feature cache is driven by the stage's cache schedule: every
-layer output is stored and dropped after the step whose evictions name it.
+feature. The feature cache is driven by the stage's cache schedule: a
+layer output that a later layer reads is stored, and leaves the cache as
+the step whose evictions name it starts, so that step's aggregator holds its
+last reference and drops it after reading it.
 
 Also here: analytic MAC counting, the cache-driven memory model, and a small
 synthetic training loop demonstrating end-to-end differentiability.
@@ -22,8 +24,8 @@ import numpy as np
 from . import nd
 from .nd import (Tape, Tensor, add, backward, conv2d, cross_entropy_logits, gelu,
                  layernorm_channels, matmul, mean_axis, reshape, scale, scope, window_reduce)
-from .blocks import (VssBlockParams, DpeParams, banded, dpe_forward, init_dpe, init_vss_block,
-                     mixer_macs, vss_block_forward)
+from .blocks import (VssBlockParams, DpeParams, banded, dpe_forward, ffn_residual, init_dpe, init_vss_block,
+                     mixer_macs, mixer_residual)
 from .config import ConfigError, ModelConfig
 from .dmca import DmcaParams, dmca_forward, dmca_macs, init_dmca
 from .params import Initializer, bind, pair_leaves
@@ -184,6 +186,9 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
     in 1..4 the walk stops after that stage and returns its final feature
     instead of logits. Ops run in the ``nd.scope`` of their stage x component
     (``s2.l3.ffn``); a layer's norms and residual adds in the layer's (``s2.l3``).
+    Untaped, each whole map is freed at its last use: a layer input once the
+    position encoding has read it, a block input once the mixer's residual
+    sum exists, an evicted source after the aggregator's first concat.
     """
     cfg = bound.cfg
     _, H, W = image.shape
@@ -210,14 +215,18 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
                         t = dpe_forward(x, layer.dpe)
                     del x  # the cache holds it while a later layer reads it
                     if layer_plan.role is Role.GANGLION:
-                        ys = [cache[CROSS_STAGE_SLOT]] if layer_plan.takes_cross_stage else []
-                        ys.extend(cache[j] for j in layer_plan.sources)
+                        slots = ([CROSS_STAGE_SLOT] if layer_plan.takes_cross_stage else []) + list(layer_plan.sources)
                         with scope("aggregation"):
-                            t = matmul(layer.fuse_w, dmca_forward(t, ys, layer.dmca), layer.fuse_b)
-                    x = vss_block_forward(t, layer.block)
-                cache[step.step] = x
-                for j in step.evictions:
-                    del cache[j]
+                            # the sources this step evicts leave the cache first, and the list is the
+                            # aggregator's alone: it drops them after its first op
+                            t = matmul(layer.fuse_w, dmca_forward(
+                                t, [cache.pop(j) if j in step.evictions else cache[j] for j in slots],
+                                layer.dmca), layer.fuse_b)
+                    x = mixer_residual(t, layer.block)
+                    del t  # the block input: dead before the ConvFFN runs, and never carried into the next stage
+                    x = ffn_residual(x, layer.block)
+                if step.step not in step.evictions:  # a later layer reads it
+                    cache[step.step] = x
                 if capture:
                     captured.append(CapturedFeature(i + 1, step.step, layer_plan.role.value,
                                                     np.array(x.data)))

@@ -320,7 +320,8 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
 
     The map is zero-padded to a window multiple and cyclically shifted by half a window when shifted.
     Windows are independent, so the attention then runs in ``row_bands`` of whole window rows, sized
-    by their q/k/v: a band is projected to q/k/v, partitioned once into (window x head) batches,
+    by their q/k/v: a band reads its rows (through the shift, one ``roll2d`` of the band's rows, so no
+    whole shifted copy is made), is projected to q/k/v, partitioned once into (window x head) batches,
     attended (with learned relative position bias and, for the shifted case, its windows' rows of the
     cross-boundary mask) and reassembled once; the joined bands are rolled back and cropped. One band
     is the whole map. The output projection runs on the cropped map: a per-token projection commutes
@@ -335,8 +336,6 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
     wp = (W + ws - 1) // ws * ws
     h = pad_spatial(x, (0, hp - H), (0, wp - W)) if (hp != H or wp != W) else x
     shift = ws // 2 if (p.shifted and (hp > ws or wp > ws)) else 0
-    if shift:
-        h = roll2d(h, -shift, -shift)
 
     nh, nw, T = hp // ws, wp // ws, ws * ws
     bias = gather_rows(p.bias_table, relative_index(ws).reshape(-1))   # (T*T, heads)
@@ -364,12 +363,16 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
         del attn, v
         return reshape(permute(out, (2, 5, 0, 3, 1, 4)), (C, n * ws, wp))
 
-    bands = row_bands(3 * C, nh, ws * wp, 3 * C)
-    if len(bands) == 1:
-        out = attend(h, 0, nh)
-    else:
-        out = concat([attend(slice_axis(h, 1, w0 * ws, w1 * ws), w0, w1) for w0, w1 in bands], axis=1)
+    def rows(w0, w1):
+        """The (C, (w1-w0)*ws, wp) window rows [w0, w1) of the padded map, shifted when ``shift``."""
+        if shift:
+            return roll2d(h, -shift, -shift, (w0 * ws, w1 * ws))
+        return h if w1 - w0 == nh else slice_axis(h, 1, w0 * ws, w1 * ws)
+
+    outs = [attend(rows(w0, w1), w0, w1) for w0, w1 in row_bands(3 * C, nh, ws * wp, 3 * C)]
     del h
+    out = outs.pop() if len(outs) == 1 else concat(outs, axis=1)
+    del outs
     if shift:
         out = roll2d(out, shift, shift)
     if hp != H or wp != W:
@@ -385,10 +388,20 @@ def mixer_forward(x: Tensor, params) -> Tensor:
         return scan_forward(x, params)
 
 
+def mixer_residual(x: Tensor, p: VssBlockParams) -> Tensor:
+    """The block's first half, ``x + mixer(ln1(x))``: the last op that reads the block input ``x``."""
+    return add(x, mixer_forward(layernorm_channels(x, p.ln1_g, p.ln1_b), p.mixer))
+
+
+def ffn_residual(x1: Tensor, p: VssBlockParams) -> Tensor:
+    """The block's second half, ``x1 + convffn(ln2(x1))``."""
+    return add(x1, convffn_forward(x1, p.ln2_g, p.ln2_b, p.ffn))
+
+
 def vss_block_forward(x: Tensor, p: VssBlockParams) -> Tensor:
     """Pre-norm residual token mixer followed by a pre-norm residual ConvFFN.
 
     ``ln1`` and the adds run in the caller's scope; ``ln2`` runs in each ConvFFN band, in scope ``ffn``.
+    A caller that drops its block input between the two halves (``backbone.forward_bound``) calls them itself.
     """
-    x1 = add(x, mixer_forward(layernorm_channels(x, p.ln1_g, p.ln1_b), p.mixer))
-    return add(x1, convffn_forward(x1, p.ln2_g, p.ln2_b, p.ffn))
+    return ffn_residual(mixer_residual(x, p), p)

@@ -116,21 +116,27 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     ``ys`` holds maps shaped like ``x``, ordered the way the mixing
     projection was built (the caller owns that ordering and keeps it fixed).
     The window reducers need H and W divisible by the reduction stride;
-    ``window_reduce`` checks that.
+    ``window_reduce`` checks that. ``ys`` is dropped right after the concat
+    that first reads it, and never changed: a source that only the list
+    holds (``backbone.forward_bound`` passes the ones its cache evicts) is
+    freed before any projection runs.
     """
     if len(ys) != p.l_count:
         raise ShapeError(f"expected {p.l_count} source features, got {len(ys)}")
-    for y in ys:
-        if y.shape != x.shape:
-            raise ShapeError(f"source feature {y.shape} does not match current {x.shape}")
+    mismatched = [y.shape for y in ys if y.shape != x.shape]  # no loop variable outlives the check
+    if mismatched:
+        raise ShapeError(f"source feature {mismatched[0]} does not match current {x.shape}")
     if x.shape[0] != p.channels:
         raise ShapeError(f"feature channels {x.shape[0]} do not match aggregator channels {p.channels}")
 
     if p.mode == "concat":
-        return matmul(p.out_w, concat([x] + list(ys), axis=0), p.out_b)
+        cat = concat([x, *ys], axis=0)
+        del ys
+        return matmul(p.out_w, cat, p.out_b)
 
     # each intermediate is dropped after its last use, so only live maps count towards the peak
-    cat_ys = concat(list(ys), axis=0)
+    cat_ys = concat(ys, axis=0)
+    del ys
     if p.mode == "no_cgca":
         yv = matmul(p.mix_w, cat_ys, p.mix_b)
         del cat_ys

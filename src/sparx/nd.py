@@ -391,14 +391,41 @@ def split(a, parts, axis=0):
     return tuple(slice_axis(a, axis, i * step, (i + 1) * step) for i in range(parts))
 
 
-def roll2d(a, shift_h, shift_w):
-    """Cyclic shift of the two trailing spatial axes of a (C,H,W) tensor."""
+def _roll_runs(n, shift, lo, hi):
+    """(out, in) slice pairs that copy positions [lo, hi) of a length-``n`` axis rolled by ``shift``: one, or two
+    where the roll wraps."""
+    start, size = (lo - shift) % n, hi - lo
+    run = min(size, n - start)
+    pairs = [(slice(0, run), slice(start, start + run))]
+    if run < size:  # the rest comes from the start of the axis
+        pairs.append((slice(run, size), slice(0, size - run)))
+    return pairs
+
+
+def roll2d(a, shift_h, shift_w, rows=None):
+    """Cyclic shift of the two trailing spatial axes of a (C,H,W) tensor, or rows [r0, r1) of it for ``rows``.
+
+    Row i of the shifted map is row (i - shift_h) mod H of ``a``, so a band of rows is read through the
+    shift directly, with at most four block copies, and no whole shifted copy is made for it; ``rows``
+    None is the whole map, rows (0, H).
+    """
     if a.data.ndim != 3:
         raise ShapeError(f"roll2d: expects (C,H,W), got {a.shape}")
-    out = np.roll(a.data, (shift_h, shift_w), axis=(1, 2))
+    C, H, W = a.shape
+    r0, r1 = (0, H) if rows is None else rows
+    if not 0 <= r0 < r1 <= H:
+        raise ShapeError(f"roll2d: rows [{r0}:{r1}) out of range for {a.shape}")
+    runs = [(ro, co, ri, ci) for ro, ri in _roll_runs(H, shift_h, r0, r1) for co, ci in _roll_runs(W, shift_w, 0, W)]
+    xd = a.data
+    out = np.empty((C, r1 - r0, W), dtype=xd.dtype)
+    for ro, co, ri, ci in runs:
+        out[:, ro, co] = xd[:, ri, ci]
 
     def vjp(g):
-        return (np.roll(g, (-shift_h, -shift_w), axis=(1, 2)),)
+        gx = (np.empty if r1 - r0 == H else np.zeros)((C, H, W), dtype=g.dtype)  # a band's other rows get 0
+        for ro, co, ri, ci in runs:
+            gx[:, ri, ci] = g[:, ro, co]
+        return (gx,)
 
     return _apply("roll2d", out, (a,), vjp)
 
@@ -884,14 +911,16 @@ def selective_scan(x, x_proj, b_proj, w_dt, b_dt, a_log, d, order):
     adds each direction's outputs as C-rows into a time-first (T,C) pair
     buffer: ceil(k/2) of them, filled with -0.0, buffer j taking directions 2j
     and 2j+1. The buffers are then summed in place as the rest of the tree.
-    The node keeps each chunk's slice and the (k,S,C) state entering it, one
-    (k,S,C) copy of A, and references to x and the parameter arrays. The
+    On a tape the node keeps each chunk's slice and the (k,S,C) state entering
+    it, one (k,S,C) copy of A, and references to x and the parameter arrays;
+    untaped, only the running state is kept from one chunk to the next. The
     backward pass recomputes each chunk's projections, step sizes, states and
     decays from that state, and adds the chunk's gradients onto x_proj,
     b_proj, w_dt, b_dt and a time-first (T,C) gradient of x as it goes, so no
     (k,·,T) gradient buffer exists either.
     """
-    _check_same_dtype("selective_scan", x, x_proj, b_proj, w_dt, b_dt, a_log, d)
+    inputs = (x, x_proj, b_proj, w_dt, b_dt, a_log, d)
+    _check_same_dtype("selective_scan", *inputs)
     order = np.asarray(order)
     if x.data.ndim != 2 or order.ndim != 2 or order.dtype.kind not in "iu":
         raise ShapeError(f"selective_scan: expects x (C,T) and an integer order (k,T), got {x.shape}, {order.shape}")
@@ -933,9 +962,11 @@ def selective_scan(x, x_proj, b_proj, w_dt, b_dt, a_log, d, order):
     # are added onto -0, the identity of IEEE addition, so in whichever order
     # they arrive the pair holds y_2j + y_2j+1 bit for bit.
     pairs = [np.full((T, C), -0.0, dtype=xd.dtype) for _ in range(0, k, 2)]
-    starts, h = [], np.zeros((k, S, C), dtype=xd.dtype)  # each chunk and the state entering it, kept for backward
+    taped = any(t.tape is not None for t in inputs)
+    starts, h = [], np.zeros((k, S, C), dtype=xd.dtype)  # on a tape, each chunk and the state entering it
     for ch in pieces(T, k * S * C, _SCAN_ELEMS):
-        starts.append((ch, h))
+        if taped:
+            starts.append((ch, h))
         idx = order[:, ch]
         xc, dlc, dxc, bc, cc = chunk_inputs(idx)[:5]  # the projections and pre-activation are for backward
         if not _all_finite(dlc):
@@ -997,7 +1028,7 @@ def selective_scan(x, x_proj, b_proj, w_dt, b_dt, a_log, d, order):
         for left, right in zip(pairs[::2], pairs[1::2]):
             left += right
         pairs = pairs[::2]
-    return _apply("selective_scan", pairs.pop().T, (x, x_proj, b_proj, w_dt, b_dt, a_log, d), vjp)
+    return _apply("selective_scan", pairs.pop().T, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------

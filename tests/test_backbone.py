@@ -3,6 +3,7 @@
 import collections
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sparx.backbone import (build, count_flops, forward, forward_bound, make_toy
 from sparx.config import ConfigError, ModelConfig, get_variant
 from sparx.nd import NumericError, Tape, Tensor, add, backward, cross_entropy_logits, scale, sum_all
 from sparx.params import Initializer, bind, count_arrays, iter_arrays
-from sparx.topology import Mode, plan_model
+from sparx.topology import CROSS_STAGE_SLOT, Mode, cache_schedule, plan_model
 from sparx.verify import grad_check
 
 
@@ -248,6 +249,56 @@ class TestScopes:
                 NumericError, match=r"^non-finite values produced by op 'matmul' in s3\.l2\.ffn$"):
             forward(model, image)
         assert nd.scopes == []
+
+
+def owner(a):
+    """The array that owns ``a``'s memory, which every view of it keeps alive."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class TestLifetimes:
+    """In an untaped forward each whole map dies at its last use. Weak references to the arrays of op inputs, taken in
+    an ``nd.observer``, tell whether a map is still referenced anywhere, with no byte count."""
+
+    @pytest.mark.parametrize("mixer,mode", [("window_attn", m.value) for m in Mode] + [("ss2d", "sparx")])
+    def test_block_inputs_and_evicted_sources_are_dead_after_their_last_use(self, mixer, mode, monkeypatch):
+        cfg = get_variant("tiny-reduced", mixer=mixer, topology_mode=mode)
+        model = build(cfg, 11)
+        refs, sources, firsts, seen = {}, {}, set(), collections.Counter()
+
+        def watch(op, out, inputs, node):
+            at = nd.scopes[-1]
+            layer, _, component = at.rpartition(".")
+            first = at not in firsts  # the first op in its scope
+            firsts.add(at)
+            if op == "layernorm" and re.fullmatch(r"s\d\.l\d+", at):  # ln1, the block input's first reader
+                refs[at] = refs["last"] = weakref.ref(owner(inputs[0].data))
+            elif component == "ffn" and first:
+                assert refs.pop(layer)() is None, f"the block input of {layer} is alive in its ConvFFN"
+                seen["block input"] += 1
+            elif op == "conv2d" and component == "downsample":
+                assert refs["last"]() is None, f"the previous stage's last block input is alive at {at}"
+                seen["downsample"] += 1
+            elif component == "aggregation" and first:  # the concat of the sources
+                stage, index = (int(n) for n in re.fullmatch(r"s(\d)\.l(\d+)", layer).groups())
+                plan = model.plans[stage - 1].layers[index - 1]
+                evicted = cache_schedule(model.plans[stage - 1]).steps[index - 1].evictions
+                slots = ([CROSS_STAGE_SLOT] if plan.takes_cross_stage else []) + list(plan.sources)
+                assert op == "concat" and len(inputs) == len(slots)
+                sources[at] = [(weakref.ref(owner(t.data)), j in evicted) for t, j in zip(inputs, slots)]
+            elif op == "matmul" and at in sources:  # the mixing projection
+                for ref, evicted in sources.pop(at):
+                    assert (ref() is None) == evicted, f"a source {layer} {'evicts' if evicted else 'keeps'}"
+                    seen["evicted" if evicted else "kept"] += 1
+
+        monkeypatch.setattr(nd, "observer", watch)
+        forward(model, np.random.default_rng(11).standard_normal((3, 32, 32)).astype(np.float32))
+        # every block and downsample checked; an evicted source in every mode with ganglion layers, and a source
+        # still cached for a later layer where the topology has one
+        assert seen["block input"] == sum(cfg.blocks) and seen["downsample"] == 3
+        assert (seen["evicted"] > 0) == (mode != "plain") and (seen["kept"] > 0) == (mode in ("dgc", "dsn")), seen
 
 
 def stem_width(stem):

@@ -174,14 +174,15 @@ class TestSs2d:
 
     def test_stage_one_working_memory_holds_no_full_step_size(self):
         # a float32 tiny@224 stage-1 ss2d mixer, (96,56,56) with k 4: the scan projects each chunk's tokens
-        # itself, so the mixer stays within the scan's own bound, 0.875 of a (k,C,T) float32 delta (0.872).
-        # Step inputs, B and C projected on the whole map, (k,r,T) and (k,S,T), add 1.0 MB (1.080); a
-        # (k,C,T) pre-activation or delta next to the scan's own buffers passes 1.3x
+        # itself, and untaped keeps no chunk's entry state, so the mixer stays within 0.85 of a (k,C,T) float32
+        # delta (0.828; 0.872 with every chunk's (k,S,C) entry state kept). Step inputs, B and C projected on
+        # the whole map, (k,r,T) and (k,S,T), add 1.0 MB (1.080); a (k,C,T) pre-activation or delta next to
+        # the scan's own buffers passes 1.3x
         C, H, k = 96, 56, 4
         p = bind(stack([init_ssm(Initializer(30), C, 4) for _ in range(k)]))
         x = Tensor(np.random.default_rng(30).standard_normal((C, H, H)).astype(np.float32))
         _, peak = traced_peak(lambda: scan_forward(x, p))
-        assert peak <= 4_214_784 == 0.875 * k * C * H * H * 4, peak / (k * C * H * H * 4)
+        assert peak <= 0.85 * k * C * H * H * 4, peak / (k * C * H * H * 4)
 
     def test_direction_count_must_be_1_2_or_4(self):
         ps = bind(stack([init_ssm(Initializer(9, dtype=np.float64), 2, 2) for _ in range(3)]))
@@ -274,11 +275,12 @@ class TestWindowAttention:
         with pytest.raises(ShapeError, match="heads"):
             init_window_attn(init, 6, 2, heads=4, shifted=False)
 
-    @pytest.mark.parametrize("shifted,maps", [(False, 2.5), (True, 3.5)], ids=["plain", "shifted"])
+    @pytest.mark.parametrize("shifted,maps", [(False, 2.5), (True, 2.5)], ids=["plain", "shifted"])
     def test_stage_one_working_memory_follows_the_band_budget(self, shifted, maps):
-        # a tiny@224 stage-1 block in bands of 2/2/2/2 window rows: 2.41 maps plain, 3.39 shifted (its rolled
-        # copy); bands of 3/3/2 window rows, each q/k/v above the budget, measured 2.80 and 3.79, and one
-        # band, with the whole map's q/k/v and attention map, 6.17
+        # a tiny@224 stage-1 block in bands of 2/2/2/2 window rows: 2.41 maps plain and 2.40 shifted, each
+        # band reading its rows through the shift (3.39 with a whole rolled copy beside the input); bands of
+        # 3/3/2 window rows, each q/k/v above the budget, measured 2.80 and 3.79, and one band, with the
+        # whole map's q/k/v and attention map, 6.17
         p = bind(init_window_attn(Initializer(19), 96, 7, heads=3, shifted=shifted))
         x = Tensor(np.random.default_rng(19).standard_normal((96, 56, 56)).astype(np.float32))
         shift_mask(56, 56, 7, 3, x.dtype)  # cached per map size and dtype, so made once outside the measurement
@@ -465,8 +467,8 @@ class TestWindowAttentionBands:
             tape = Tape()
             banded = window_attention_forward(tape.leaf(x.data), p).data
             qkv = qkv_shapes(x, p)
-        # each band's window rows are sliced from the padded, rolled map and projected to its q/k/v, then
-        # the bands are joined once
+        # each band's window rows are read from the padded map (through the shift) and projected to its
+        # q/k/v, then the bands are joined once
         assert qkv == [(3 * C, (w1 - w0) * ws, nw * ws) for w0, w1 in bands]
         assert sum(node.op == "concat" for node in tape.nodes) == (len(bands) > 1)
         assert banded.dtype == dtype and banded.shape == (C, H, W)
@@ -485,6 +487,21 @@ class TestWindowAttentionBands:
         err = grad_check(lambda tx, tp: nd.sum_all(nd.matmul(nd.reshape(window_attention_forward(tx, tp), (1, x.size)),
                                                              probe)), [x, p], h=1e-5)
         assert err <= 1e-8  # 4.5e-10, as one band measures; at h = 1e-4 both measure 2e-8
+
+    @pytest.mark.parametrize("H,W", [(8, 8), (7, 5)], ids=["unpadded", "padded"])
+    def test_no_op_makes_a_whole_shifted_map_before_the_bands_are_joined(self, H, W, monkeypatch):
+        # each band reads its rows through the cyclic shift: no rolled copy of the whole map sits beside the
+        # input; the one whole map before the join is a padded map's zero-padded copy
+        C, ws = 4, 2
+        hp, wp = -(-H // ws) * ws, -(-W // ws) * ws
+        monkeypatch.setattr(blocks, "_BAND_ELEMS", ws * wp * 3 * C)  # bands of one window row
+        p = bind(attention_params(C, ws, 2, True, np.float64, 27))
+        ops = []
+        monkeypatch.setattr(nd, "observer", lambda op, out, inputs, node: ops.append((op, out.shape)))
+        window_attention_forward(Tensor(np.random.default_rng(27).standard_normal((C, H, W))), p)
+        join = ops.index(("concat", (C, hp, wp)))
+        assert sum(op == "roll2d" for op, _ in ops[:join]) == hp // ws  # one read per band
+        assert [op for op, shape in ops[:join] if shape == (C, hp, wp)] == ["pad_spatial"] * ((H, W) != (hp, wp))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("C,side,heads", [(96, 56, 3), (192, 28, 6)], ids=["stage1", "stage2"])

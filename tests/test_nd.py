@@ -1005,6 +1005,31 @@ class TestKernelProperties:
         for got, ref in zip(*results):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
+    @example(C=2, H=4, W=5, shift_h=-2, shift_w=-2, band=(1, 3), seed=0)  # a band whose rows wrap
+    @example(C=1, H=3, W=1, shift_h=1, shift_w=1, band=(0, 3), seed=0)  # the whole map
+    @given(C=st.integers(1, 3), H=st.integers(1, 8), W=st.integers(1, 8), shift_h=st.integers(-9, 9),
+           shift_w=st.integers(-9, 9), band=st.tuples(st.integers(0, 7), st.integers(1, 8)),
+           seed=st.integers(0, 2**16))
+    def test_roll2d_rows_are_those_of_the_rolled_map_and_their_gradient_is_the_finite_difference(
+            self, C, H, W, shift_h, shift_w, band, seed):
+        r0, r1 = band
+        assume(r0 < r1 <= H)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((C, H, W))
+        for dtype in (np.float32, np.float64):
+            xd = x.astype(dtype)
+            got = nd.roll2d(Tensor(xd), shift_h, shift_w, (r0, r1)).data
+            assert got.dtype == dtype and np.array_equal(got, np.roll(xd, (shift_h, shift_w), axis=(1, 2))[:, r0:r1])
+        assert np.array_equal(nd.roll2d(Tensor(x), shift_h, shift_w).data,
+                              nd.roll2d(Tensor(x), shift_h, shift_w, (0, H)).data)
+        probe = Tensor(rng.standard_normal((C, r1 - r0, W)))
+        assert grad_check(lambda a: _dot(nd.roll2d(a, shift_h, shift_w, (r0, r1)), probe), [x]) <= 1e-9
+
+    @pytest.mark.parametrize("rows", [(2, 2), (-1, 2), (0, 5)])
+    def test_roll2d_rows_out_of_range_rejected(self, rows):
+        with pytest.raises(ShapeError, match="roll2d: rows"):
+            nd.roll2d(Tensor(np.zeros((2, 4, 3))), 1, 1, rows)
+
     def test_dwconv_int_pad_is_the_same_pad_on_every_side(self):
         rng = np.random.default_rng(3)
         x, w, b = (Tensor(rng.standard_normal(s)) for s in ((2, 5, 6), (2, 3, 3), (2,)))
