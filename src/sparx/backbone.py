@@ -5,10 +5,12 @@ planned chain of normal layers (position encoding -> token-mixer block) and
 ganglion layers (position encoding -> multi-layer aggregation -> fuse ->
 token-mixer block). The first ganglion layer of stages 2..4 additionally
 consumes a downsampled, re-projected copy of the previous stage's final
-feature. The feature cache is driven by the stage's cache schedule: a
-layer output that a later layer reads is stored, and leaves the cache as
-the step whose evictions name it starts, so that step's aggregator holds its
-last reference and drops it after reading it.
+feature (the bridge: each 2x2 window averaged by a stride-2 depthwise
+convolution with a constant 1/4 kernel, then projected). The feature cache
+is driven by the stage's cache schedule: a layer output that a later layer
+reads is stored, and leaves the cache as the step whose evictions name it
+starts, so that step's aggregator holds its last reference and drops it
+after reading it.
 
 Also here: analytic MAC counting, the cache-driven memory model, and a small
 synthetic training loop demonstrating end-to-end differentiability.
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nd
-from .nd import (Tape, Tensor, add, backward, conv2d, cross_entropy_logits, gelu,
-                 layernorm_channels, matmul, mean_axis, reshape, scale, scope, window_reduce)
+from .nd import (Tape, Tensor, add, backward, conv2d, cross_entropy_logits, dwconv, gelu,
+                 layernorm_channels, matmul, mean_axis, reshape, scale, scope)
 from .blocks import (VssBlockParams, DpeParams, banded, dpe_forward, ffn_residual, init_dpe, init_vss_block,
                      mixer_macs, mixer_residual)
 from .config import ConfigError, ModelConfig
@@ -172,7 +174,7 @@ def _stem_forward(p: StemParams, img: Tensor) -> Tensor:
 
 def _bridge_forward(p: BridgeParams, prev_final: Tensor) -> Tensor:
     quarter = Tensor(np.full((prev_final.shape[0], 2, 2), 0.25, dtype=prev_final.dtype))
-    return matmul(p.w, window_reduce(prev_final, quarter), p.b)
+    return matmul(p.w, dwconv(prev_final, quarter, stride=2), p.b)
 
 
 def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
@@ -235,8 +237,7 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
             return x, captured
     with scope("head"):
         c4 = prev_final.shape[0]
-        pooled = mean_axis(reshape(prev_final, (c4, prev_final.shape[1] * prev_final.shape[2])),
-                           axis=1, keepdims=True)
+        pooled = mean_axis(reshape(prev_final, (c4, prev_final.shape[1] * prev_final.shape[2])), axis=1)
         normed = layernorm_channels(pooled, bound.head.ln_g, bound.head.ln_b)
         logits = reshape(matmul(bound.head.w, normed, bound.head.b), (cfg.num_classes,))
     return logits, captured

@@ -10,8 +10,8 @@ the value keeps full resolution. The output concatenates x, the value
 source, and the attended feature, projected to a (2C,H,W) map.
 
 Spatial reduction is a learned depthwise filter over non-overlapping s x s
-windows (``nd.window_reduce``) with s*s = r, chosen so N/r (N = H*W) matches
-the token count of the network's final stage.
+windows (``nd.dwconv`` at stride s) with s*s = r, chosen so N/r (N = H*W)
+matches the token count of the network's final stage.
 
 Ablation modes:
 * ``concat``: single linear over cat(x, ys...), no attention.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nd import (Tensor, concat, matmul, permute, reshape, scale,
-                 softmax_lastdim, split, window_reduce, ShapeError)
+from .nd import (Tensor, concat, dwconv, matmul, permute, reshape, scale,
+                 softmax_lastdim, split, ShapeError)
 from .params import Initializer
 
 DMCA_MODES = ("full", "concat", "no_cgca", "no_sr", "no_skip")
@@ -115,11 +115,12 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
 
     ``ys`` holds maps shaped like ``x``, ordered the way the mixing
     projection was built (the caller owns that ordering and keeps it fixed).
-    The window reducers need H and W divisible by the reduction stride;
-    ``window_reduce`` checks that. ``ys`` is dropped right after the concat
-    that first reads it, and never changed: a source that only the list
-    holds (``backbone.forward_bound`` passes the ones its cache evicts) is
-    freed before any projection runs.
+    The window reducers need H and W divisible by the reduction stride, and
+    this checks that: a strided convolution would drop the last rows and
+    columns instead. ``ys`` is dropped right after the concat that first
+    reads it, and never changed: a source that only the list holds
+    (``backbone.forward_bound`` passes the ones its cache evicts) is freed
+    before any projection runs.
     """
     if len(ys) != p.l_count:
         raise ShapeError(f"expected {p.l_count} source features, got {len(ys)}")
@@ -147,8 +148,10 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     yk, yv = split(mixed, 2, axis=0)
     del mixed
     s = p.reduce_stride
-    q_in = x if s == 1 else window_reduce(x, p.q_red)
-    k_in = yk if s == 1 else window_reduce(yk, p.k_red)
+    if x.shape[1] % s or x.shape[2] % s:
+        raise ShapeError(f"dmca: {s}x{s} windows do not tile {x.shape}")
+    q_in = x if s == 1 else dwconv(x, p.q_red, stride=s)
+    k_in = yk if s == 1 else dwconv(yk, p.k_red, stride=s)
     del yk
     q = group_channels(matmul(p.q_w, q_in, p.q_b), p.groups)
     del q_in

@@ -18,32 +18,31 @@ larger than one block. Apart from layernorm, no op keeps output-sized
 scratch either: softmax works in its output buffer, gelu and the scan's
 chunks run through cache-sized buffers (the scan projects each chunk's
 tokens to their step inputs, B, C and step sizes itself, so no (k,r,T),
-(k,S,T) or (k,C,T) tensor exists, forward or backward), dwconv and
-window_reduce build their patch columns one channel block at a time, and
-the dense convolution frees its patch matrix before it returns. Scan chunks,
-channel blocks and ``blocks.row_bands`` are all the ``pieces`` of an element
-budget. An op's other full-size arrays are values its backward pass reads
-and cannot rebuild cheaply (layernorm's normalized input); what it can
-rebuild from its inputs it does not keep: gelu recomputes erf, the dense
-convolution its patch matrix, and the scan its chunks' projections and
-states. Layernorm makes one full-size temporary, its squared deviations, to
-keep the arithmetic of ``var`` bit for bit.
+(k,S,T) or (k,C,T) tensor exists, forward or backward), dwconv builds
+its patch columns one channel block at a time, and the dense convolution
+frees its patch matrix before it returns. Scan chunks, channel blocks and
+``blocks.row_bands`` are all the ``pieces`` of an element budget. An op's
+other full-size arrays are values its backward pass reads and cannot
+rebuild cheaply (layernorm's normalized input); what it can rebuild from
+its inputs it does not keep: gelu recomputes erf, the dense convolution its
+patch matrix, and the scan its chunks' projections and states. Layernorm
+makes one full-size temporary, its squared deviations, to keep the
+arithmetic of ``var`` bit for bit.
 
 The op surface is deliberately small: exactly the primitives the backbone
 needs (one linear op, ``matmul``, for every channel projection outside the
 scan and every attention product, plain or stacked over a leading axis;
-channel layernorm; channel
-concat/split, depthwise and dense convolution, one weighted reduction over
-non-overlapping windows (the aggregator's strided reducers and the bridge's
-2x2 average), softmax, a handful of pointwise nonlinearities, and an
-input-dependent selective scan over k token orders of one sequence, which
-applies its token projection, step-size projection and softplus itself).
+channel layernorm; channel concat/split; one depthwise convolution, which
+with a stride equal to its kernel is also the aggregator's strided reducers
+and the bridge's 2x2 average; one dense convolution; softmax, a handful of
+pointwise nonlinearities, and an input-dependent selective scan over k token
+orders of one sequence, which applies its token projection, step-size
+projection and softplus itself).
 Channel ops take ``(C, *rest)`` and treat every trailing axis as a token
 axis, so a (C,H,W) map goes in and comes out as a map; a reshape is needed
 only where the token axes themselves change.
-Broadcasting is supported only where these ops require it (bias adds,
-attention-bias adds, one right operand shared by a stack of left ones);
-there is no general-rank broadcasting.
+Broadcasting is supported only where these ops require it (bias adds and
+attention-bias adds); there is no general-rank broadcasting.
 ``scope`` names the stage x component an op runs in, and ``macs`` counts
 an op's multiply-accumulates from its operand shapes.
 """
@@ -162,8 +161,8 @@ def _wrap(data, tape=None, node=None):
 # zeros), which cannot make a value non-finite, and a checkpoint, whose function's ops scanned theirs.
 _UNSCANNED = frozenset({"reshape", "permute", "slice", "concat", "pad_spatial", "roll2d", "checkpoint"})
 # Elements per cache-sized block: the float32 gelu's scratch and output
-# blocks, and the patch columns of one channel block of dwconv and
-# window_reduce (the ``pieces`` of the channels), stay in cache across their passes.
+# blocks, and the patch columns of one channel block of dwconv (the
+# ``pieces`` of the channels), stay in cache across their passes.
 _BLOCK = 1 << 15
 # Elements per block of the finiteness check, so its boolean mask is at most
 # this many bytes: 1/37 of a stage-1 `tiny`@224 hidden map. Smaller blocks cost
@@ -197,12 +196,12 @@ class scope:
 
 def macs(op, out, inputs):
     """Multiply-accumulates of one op by ``count_flops``' conventions, from the shapes an observer sees: for ``matmul``
-    a's elements times out's token cells, for ``conv2d``, ``dwconv`` and ``window_reduce`` kernel times out's cells,
+    a's elements times out's token cells, for ``conv2d`` and ``dwconv`` kernel times out's cells,
     for ``selective_scan`` 9 per channel-state-step plus its token and step-size projections and skip; 0 for any
     other op, a checkpoint included (each op inside one is observed itself)."""
     if op == "matmul":
         return math.prod(inputs[0].shape) * math.prod(out.shape[len(inputs[0].shape) - 1:])
-    if op in ("conv2d", "dwconv", "window_reduce"):
+    if op in ("conv2d", "dwconv"):
         return math.prod(inputs[1].shape) * math.prod(out.shape[1:])
     if op == "selective_scan":  # x (C,T), x_proj (k,r+2S,C), w_dt (k,C,r), a_log (k,C,S)
         (k, rows, _), r, S = inputs[1].shape, inputs[3].shape[2], inputs[5].shape[2]
@@ -295,19 +294,17 @@ def matmul(a, b, bias=None):
     ``a`` (m, k) multiplies ``b`` (k, *rest) to (m, *rest), with ``bias``
     (m,) added at every position: every axis of ``b`` after its first is a
     token axis, so a (C,H,W) map is projected as a map. A stack ``a``
-    (B, m, k) multiplies ``b`` (B, k, *rest), or one ``b`` (1, k, *rest)
-    shared by the whole stack (its gradient is summed over the stack in one
-    product), with ``bias`` (B, m). The token axes are flattened with a view,
-    so a call is one matrix product whatever the rank of ``rest``.
+    (B, m, k) multiplies a stack ``b`` (B, k, *rest), without a bias. The
+    token axes are flattened with a view, so a call is one matrix product
+    whatever the rank of ``rest``.
     """
     inputs = (a, b) if bias is None else (a, b, bias)
     _check_same_dtype("matmul", *inputs)
     nb = a.data.ndim - 2  # a stack: 0 or 1 leading axis
-    shared = nb == 1 and b.shape[:1] == (1,)  # one b for every product of the stack
-    if nb not in (0, 1) or b.shape[:nb + 1] != ((1,) if shared else a.shape[:-2]) + a.shape[-1:]:
+    if nb not in (0, 1) or b.shape[:nb + 1] != a.shape[:-2] + a.shape[-1:]:
         raise ShapeError(f"matmul: a {a.shape} does not multiply b {b.shape}")
-    if bias is not None and bias.shape != a.shape[:-1]:
-        raise ShapeError(f"matmul: bias {bias.shape} does not match fan-out {a.shape[:-1]}")
+    if bias is not None and (nb or bias.shape != a.shape[:1]):
+        raise ShapeError(f"matmul: bias {bias.shape} needs a 2-d a and its fan-out, got a {a.shape}")
     ad, bd = a.data, b.data
     out = ad @ bd.reshape(*bd.shape[:nb + 1], -1)
     if bias is not None:
@@ -316,7 +313,7 @@ def matmul(a, b, bias=None):
     def vjp(g):
         bf = bd.reshape(*bd.shape[:nb + 1], -1)
         g = g.reshape(*ad.shape[:-1], bf.shape[-1])
-        gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if shared else np.swapaxes(ad, -1, -2) @ g
+        gb = np.swapaxes(ad, -1, -2) @ g
         ga = g @ np.swapaxes(bf, -1, -2)
         return (ga, gb.reshape(bd.shape)) if bias is None else (ga, gb.reshape(bd.shape), g.sum(axis=-1))
 
@@ -342,12 +339,15 @@ def permute(a, axes):
 
 
 def concat(tensors, axis=0):
-    """Concatenate along ``axis``; all other dims must match exactly."""
+    """Concatenate along ``axis``, negative from the end; all other dims must match exactly."""
     ts = list(tensors)
     if not ts:
         raise ShapeError("concat: empty input list")
     _check_same_dtype("concat", *ts)
     ref = list(ts[0].shape)
+    if not -len(ref) <= axis < len(ref):
+        raise ShapeError(f"concat: axis {axis} out of range for {ts[0].shape}")
+    axis %= len(ref)
     for t in ts[1:]:
         cur = list(t.shape)
         if len(cur) != len(ref) or any(c != r for i, (c, r) in enumerate(zip(cur, ref)) if i != axis):
@@ -459,17 +459,17 @@ def sum_all(a):
     return _apply("sum_all", np.asarray(a.data.sum(), dtype=a.dtype), (a,), vjp)
 
 
-def mean_axis(a, axis, keepdims=False):
+def mean_axis(a, axis):
+    """Mean over ``axis``, which stays as a size-1 axis."""
     in_shape = a.shape
     if in_shape[axis] == 0:
         raise ShapeError(f"mean_axis: empty reduction axis {axis} of {in_shape}")
     inv_n = a.dtype.type(1.0 / in_shape[axis])
 
     def vjp(g):
-        g = g * inv_n
-        return (np.broadcast_to(g if keepdims else np.expand_dims(g, axis), in_shape).copy(),)
+        return (np.broadcast_to(g * inv_n, in_shape).copy(),)
 
-    return _apply("mean_axis", a.data.sum(axis=axis, keepdims=keepdims) * inv_n, (a,), vjp)
+    return _apply("mean_axis", a.data.sum(axis=axis, keepdims=True) * inv_n, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -695,20 +695,26 @@ def _tap_sum(w, cols, out):
         out[:] = np.einsum("nt,ntr->nr", w, np.concatenate((cols, np.zeros_like(cols)), axis=2))[:, :1]
 
 
-def dwconv(x, weight, bias=None, pad=0):
-    """Depthwise 2-d convolution of a (C,H,W) map with a (C,k,k) kernel, stride 1.
+def dwconv(x, weight, bias=None, pad=0, stride=1):
+    """Depthwise 2-d convolution of a (C,H,W) map with a (C,k,k) kernel moved by ``stride``: (C,Ho,Wo).
 
     Channel i of the output sees only channel i. ``pad`` is one int for every
     side or ((top, bottom), (left, right)), so a band of rows can be padded
-    with zeros only at the map's real edges. The map runs in the ``pieces`` of
-    its channels whose patch columns (``_im2col``) hold at most ``_BLOCK`` elements; each
+    with zeros only at the map's real edges; ``stride`` and the output size
+    are ``conv2d``'s, so a window that would pass the last side is dropped.
+    At stride k, unpadded, it reduces non-overlapping k x k windows: the
+    aggregator's learned reducers, and with a constant 1/4 kernel the
+    bridge's 2x2 average. The map runs in the ``pieces`` of its channels
+    whose patch columns (``_im2col``) hold at most ``_BLOCK`` elements; each
     block is one contraction of its columns with its taps (``_tap_sum``), the
     taps summed in row-major order, and the bias is added last: a loop's
     arithmetic in either dtype. The backward pass rebuilds each block's
-    columns for the weight gradient, and reads the zero-padded output
-    gradient through the taps flipped for the input gradient, so each input
-    cell still sums its taps in row-major order.
-    Non-overlapping strided windows are ``window_reduce``.
+    columns for the weight gradient, and for the input gradient reads the
+    output gradient, dilated by the stride and zero-padded, through the taps
+    flipped, so each input cell still sums its taps in row-major order. It
+    forms neither for an operand that is not on the tape (the bridge's
+    constant kernel, ``erf``'s constant weights), returns None for it, and
+    keeps only the arrays the other gradient reads.
     """
     inputs = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("dwconv", *inputs)
@@ -719,76 +725,44 @@ def dwconv(x, weight, bias=None, pad=0):
         raise ShapeError(f"dwconv: kernel {weight.shape} does not match input channels {x.shape}")
     if bias is not None and bias.shape != (C,):
         raise ShapeError(f"dwconv: bias {bias.shape} does not match input channels {x.shape}")
-    k = weight.shape[1]
-    Ho, Wo = _conv_out_hw("dwconv", x.shape, k, 1, pad)
-    (top, bottom), (left, right) = pads = _side_pads(pad)
-    xd, wd = x.data, weight.data
-    wt, cells = wd.reshape(C, k * k), k * k * max(H * W, Ho * Wo)  # the backward's flipped columns read H x W
+    k, s = weight.shape[1], int(stride)
+    Ho, Wo = _conv_out_hw("dwconv", x.shape, k, s, pad)
+    pads, xd, wd, n_in = _side_pads(pad), x.data, weight.data, len(inputs)
 
     out = np.empty((C, Ho, Wo), dtype=xd.dtype)
-    for blk in pieces(C, cells, _BLOCK):
-        _tap_sum(wt[blk], _im2col(xd[blk], k, 1, pads, Ho, Wo), out[blk].reshape(-1, Ho * Wo))
+    for blk in pieces(C, k * k * Ho * Wo, _BLOCK):
+        _tap_sum(wd[blk].reshape(-1, k * k), _im2col(xd[blk], k, s, pads, Ho, Wo), out[blk].reshape(-1, Ho * Wo))
     if bias is not None:
         out += bias.data[:, None, None]
-
-    def vjp(g):
-        gx, gw = np.empty_like(xd), np.empty_like(wd)
-        for blk in pieces(C, cells, _BLOCK):
-            np.einsum("nr,ntr->nt", g[blk].reshape(-1, Ho * Wo), _im2col(xd[blk], k, 1, pads, Ho, Wo),
-                      out=gw[blk].reshape(-1, k * k))
-            # input cell (y, x) at tap (i, j) reads output cell (y + top - i, x + left - j): flipped
-            # taps over g padded by k - 1 on every side, which covers every pad
-            gp = _zero_pad(g[blk], ((k - 1, k - 1), (k - 1, k - 1)))
-            sc, sh, sw = gp.strides
-            flipped = np.ndarray((len(gp), k, k, H, W), gp.dtype, gp, (top + k - 1) * sh + (left + k - 1) * sw,
-                                 (sc, -sh, -sw, sh, sw))
-            _tap_sum(wt[blk], flipped.reshape(len(gp), k * k, H * W), gx[blk].reshape(-1, H * W))
-        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(1, 2)))
-
-    return _apply("dwconv", out, inputs, vjp)
-
-
-def window_reduce(x, weight):
-    """Depthwise (C,s,s) ``weight`` over the non-overlapping s x s windows of a (C,H,W) map: (C, H/s, W/s).
-
-    A depthwise convolution whose stride is its kernel, unpadded; s must divide H and W. It runs as
-    ``dwconv`` does: per channel block, the ``_im2col`` columns of its windows contracted with its taps,
-    summed in row-major order (a loop's arithmetic). A constant 1/(s*s) kernel averages each window. The
-    backward pass writes the input gradient with one broadcast multiply into the (C,s,s,H/s,W/s) strided
-    view of ``gx`` (each cell is in one window) and contracts the rebuilt columns with ``g`` for the weight
-    gradient. It forms neither for an operand that is not on the tape (the bridge's constant kernel),
-    returns None for it, and keeps only the arrays the other gradient reads.
-    """
-    _check_same_dtype("window_reduce", x, weight)
-    if x.data.ndim != 3 or weight.shape != x.shape[:1] + weight.shape[-1:] * 2 or weight.shape[-1] < 1:
-        raise ShapeError(f"window_reduce: weight {weight.shape} does not match a (C,H,W) input {x.shape}")
-    (C, H, W), s = x.shape, weight.shape[1]
-    if H < s or W < s or H % s or W % s:
-        raise ShapeError(f"window_reduce: {s}x{s} windows do not tile {x.shape}")
-    Ho, Wo = H // s, W // s
-    xd, wd, no_pad = x.data, weight.data, ((0, 0), (0, 0))
-
-    out = np.empty((C, Ho, Wo), dtype=xd.dtype)
-    for blk in pieces(C, H * W, _BLOCK):
-        _tap_sum(wd[blk].reshape(-1, s * s), _im2col(xd[blk], s, s, no_pad, Ho, Wo), out[blk].reshape(-1, Ho * Wo))
 
     x_read = xd if weight.tape is not None else None  # read by the weight gradient only
     w_read = wd if x.tape is not None else None  # read by the input gradient only
 
     def vjp(g):
-        gx = gw = None
-        if w_read is not None:
-            gx = np.empty((C, H, W), dtype=g.dtype)
-            np.multiply(g[:, None, None], w_read[..., None, None],
-                        out=gx.reshape(C, Ho, s, Wo, s).transpose(0, 2, 4, 1, 3))
-        if x_read is not None:
-            gw = np.empty((C, s, s), dtype=g.dtype)
-            for blk in pieces(C, H * W, _BLOCK):
-                np.einsum("nr,ntr->nt", g[blk].reshape(-1, Ho * Wo), _im2col(x_read[blk], s, s, no_pad, Ho, Wo),
-                          out=gw[blk].reshape(-1, s * s))
-        return gx, gw
+        gx = None if w_read is None else np.empty((C, H, W), dtype=g.dtype)
+        gw = None if x_read is None else np.empty((C, k, k), dtype=g.dtype)
+        # input cell (y, x) at tap (i, j) reads output cell ((y + top - i) / s, (x + left - j) / s) where s divides
+        # both: flipped taps over g dilated by s (s - 1 zeros between cells) and padded by k - 1 on every side,
+        # which covers every pad, and after it by as much more as the last window left out
+        (top, _), (left, _) = pads
+        Hd, Wd = (Ho - 1) * s + 1, (Wo - 1) * s + 1  # the dilated g
+        Hg, Wg = max(Hd + 2 * k - 2, top + H + k - 1), max(Wd + 2 * k - 2, left + W + k - 1)
+        for blk in pieces(C, k * k * max(H * W, Ho * Wo), _BLOCK):  # the flipped columns and the rebuilt ones
+            gb = g[blk]
+            if gw is not None:
+                np.einsum("nr,ntr->nt", gb.reshape(-1, Ho * Wo), _im2col(x_read[blk], k, s, pads, Ho, Wo),
+                          out=gw[blk].reshape(-1, k * k))
+            if gx is not None:
+                gp = np.zeros((len(gb), Hg, Wg), dtype=g.dtype)
+                gp[:, k - 1:k - 1 + Hd:s, k - 1:k - 1 + Wd:s] = gb
+                sc, sh, sw = gp.strides
+                flipped = np.ndarray((len(gp), k, k, H, W), gp.dtype, gp, (top + k - 1) * sh + (left + k - 1) * sw,
+                                     (sc, -sh, -sw, sh, sw))
+                _tap_sum(w_read[blk].reshape(-1, k * k), flipped.reshape(len(gp), k * k, H * W),
+                         gx[blk].reshape(-1, H * W))
+        return (gx, gw, g.sum(axis=(1, 2)))[:n_in]
 
-    return _apply("window_reduce", out, (x, weight), vjp)
+    return _apply("dwconv", out, inputs, vjp)
 
 
 def conv2d(x, weight, bias=None, stride=1, pad=0):

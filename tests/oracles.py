@@ -4,12 +4,12 @@ import numpy as np
 
 
 def dwconv_oracle(x, w, b=None, stride=1, pad=1):
-    """Nested-loop depthwise convolution."""
-    C, H, W = x.shape
+    """Nested-loop depthwise convolution; ``pad`` is an int for every side or ((top, bottom), (left, right))."""
+    C = x.shape[0]
     k = w.shape[1]
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    Ho = (H + 2 * pad - k) // stride + 1
-    Wo = (W + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), *(pad if isinstance(pad, tuple) else ((pad, pad),) * 2)))
+    Ho = (xp.shape[1] - k) // stride + 1
+    Wo = (xp.shape[2] - k) // stride + 1
     out = np.zeros((C, Ho, Wo))
     for c in range(C):
         for i in range(Ho):

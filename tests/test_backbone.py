@@ -150,7 +150,7 @@ class TestForward:
         # maps stay (C,H,W) through every channel op; reshapes remain for scan
         # sequences, window partitions, channel groups and the head's pooling,
         # a scan mixer's token orders live inside the one selective scan,
-        # each bridge's 2 x 2 mean is one window_reduce, and each ConvFFN band
+        # each bridge's 2 x 2 mean is one stride-2 dwconv, and each ConvFFN band
         # is one checkpoint, its ln2 included
         cfg = get_variant("tiny-reduced", mixer=mixer)
         tape = Tape()
@@ -165,7 +165,7 @@ def recomputed_macs(cfg) -> dict:
 
     Each stem band recomputes the first convolution's rows it shares with the band before it, each ConvFFN
     band expands its halo rows (``blocks.row_bands``, as ``blocks.banded`` cuts them), and a bridge averages
-    the previous stage's final map over 2 x 2 windows with ``window_reduce``, 4 MACs per output cell.
+    the previous stage's final map over 2 x 2 windows with a stride-2 ``dwconv``, 4 MACs per output cell.
     """
     size, half = cfg.input_size, cfg.channels[0] // 2
     first = sum(min(2 * r1, size // 2) - max(2 * r0 - 1, 0)

@@ -68,7 +68,7 @@ class TestShapes:
         p = make_params(8, 1, stride=2)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 2, 3))
-        with pytest.raises(ShapeError, match=r"window_reduce: 2x2 windows do not tile \(8, 2, 3\)"):
+        with pytest.raises(ShapeError, match=r"dmca: 2x2 windows do not tile \(8, 2, 3\)"):
             run(p, x, [x])
 
     def test_channels_must_divide_groups(self):

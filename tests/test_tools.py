@@ -25,6 +25,32 @@ def test_summary_prints_every_benchmark_workload_and_end_to_end_metric():
         assert any(line.split()[:1] == [metric["name"]] for line in lines), metric["name"]
 
 
+def test_summary_prints_each_sides_failed_and_attempted_ops_per_workload(tmp_path):
+    # the share of failed ops is a gate of its own, so each workload's block shows it for both sides
+    def run(label, seed, failed, attempted):
+        return {"kind": "run", "label": label, "commit": "c" * 40, "workload": "w", "seed": seed,
+                "result": {"attempted": attempted, "failed": failed,
+                           "metrics": {m: {"value": 1.0} for m in ("latency_ms_p50", "latency_ms_tail", "images_per_s",
+                                                                    "peak_bytes", "setup_s")}}}
+
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"records": [run("parent", 1, 0, 10), run("change", 1, 2, 12),
+                                           run("change", 2, 0, 12), run("parent", 2, 1, 9)]}))
+    proc = bench_record("summary", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines() if line.split()[:2] == ["failed", "ops"]] == [
+        ["failed", "ops", "parent", "1/19;", "change", "2/24"]]
+
+
+def test_unknown_workload_exits_2_with_one_error_line(tmp_path):
+    proc = bench_record("holders", "--workloads", "nope", "--out", str(tmp_path / "bench.json"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [error] = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert error.startswith("bench_record.py: error: argument --workloads: invalid choice: 'nope'")
+    assert not (tmp_path / "bench.json").exists()
+
+
 def test_checkout_without_the_benchmark_exits_2_with_one_error_line(tmp_path):
     proc = bench_record("runs", "--checkout", f"change={tmp_path}", "--out", str(tmp_path / "bench.json"))
     assert proc.returncode == 2

@@ -7,12 +7,13 @@
     python3 tools/bench_record.py summary
 
 README ("Benchmark records") says what each command records. ``--workloads``
-defaults to every workload BENCHMARK.json declares, and the end-to-end metrics
-and their directions are read from it too. With two checkouts the runs of one
-(workload, seed) form a pair whose order alternates from one seed to the next,
-so slow drift of a shared host falls on both sides alike. ``summary`` groups
-runs by the commit they were recorded at: a before/after comparison runs both
-checkouts at one commit, the change as uncommitted edits on top of it.
+takes the workloads BENCHMARK.json declares, every one by default, and the
+end-to-end metrics and their directions are read from it too. With two
+checkouts the runs of one (workload, seed) form a pair whose order alternates
+from one seed to the next, so slow drift of a shared host falls on both sides
+alike. ``summary`` groups runs by the commit they were recorded at: a
+before/after comparison runs both checkouts at one commit, the change as
+uncommitted edits on top of it.
 
 Run from the repository root. The benchmark itself (``perfbench/``) is only
 run and imported, never changed.
@@ -225,22 +226,26 @@ def summarize(runs, commit, lower_is_better):
     labels = list(dict.fromkeys(r["label"] for r in runs))  # in order of first appearance in the file
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
-        by = {(r["label"], r["seed"]): r["result"]["metrics"] for r in mine}
+        by = {(r["label"], r["seed"]): r["result"] for r in mine}
         seeds = sorted({s for _, s in by if all((lb, s) in by for lb in labels)})
         print(f"{workload} at {(commit or 'no commit')[:7]}: {len(seeds)} pairs of {' / '.join(labels)}")
         for metric, lower in lower_is_better.items():
             cols = []
             for lb in labels:
-                q1, med, q3 = quartiles([by[(lb, s)][metric]["value"] for s in seeds])
+                q1, med, q3 = quartiles([by[(lb, s)]["metrics"][metric]["value"] for s in seeds])
                 cols.append(f"{lb} {med:.6g} [{q1:.6g}, {q3:.6g}]")
             line = f"  {metric:16s} " + "; ".join(cols)
             if len(labels) == 2 and seeds:
-                a = [by[(labels[0], s)][metric]["value"] for s in seeds]
-                b = [by[(labels[1], s)][metric]["value"] for s in seeds]
+                a = [by[(labels[0], s)]["metrics"][metric]["value"] for s in seeds]
+                b = [by[(labels[1], s)]["metrics"][metric]["value"] for s in seeds]
                 won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
                 change = statistics.median(b) / statistics.median(a) - 1
                 line += f"; {labels[1]} better in {won}/{len(seeds)}, median {change * 100:+.1f}%"
             print(line)
+        # the ops that failed their correctness check, of those attempted, over the same runs
+        failed = [f"{lb} {sum(by[(lb, s)]['failed'] for s in seeds)}/{sum(by[(lb, s)]['attempted'] for s in seeds)}"
+                  for lb in labels]
+        print(f"  {'failed ops':16s} " + "; ".join(failed))
 
 
 def checkout_arg(text: str):
@@ -255,7 +260,8 @@ def main(argv=None) -> int:
         benchmark = json.load(f)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("command", choices=("runs", "holders", "train-peaks", "summary"))
-    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in benchmark["workloads"]])
+    names = [w["name"] for w in benchmark["workloads"]]
+    ap.add_argument("--workloads", nargs="+", default=names, choices=names)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--checkout", action="append", type=checkout_arg,
