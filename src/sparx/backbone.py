@@ -168,8 +168,20 @@ def _stem_forward(p: StemParams, img: Tensor) -> Tensor:
         h = gelu(layernorm_channels(conv2d(t, p.w1, p.b1, stride=2, pad=pad1), p.ln1_g, p.ln1_b))
         return conv2d(h, p.w2, p.b2, stride=2, pad=pad2)
 
-    h = banded(stem, img, p.w1.shape[0], math.prod(p.w2.shape[1:]), strides=(2, 2))
+    h = banded(stem, [img], p.w1.shape[0], math.prod(p.w2.shape[1:]), strides=(2, 2))
     return layernorm_channels(h, p.ln2_g, p.ln2_b)
+
+
+def _downsample_forward(p: DownsampleParams, prev_final: Tensor) -> Tensor:
+    """A stride-2 3x3 convolution then a layernorm, in row bands of the output sized by its patch matrix.
+
+    Each band of ``banded`` convolves the input rows it reads and normalizes its own output rows, so no
+    whole patch matrix exists.
+    """
+    def down(t, pad):
+        return layernorm_channels(conv2d(t, p.w, p.b, stride=2, pad=pad), p.ln_g, p.ln_b)
+
+    return banded(down, [prev_final], p.w.shape[0], math.prod(p.w.shape[1:]), strides=(2,))
 
 
 def _bridge_forward(p: BridgeParams, prev_final: Tensor) -> Tensor:
@@ -187,10 +199,14 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
     returns them. Returns (logits Tensor, captured list). With ``to_stage``
     in 1..4 the walk stops after that stage and returns its final feature
     instead of logits. Ops run in the ``nd.scope`` of their stage x component
-    (``s2.l3.ffn``); a layer's norms and residual adds in the layer's (``s2.l3``).
-    Untaped, each whole map is freed at its last use: a layer input once the
-    position encoding has read it, a block input once the mixer's residual
-    sum exists, an evicted source after the aggregator's first concat.
+    (``s2.l3.ffn``), a block's norms in its mixer's and its ConvFFN's, and
+    a layer's residual adds in the layer's (``s2.l3``). Untaped, each whole map
+    is freed at its last use: a layer input once the position encoding has
+    read it, a block input once the mixer's residual sum exists, an evicted
+    source after the aggregator's first concat. No stage-sized transient sits
+    whole beside them: the stem, each downsample, the aggregator's output
+    projection, window attention (``ln1`` included) and the ConvFFN (``ln2``
+    included) run in the row bands of ``blocks.banded`` or ``row_bands``.
     """
     cfg = bound.cfg
     _, H, W = image.shape
@@ -204,8 +220,7 @@ def forward_bound(bound: ModelParams, image: Tensor, capture: bool = False,
         with scope(f"s{i + 1}"):
             if i > 0:
                 with scope("downsample"):
-                    x = conv2d(prev_final, stage.downsample.w, stage.downsample.b, stride=2, pad=1)
-                    x = layernorm_channels(x, stage.downsample.ln_g, stage.downsample.ln_b)
+                    x = _downsample_forward(stage.downsample, prev_final)
             cache: dict[int, Tensor] = {}
             if stage.bridge is not None:
                 with scope("bridge"):

@@ -181,11 +181,13 @@ def dpe_forward(x: Tensor, p: DpeParams) -> Tensor:
 
 
 # Elements per row band (``row_bands``) of the widest intermediate a banded computation makes (the
-# ConvFFN's hidden map, window attention's q/k/v, the stem's patch matrix): one stage-1 `tiny`@224 map,
-# 96 x 56 x 56. At `tiny`@224 the stage-1 ConvFFN runs in bands of 12/11/11/11/11 rows and the stage-2
-# one in 10/9/9 (each with its halo rows within the budget), window attention's stage 1 in 2/2/2/2 and
-# stage 2 in 2/2 window rows, and the stem in 12/11/11/11/11 rows; later stages and every `tiny-reduced`
-# map run in one band.
+# ConvFFN's hidden map, window attention's q/k/v, the stem's and a downsample's patch matrix, the
+# aggregator's output concat): one stage-1 `tiny`@224 map, 96 x 56 x 56. At `tiny`@224 the stage-1 ConvFFN
+# runs in bands of 12/11/11/11/11 rows and the stage-2 one in 10/9/9 (each with its halo rows within the
+# budget), window attention's stage 1 in 2/2/2/2 and stage 2 in 2/2 window rows, the stem in
+# 12/11/11/11/11 rows, the stage-2 downsample in 10/9/9 and the stage-3 one in 7/7 output rows, and the
+# full aggregator's output in 14/14/14/14 rows at stage 1 and 14/14 at stage 2; later stages and every
+# `tiny-reduced` map run in one band.
 _BAND_ELEMS = 96 * 56 * 56
 
 
@@ -200,35 +202,42 @@ def row_bands(C: int, H: int, W: int, width: int, halo: int = 0) -> list[tuple[i
     that sums by a token's column, so a one-channel map (C is the fewest output channels of the banded
     products) and a one-column map are one band. Whether OpenBLAS' matrix kernels then sum every token
     alike depends on a band's width in tokens and the product's inner size. On `tiny`@224 every banded
-    computation is bit-identical to one band in float32, and in float64 all but one: the stage-1 ConvFFN
-    (672- and 616-token bands), window attention (784- and 392-token bands) and the stem keep their
-    bits, while the stage-2 ConvFFN's 280- and 252-token bands, whose contraction is 768 wide, move the
-    last row of each band by up to 9e-16 relative in float64. Other maps may differ in the last bits of
-    float64.
+    computation is bit-identical to one band in float32, and in float64 all but three: the stage-1
+    ConvFFN (672- and 616-token bands), window attention (784- and 392-token bands), the stem and the
+    aggregator's output (784- and 392-token bands) keep their bits, while the stage-2 ConvFFN's 280- and
+    252-token bands, whose contraction is 768 wide, and the stage-2 and stage-3 downsamples' 280/252- and
+    98-token bands, 864 and 1728 wide, move the last row of a band by up to 9e-16 relative in float64.
+    Other maps may differ in the last bits of float64.
     """
     if C == 1 or W == 1:
         return [(0, H)]
     return [(b.start, b.stop) for b in pieces(H, W * width, _BAND_ELEMS - halo * W * width)]
 
 
-def banded(f, x: Tensor, c_out: int, width: int, strides: tuple[int, ...] = (1,)) -> Tensor:
+def banded(f, xs: list[Tensor], c_out: int, width: int, strides: tuple[int, ...] = (1,)) -> Tensor:
     """``f(band, *pads)``, a chain of 3x3 convolutions with padding 1 and ``strides``, run over the ``row_bands`` of its output.
 
-    ``c_out`` and ``width`` are ``row_bands``' C and width. A one-level stride-1 chain (the ConvFFN)
-    makes its widest map on the rows it slices, so its bands leave room for two halo rows; the stem's
-    widest map is its last convolution's patch matrix, which has no halo. Output rows [r0, r1) of a
-    convolution with stride s read its input rows s*r0 - 1 to s*(r1 - 1) + 1. Walking that back from
-    the last convolution to the first, a band slices the rows of ``x`` it needs, and each convolution
-    gets the pad ((top, bottom), (1, 1)) with a zero row only where its map ends, so every cell of
-    every level is computed as on the whole map (bit for bit where ``row_bands`` says so): a band
-    recomputes the halo rows of the levels before the last. One band is ``f(x, 1, ...)``.
+    ``xs`` are maps of one size, and a band is their rows joined along channels (one map's rows are a
+    slice of it); ``c_out`` and ``width`` are ``row_bands``' C and width. A one-level stride-1 chain
+    (the ConvFFN) makes its widest map on the rows it slices, so its bands leave room for two halo
+    rows; a strided chain's widest map is its last convolution's patch matrix (the stem, a
+    downsample), which has no halo; with no ``strides`` (the aggregator's output projection) a band
+    is exactly its own rows and ``f`` gets no pads. Output rows [r0, r1) of a convolution with stride
+    s read its input rows s*r0 - 1 to s*(r1 - 1) + 1. Walking that back from the last convolution to
+    the first, a band slices the rows of ``xs`` it needs, and each convolution gets the pad
+    ((top, bottom), (1, 1)) with a zero row only where its map ends, so every cell of every level is
+    computed as on the whole map (bit for bit where ``row_bands`` says so): a band recomputes the halo
+    rows of the levels before the last. One band is ``f`` of the whole maps joined, with pads of 1.
     """
-    sizes = [x.shape[1:]]
+    def join(ts):
+        return ts[0] if len(ts) == 1 else concat(ts, axis=0)
+
+    sizes = [xs[0].shape[1:]]
     for s in strides:
         sizes.append(tuple((n - 1) // s + 1 for n in sizes[-1]))
     bands = row_bands(c_out, *sizes[-1], width, 2 if strides == (1,) else 0)
     if len(bands) == 1:
-        return f(x, *[1] * len(strides))
+        return f(join(xs), *[1] * len(strides))
     outs = []
     for r0, r1 in bands:
         pads = []
@@ -236,7 +245,7 @@ def banded(f, x: Tensor, c_out: int, width: int, strides: tuple[int, ...] = (1,)
             lo, hi = s * r0 - 1, s * (r1 - 1) + 2
             pads.insert(0, ((int(lo < 0), max(hi - H, 0)), (1, 1)))
             r0, r1 = max(lo, 0), min(hi, H)
-        outs.append(f(slice_axis(x, 1, r0, r1), *pads))
+        outs.append(f(join([slice_axis(x, 1, r0, r1) for x in xs]), *pads))  # the slices die with the join
     return concat(outs, axis=1)
 
 
@@ -258,7 +267,7 @@ def convffn_forward(x: Tensor, ln_g: Tensor, ln_b: Tensor, p: ConvFfnParams) -> 
         return checkpoint(ffn, t, ln_g, ln_b, p.w1, p.b1, p.dw, p.db, p.w2, p.b2)
 
     with scope("ffn"):
-        return banded(band, x, x.shape[0], p.w1.shape[0])
+        return banded(band, [x], x.shape[0], p.w1.shape[0])
 
 
 @lru_cache(maxsize=32)
@@ -315,17 +324,21 @@ def shift_mask(hp: int, wp: int, window: int, shift: int, dtype: np.dtype) -> np
     return mask  # (num_windows, T, T)
 
 
-def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
-    """Multi-head attention inside non-overlapping windows, shifted when ``p.shifted``.
+def window_attention_forward(x: Tensor, p: WindowAttnParams, norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """Multi-head attention inside non-overlapping windows, shifted when ``p.shifted``, on ``x`` normalized by ``norm``.
 
-    The map is zero-padded to a window multiple and cyclically shifted by half a window when shifted.
-    Windows are independent, so the attention then runs in ``row_bands`` of whole window rows, sized
-    by their q/k/v: a band reads its rows (through the shift, one ``roll2d`` of the band's rows, so no
-    whole shifted copy is made), is projected to q/k/v, partitioned once into (window x head) batches,
+    ``norm`` is the block's ``ln1`` as (gamma, beta), or None to attend ``x`` itself. The map is zero-padded
+    to a window multiple and cyclically shifted by half a window when shifted. Windows are independent, so
+    the attention then runs in ``row_bands`` of whole window rows, sized by their q/k/v: a band reads its
+    rows (through the shift, one ``roll2d`` of the band's rows, so no whole shifted copy is made),
+    normalizes them with ``norm``, is projected to q/k/v, partitioned once into (window x head) batches,
     attended (with learned relative position bias and, for the shifted case, its windows' rows of the
-    cross-boundary mask) and reassembled once; the joined bands are rolled back and cropped. One band
-    is the whole map. The output projection runs on the cropped map: a per-token projection commutes
-    with the roll and the crop.
+    cross-boundary mask) and reassembled once; the joined bands are rolled back and cropped. Layernorm
+    works per token, so it commutes with the roll and a band normalizes as the whole map does: an
+    unpadded map has no normalized copy larger than a band. A map that needs padding is normalized
+    whole before it is padded, since a pad cell must stay zero (as in Swin). One band is the whole map.
+    The output projection runs on the cropped map: a per-token projection commutes with the roll and
+    the crop.
     """
     C, H, W = x.shape
     ws, heads = p.window, p.heads
@@ -334,7 +347,12 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
     dh = C // heads
     hp = (H + ws - 1) // ws * ws
     wp = (W + ws - 1) // ws * ws
-    h = pad_spatial(x, (0, hp - H), (0, wp - W)) if (hp != H or wp != W) else x
+    if hp != H or wp != W:
+        if norm is not None:
+            x, norm = layernorm_channels(x, *norm), None
+        h = pad_spatial(x, (0, hp - H), (0, wp - W))
+    else:
+        h = x
     shift = ws // 2 if (p.shifted and (hp > ws or wp > ws)) else 0
 
     nh, nw, T = hp // ws, wp // ws, ws * ws
@@ -364,10 +382,12 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
         return reshape(permute(out, (2, 5, 0, 3, 1, 4)), (C, n * ws, wp))
 
     def rows(w0, w1):
-        """The (C, (w1-w0)*ws, wp) window rows [w0, w1) of the padded map, shifted when ``shift``."""
+        """The (C, (w1-w0)*ws, wp) window rows [w0, w1) of the padded map, shifted when ``shift``, then normalized."""
         if shift:
-            return roll2d(h, -shift, -shift, (w0 * ws, w1 * ws))
-        return h if w1 - w0 == nh else slice_axis(h, 1, w0 * ws, w1 * ws)
+            band = roll2d(h, -shift, -shift, (w0 * ws, w1 * ws))
+        else:
+            band = h if w1 - w0 == nh else slice_axis(h, 1, w0 * ws, w1 * ws)
+        return band if norm is None else layernorm_channels(band, *norm)
 
     outs = [attend(rows(w0, w1), w0, w1) for w0, w1 in row_bands(3 * C, nh, ws * wp, 3 * C)]
     del h
@@ -380,28 +400,26 @@ def window_attention_forward(x: Tensor, p: WindowAttnParams) -> Tensor:
     return matmul(p.w_out, out, p.b_out)
 
 
-def mixer_forward(x: Tensor, params) -> Tensor:
-    """Window attention for ``WindowAttnParams``, otherwise the scan over stacked ``SsmParams``; in scope ``mixer``."""
+def mixer_forward(x: Tensor, ln_g: Tensor, ln_b: Tensor, params) -> Tensor:
+    """The token mixer on ``ln1(x)``, ``ln_g``/``ln_b`` being ``ln1``'s affine parameters; in scope ``mixer``.
+
+    Window attention (``WindowAttnParams``) normalizes each band it reads, so no normalized copy of the
+    whole map exists; a scan over stacked ``SsmParams`` reads every token, so it normalizes the whole map.
+    """
     with scope("mixer"):
         if isinstance(params, WindowAttnParams):
-            return window_attention_forward(x, params)
-        return scan_forward(x, params)
+            return window_attention_forward(x, params, (ln_g, ln_b))
+        return scan_forward(layernorm_channels(x, ln_g, ln_b), params)
 
 
 def mixer_residual(x: Tensor, p: VssBlockParams) -> Tensor:
-    """The block's first half, ``x + mixer(ln1(x))``: the last op that reads the block input ``x``."""
-    return add(x, mixer_forward(layernorm_channels(x, p.ln1_g, p.ln1_b), p.mixer))
+    """The block's first half, ``x + mixer(ln1(x))``: the last op that reads the block input ``x``.
+
+    ``ln1`` runs inside ``mixer_forward``, in scope ``mixer``; the add runs in the caller's scope.
+    """
+    return add(x, mixer_forward(x, p.ln1_g, p.ln1_b, p.mixer))
 
 
 def ffn_residual(x1: Tensor, p: VssBlockParams) -> Tensor:
-    """The block's second half, ``x1 + convffn(ln2(x1))``."""
+    """The block's second half, ``x1 + convffn(ln2(x1))``; ``ln2`` runs in each ConvFFN band, in scope ``ffn``."""
     return add(x1, convffn_forward(x1, p.ln2_g, p.ln2_b, p.ffn))
-
-
-def vss_block_forward(x: Tensor, p: VssBlockParams) -> Tensor:
-    """Pre-norm residual token mixer followed by a pre-norm residual ConvFFN.
-
-    ``ln1`` and the adds run in the caller's scope; ``ln2`` runs in each ConvFFN band, in scope ``ffn``.
-    A caller that drops its block input between the two halves (``backbone.forward_bound``) calls them itself.
-    """
-    return ffn_residual(mixer_residual(x, p), p)

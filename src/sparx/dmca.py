@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import banded
 from .nd import (Tensor, concat, dwconv, matmul, permute, reshape, scale,
                  softmax_lastdim, split, ShapeError)
 from .params import Initializer
@@ -117,10 +118,16 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     projection was built (the caller owns that ordering and keeps it fixed).
     The window reducers need H and W divisible by the reduction stride, and
     this checks that: a strided convolution would drop the last rows and
-    columns instead. ``ys`` is dropped right after the concat that first
-    reads it, and never changed: a source that only the list holds
+    columns instead. The output projection runs in ``blocks.banded`` row
+    bands, sized by the wider of its concat and its output: each band
+    concatenates its rows of the maps it projects and projects them, so
+    neither a whole concat nor a whole unjoined output sits beside them.
+    ``z``, the attended feature, is made whole: its batched product keeps
+    its bits only at the full token count. ``ys`` is never changed, and the
+    list is dropped once it is read: a source that only the list holds
     (``backbone.forward_bound`` passes the ones its cache evicts) is freed
-    before any projection runs.
+    after the source concat, before any projection runs, or in ``concat``
+    mode once the last band has read it.
     """
     if len(ys) != p.l_count:
         raise ShapeError(f"expected {p.l_count} source features, got {len(ys)}")
@@ -130,10 +137,14 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     if x.shape[0] != p.channels:
         raise ShapeError(f"feature channels {x.shape[0]} do not match aggregator channels {p.channels}")
 
+    def banded_projection(parts):
+        return banded(lambda cat: matmul(p.out_w, cat, p.out_b), parts, p.out_w.shape[0], max(p.out_w.shape),
+                      strides=())
+
     if p.mode == "concat":
-        cat = concat([x, *ys], axis=0)
+        parts = [x, *ys]
         del ys
-        return matmul(p.out_w, cat, p.out_b)
+        return banded_projection(parts)
 
     # each intermediate is dropped after its last use, so only live maps count towards the peak
     cat_ys = concat(ys, axis=0)
@@ -141,7 +152,7 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     if p.mode == "no_cgca":
         yv = matmul(p.mix_w, cat_ys, p.mix_b)
         del cat_ys
-        return matmul(p.out_w, concat([x, yv], axis=0), p.out_b)
+        return banded_projection([x, yv])
 
     mixed = matmul(p.mix_w, cat_ys, p.mix_b)
     del cat_ys
@@ -160,9 +171,7 @@ def dmca_forward(x: Tensor, ys: list, p: DmcaParams) -> Tensor:
     v = group_channels(matmul(p.v_w, yv, p.v_b), p.groups)
     z = reshape(matmul(cgca_attention(q, k, q.shape[2]), v), x.shape)
     del q, k, v
-    if p.mode == "no_skip":
-        return matmul(p.out_w, z, p.out_b)
-    return matmul(p.out_w, concat([x, yv, z], axis=0), p.out_b)
+    return banded_projection([z] if p.mode == "no_skip" else [x, yv, z])
 
 
 def dmca_param_count(channels: int, l_count: int, reduce_stride: int,

@@ -742,11 +742,12 @@ def dwconv(x, weight, bias=None, pad=0, stride=1):
         gx = None if w_read is None else np.empty((C, H, W), dtype=g.dtype)
         gw = None if x_read is None else np.empty((C, k, k), dtype=g.dtype)
         # input cell (y, x) at tap (i, j) reads output cell ((y + top - i) / s, (x + left - j) / s) where s divides
-        # both: flipped taps over g dilated by s (s - 1 zeros between cells) and padded by k - 1 on every side,
-        # which covers every pad, and after it by as much more as the last window left out
+        # both: flipped taps over g dilated by s (s - 1 zeros between cells) at offset k - 1, read from rows and
+        # columns top and left to top + H + k - 2 and left + W + k - 2; a side pad of k or more puts g's last
+        # cells past those, so the buffer ends at whichever is further
         (top, _), (left, _) = pads
         Hd, Wd = (Ho - 1) * s + 1, (Wo - 1) * s + 1  # the dilated g
-        Hg, Wg = max(Hd + 2 * k - 2, top + H + k - 1), max(Wd + 2 * k - 2, left + W + k - 1)
+        Hg, Wg = max(Hd + k - 1, top + H + k - 1), max(Wd + k - 1, left + W + k - 1)
         for blk in pieces(C, k * k * max(H * W, Ho * Wo), _BLOCK):  # the flipped columns and the rebuilt ones
             gb = g[blk]
             if gw is not None:

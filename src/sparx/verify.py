@@ -17,9 +17,8 @@ import numpy as np
 from . import nd
 from .analysis import cka_linear, erf_map
 from .backbone import build, count_flops, forward, forward_bound, memory_report
-from .blocks import (MIXERS, DpeParams, convffn_forward, dpe_forward, init_convffn, init_ssm,
-                     init_vss_block, init_window_attn, scan_forward, vss_block_forward,
-                     window_attention_forward)
+from .blocks import (MIXERS, DpeParams, convffn_forward, dpe_forward, ffn_residual, init_convffn, init_ssm,
+                     init_vss_block, init_window_attn, mixer_residual, scan_forward, window_attention_forward)
 from .config import get_variant
 from .dmca import (DMCA_MODES, cgca_attention, dmca_forward, dmca_param_count,
                    group_channels, init_dmca)
@@ -456,9 +455,10 @@ def check_grad_window_attn():
     init = Initializer(13, dtype=np.float64)
     p = init_window_attn(init, 4, 2, heads=2, shifted=True)
     x = rng.standard_normal((4, 4, 4))
+    ln_g, ln_b = 1 + 0.1 * rng.standard_normal(4), 0.1 * rng.standard_normal(4)
     return _grad_case("grad_window_attn",
-                      lambda xx, pp: sum_all(window_attention_forward(xx, pp)), [x, p],
-                      max_elements=80)
+                      lambda xx, gg, bb, pp: sum_all(window_attention_forward(xx, pp, (gg, bb))),
+                      [x, ln_g, ln_b, p], max_elements=80)
 
 
 def check_grad_dmca():
@@ -476,7 +476,7 @@ def check_grad_vss_block():
     init = Initializer(15, dtype=np.float64)
     p = init_vss_block(init, "ss2d", 2, 2, 2, window=2, heads=1, layer_index=0)
     x = rng.standard_normal((2, 3, 3))
-    return _grad_case("grad_vss_block", lambda xx, pp: sum_all(vss_block_forward(xx, pp)),
+    return _grad_case("grad_vss_block", lambda xx, pp: sum_all(ffn_residual(mixer_residual(xx, pp), pp)),
                       [x, p], max_elements=100)
 
 

@@ -1,4 +1,5 @@
-"""Plain-loop oracles the tests compare the vectorized ops with: depthwise convolution and one scan direction."""
+"""Plain-loop oracles the tests compare the vectorized ops with: depthwise convolution, one scan direction and a
+whole-map layernorm."""
 
 import numpy as np
 
@@ -31,3 +32,9 @@ def scan_oracle(x, delta, a, b, c, d):
         y[:, t] = (h * c[:, t]).sum(axis=1) + d * x[:, t]
     return y
 
+
+
+def layernorm_reference(x, gamma, beta):
+    """numpy layernorm of a whole (C,H,W) map over channels at every token, in ``nd``'s order of operations."""
+    xc = x - x.mean(axis=0)
+    return gamma[:, None, None] * (xc * (1 / np.sqrt(x.var(axis=0) + x.dtype.type(1e-6)))) + beta[:, None, None]

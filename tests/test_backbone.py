@@ -8,7 +8,8 @@ import weakref
 import numpy as np
 import pytest
 from conftest import traced_peak
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
+from oracles import layernorm_reference
 
 from sparx import backbone, blocks, nd
 from sparx.blocks import MIXERS
@@ -273,7 +274,7 @@ class TestLifetimes:
             layer, _, component = at.rpartition(".")
             first = at not in firsts  # the first op in its scope
             firsts.add(at)
-            if op == "layernorm" and re.fullmatch(r"s\d\.l\d+", at):  # ln1, the block input's first reader
+            if op == "add" and first and re.fullmatch(r"s\d\.l\d+", at):  # the mixer's residual sum: its last reader
                 refs[at] = refs["last"] = weakref.ref(owner(inputs[0].data))
             elif component == "ffn" and first:
                 assert refs.pop(layer)() is None, f"the block input of {layer} is alive in its ConvFFN"
@@ -354,6 +355,85 @@ class TestStemBands:
         err = grad_check(lambda ti, tp: nd.sum_all(nd.matmul(nd.reshape(backbone._stem_forward(tp, ti), (1, 128)),
                                                              nd.reshape(probe, (128,)))), [img, stem], h=1e-6)
         assert err <= 1e-6  # the stem's layernorms are stiff: at h = 1e-4 the unbanded stem measures 2e-4
+
+
+def downsample_params(c_in, c_out, dtype, seed):
+    """A downsample with its convolution, bias and layernorm affine drawn at random."""
+    rng = np.random.default_rng(seed)
+    return backbone.DownsampleParams(
+        w=(0.3 * rng.standard_normal((c_out, c_in, 3, 3))).astype(dtype), b=(0.1 * rng.standard_normal(c_out)).astype(dtype),
+        ln_g=(1 + 0.2 * rng.standard_normal(c_out)).astype(dtype), ln_b=(0.2 * rng.standard_normal(c_out)).astype(dtype))
+
+
+class TestDownsampleBands:
+    """A stage's downsample runs in the output row bands of ``blocks.banded``, sized by its patch matrix (Cin*9 per
+    token): each band convolves the input rows it reads and normalizes its own output rows."""
+
+    @example(c_in=2, c_out=3, H=8, W=6, band=1, dtype=np.float64, seed=0)   # four one-row bands
+    @example(c_in=1, c_out=2, H=7, W=5, band=5, dtype=np.float32, seed=0)   # an odd map: the last band's zero row
+    @given(c_in=st.integers(1, 3), c_out=st.integers(2, 4), H=st.integers(2, 12), W=st.integers(2, 12),
+           band=st.integers(1, 12), dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_bands_equal_a_whole_convolution_then_layernorm(self, c_in, c_out, H, W, band, dtype, seed):
+        p = downsample_params(c_in, c_out, dtype, seed)
+        x = np.random.default_rng(seed).standard_normal((c_in, H, W)).astype(dtype)
+        conv = nd.conv2d(Tensor(x), Tensor(p.w), Tensor(p.b), stride=2, pad=1).data
+        ref = layernorm_reference(conv, p.ln_g, p.ln_b)
+        with pytest.MonkeyPatch.context() as mp:  # bands of at most ``band`` output tokens
+            mp.setattr(blocks, "_BAND_ELEMS", band * c_in * 9)
+            bands = blocks.row_bands(c_out, *conv.shape[1:], c_in * 9)
+            assume(len(bands) > 1)
+            tape = Tape()
+            got = backbone._downsample_forward(bind(p), tape.leaf(x)).data
+        assert [n.shape[1] for n in tape.nodes if n.op == "conv2d"] == [r1 - r0 for r0, r1 in bands]
+        assert got.dtype == dtype
+        tol = (1e-12 if dtype == np.float64 else 1e-5) * np.abs(ref).max()
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stage", [2, 3])
+    def test_tiny_224_bands_equal_one_band(self, stage, dtype, monkeypatch):
+        # stage 2 in 10/9/9 output rows and stage 3 in 7/7; stage 4's patch matrix fits one band. float32 keeps
+        # its bits; in float64 OpenBLAS sums the last row of a 280- or 98-token band in another order
+        cfg = get_variant("tiny")
+        c_in, side = cfg.channels[stage - 2], 224 // 2 ** stage  # the previous stage's map
+        p = bind(downsample_params(c_in, cfg.channels[stage - 1], dtype, stage))
+        x = Tensor(np.random.default_rng(stage).standard_normal((c_in, side, side)).astype(dtype))
+        tape = Tape()
+        banded = backbone._downsample_forward(p, tape.leaf(x.data))
+        assert [n.shape[1] for n in tape.nodes if n.op == "conv2d"] == {2: [10, 9, 9], 3: [7, 7]}[stage]
+        monkeypatch.setattr(blocks, "_BAND_ELEMS", c_in * 9 * (side // 2) ** 2)
+        whole = backbone._downsample_forward(p, x).data
+        if dtype == np.float32:
+            assert banded.data.tobytes() == whole.tobytes()
+        else:  # measured 5e-16 and 9e-16
+            np.testing.assert_allclose(banded.data, whole, rtol=0, atol=2e-15 * np.abs(whole).max())
+
+    def test_multi_band_gradients_match_finite_differences(self, monkeypatch):
+        p = downsample_params(2, 3, np.float64, 44)
+        monkeypatch.setattr(blocks, "_BAND_ELEMS", 3 * 2 * 9)  # a 4 x 3 output map in four one-row bands
+        assert len(blocks.row_bands(3, 4, 3, 2 * 9)) == 4
+        rng = np.random.default_rng(44)
+        x, probe = rng.standard_normal((2, 8, 5)), Tensor(rng.standard_normal(3 * 4 * 3))
+        err = grad_check(lambda tx, tp: nd.sum_all(nd.matmul(nd.reshape(backbone._downsample_forward(tp, tx),
+                                                                        (1, probe.size)), probe)), [x, p], h=1e-6)
+        assert err <= 1e-6, err
+
+
+class TestInferenceFloor:
+    """The float32 ``tiny``@224 window-attention forward peaks at the stage-1 ConvFFN's band, not at a whole-map
+    transient: ``ln1`` runs inside the attention bands, and the downsample and the aggregator's output run in bands."""
+
+    @pytest.mark.parametrize("mode", ["sparx", "plain"])
+    def test_forward_peak_stays_within_4_1_stage_one_maps(self, mode):
+        # 3.97 (sparx) and 3.96 (plain) stage-1 maps; 4.43 and 4.42 with ln1 on the whole map, the whole
+        # downsample patch matrix and the whole aggregator concat and output
+        cfg = get_variant("tiny", mixer="window_attn", topology_mode=mode)
+        model = build(cfg, 0)
+        img = np.random.default_rng(45).standard_normal((3, 224, 224)).astype(np.float32)
+        forward(model, img)  # what a first call caches (shift masks) is no forward's memory
+        _, peak = traced_peak(lambda: forward(model, img))
+        stage_one_map = cfg.channels[0] * (224 // 4) ** 2 * 4
+        assert peak <= 4.1 * stage_one_map, peak / stage_one_map
 
 
 class TestAccounting:

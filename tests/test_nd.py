@@ -1067,10 +1067,17 @@ class TestKernelProperties:
     @example(C=2, H=7, W=5, k=2, s=3, pads=0, dtype=np.float32, seed=0)  # cells between and after the windows
     @example(C=2, H=5, W=6, k=3, s=2, pads=((1, 0), (0, 2)), dtype=np.float64, seed=0)  # overlapping, side pads
     @example(C=1, H=2, W=3, k=4, s=1, pads=((2, 0), (0, 1)), dtype=np.float64, seed=0)  # smaller than the kernel
+    @example(C=1, H=3, W=2, k=2, s=1, pads=((0, 3), (3, 0)), dtype=np.float64, seed=0)  # pads of k + 1
+    @example(C=2, H=4, W=5, k=3, s=2, pads=4, dtype=np.float32, seed=0)  # k + 1 on every side, strided
     @given(C=st.integers(1, 3), H=st.integers(1, 9), W=st.integers(1, 9), k=st.integers(1, 4), s=st.integers(1, 4),
-           pads=st.one_of(st.integers(0, 2), st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 2))] * 2)),
+           pads=st.one_of(st.integers(0, 5), st.tuples(*[st.tuples(st.integers(0, 5), st.integers(0, 5))] * 2)),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
     def test_strided_dwconv_matches_loop_oracle_and_finite_differences(self, C, H, W, k, s, pads, dtype, seed):
+        # side pads up to k + 1, past the k - 1 zero rows and columns the input gradient's buffer has on every side
+        if isinstance(pads, int):
+            pads = min(pads, k + 1)
+        else:
+            pads = tuple(tuple(min(p, k + 1) for p in side) for side in pads)
         (t, bt), (le, r) = ((pads, pads), (pads, pads)) if isinstance(pads, int) else pads
         if H + t + bt < k or W + le + r < k:
             with pytest.raises(ShapeError, match="smaller than kernel"):

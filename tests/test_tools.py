@@ -61,6 +61,26 @@ def test_checkout_without_the_benchmark_exits_2_with_one_error_line(tmp_path):
     assert not (tmp_path / "bench.json").exists()
 
 
+def test_runs_keep_the_env_line_and_the_result_but_not_the_text_lines(tmp_path):
+    # a checkout whose benchmark prints what perfbench/run.py prints: a header, the env line, text, the JSON result
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    result = {"correct": True, "attempted": 2, "failed": 0,
+              "metrics": {m: {"value": 1.0} for m in ("latency_ms_p50", "latency_ms_tail", "images_per_s",
+                                                       "peak_bytes", "setup_s")}}
+    (checkout / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print('sparx benchmark')\nprint('env: python 3')\nprint('p50 1.0 ms')\n"
+        f"print(json.dumps({result!r}))\n")
+    out = tmp_path / "bench.json"
+    proc = bench_record("runs", "--workloads", "train-reduced", "--seeds", "7", "--seconds", "1",
+                        "--checkout", f"change={checkout}", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    [record] = json.loads(out.read_text())["records"]
+    assert record["kind"] == "run" and record["seed"] == 7 and record["workload"] == "train-reduced"
+    assert record["env"] == "env: python 3" and record["result"] == result and "text" not in record
+
+
 def test_top_holder_reads_the_unwatched_peak(tmp_path):
     # the watcher leaves out the bytes it keeps itself, so the op running at the peak reads the peak
     out = tmp_path / "bench.json"

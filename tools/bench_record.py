@@ -76,8 +76,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
-    return {"env": next((ln for ln in lines if ln.startswith("env:")), None), "result": json.loads(lines[-1]),
-            "text": lines[1:-1]}
+    # the run's other stdout lines repeat its result, so they are not kept (older records hold them as ``text``)
+    return {"env": next((ln for ln in lines if ln.startswith("env:")), None), "result": json.loads(lines[-1])}
 
 
 def cmd_runs(args, doc):
